@@ -612,4 +612,115 @@ mod tests {
             .iter()
             .all(|r| r.mean_radio_on <= SimDuration::from_millis(20)));
     }
+
+    /// The testbed's two-jammer pair at `duty`.
+    fn jammers(duty: f64) -> dimmer_sim::CompositeInterference {
+        let mut interference = dimmer_sim::CompositeInterference::new();
+        for j in dimmer_sim::PeriodicJammer::kiel_pair(duty) {
+            interference.push(Box::new(j));
+        }
+        interference
+    }
+
+    /// Mean reliability of `rounds` rounds of `protocol`.
+    fn mean_reliability(
+        topo: &Topology,
+        interference: &dyn InterferenceModel,
+        protocol: &str,
+        seed: u64,
+        rounds: usize,
+    ) -> f64 {
+        let mut sim = SimulationBuilder::new(topo)
+            .interference(interference)
+            .seed(seed)
+            .build_protocol(protocol)
+            .unwrap();
+        let reports = sim.run_rounds(rounds);
+        reports.iter().map(|r| r.reliability).sum::<f64>() / rounds as f64
+    }
+
+    #[test]
+    fn static_ntx_never_changes() {
+        let topo = Topology::kiel_testbed_18(1);
+        let interference = jammers(0.30);
+        let mut lwb = SimulationBuilder::new(&topo)
+            .interference(&interference)
+            .seed(2)
+            .build_protocol("static")
+            .unwrap();
+        for report in lwb.run_rounds(8) {
+            assert_eq!(report.ntx, 3);
+        }
+        assert_eq!(lwb.ntx(), 3);
+    }
+
+    #[test]
+    fn calm_static_lwb_is_reliable_and_cheap() {
+        let topo = Topology::kiel_testbed_18(2);
+        let mut lwb = SimulationBuilder::new(&topo)
+            .seed(3)
+            .build_protocol("static")
+            .unwrap();
+        let reports = lwb.run_rounds(10);
+        let avg_rel: f64 = reports.iter().map(|r| r.reliability).sum::<f64>() / 10.0;
+        let avg_on: f64 = reports
+            .iter()
+            .map(|r| r.mean_radio_on.as_millis_f64())
+            .sum::<f64>()
+            / 10.0;
+        assert!(
+            avg_rel > 0.99,
+            "calm LWB should be highly reliable, got {avg_rel}"
+        );
+        assert!(
+            avg_on < 14.0,
+            "calm LWB radio-on should be well below the 20 ms budget, got {avg_on}"
+        );
+    }
+
+    #[test]
+    fn static_lwb_degrades_under_jamming() {
+        let topo = Topology::kiel_testbed_18(2);
+        let calm_rel = mean_reliability(&topo, &NoInterference, "static", 5, 8);
+        let jam_rel = mean_reliability(&topo, &jammers(0.35), "static", 5, 8);
+        assert!(
+            jam_rel < calm_rel - 0.05,
+            "jamming must visibly hurt LWB ({calm_rel} vs {jam_rel})"
+        );
+    }
+
+    #[test]
+    fn pid_reacts_to_jamming() {
+        let topo = Topology::kiel_testbed_18(1);
+        let interference = jammers(0.35);
+        let mut jammed = SimulationBuilder::new(&topo)
+            .interference(&interference)
+            .seed(3)
+            .build_protocol("pid")
+            .unwrap();
+        let mut calm = SimulationBuilder::new(&topo)
+            .seed(3)
+            .build_protocol("pid")
+            .unwrap();
+        jammed.run_rounds(12);
+        calm.run_rounds(12);
+        assert!(
+            jammed.ntx() > calm.ntx(),
+            "the PID must use more retransmissions under jamming ({} vs {})",
+            jammed.ntx(),
+            calm.ntx()
+        );
+    }
+
+    #[test]
+    fn pid_stays_modest_when_calm() {
+        let topo = Topology::kiel_testbed_18(1);
+        assert!(mean_reliability(&topo, &NoInterference, "pid", 3, 20) > 0.97);
+        let mut pid = SimulationBuilder::new(&topo)
+            .seed(3)
+            .build_protocol("pid")
+            .unwrap();
+        pid.run_rounds(20);
+        assert!(pid.ntx() <= 4);
+    }
 }

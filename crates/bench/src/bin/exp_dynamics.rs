@@ -16,37 +16,33 @@
 //! controller's reaction to each world change is visible in one table.
 //! With the default `--trials 1` a per-phase timeline of the first
 //! selected protocol is printed in addition to the aggregate table.
+//!
+//! Defaults come from the `dynamics:<preset>` entry of
+//! `dimmer_bench::catalogue`: the default protocol set is pinned (its grid
+//! digest is golden-tested) and `--protocols` may also opt into
+//! `dimmer-zoo`.
 
-use dimmer_bench::experiments::{
-    dynamics_grid, dynamics_run, protocol_list, CachedRun, DYNAMICS_PROTOCOLS, DYNAMICS_SUPPORTED,
-};
+use dimmer_bench::catalogue::{self, Extras};
+use dimmer_bench::experiments::{dynamics_run, CachedRun};
 use dimmer_bench::harness::HarnessCli;
-use dimmer_bench::scenarios::{dimmer_policy, dynamic_scenario, DYNAMIC_SCENARIOS};
+use dimmer_bench::scenarios::{dimmer_policy, dynamic_scenario};
 use dimmer_bench::summary::phase_summaries;
 use dimmer_sim::{SimRng, Topology};
 
 fn main() {
-    let cli = HarnessCli::parse(11);
+    let cli = HarnessCli::parse();
     let scenario = cli
         .value_required("--scenario")
         .unwrap_or_else(|| "churn-storm".to_string());
-    let topo = Topology::kiel_testbed_18(1);
-    let rounds = if cli.quick { 60 } else { 200 };
-    let Some(preset) = dynamic_scenario(&scenario, rounds, &topo) else {
-        eprintln!(
-            "error: unknown --scenario '{scenario}' (catalogue: {})",
-            DYNAMIC_SCENARIOS.join(", ")
-        );
+    let grid = catalogue::lookup(&format!("dynamics:{scenario}")).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(2);
-    };
-    // Default runs stay pinned to DYNAMICS_PROTOCOLS (their grid digest is
-    // golden-tested); `--protocols` may additionally opt into `dimmer-zoo`.
-    let protocols = if cli.protocols.is_none() {
-        protocol_list(&DYNAMICS_PROTOCOLS)
-    } else {
-        cli.select_protocols(&DYNAMICS_SUPPORTED)
-    };
-    let opts = cli.run_options(1);
+    });
+    let rounds = grid.rounds(cli.quick);
+    let topo = Topology::kiel_testbed_18(1);
+    let preset = dynamic_scenario(&scenario, rounds, &topo).expect("catalogued presets build");
+    let protocols = cli.select_protocols(grid.name(), grid.protocols());
+    let opts = cli.run_options(grid.trials(cli.quick), grid.seed());
     let policy = dimmer_policy(cli.quick);
 
     println!(
@@ -84,7 +80,11 @@ fn main() {
         first_cache = Some(CachedRun::new(seed, reports));
     }
 
-    let report = dynamics_grid(policy, rounds, &scenario, &protocols, first_cache).run(&opts);
+    let extras = Extras {
+        cache: first_cache,
+        ..Extras::default()
+    };
+    let report = grid.build(cli.quick, &protocols, extras).run(&opts);
     report.print_table();
     cli.emit_json(&report);
 }

@@ -21,14 +21,15 @@
 
 use std::sync::Arc;
 
+use dimmer_bench::catalogue::ProtocolAxis;
 use dimmer_bench::experiments::fig4b_grid;
 use dimmer_bench::harness::HarnessCli;
 use dimmer_sim::Topology;
 use dimmer_traces::TraceCollector;
 
 fn main() {
-    let cli = HarnessCli::parse(1000);
-    let _protocols = cli.select_protocols(&["dimmer-dqn"]);
+    let cli = HarnessCli::parse();
+    cli.select_protocols("fig4b", Some(ProtocolAxis::all(&["dimmer-dqn"])));
     let part = cli
         .value_required("--part")
         .unwrap_or_else(|| "both".to_string());
@@ -36,7 +37,7 @@ fn main() {
         eprintln!("error: unknown --part '{part}' (expected nodes, history or both)");
         std::process::exit(2);
     }
-    let opts = cli.run_options(if cli.quick { 1 } else { 3 });
+    let opts = cli.run_options(if cli.quick { 1 } else { 3 }, 1000);
     let iterations = if cli.quick { 4_000 } else { 20_000 };
     let trace_rounds = if cli.quick { 60 } else { 160 };
 

@@ -15,6 +15,7 @@
 //! is printed (the figure's actual content) in addition to the aggregate
 //! table; with more trials only the aggregates are shown.
 
+use dimmer_bench::catalogue::ProtocolAxis;
 use dimmer_bench::experiments::{fig4c_dimmer, fig4c_grid, fig4c_pid, CachedRun};
 use dimmer_bench::harness::HarnessCli;
 use dimmer_bench::scenarios::dimmer_policy;
@@ -44,15 +45,15 @@ fn print_timeline(label: &str, reports: &[DimmerRoundReport]) {
 }
 
 fn main() {
-    let cli = HarnessCli::parse(7);
+    let cli = HarnessCli::parse();
     if cli.has("--protocol") {
         eprintln!("error: --protocol was replaced by --protocols (registry names, e.g. --protocols dimmer-dqn,pid)");
         std::process::exit(2);
     }
-    let protocols = cli.select_protocols(&SUPPORTED);
+    let protocols = cli.select_protocols("fig4c", Some(ProtocolAxis::all(&SUPPORTED)));
     let minutes: u64 = if cli.quick { 14 } else { 27 };
     let rounds = (minutes * 60 / 4) as usize;
-    let opts = cli.run_options(1);
+    let opts = cli.run_options(1, 7);
     let policy = dimmer_policy(cli.quick);
 
     let mut dimmer_cache = None;

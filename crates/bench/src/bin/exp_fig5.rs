@@ -8,19 +8,18 @@
 //! ```
 //!
 //! Cells are `protocol x jamming level`; each cell is repeated `--trials`
-//! times with derived seeds and aggregated (mean ± 95 % CI).
+//! times with derived seeds and aggregated (mean ± 95 % CI). Defaults come
+//! from the `fig5` entry of `dimmer_bench::catalogue`.
 
-use dimmer_bench::experiments::{fig5_grid, TESTBED_PROTOCOLS};
+use dimmer_bench::catalogue::{self, Extras};
 use dimmer_bench::harness::HarnessCli;
-use dimmer_bench::scenarios::dimmer_policy;
 
 fn main() {
-    let cli = HarnessCli::parse(100);
-    let rounds = if cli.quick { 60 } else { 200 };
-    let opts = cli.run_options(if cli.quick { 1 } else { 3 });
-    let levels = [0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35];
-    let protocols = cli.select_protocols(&TESTBED_PROTOCOLS);
-    let policy = dimmer_policy(cli.quick);
+    let cli = HarnessCli::parse();
+    let grid = catalogue::lookup("fig5").expect("fig5 is catalogued");
+    let rounds = grid.rounds(cli.quick);
+    let opts = cli.run_options(grid.trials(cli.quick), grid.seed());
+    let protocols = cli.select_protocols(grid.name(), grid.protocols());
 
     println!(
         "Fig. 5 — {} x {rounds} rounds x {} trials per cell, {} worker threads",
@@ -28,7 +27,9 @@ fn main() {
         opts.trials,
         opts.threads
     );
-    let report = fig5_grid(policy, rounds, &levels, &protocols).run(&opts);
+    let report = grid
+        .build(cli.quick, &protocols, Extras::default())
+        .run(&opts);
     report.print_table();
 
     println!(

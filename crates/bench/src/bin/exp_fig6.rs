@@ -7,29 +7,28 @@
 //!
 //! ```text
 //! cargo run --release -p dimmer-bench --bin exp_fig6 -- \
-//!     [--protocols dimmer-rule] [--quick] \
-//!     [--trials N] [--threads N] [--seed S] [--json PATH]
+//!     [--quick] [--trials N] [--threads N] [--seed S] [--json PATH]
 //! ```
 //!
-//! The experiment is Dimmer-specific (`--protocols` exists for interface
-//! parity and accepts only `dimmer-rule`, the configuration the paper runs
-//! this figure with). With the default `--trials 1`, the 30-minute-bucket
-//! timeline of the selection run is printed in addition to the aggregate
-//! table.
+//! The experiment runs rule-based Dimmer only (the configuration the paper
+//! runs this figure with), so the grid has no protocol axis and
+//! `--protocols` is refused, as `dimmerd` refuses it on `fig6`. Defaults
+//! come from the `fig6` entry of `dimmer_bench::catalogue`. With the
+//! default `--trials 1`, the 30-minute-bucket timeline of the selection run
+//! is printed in addition to the aggregate table.
 
-use dimmer_bench::experiments::{fig6_grid, fig6_single, CachedRun};
+use dimmer_bench::catalogue::{self, Extras};
+use dimmer_bench::experiments::{fig6_single, CachedRun};
 use dimmer_bench::harness::HarnessCli;
 use dimmer_bench::summary::bucketize;
 use dimmer_sim::SimRng;
 
 fn main() {
-    let cli = HarnessCli::parse(3);
-    // Interface parity: validate the selection even though the grid is
-    // protocol-fixed.
-    let _protocols = cli.select_protocols(&["dimmer-rule"]);
-    // 5 hours of 4-second rounds = 4500 rounds in the paper's run.
-    let rounds = if cli.quick { 900 } else { 4500 };
-    let opts = cli.run_options(1);
+    let cli = HarnessCli::parse();
+    let grid = catalogue::lookup("fig6").expect("fig6 is catalogued");
+    cli.select_protocols(grid.name(), grid.protocols());
+    let rounds = grid.rounds(cli.quick);
+    let opts = cli.run_options(grid.trials(cli.quick), grid.seed());
 
     println!(
         "Fig. 6 — forwarder selection over {} rounds ({} hours of 4 s rounds), {} trials, {} worker threads",
@@ -64,7 +63,11 @@ fn main() {
         selection_cache = Some(CachedRun::new(seed, with_fs));
     }
 
-    let report = fig6_grid(rounds, selection_cache).run(&opts);
+    let extras = Extras {
+        cache: selection_cache,
+        ..Extras::default()
+    };
+    let report = grid.build(cli.quick, &[], extras).run(&opts);
     report.print_table();
     println!("(paper: 99.9% reliability; 9.55 ms with vs 11.04 ms without forwarder selection,");
     println!(" active forwarders dropping towards ~14 of 18)");

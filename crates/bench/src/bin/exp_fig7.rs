@@ -15,18 +15,17 @@
 //!
 //! Cells are `protocol x interference scenario`; each cell is repeated
 //! `--trials` times with derived seeds and aggregated (mean ± 95 % CI).
+//! Defaults come from the `fig7` entry of `dimmer_bench::catalogue`.
 
-use dimmer_bench::experiments::{fig7_grid, DCUBE_PROTOCOLS};
+use dimmer_bench::catalogue::{self, Extras};
 use dimmer_bench::harness::HarnessCli;
-use dimmer_bench::scenarios::dimmer_policy;
 
 fn main() {
-    let cli = HarnessCli::parse(300);
-    // Paper: ten 10-minute experiments with 1-second rounds per cell.
-    let rounds = if cli.quick { 200 } else { 600 };
-    let opts = cli.run_options(if cli.quick { 1 } else { 3 });
-    let protocols = cli.select_protocols(&DCUBE_PROTOCOLS);
-    let policy = dimmer_policy(cli.quick);
+    let cli = HarnessCli::parse();
+    let grid = catalogue::lookup("fig7").expect("fig7 is catalogued");
+    let rounds = grid.rounds(cli.quick);
+    let opts = cli.run_options(grid.trials(cli.quick), grid.seed());
+    let protocols = cli.select_protocols(grid.name(), grid.protocols());
 
     println!(
         "Fig. 7 — 48-node D-Cube stand-in, {} x {rounds} rounds x {} trials per cell (5 sources -> sink), {} worker threads",
@@ -34,7 +33,9 @@ fn main() {
         opts.trials,
         opts.threads
     );
-    let report = fig7_grid(policy, rounds, &protocols).run(&opts);
+    let report = grid
+        .build(cli.quick, &protocols, Extras::default())
+        .run(&opts);
     report.print_table();
 
     println!(

@@ -19,53 +19,49 @@
 //!   before the parallel engine.
 //! * `city` — batched floods over the sparse city-scale worlds
 //!   (city-block, campus, warehouse, 2500-node grid): the CSR-only
-//!   compiled topologies no dense sweep can represent. `--protocols` does
-//!   not apply (the cells compare worlds, not protocols).
+//!   compiled topologies no dense sweep can represent. The cells compare
+//!   worlds, not protocols, so `--protocols` is refused.
 //! * `grid10k` — one 10 000-node sparse grid cell, the scale rung of the
 //!   threads-scaling bench curve. `--protocols` does not apply.
+//!
+//! `fig5-seeds`, `topology-size` and `city` are grids `dimmerd` serves, so
+//! their defaults come from `dimmer_bench::catalogue`; `grid10k` has no
+//! daemon counterpart and keeps its defaults here.
 //!
 //! For the batched presets (`city`, `grid10k`) the `--threads` flag also
 //! fans each trial's floods across that many scoped workers
 //! (`FloodBatch::run_parallel`); reports stay byte-identical for every
 //! thread count, so CI `cmp`s `--threads 1` against `--threads 4`.
 
-use dimmer_bench::experiments::{
-    city_scale_grid_with_threads, fig5_seed_sweep_grid, grid10k_scale_grid, protocol_list,
-    topology_size_grid, TESTBED_PROTOCOLS,
-};
+use dimmer_bench::catalogue::{self, Extras};
+use dimmer_bench::experiments::grid10k_scale_grid;
 use dimmer_bench::harness::HarnessCli;
-use dimmer_bench::scenarios::dimmer_policy;
 
 fn main() {
-    let cli = HarnessCli::parse(500);
+    let cli = HarnessCli::parse();
     let preset = cli
         .value_required("--preset")
         .unwrap_or_else(|| "fig5-seeds".to_string());
-    let rounds = if cli.quick { 40 } else { 120 };
 
-    let (grid, default_trials) = match preset.as_str() {
-        "fig5-seeds" => {
-            let protocols = cli.select_protocols(&TESTBED_PROTOCOLS);
-            (
-                fig5_seed_sweep_grid(dimmer_policy(cli.quick), rounds, &protocols),
-                16,
-            )
-        }
-        "topology-size" => {
-            const SUPPORTED: [&str; 3] = ["static", "dimmer-rule", "pid"];
-            let protocols = match cli.protocols {
-                Some(_) => cli.select_protocols(&SUPPORTED),
-                None => protocol_list(&["static", "dimmer-rule"]),
+    let (grid, opts) = match preset.as_str() {
+        "fig5-seeds" | "topology-size" | "city" => {
+            let entry = catalogue::lookup(&preset).expect("sweep presets are catalogued");
+            let protocols = cli.select_protocols(entry.name(), entry.protocols());
+            let extras = Extras {
+                batch_threads: cli.threads,
+                ..Extras::default()
             };
-            (topology_size_grid(rounds, &[3, 4, 5, 6], &protocols), 8)
-        }
-        "city" => {
-            let floods = if cli.quick { 8 } else { 24 };
-            (city_scale_grid_with_threads(floods, cli.threads), 4)
+            (
+                entry.build(cli.quick, &protocols, extras),
+                cli.run_options(entry.trials(cli.quick), entry.seed()),
+            )
         }
         "grid10k" => {
             let floods = if cli.quick { 6 } else { 32 };
-            (grid10k_scale_grid(floods, cli.threads), 2)
+            (
+                grid10k_scale_grid(floods, cli.threads),
+                cli.run_options(2, 500),
+            )
         }
         other => {
             eprintln!(
@@ -75,9 +71,8 @@ fn main() {
         }
     };
 
-    let opts = cli.run_options(default_trials);
     println!(
-        "sweep '{}' — {} cells x {} trials ({rounds} rounds each), {} worker threads",
+        "sweep '{}' — {} cells x {} trials, {} worker threads",
         grid.name(),
         grid.len(),
         opts.trials,

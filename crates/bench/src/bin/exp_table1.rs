@@ -3,21 +3,23 @@
 //!
 //! ```text
 //! cargo run --release -p dimmer-bench --bin exp_table1 -- \
-//!     [--protocols dimmer-dqn] [--trials N] [--threads N] [--seed S] [--json PATH]
+//!     [--trials N] [--threads N] [--seed S] [--json PATH]
 //! ```
 //!
 //! The footprint is deterministic, so trials only exist for interface
-//! parity with the other binaries (the JSON report shows stddev 0); the
-//! table describes Dimmer's DQN, so `--protocols` accepts only
-//! `dimmer-dqn`.
+//! parity with the other binaries (the JSON report shows stddev 0). The
+//! table describes Dimmer's DQN and compares no protocols, so
+//! `--protocols` is refused, as `dimmerd` refuses it on `table1`.
 
-use dimmer_bench::experiments::{table1_grid, table1_summary};
+use dimmer_bench::catalogue::{self, Extras};
+use dimmer_bench::experiments::table1_summary;
 use dimmer_bench::harness::HarnessCli;
 use dimmer_core::DimmerConfig;
 
 fn main() {
-    let cli = HarnessCli::parse(1);
-    let _protocols = cli.select_protocols(&["dimmer-dqn"]);
+    let cli = HarnessCli::parse();
+    let grid = catalogue::lookup("table1").expect("table1 is catalogued");
+    cli.select_protocols(grid.name(), grid.protocols());
     let cfg = DimmerConfig::default();
     let summary = table1_summary(&cfg);
 
@@ -58,7 +60,8 @@ fn main() {
     );
 
     if cli.json.is_some() {
-        let report = table1_grid(&cfg).run(&cli.run_options(1));
+        let opts = cli.run_options(grid.trials(cli.quick), grid.seed());
+        let report = grid.build(cli.quick, &[], Extras::default()).run(&opts);
         cli.emit_json(&report);
     }
 }

@@ -13,22 +13,23 @@
 //! report — including the JSON — is **byte-identical for any `--envs` and
 //! `--threads`**: the farm's rollout width and the scheduler's worker count
 //! are both pure prefetch knobs (pinned by the CI `train-smoke` job).
+//! Defaults come from the `train:<family>` entry of
+//! `dimmer_bench::catalogue`; the grid makes a policy rather than comparing
+//! protocols, so `--protocols` is refused.
 
+use dimmer_bench::catalogue::{self, Extras, TRAIN_ENVS};
 use dimmer_bench::harness::HarnessCli;
-use dimmer_bench::training::{train_grid, TRAIN_FAMILIES};
 
 fn main() {
-    let cli = HarnessCli::parse(42);
+    let cli = HarnessCli::parse();
     let family = cli
         .value_required("--family")
         .unwrap_or_else(|| "calm".to_string());
-    if !TRAIN_FAMILIES.contains(&family.as_str()) {
-        eprintln!(
-            "error: unknown --family '{family}' (catalogue: {})",
-            TRAIN_FAMILIES.join(", ")
-        );
+    let grid = catalogue::lookup(&format!("train:{family}")).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(2);
-    }
+    });
+    cli.select_protocols(grid.name(), grid.protocols());
     let envs = cli
         .value_required("--envs")
         .map(|v| {
@@ -37,9 +38,9 @@ fn main() {
                 std::process::exit(2);
             })
         })
-        .unwrap_or(4)
+        .unwrap_or(TRAIN_ENVS)
         .max(1);
-    let opts = cli.run_options(1);
+    let opts = cli.run_options(grid.trials(cli.quick), grid.seed());
 
     println!(
         "training '{family}' in-sim — {} mode, {envs} lockstep environments",
@@ -50,7 +51,11 @@ fn main() {
         opts.trials, opts.threads, opts.seed
     );
 
-    let report = train_grid(&family, cli.quick, envs).run(&opts);
+    let extras = Extras {
+        envs,
+        ..Extras::default()
+    };
+    let report = grid.build(cli.quick, &[], extras).run(&opts);
     report.print_table();
     cli.emit_json(&report);
 }

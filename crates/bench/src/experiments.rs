@@ -10,16 +10,17 @@
 //! `tests/tests/exp_smoke.rs` can exercise every scenario with a handful of
 //! rounds and a rule-based policy without paying for DQN training. Every
 //! protocol runs through the same generic
-//! [`RoundEngine`](dimmer_core::RoundEngine), constructed by a
+//! [`RoundEngine`], constructed by a
 //! [`SimulationBuilder`]; there are no per-figure protocol enums. On top of
 //! those, the **grid builders** (`fig5_grid`, `topology_size_grid`, ...)
 //! describe each experiment as a [`ScenarioGrid`] — one cell per
 //! (protocol × parameter) combination, each cell running one single-trial
 //! builder from a derived seed. The binaries are then thin shells that
 //! parse `--protocols/--trials/--threads/--seed/--json` via
-//! [`HarnessCli`](crate::harness::HarnessCli), hand the grid to the
-//! parallel engine in [`crate::harness`], and print/serialize the
-//! aggregated [`GridReport`](crate::report::GridReport).
+//! [`HarnessCli`](crate::harness::HarnessCli), take their grid's defaults
+//! from [`crate::catalogue`], hand the grid to the parallel engine in
+//! [`crate::harness`], and print/serialize the aggregated
+//! [`GridReport`](crate::report::GridReport).
 
 use std::sync::Arc;
 
@@ -32,7 +33,8 @@ use crate::summary::{
 };
 use dimmer_baselines::SimulationBuilder;
 use dimmer_core::{
-    AdaptivityPolicy, DimmerConfig, DimmerRoundReport, DimmerRunner, GlobalView, StateBuilder,
+    AdaptivityController, AdaptivityPolicy, DimmerConfig, DimmerRoundReport, GlobalView,
+    RoundEngine, StateBuilder,
 };
 use dimmer_lwb::{LwbConfig, TrafficPattern};
 use dimmer_neural::{Mlp, QuantizedNetwork};
@@ -117,7 +119,6 @@ pub fn fig4b_row(
     eval_rounds: usize,
 ) -> Fig4bRow {
     assert!(models > 0, "need at least one model");
-    let topo = Topology::kiel_testbed_18(1);
     let mut radio = 0.0;
     let mut rel = 0.0;
     let mut size = 0.0;
@@ -131,16 +132,8 @@ pub fn fig4b_row(
         size = QuantizedNetwork::from_mlp(&report.policy).flash_size_bytes() as f64 / 1024.0;
         // Mixed evaluation scenario: calm then 25% jamming then calm.
         for (duty, seed) in [(0.0, 11u64), (0.25, 12), (0.0, 13)] {
-            let interference = kiel_jamming(duty);
-            let mut runner = DimmerRunner::new(
-                &topo,
-                &interference,
-                LwbConfig::testbed_default(),
-                cfg.clone(),
-                report.quantized_policy(),
-                seed + model as u64,
-            );
-            let summary = summarize(&runner.run_rounds(eval_rounds));
+            let policy = report.quantized_policy();
+            let summary = fig4b_phase(cfg, policy, duty, eval_rounds, seed + model as u64);
             radio += summary.radio_on_ms;
             rel += summary.reliability;
         }
@@ -151,6 +144,29 @@ pub fn fig4b_row(
         reliability: rel / n,
         dqn_size_kb: size,
     }
+}
+
+/// One phase of the Fig. 4b evaluation: Dimmer executing a trained
+/// `policy` for `rounds` rounds on the testbed under `duty` jamming.
+fn fig4b_phase(
+    cfg: &DimmerConfig,
+    policy: AdaptivityPolicy,
+    duty: f64,
+    rounds: usize,
+    seed: u64,
+) -> ProtocolSummary {
+    let topo = Topology::kiel_testbed_18(1);
+    let interference = kiel_jamming(duty);
+    let controller = AdaptivityController::new(policy, cfg.clone());
+    let mut engine = RoundEngine::with_controller(
+        &topo,
+        &interference,
+        LwbConfig::testbed_default(),
+        cfg.clone(),
+        controller,
+        seed,
+    );
+    summarize(&engine.run_rounds(rounds))
 }
 
 /// Runs Dimmer with `policy` through the Fig. 4c dynamic-interference
@@ -392,20 +408,12 @@ pub fn fig4b_trial(
         seed,
     );
     let size_kb = QuantizedNetwork::from_mlp(&report.policy).flash_size_bytes() as f64 / 1024.0;
-    let topo = Topology::kiel_testbed_18(1);
     let mut radio = 0.0;
     let mut rel = 0.0;
     for (phase, duty) in [(0u64, 0.0), (1, 0.25), (2, 0.0)] {
-        let interference = kiel_jamming(duty);
-        let mut runner = DimmerRunner::new(
-            &topo,
-            &interference,
-            LwbConfig::testbed_default(),
-            cfg.clone(),
-            report.quantized_policy(),
-            SimRng::split_seed(seed, phase),
-        );
-        let summary = summarize(&runner.run_rounds(eval_rounds));
+        let policy = report.quantized_policy();
+        let phase_seed = SimRng::split_seed(seed, phase);
+        let summary = fig4b_phase(cfg, policy, duty, eval_rounds, phase_seed);
         radio += summary.radio_on_ms;
         rel += summary.reliability;
     }
@@ -636,21 +644,8 @@ pub fn topology_size_grid(rounds: usize, sides: &[usize], protocols: &[String]) 
 /// centroid supplies interference. All metrics are deterministic per seed,
 /// so harness reports stay byte-identical across `--threads`.
 pub fn city_scale_grid(floods: usize) -> ScenarioGrid {
-    city_scale_grid_from_worlds(floods, city_worlds().into_iter().map(Arc::new).collect())
-}
-
-/// [`city_scale_grid`] with intra-cell parallel flood batching: each trial
-/// fans its `floods` jobs across `batch_threads` scoped workers via
-/// [`dimmer_glossy::FloodBatch::run_parallel`]. Reports are byte-identical
-/// to the serial grid for every `batch_threads` (parallel batching is pure
-/// prefetch), so this only changes wall-clock — which is exactly what the
-/// CI scale-smoke `cmp` pins.
-pub fn city_scale_grid_with_threads(floods: usize, batch_threads: usize) -> ScenarioGrid {
-    city_scale_grid_from_worlds_threaded(
-        floods,
-        city_worlds().into_iter().map(Arc::new).collect(),
-        batch_threads,
-    )
+    let worlds = city_worlds().into_iter().map(Arc::new).collect();
+    city_scale_grid_from_worlds_threaded(floods, worlds, 1)
 }
 
 /// Preset: one 10 000-node sparse grid cell with intra-cell parallel
@@ -744,18 +739,11 @@ pub fn city_worlds() -> Vec<CityWorld> {
 
 /// The city grid over prebuilt [`CityWorld`]s: trials clone the compiled
 /// world and bank instead of rebuilding them, which is what lets the
-/// `dimmerd` daemon serve city sweeps from its warm cache. Reports are
-/// byte-identical to [`city_scale_grid`] (pinned by the scheduler
-/// extraction goldens).
-pub fn city_scale_grid_from_worlds(floods: usize, worlds: Vec<Arc<CityWorld>>) -> ScenarioGrid {
-    city_scale_grid_from_worlds_threaded(floods, worlds, 1)
-}
-
-/// [`city_scale_grid_from_worlds`] with intra-cell parallel batching:
-/// every trial runs its flood jobs through
-/// [`dimmer_glossy::FloodBatch::run_parallel`] across `batch_threads`
-/// scoped workers (1 = the serial path). Byte-identical reports for every
-/// thread count.
+/// `dimmerd` daemon serve city sweeps from its warm cache, and run their
+/// flood jobs through [`dimmer_glossy::FloodBatch::run_parallel`] across
+/// `batch_threads` scoped workers (1 = the serial path). Reports are
+/// byte-identical to [`city_scale_grid`] for every thread count (pinned by
+/// the scheduler extraction goldens).
 pub fn city_scale_grid_from_worlds_threaded(
     floods: usize,
     worlds: Vec<Arc<CityWorld>>,

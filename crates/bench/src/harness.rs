@@ -43,6 +43,7 @@
 //! assert_eq!(report.to_json(), serial.to_json());
 //! ```
 
+use crate::catalogue::{resolve_protocols, ProtocolAxis};
 use crate::report::GridReport;
 use crate::scheduler;
 
@@ -185,21 +186,22 @@ impl ScenarioGrid {
 ///
 /// All `exp_*` binaries accept `--protocols a,b,c`, `--trials N`,
 /// `--threads N`, `--seed S`, `--json PATH` and `--quick` in addition to
-/// their binary-specific flags. Protocol names resolve against the
-/// registry in `dimmer-baselines` (see
+/// their binary-specific flags. Protocol selections pass the same resolver
+/// as the `dimmerd` daemon's (see
 /// [`select_protocols`](Self::select_protocols)). Binary-specific flags go
 /// through the same parsed argument list via [`value`](Self::value) /
 /// [`has`](Self::has), so no binary touches `std::env::args` directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessCli {
     /// Trials per cell (`--trials`); `None` if the flag was absent so the
-    /// binary can pick its legacy default.
+    /// binary can pick its grid's default.
     pub trials: Option<usize>,
     /// Worker threads (`--threads`); defaults to the host's available
     /// parallelism.
     pub threads: usize,
-    /// Base seed (`--seed`).
-    pub seed: u64,
+    /// Base seed (`--seed`); `None` if the flag was absent so the binary
+    /// can pick its grid's default.
+    pub seed: Option<u64>,
     /// Optional JSON report path (`--json`).
     pub json: Option<std::path::PathBuf>,
     /// Whether `--quick` was passed (roughly 10x shorter runs).
@@ -214,15 +216,14 @@ pub struct HarnessCli {
 }
 
 impl HarnessCli {
-    /// Parses the shared flags from `std::env::args`, using `default_seed`
-    /// when `--seed` is absent.
+    /// Parses the shared flags from `std::env::args`.
     ///
     /// Exits the process with status 2 on malformed numeric flags or a
     /// value flag with no value, matching the binaries' existing error
     /// style.
-    pub fn parse(default_seed: u64) -> HarnessCli {
+    pub fn parse() -> HarnessCli {
         // lint: allow(D003) -- the one sanctioned ambient read: the CLI entry point; every flag is threaded explicitly from here
-        Self::parse_from(std::env::args().skip(1).collect(), default_seed)
+        Self::parse_from(std::env::args().skip(1).collect())
     }
 
     /// The one flag-value lookup both the constructor and
@@ -242,8 +243,8 @@ impl HarnessCli {
     /// [`parse`](Self::parse) over an explicit argument list (testable
     /// form; `args` excludes the binary name). Exits the process with
     /// status 2 on malformed input, like [`parse`](Self::parse).
-    pub fn parse_from(args: Vec<String>, default_seed: u64) -> HarnessCli {
-        Self::parse_from_checked(args, default_seed).unwrap_or_else(|e| {
+    pub fn parse_from(args: Vec<String>) -> HarnessCli {
+        Self::parse_from_checked(args).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
@@ -258,7 +259,7 @@ impl HarnessCli {
     /// `--seed 1 --seed 2` used to silently resolve to the first
     /// occurrence, which hid client mistakes; now every repeated `--flag`
     /// (shared or binary-specific) is an error.
-    pub fn parse_from_checked(args: Vec<String>, default_seed: u64) -> Result<HarnessCli, String> {
+    pub fn parse_from_checked(args: Vec<String>) -> Result<HarnessCli, String> {
         for (i, a) in args.iter().enumerate() {
             if a.starts_with("--") && args[..i].contains(a) {
                 return Err(format!("{a} passed more than once"));
@@ -309,7 +310,7 @@ impl HarnessCli {
         Ok(HarnessCli {
             trials,
             threads,
-            seed: parse_num("--seed")?.unwrap_or(default_seed),
+            seed: parse_num("--seed")?,
             json: value("--json").map(std::path::PathBuf::from),
             quick: args.iter().any(|a| a == "--quick"),
             protocols,
@@ -341,48 +342,29 @@ impl HarnessCli {
         self.args.iter().any(|a| a == flag)
     }
 
-    /// Resolves the `--protocols` selection against the registry and the
-    /// binary's `supported` subset, returning `supported` in order when the
-    /// flag was absent.
+    /// Resolves `--protocols` for grid `grid` with protocol axis `axis`
+    /// through [`resolve_protocols`], the rule `dimmerd` applies to
+    /// `spec.protocols` too: the axis default when the flag is absent, and
+    /// nothing on a grid without a protocol axis.
     ///
-    /// Exits the process with status 2 on names the registry does not know
-    /// or the experiment cannot run, matching the binaries' existing error
-    /// style.
-    pub fn select_protocols(&self, supported: &[&str]) -> Vec<String> {
-        let Some(requested) = &self.protocols else {
-            return supported.iter().map(|p| p.to_string()).collect();
-        };
-        let registry = dimmer_baselines::ProtocolRegistry::standard();
-        for (i, name) in requested.iter().enumerate() {
-            if !registry.contains(name) {
-                eprintln!(
-                    "error: unknown protocol '{name}' (registry: {})",
-                    registry.names().join(", ")
-                );
+    /// Exits the process with status 2 on a selection the resolver refuses.
+    pub fn select_protocols(&self, grid: &str, axis: Option<ProtocolAxis>) -> Vec<String> {
+        resolve_protocols(grid, axis, self.protocols.as_deref())
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
                 std::process::exit(2);
-            }
-            if !supported.contains(&name.as_str()) {
-                eprintln!(
-                    "error: this experiment does not support protocol '{name}' (supported: {})",
-                    supported.join(", ")
-                );
-                std::process::exit(2);
-            }
-            if requested[..i].contains(name) {
-                eprintln!("error: protocol '{name}' listed more than once in --protocols");
-                std::process::exit(2);
-            }
-        }
-        requested.clone()
+            })
+            .unwrap_or_default()
     }
 
     /// Builds [`RunOptions`] from the parsed flags, substituting
-    /// `default_trials` when `--trials` was absent.
-    pub fn run_options(&self, default_trials: usize) -> RunOptions {
+    /// `default_trials` and `default_seed` for an absent `--trials` and
+    /// `--seed`.
+    pub fn run_options(&self, default_trials: usize, default_seed: u64) -> RunOptions {
         RunOptions {
             trials: self.trials.unwrap_or(default_trials.max(1)),
             threads: self.threads,
-            seed: self.seed,
+            seed: self.seed.unwrap_or(default_seed),
         }
     }
 
@@ -490,7 +472,7 @@ mod tests {
     }
 
     fn cli(args: &[&str]) -> HarnessCli {
-        HarnessCli::parse_from(args.iter().map(|a| a.to_string()).collect(), 77)
+        HarnessCli::parse_from(args.iter().map(|a| a.to_string()).collect())
     }
 
     #[test]
@@ -510,7 +492,7 @@ mod tests {
         ]);
         assert_eq!(c.trials, Some(4));
         assert_eq!(c.threads, 2);
-        assert_eq!(c.seed, 77, "default seed applies");
+        assert_eq!(c.seed, None, "no --seed given");
         assert!(c.quick);
         assert_eq!(
             c.protocols,
@@ -534,7 +516,7 @@ mod tests {
     #[test]
     fn duplicate_flags_are_rejected() {
         let checked = |args: &[&str]| {
-            HarnessCli::parse_from_checked(args.iter().map(|a| a.to_string()).collect(), 77)
+            HarnessCli::parse_from_checked(args.iter().map(|a| a.to_string()).collect())
         };
         // Shared value flag repeated: used to silently resolve to the
         // first occurrence.
@@ -547,7 +529,7 @@ mod tests {
         assert!(checked(&["--quick", "--quick"]).is_err());
         // Distinct flags — including a value that is not a flag — are fine.
         let ok = checked(&["--seed", "1", "--trials", "2", "--part", "nodes"]).unwrap();
-        assert_eq!(ok.seed, 1);
+        assert_eq!(ok.seed, Some(1));
         assert_eq!(ok.trials, Some(2));
         // Malformed numerics surface as errors, not exits.
         assert!(checked(&["--trials", "zero"]).is_err());
@@ -561,10 +543,11 @@ mod tests {
         assert_eq!(c.trials, None);
         assert!(!c.quick);
         assert_eq!(c.protocols, None);
-        assert_eq!(c.seed, 77);
+        assert_eq!(c.seed, None);
         assert!(c.threads >= 1);
-        assert_eq!(c.run_options(3).trials, 3);
-        assert_eq!(cli(&["--seed", "5"]).seed, 5);
+        assert_eq!(c.run_options(3, 77).trials, 3);
+        assert_eq!(c.run_options(3, 77).seed, 77);
+        assert_eq!(cli(&["--seed", "5"]).run_options(3, 77).seed, 5);
     }
 
     #[test]

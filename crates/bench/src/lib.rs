@@ -33,6 +33,9 @@
 //! * [`experiments`] — the testable per-figure experiment cores and their
 //!   [`ScenarioGrid`] builders, all running protocols through the generic
 //!   `RoundEngine` via the protocol registry,
+//! * [`catalogue`] — the one table of served grid families: each grid's
+//!   defaults, its protocol axis and the builder call, shared by the
+//!   binaries and `dimmerd`, plus the one protocol resolver,
 //! * [`scheduler`] — the reusable trial scheduler (worker pool, stateless
 //!   per-trial seeding, deterministic report assembly) shared by the
 //!   harness and the `dimmerd` daemon,
@@ -44,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod catalogue;
 pub mod experiments;
 pub mod harness;
 pub mod report;

@@ -16,6 +16,8 @@
 use std::io;
 use std::path::Path;
 
+use dimmer_json::Json;
+
 /// Summary statistics of one metric over the trials of one grid cell.
 ///
 /// # Examples
@@ -141,9 +143,10 @@ impl GridReport {
     /// assert!(json.contains("\"reliability\""));
     /// ```
     pub fn to_json(&self) -> String {
+        let text = |s: &str| Json::Str(s.to_string());
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
-        out.push_str(&format!("  \"grid\": {},\n", json_string(&self.grid)));
+        out.push_str(&format!("  \"grid\": {},\n", text(&self.grid)));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"trials\": {},\n", self.trials));
         out.push_str("  \"cells\": [");
@@ -152,13 +155,13 @@ impl GridReport {
                 out.push(',');
             }
             out.push_str("\n    {\n");
-            out.push_str(&format!("      \"label\": {},\n", json_string(&cell.label)));
+            out.push_str(&format!("      \"label\": {},\n", text(&cell.label)));
             out.push_str("      \"params\": {");
             for (pi, (k, v)) in cell.params.iter().enumerate() {
                 if pi > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("{}: {}", json_string(k), json_string(v)));
+                out.push_str(&format!("{}: {}", text(k), text(v)));
             }
             out.push_str("},\n");
             out.push_str(&format!("      \"trials\": {},\n", cell.trials));
@@ -169,13 +172,13 @@ impl GridReport {
                 }
                 out.push_str(&format!(
                     "\n        {}: {{\"n\": {}, \"mean\": {}, \"stddev\": {}, \"ci95\": {}, \"min\": {}, \"max\": {}}}",
-                    json_string(name),
+                    text(name),
                     agg.n,
-                    json_f64(agg.mean),
-                    json_f64(agg.stddev),
-                    json_f64(agg.ci95),
-                    json_f64(agg.min),
-                    json_f64(agg.max),
+                    Json::Num(agg.mean),
+                    Json::Num(agg.stddev),
+                    Json::Num(agg.ci95),
+                    Json::Num(agg.min),
+                    Json::Num(agg.max),
                 ));
             }
             if !cell.metrics.is_empty() {
@@ -234,40 +237,6 @@ impl GridReport {
             self.trials,
             self.seed
         );
-    }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as a JSON value (non-finite values become `null`).
-///
-/// Rust's shortest round-trip formatting is deterministic across runs and
-/// platforms, which the byte-identical-report guarantee relies on.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // Bare "1" is valid JSON but ambiguous about floatness; keep it as
-        // emitted — consumers parse numbers uniformly.
-        s
-    } else {
-        "null".to_string()
     }
 }
 
@@ -335,9 +304,18 @@ mod tests {
 
     #[test]
     fn non_finite_metrics_render_as_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.25), "1.25");
+        let report = GridReport {
+            grid: "g".into(),
+            seed: 0,
+            trials: 1,
+            cells: vec![CellReport {
+                label: "x".into(),
+                params: vec![],
+                trials: 1,
+                metrics: vec![("m".into(), Aggregate::from_samples(&[f64::NAN]))],
+            }],
+        };
+        assert!(report.to_json().contains("\"mean\": null"));
     }
 
     #[test]

@@ -161,8 +161,8 @@ pub trait Controller {
 }
 
 /// Dimmer's coordinator policy as a [`Controller`]: executes the DQN (or the
-/// rule-based fallback) over the Table-I state vector, exactly as the
-/// `DimmerRunner` always did. Honors `DimmerConfig::adaptivity_enabled` —
+/// rule-based fallback) over the Table-I state vector after every round.
+/// Honors `DimmerConfig::adaptivity_enabled` —
 /// with the adaptivity disabled it holds `N_TX` constant (the Fig. 6
 /// forwarder-selection configuration).
 impl Controller for AdaptivityController {

@@ -6,8 +6,7 @@
 //! pipeline and the energy/reliability accounting, and is generic over the
 //! [`Controller`] that picks the next round's `N_TX`:
 //!
-//! * `RoundEngine<AdaptivityController>` is Dimmer — the
-//!   [`DimmerRunner`] alias with its legacy constructor is this engine,
+//! * `RoundEngine<AdaptivityController>` is Dimmer,
 //! * `RoundEngine<PidController>` is the tuned PI(D) baseline,
 //! * `RoundEngine<StaticNtxController>` is static LWB,
 //! * `RoundEngine<CrystalControl>` drives Crystal epochs through an
@@ -34,7 +33,6 @@
 //! The heterogeneous [`Simulation`] facade erases the controller type so
 //! registries and experiment grids can hold any protocol behind one object.
 
-use crate::adaptivity::{AdaptivityController, AdaptivityPolicy};
 use crate::config::DimmerConfig;
 use crate::controller::{ControlDecision, Controller, RoundObservation};
 use crate::forwarder::ForwarderSelection;
@@ -187,53 +185,6 @@ pub struct RoundEngine<'a, C: Controller> {
     total_generated: usize,
     total_delivered: usize,
     rounds_run: u64,
-}
-
-/// The Dimmer protocol runner: the [`RoundEngine`] driven by the
-/// [`AdaptivityController`] (kept under its historical name).
-///
-/// # Examples
-///
-/// ```
-/// use dimmer_core::{DimmerConfig, DimmerRunner, AdaptivityPolicy};
-/// use dimmer_lwb::LwbConfig;
-/// use dimmer_sim::{Topology, NoInterference};
-///
-/// let topo = Topology::kiel_testbed_18(3);
-/// let mut runner = DimmerRunner::new(
-///     &topo,
-///     &NoInterference,
-///     LwbConfig::testbed_default(),
-///     DimmerConfig::default(),
-///     AdaptivityPolicy::rule_based(),
-///     1,
-/// );
-/// let reports = runner.run_rounds(5);
-/// assert_eq!(reports.len(), 5);
-/// ```
-pub type DimmerRunner<'a> = RoundEngine<'a, AdaptivityController>;
-
-impl<'a> DimmerRunner<'a> {
-    /// Creates the Dimmer runner over `topology` and `interference` with
-    /// all-to-all broadcast traffic: the engine with an
-    /// [`AdaptivityController`] executing `policy` under `config`.
-    pub fn new(
-        topology: &'a Topology,
-        interference: &'a dyn InterferenceModel,
-        lwb_config: LwbConfig,
-        config: DimmerConfig,
-        policy: AdaptivityPolicy,
-        seed: u64,
-    ) -> Self {
-        let controller = AdaptivityController::new(policy, config.clone());
-        RoundEngine::with_controller(topology, interference, lwb_config, config, controller, seed)
-    }
-
-    /// Convenience access to the action the internal policy would take for
-    /// the current view and `N_TX` (without applying it).
-    pub fn peek_action(&self) -> crate::AdaptivityAction {
-        self.controller().decide(&self.current_state())
-    }
 }
 
 impl<'a, C: Controller> RoundEngine<'a, C> {
@@ -430,9 +381,9 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     }
 
     /// Applies an external adaptivity decision instead of the controller for
-    /// the *next* round (used by the legacy baseline shims and by the
-    /// trace-collection pipeline). No effect on epoch-driven protocols,
-    /// whose drivers steer their own retransmissions.
+    /// the *next* round (how `SimEnvironment` applies an agent's action).
+    /// No effect on epoch-driven protocols, whose drivers steer their own
+    /// retransmissions.
     pub fn force_ntx(&mut self, ntx: u8) {
         self.ntx = ntx.clamp(self.config.n_min, self.config.n_max);
     }
@@ -845,22 +796,29 @@ impl<C: Controller> Simulation for RoundEngine<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptivity::{AdaptivityController, AdaptivityPolicy};
     use crate::controller::StaticNtxController;
     use dimmer_sim::{NoInterference, PeriodicJammer, ScheduledInterference};
+
+    /// Rule-based Dimmer under `config` and `lwb`.
+    fn dimmer<'a>(
+        topo: &'a Topology,
+        interference: &'a dyn InterferenceModel,
+        lwb: LwbConfig,
+        config: DimmerConfig,
+        seed: u64,
+    ) -> RoundEngine<'a, AdaptivityController> {
+        let controller = AdaptivityController::new(AdaptivityPolicy::rule_based(), config.clone());
+        RoundEngine::with_controller(topo, interference, lwb, config, controller, seed)
+    }
 
     fn calm_runner<'a>(
         topo: &'a Topology,
         interference: &'a dyn InterferenceModel,
         seed: u64,
-    ) -> DimmerRunner<'a> {
-        DimmerRunner::new(
-            topo,
-            interference,
-            LwbConfig::testbed_default(),
-            DimmerConfig::default(),
-            AdaptivityPolicy::rule_based(),
-            seed,
-        )
+    ) -> RoundEngine<'a, AdaptivityController> {
+        let lwb = LwbConfig::testbed_default();
+        dimmer(topo, interference, lwb, DimmerConfig::default(), seed)
     }
 
     #[test]
@@ -925,15 +883,8 @@ mod tests {
     #[test]
     fn forwarder_selection_disabled_keeps_adaptivity_mode() {
         let topo = Topology::kiel_testbed_18(2);
-        let cfg = DimmerConfig::dcube();
-        let mut runner = DimmerRunner::new(
-            &topo,
-            &NoInterference,
-            LwbConfig::testbed_default(),
-            cfg,
-            AdaptivityPolicy::rule_based(),
-            7,
-        );
+        let lwb = LwbConfig::testbed_default();
+        let mut runner = dimmer(&topo, &NoInterference, lwb, DimmerConfig::dcube(), 7);
         let reports = runner.run_rounds(20);
         assert!(reports.iter().all(|r| r.mode == RoundMode::Adaptivity));
     }
@@ -968,15 +919,7 @@ mod tests {
         let make_runner = |acks: bool, seed: u64| {
             let mut c = cfg.clone();
             c.acknowledgements = acks;
-            DimmerRunner::new(
-                &topo,
-                &interference,
-                lwb.clone(),
-                c,
-                AdaptivityPolicy::rule_based(),
-                seed,
-            )
-            .with_traffic(traffic.clone())
+            dimmer(&topo, &interference, lwb.clone(), c, seed).with_traffic(traffic.clone())
         };
         let mut with_acks = make_runner(true, 4);
         let mut without_acks = make_runner(false, 4);

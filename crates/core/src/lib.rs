@@ -23,26 +23,27 @@
 //! and is driven by any [`Controller`] ([`controller`]) — Dimmer's
 //! [`AdaptivityController`], the fixed [`StaticNtxController`], or external
 //! controllers such as the PID and Crystal baselines in `dimmer-baselines`.
-//! [`DimmerRunner`] is the engine specialised to the adaptivity controller,
-//! producing the per-round reports used by the experiment harness.
+//! Dimmer itself is the engine driven by the adaptivity controller.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use dimmer_core::{DimmerConfig, DimmerRunner, AdaptivityPolicy};
+//! use dimmer_core::{AdaptivityController, AdaptivityPolicy, DimmerConfig, RoundEngine};
 //! use dimmer_lwb::LwbConfig;
-//! use dimmer_sim::{Topology, NoInterference};
+//! use dimmer_sim::{NoInterference, Topology};
 //!
 //! let topo = Topology::kiel_testbed_18(1);
-//! let mut runner = DimmerRunner::new(
+//! let config = DimmerConfig::default();
+//! let dimmer = AdaptivityController::new(AdaptivityPolicy::rule_based(), config.clone());
+//! let mut engine = RoundEngine::with_controller(
 //!     &topo,
 //!     &NoInterference,
 //!     LwbConfig::testbed_default(),
-//!     DimmerConfig::default(),
-//!     AdaptivityPolicy::rule_based(),
+//!     config,
+//!     dimmer,
 //!     42,
 //! );
-//! let report = runner.run_round();
+//! let report = engine.run_round();
 //! assert!(report.reliability > 0.9);
 //! ```
 
@@ -68,7 +69,7 @@ pub use adaptivity::{AdaptivityController, AdaptivityPolicy};
 pub use config::{DimmerConfig, ForwarderConfig};
 pub use controller::{ControlDecision, Controller, RoundObservation, StaticNtxController};
 pub use engine::{
-    DimmerRoundReport, DimmerRunner, EpochDriver, EpochOutcome, RoundEngine, RoundMode, Simulation,
+    DimmerRoundReport, EpochDriver, EpochOutcome, RoundEngine, RoundMode, Simulation,
 };
 pub use feedback::FeedbackHeader;
 pub use forwarder::{ForwarderSelection, Role};

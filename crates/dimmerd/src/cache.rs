@@ -13,23 +13,18 @@ use std::sync::Arc;
 
 use dimmer_bench::experiments::{city_worlds, CityWorld};
 
-/// Warm cache of prebuilt [`CityWorld`]s, keyed by the world-set key the
-/// scenario canonicalization produces.
+/// Warm cache of the prebuilt city [`CityWorld`]s.
 ///
 /// City-scale worlds are the expensive part of a city trial (topology
-/// generation plus interference-bank compilation); the daemon builds them
-/// once and stamps out per-trial batches from the pristine prototypes.
-/// There is currently a single world set (the four `city` presets), but
-/// the key keeps the cache honest if parameterized world sets are added.
+/// generation plus interference-bank compilation); the daemon builds the
+/// four `city` presets once and stamps out per-trial batches from the
+/// pristine prototypes.
 #[derive(Debug, Default)]
 pub struct WorldCache {
-    sets: BTreeMap<String, Vec<Arc<CityWorld>>>,
+    city: Option<Vec<Arc<CityWorld>>>,
     hits: u64,
     misses: u64,
 }
-
-/// The key of the one world set served today: the four fixed city presets.
-pub const CITY_WORLD_SET: &str = "city-presets-v1";
 
 impl WorldCache {
     /// Creates an empty cache.
@@ -39,14 +34,14 @@ impl WorldCache {
 
     /// Returns the city preset worlds, building them on first use.
     pub fn city(&mut self) -> Vec<Arc<CityWorld>> {
-        if let Some(set) = self.sets.get(CITY_WORLD_SET) {
+        if self.city.is_some() {
             self.hits += 1;
-            return set.clone();
+        } else {
+            self.misses += 1;
         }
-        self.misses += 1;
-        let set: Vec<Arc<CityWorld>> = city_worlds().into_iter().map(Arc::new).collect();
-        self.sets.insert(CITY_WORLD_SET.to_string(), set.clone());
-        set
+        self.city
+            .get_or_insert_with(|| city_worlds().into_iter().map(Arc::new).collect())
+            .clone()
     }
 
     /// `(hits, misses)` counters.
@@ -54,13 +49,9 @@ impl WorldCache {
         (self.hits, self.misses)
     }
 
-    /// Bytes resident across all cached world sets.
+    /// Bytes resident in the cached worlds.
     pub fn resident_bytes(&self) -> usize {
-        self.sets
-            .values()
-            .flat_map(|set| set.iter())
-            .map(|w| w.memory_bytes())
-            .sum()
+        self.city.iter().flatten().map(|w| w.memory_bytes()).sum()
     }
 }
 

@@ -21,8 +21,9 @@
 //! maps, no ambient environment — its observable behaviour (including
 //! every `stats` counter) is a pure function of the request sequence.
 //!
-//! Layers: [`json`] (the minimal parser/serializer), [`proto`] (wire
-//! commands), [`scenario`] (canonical specs and grid mapping), [`cache`]
+//! Layers: [`json`] (the workspace's `dimmer-json` codec, re-exported),
+//! [`proto`] (wire commands), [`scenario`] (canonical specs over the
+//! `dimmer_bench::catalogue` grids), [`cache`]
 //! (warm worlds + memoized results), [`service`] (queue and executor),
 //! [`server`] (TCP framing). The `dimmerd` binary wires them together;
 //! `dimmer-cli` is the matching client.
@@ -31,11 +32,14 @@
 #![deny(missing_docs)]
 
 pub mod cache;
-pub mod json;
 pub mod proto;
 pub mod scenario;
 pub mod server;
 pub mod service;
+
+/// The wire codec: the workspace's one JSON crate, re-exported so clients
+/// reach it as `dimmerd::json`.
+pub use dimmer_json as json;
 
 pub use cache::{MemoCache, MemoStats, WorldCache};
 pub use proto::{Request, COMMANDS};

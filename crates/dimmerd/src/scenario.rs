@@ -1,80 +1,40 @@
 //! Scenario specifications: the daemon's canonical description of one
-//! experiment grid, its hash, and the mapping onto `dimmer-bench` grid
-//! builders.
+//! experiment grid and its hash.
 //!
-//! A [`ScenarioSpec`] mirrors what the `exp_*` binaries accept on the
-//! command line — grid name, `--quick`, `--trials`, `--seed`,
-//! `--protocols` — with the binaries' own defaults, so a daemon-served
-//! report is the same report the matching binary writes through `--json`.
-//! Two specs that resolve to the same configuration (say, protocols left
-//! to default versus spelled out explicitly) canonicalize to the same
-//! string and therefore the same [`ScenarioSpec::hash`]; the memo cache is
-//! keyed by `(hash, seed)`.
+//! A [`ScenarioSpec`] names a grid of [`dimmer_bench::catalogue`] and
+//! carries the overrides the `exp_*` binaries take on the command line —
+//! `--quick`, `--trials`, `--seed`, `--protocols`. Every default (trials,
+//! seed, round counts, protocol set) and the grid builder come from the
+//! catalogue entry the matching binary reads as well, so a daemon-served
+//! report is the report that binary writes through `--json`. Two specs
+//! that resolve to the same configuration (say, protocols left to default
+//! versus spelled out explicitly) canonicalize to the same string and
+//! therefore the same [`ScenarioSpec::hash`]; the memo cache is keyed by
+//! `(hash, seed)`.
 
-use dimmer_bench::experiments::{
-    city_scale_grid_from_worlds, dynamics_grid, fig5_grid, fig5_seed_sweep_grid, fig6_grid,
-    fig7_grid, table1_grid, topology_size_grid, DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS,
-    TESTBED_PROTOCOLS,
-};
+use dimmer_bench::catalogue::{self, Extras, Grid};
 use dimmer_bench::harness::ScenarioGrid;
-use dimmer_bench::scenarios::{dimmer_policy, DYNAMIC_SCENARIOS};
-use dimmer_bench::training::{train_grid, TRAIN_FAMILIES};
-use dimmer_core::DimmerConfig;
 
 use crate::cache::WorldCache;
 use crate::json::Json;
-
-/// The grid names the daemon serves, in documentation order. Dynamic-world
-/// scenarios are requested as `dynamics:<preset>` with presets from
-/// [`DYNAMIC_SCENARIOS`]; in-sim training jobs as `train:<family>` with
-/// families from [`TRAIN_FAMILIES`] (served through the same scheduler and
-/// memo cache as every other grid, so a training curve is just another
-/// deterministic report).
-pub const GRIDS: &[&str] = &[
-    "table1",
-    "fig5",
-    "fig5-seeds",
-    "fig6",
-    "fig7",
-    "topology-size",
-    "dynamics:<preset>",
-    "train:<family>",
-    "city",
-];
-
-/// The Fig. 5 jamming duty-cycle sweep, as in `exp_fig5`.
-const FIG5_LEVELS: [f64; 8] = [0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35];
 
 /// One submitted scenario: which grid, at which scale, with which
 /// protocol selection and seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Grid name (see [`GRIDS`]).
+    /// Grid name, as [`catalogue::lookup`] resolves it: `fig5`,
+    /// `dynamics:churn-storm`, `train:calm`, ….
     pub grid: String,
-    /// Quick mode: the same reduced round counts as the binaries'
-    /// `--quick`.
+    /// Quick mode: the catalogue's `--quick` trials and round counts.
     pub quick: bool,
-    /// Trials per cell; `None` uses the grid's binary default.
+    /// Trials per cell; `None` uses the catalogue default.
     pub trials: Option<usize>,
-    /// Base seed; `None` uses the grid's binary default.
+    /// Base seed; `None` uses the catalogue default.
     pub seed: Option<u64>,
     /// Protocol selection; `None` uses the grid's default set. Must be
     /// absent for grids that do not compare protocols.
     pub protocols: Option<Vec<String>>,
 }
-
-/// How one grid resolves defaults: its supported/default protocol sets
-/// (or `None` for grids without a protocol axis), default trials and
-/// default seed — all copied from the corresponding binary.
-struct GridInfo {
-    supported: Option<&'static [&'static str]>,
-    default_protocols: Option<&'static [&'static str]>,
-    default_trials: usize,
-    default_seed: u64,
-}
-
-const TOPOLOGY_SIZE_SUPPORTED: [&str; 3] = ["static", "dimmer-rule", "pid"];
-const TOPOLOGY_SIZE_DEFAULT: [&str; 2] = ["static", "dimmer-rule"];
 
 impl ScenarioSpec {
     /// Parses a spec from the request's `"spec"` object. Unknown fields
@@ -140,140 +100,32 @@ impl ScenarioSpec {
         if spec.grid.is_empty() {
             return Err("spec needs a \"grid\" field".to_string());
         }
-        spec.validate()?;
+        spec.resolved_protocols()?;
         Ok(spec)
     }
 
-    fn info(&self) -> Result<GridInfo, String> {
-        let info = match self.grid.as_str() {
-            "table1" => GridInfo {
-                supported: None,
-                default_protocols: None,
-                default_trials: 1,
-                default_seed: 1,
-            },
-            "fig5" => GridInfo {
-                supported: Some(&TESTBED_PROTOCOLS),
-                default_protocols: Some(&TESTBED_PROTOCOLS),
-                default_trials: if self.quick { 1 } else { 3 },
-                default_seed: 100,
-            },
-            "fig5-seeds" => GridInfo {
-                supported: Some(&TESTBED_PROTOCOLS),
-                default_protocols: Some(&TESTBED_PROTOCOLS),
-                default_trials: 16,
-                default_seed: 500,
-            },
-            "fig6" => GridInfo {
-                supported: None,
-                default_protocols: None,
-                default_trials: 1,
-                default_seed: 3,
-            },
-            "fig7" => GridInfo {
-                supported: Some(&DCUBE_PROTOCOLS),
-                default_protocols: Some(&DCUBE_PROTOCOLS),
-                default_trials: if self.quick { 1 } else { 3 },
-                default_seed: 300,
-            },
-            "topology-size" => GridInfo {
-                supported: Some(&TOPOLOGY_SIZE_SUPPORTED),
-                default_protocols: Some(&TOPOLOGY_SIZE_DEFAULT),
-                default_trials: 8,
-                default_seed: 500,
-            },
-            "city" => GridInfo {
-                supported: None,
-                default_protocols: None,
-                default_trials: 4,
-                default_seed: 500,
-            },
-            other => match (
-                other.strip_prefix("dynamics:"),
-                other.strip_prefix("train:"),
-            ) {
-                (Some(preset), _) if DYNAMIC_SCENARIOS.contains(&preset) => GridInfo {
-                    supported: Some(&DYNAMICS_PROTOCOLS),
-                    default_protocols: Some(&DYNAMICS_PROTOCOLS),
-                    default_trials: 1,
-                    default_seed: 11,
-                },
-                (Some(preset), _) => {
-                    return Err(format!(
-                        "unknown dynamics preset '{preset}' (catalogue: {})",
-                        DYNAMIC_SCENARIOS.join(", ")
-                    ))
-                }
-                // Training grids have no protocol axis: the "protocol"
-                // under test is the policy being manufactured.
-                (None, Some(family)) if TRAIN_FAMILIES.contains(&family) => GridInfo {
-                    supported: None,
-                    default_protocols: None,
-                    default_trials: 1,
-                    default_seed: 42,
-                },
-                (None, Some(family)) => {
-                    return Err(format!(
-                        "unknown training family '{family}' (catalogue: {})",
-                        TRAIN_FAMILIES.join(", ")
-                    ))
-                }
-                (None, None) => {
-                    return Err(format!(
-                        "unknown grid '{other}' (grids: {})",
-                        GRIDS.join(", ")
-                    ))
-                }
-            },
-        };
-        Ok(info)
+    /// The catalogue grid the spec names.
+    fn catalogue_grid(&self) -> Result<Grid, String> {
+        catalogue::lookup(&self.grid)
     }
 
-    fn validate(&self) -> Result<(), String> {
-        let info = self.info()?;
-        match (&self.protocols, info.supported) {
-            (Some(_), None) => Err(format!(
-                "grid '{}' has no protocol axis; omit spec.protocols",
-                self.grid
-            )),
-            (Some(requested), Some(supported)) => {
-                if requested.is_empty() {
-                    return Err("spec.protocols must not be empty".to_string());
-                }
-                for name in requested {
-                    if !supported.contains(&name.as_str()) {
-                        return Err(format!(
-                            "protocol '{name}' is not supported by grid '{}' (supported: {})",
-                            self.grid,
-                            supported.join(", ")
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            (None, _) => Ok(()),
-        }
+    /// The resolved protocol list, or `None` for grids without a protocol
+    /// axis; the selection passes the same resolver as `--protocols`.
+    fn resolved_protocols(&self) -> Result<Option<Vec<String>>, String> {
+        self.catalogue_grid()?
+            .resolve_protocols(self.protocols.as_deref())
     }
 
     /// The resolved trials-per-cell count.
     pub fn trials(&self) -> Result<usize, String> {
-        Ok(self.trials.unwrap_or(self.info()?.default_trials))
+        Ok(self
+            .trials
+            .unwrap_or(self.catalogue_grid()?.trials(self.quick)))
     }
 
     /// The resolved base seed (the second half of the memo key).
     pub fn resolved_seed(&self) -> Result<u64, String> {
-        Ok(self.seed.unwrap_or(self.info()?.default_seed))
-    }
-
-    /// The resolved protocol list, or `None` for grids without a protocol
-    /// axis.
-    fn resolved_protocols(&self) -> Result<Option<Vec<String>>, String> {
-        let info = self.info()?;
-        Ok(match (&self.protocols, info.default_protocols) {
-            (Some(p), _) => Some(p.clone()),
-            (None, Some(d)) => Some(d.iter().map(|s| s.to_string()).collect()),
-            (None, None) => None,
-        })
+        Ok(self.seed.unwrap_or(self.catalogue_grid()?.seed()))
     }
 
     /// The canonical form: every default resolved, deterministic field
@@ -305,53 +157,19 @@ impl ScenarioSpec {
         Ok(h)
     }
 
-    /// Builds the scenario's grid, resolving city worlds through the warm
-    /// cache. Round counts follow the binaries' `--quick` switch exactly.
+    /// Builds the scenario's grid through the catalogue, taking city
+    /// worlds from the warm cache.
     pub fn build(&self, worlds: &mut WorldCache) -> Result<ScenarioGrid, String> {
-        let protocols = self.resolved_protocols()?;
-        let protocols = protocols.as_deref().unwrap_or(&[]);
-        let quick = self.quick;
-        let grid = match self.grid.as_str() {
-            "table1" => table1_grid(&DimmerConfig::default()),
-            "fig5" => {
-                let rounds = if quick { 60 } else { 200 };
-                fig5_grid(dimmer_policy(quick), rounds, &FIG5_LEVELS, protocols)
-            }
-            "fig5-seeds" => {
-                let rounds = if quick { 40 } else { 120 };
-                fig5_seed_sweep_grid(dimmer_policy(quick), rounds, protocols)
-            }
-            "fig6" => {
-                let rounds = if quick { 900 } else { 4500 };
-                fig6_grid(rounds, None)
-            }
-            "fig7" => {
-                let rounds = if quick { 200 } else { 600 };
-                fig7_grid(dimmer_policy(quick), rounds, protocols)
-            }
-            "topology-size" => {
-                let rounds = if quick { 40 } else { 120 };
-                topology_size_grid(rounds, &[3, 4, 5, 6], protocols)
-            }
-            "city" => {
-                let floods = if quick { 8 } else { 24 };
-                city_scale_grid_from_worlds(floods, worlds.city())
-            }
-            other => match (
-                other.strip_prefix("dynamics:"),
-                other.strip_prefix("train:"),
-            ) {
-                (Some(preset), _) => {
-                    let rounds = if quick { 60 } else { 200 };
-                    dynamics_grid(dimmer_policy(quick), rounds, preset, protocols, None)
-                }
-                // `envs = 4` mirrors `exp_train`'s default; the farm's
-                // env-count invariance makes the value cosmetic anyway.
-                (None, Some(family)) => train_grid(family, quick, 4),
-                (None, None) => return Err(format!("unknown grid '{other}'")),
-            },
+        let grid = self.catalogue_grid()?;
+        let protocols = grid
+            .resolve_protocols(self.protocols.as_deref())?
+            .unwrap_or_default();
+        let mut city = || worlds.city();
+        let extras = Extras {
+            worlds: Some(&mut city),
+            ..Extras::default()
         };
-        Ok(grid)
+        Ok(grid.build(self.quick, &protocols, extras))
     }
 
     /// Convenience: a quick spec for `grid` with every other field
@@ -365,16 +183,6 @@ impl ScenarioSpec {
             protocols: None,
         }
     }
-}
-
-/// The worlds resolved for one [`CityWorld`](dimmer_bench::experiments::CityWorld)
-/// request, with their compiled digests — exposed for observability tests.
-pub fn city_world_digests(worlds: &mut WorldCache) -> Vec<(String, u64)> {
-    worlds
-        .city()
-        .iter()
-        .map(|w| (w.label.to_string(), w.compiled().digest()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -424,26 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_defaults_are_mirrored() {
-        let fig5 = spec(r#"{"grid":"fig5"}"#).unwrap();
-        assert_eq!(fig5.trials().unwrap(), 3);
-        assert_eq!(fig5.resolved_seed().unwrap(), 100);
-        let fig5_quick = spec(r#"{"grid":"fig5","quick":true}"#).unwrap();
-        assert_eq!(fig5_quick.trials().unwrap(), 1);
-        let sweep = spec(r#"{"grid":"fig5-seeds"}"#).unwrap();
-        assert_eq!(sweep.trials().unwrap(), 16);
-        assert_eq!(sweep.resolved_seed().unwrap(), 500);
-        let city = spec(r#"{"grid":"city"}"#).unwrap();
-        assert_eq!(city.trials().unwrap(), 4);
-        let dynamics = spec(r#"{"grid":"dynamics:churn-storm"}"#).unwrap();
-        assert_eq!(dynamics.resolved_seed().unwrap(), 11);
-        // `train:*` mirrors `exp_train`: seed 42, one trial.
-        let train = spec(r#"{"grid":"train:calm"}"#).unwrap();
-        assert_eq!(train.resolved_seed().unwrap(), 42);
-        assert_eq!(train.trials().unwrap(), 1);
-    }
-
-    #[test]
     fn invalid_specs_are_rejected() {
         assert!(spec(r#"{"grid":"fig9"}"#)
             .unwrap_err()
@@ -470,6 +258,13 @@ mod tests {
             .unwrap_err()
             .contains("unknown spec field"));
         assert!(spec(r#"{"quick":true}"#).unwrap_err().contains("grid"));
+    }
+
+    #[test]
+    fn duplicate_protocols_are_rejected() {
+        assert!(spec(r#"{"grid":"fig5","protocols":["static","static"]}"#)
+            .unwrap_err()
+            .contains("more than once"));
     }
 
     #[test]

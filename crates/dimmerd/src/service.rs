@@ -495,4 +495,15 @@ mod tests {
         assert_eq!(stats.get("completed").and_then(Json::as_u64), Some(2));
         assert_eq!(stats.get("queue_len").and_then(Json::as_u64), Some(0));
     }
+
+    #[test]
+    fn a_deeply_nested_line_is_refused_and_the_daemon_keeps_serving() {
+        let d = daemon(4);
+        let reply = submit_line(&d, &"[".repeat(200_000));
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("nesting"), "{error}");
+        let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
+        assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+    }
 }

@@ -1,13 +1,40 @@
-//! A minimal, dependency-free JSON reader/writer for the wire protocol.
+//! # dimmer-json — the workspace's one JSON codec
 //!
-//! The daemon speaks newline-delimited JSON; this module provides just
-//! enough of the format for that: parsing a single value from a line and
-//! serializing one back, deterministically. Objects preserve insertion
-//! order as a `Vec<(String, Json)>` (no hash maps — iteration order is part
-//! of the byte-determinism contract), and non-negative integers are kept
-//! exact as `u64` so seeds and hashes survive the round-trip bit-for-bit.
+//! A small, dependency-free JSON value with a parser and a writer, shared
+//! by everything in the workspace that reads or writes JSON: the `dimmerd`
+//! wire protocol, the `dimmer-bench` grid reports and `dimmer-lint`'s
+//! `BENCH_*.json` schema checks.
+//!
+//! * Objects keep insertion order as a `Vec<(String, Json)>`: no hash
+//!   maps, because iteration order is part of the byte-determinism
+//!   contract.
+//! * Non-negative integers without fraction or exponent stay exact as
+//!   [`Json::Int`], so seeds and 64-bit hashes survive a round trip
+//!   bit-for-bit; every other number is a [`Json::Num`].
+//! * [`parse`] refuses documents nested deeper than [`MAX_DEPTH`], so no
+//!   input can exhaust the stack of the thread parsing it.
+//! * `Display` writes the compact form (no whitespace), and
+//!   [`escape_into`] is the one string escaper.
+//!
+//! # Examples
+//!
+//! ```
+//! use dimmer_json::{parse, Json};
+//!
+//! let v = parse(r#"{"seed": 18446744073709551615, "mean": 0.5}"#).unwrap();
+//! assert_eq!(v.get("seed").and_then(Json::as_u64), Some(u64::MAX));
+//! assert_eq!(v.get("mean").and_then(Json::as_f64), Some(0.5));
+//! assert_eq!(v.to_string(), r#"{"seed":18446744073709551615,"mean":0.5}"#);
+//! ```
+
+#![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// deepest document the workspace writes, a grid report, has 5 levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +81,15 @@ impl Json {
         }
     }
 
+    /// The value as an `f64`, if it is a number of either kind.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(n) => Some(*n as f64),
+            Json::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
     /// The boolean payload, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -78,8 +114,7 @@ impl Json {
                 let _ = write!(out, "{n}");
             }
             Json::Num(x) => {
-                // JSON has no NaN/Inf; clamp them to null like the report
-                // writer never produces anyway.
+                // JSON has no NaN/Inf; write them as null.
                 if x.is_finite() {
                     let _ = write!(out, "{x}");
                 } else {
@@ -136,11 +171,13 @@ pub fn escape_into(s: &str, out: &mut String) {
 }
 
 /// Parses one JSON value; the input must hold nothing but the value and
-/// surrounding whitespace.
+/// surrounding whitespace, with arrays and objects nested at most
+/// [`MAX_DEPTH`] levels deep.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -154,6 +191,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Compact, deterministic (no whitespace) serialization.
@@ -204,12 +243,27 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(format!("unexpected '{}' at offset {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses an array or object one level deeper. The depth limit bounds
+    /// the recursion, so hostile input gets an error, not a stack overflow.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -386,6 +440,9 @@ fn utf8_width(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+    use rand::Rng;
 
     #[test]
     fn round_trips_the_protocol_shapes() {
@@ -399,6 +456,34 @@ mod tests {
             "u64 seeds survive exactly"
         );
         assert_eq!(parse(&v.to_string()).unwrap(), v, "round-trip is stable");
+    }
+
+    #[test]
+    fn parses_a_bench_report_shape() {
+        let doc = r#"{"suite": "flood", "benchmarks": [{"name": "a/b", "mean_ns": 12.5, "iters": 100}], "flood_kernel_speedup": 2.48}"#;
+        let v = parse(doc).expect("valid json");
+        assert_eq!(v.get("suite").and_then(Json::as_str), Some("flood"));
+        let benches = v.get("benchmarks").and_then(Json::as_arr).expect("array");
+        assert_eq!(benches.len(), 1);
+        assert_eq!(benches[0].get("mean_ns").and_then(Json::as_f64), Some(12.5));
+        // Whole numbers stay exact integers; `as_f64` reads both kinds.
+        assert_eq!(benches[0].get("iters"), Some(&Json::Int(100)));
+        assert_eq!(benches[0].get("iters").and_then(Json::as_f64), Some(100.0));
+        assert_eq!(
+            v.get("flood_kernel_speedup").and_then(Json::as_f64),
+            Some(2.48)
+        );
+        assert_eq!(v.get("suite").and_then(Json::as_f64), None);
+    }
+
+    #[test]
+    fn parses_scalars_and_escapes() {
+        assert_eq!(parse("null"), Ok(Json::Null));
+        assert_eq!(parse(" true "), Ok(Json::Bool(true)));
+        assert_eq!(parse("-1.5e2"), Ok(Json::Num(-150.0)));
+        assert_eq!(parse(r#""a\"b\nA""#), Ok(Json::Str("a\"b\nA".into())));
+        assert_eq!(parse("[]"), Ok(Json::Arr(vec![])));
+        assert_eq!(parse("{}"), Ok(Json::Obj(vec![])));
     }
 
     #[test]
@@ -420,12 +505,16 @@ mod tests {
             "",
             "{",
             "[1,",
+            "[1,]",
             "{\"a\"}",
+            "{'a':1}",
             "tru",
             "\"abc",
             "{\"a\":1}x",
+            "{\"a\":1} extra",
             "\"\\q\"",
             "01a",
+            r#""\ud83d""#,
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
@@ -435,5 +524,101 @@ mod tests {
     fn object_order_is_preserved() {
         let v = parse(r#"{"z":1,"a":2}"#).unwrap();
         assert_eq!(v.to_string(), r#"{"z":1,"a":2}"#);
+    }
+
+    #[test]
+    fn get_on_non_objects_is_none() {
+        assert_eq!(parse("[1]").unwrap().get("a"), None);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1))
+            .unwrap_err()
+            .contains("nesting"));
+        assert!(parse(&objects(MAX_DEPTH + 1))
+            .unwrap_err()
+            .contains("nesting"));
+        // One line of 200 000 `[` is refused instead of overflowing the stack.
+        assert!(parse(&"[".repeat(200_000)).unwrap_err().contains("nesting"));
+    }
+
+    /// Random values nested up to `depth` levels: every kind, finite floats
+    /// across the whole exponent range, integers up to `u64::MAX`, and
+    /// strings mixing control, escaped and non-ASCII characters.
+    struct AnyJson {
+        depth: usize,
+    }
+
+    impl Strategy for AnyJson {
+        type Value = Json;
+
+        fn sample(&self, rng: &mut TestRng) -> Json {
+            let kinds = if self.depth == 0 { 5 } else { 7 };
+            let child = AnyJson {
+                depth: self.depth.saturating_sub(1),
+            };
+            match rng.0.gen_range(0..kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.0.gen()),
+                2 => Json::Int(rng.0.gen()),
+                3 => number(rng),
+                4 => Json::Str(text(rng)),
+                5 => Json::Arr(
+                    (0..rng.0.gen_range(0..4))
+                        .map(|_| child.sample(rng))
+                        .collect(),
+                ),
+                _ => Json::Obj(
+                    (0..rng.0.gen_range(0..4))
+                        .map(|_| (text(rng), child.sample(rng)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    /// A finite float. A whole non-negative one below 2^64 is written as
+    /// bare digits and so reads back as [`Json::Int`]; it is drawn as one.
+    fn number(rng: &mut TestRng) -> Json {
+        let x = loop {
+            let x = if rng.0.gen() {
+                rng.0.gen_range(-1.0e6..1.0e6)
+            } else {
+                f64::from_bits(rng.0.gen())
+            };
+            if x.is_finite() {
+                break x;
+            }
+        };
+        if x >= 0.0 && x.fract() == 0.0 && x < 2f64.powi(64) {
+            Json::Int(x as u64)
+        } else {
+            Json::Num(x)
+        }
+    }
+
+    fn text(rng: &mut TestRng) -> String {
+        (0..rng.0.gen_range(0..12))
+            .map(|_| match rng.0.gen_range(0..4) {
+                0 => char::from(rng.0.gen_range(0u8..0x20)),
+                1 => ['"', '\\', '/', '\u{7f}'][rng.0.gen_range(0..4usize)],
+                _ => loop {
+                    if let Some(c) = char::from_u32(rng.0.gen_range(0x20u32..0x11_0000)) {
+                        break c;
+                    }
+                },
+            })
+            .collect()
+    }
+
+    proptest! {
+        fn display_then_parse_is_the_identity(v in AnyJson { depth: 3 }) {
+            prop_assert_eq!(parse(&v.to_string()), Ok(v));
+        }
     }
 }

@@ -44,7 +44,6 @@
 pub mod diag;
 pub mod directives;
 pub mod drift;
-pub mod json;
 pub mod rules;
 pub mod tokenizer;
 pub mod workspace;

@@ -5,7 +5,8 @@
 //! * **D-rules** run on the simulation/engine/bench crates — the code whose
 //!   byte-for-byte determinism the equivalence suites pin — on the
 //!   `dimmerd` daemon, whose served reports must be byte-identical to
-//!   offline runs, and on `rl`, whose training farm promises
+//!   offline runs, on the `json` codec every report and wire message
+//!   passes through, and on `rl`, whose training farm promises
 //!   byte-identical curves and weights for any environment count
 //!   (`tests/tests/training_farm.rs`). The neural/trace crates are
 //!   deliberately out of D-scope for now (they read nothing ambient
@@ -35,6 +36,7 @@ pub const D_CRATES: &[&str] = &[
     "rl",
     "bench",
     "dimmerd",
+    "json",
 ];
 
 /// Crates whose non-test library code must not panic (P-rules).
@@ -50,6 +52,7 @@ pub const P_CRATES: &[&str] = &[
     "bench",
     "lint",
     "dimmerd",
+    "json",
 ];
 
 /// The rule families that apply to a workspace-relative `.rs` path, or
@@ -190,6 +193,7 @@ mod tests {
             "crates/dimmerd/src/service.rs",
             "crates/rl/src/dqn.rs",
             "crates/rl/src/farm.rs",
+            "crates/json/src/lib.rs",
         ] {
             let s = case(p).expect("scanned");
             assert!(s.determinism && s.panic_hygiene, "{p}");

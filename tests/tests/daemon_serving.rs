@@ -7,8 +7,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
-use dimmer_bench::experiments::city_scale_grid;
+use dimmer_bench::experiments::{city_scale_grid, dynamics_grid, protocol_list};
 use dimmer_bench::harness::RunOptions;
+use dimmer_bench::scenarios::dimmer_policy;
 use dimmerd::json::{self, Json};
 use dimmerd::{Daemon, DaemonConfig, ScenarioSpec, WorldCache};
 
@@ -131,6 +132,31 @@ fn warm_world_city_report_matches_the_offline_grid_bytes() {
     let stats = ask(&d, r#"{"cmd":"stats"}"#);
     assert_eq!(stats.get("world_misses").and_then(Json::as_u64), Some(1));
     assert!(stats.get("world_bytes").and_then(Json::as_u64).unwrap() > 0);
+
+    ask(&d, r#"{"cmd":"shutdown"}"#);
+    executor.join().unwrap();
+}
+
+#[test]
+fn dynamics_serves_the_opt_in_zoo_with_the_offline_bytes() {
+    let d = daemon();
+    let executor = d.spawn_executor();
+
+    // `dimmer-zoo` is opt-in on every dynamics grid, exactly as with
+    // `exp_dynamics --protocols dimmer-zoo`.
+    let (_, served) = submit_and_wait(
+        &d,
+        r#"{"cmd":"submit","spec":{"grid":"dynamics:churn-storm","quick":true,"protocols":["dimmer-zoo"]}}"#,
+    );
+    let protocols = protocol_list(&["dimmer-zoo"]);
+    let offline = dynamics_grid(dimmer_policy(true), 60, "churn-storm", &protocols, None)
+        .run(&RunOptions {
+            trials: 1,
+            threads: 1,
+            seed: 11,
+        })
+        .to_json();
+    assert_eq!(served, offline, "served zoo report != offline grid bytes");
 
     ask(&d, r#"{"cmd":"shutdown"}"#);
     executor.join().unwrap();

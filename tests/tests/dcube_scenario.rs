@@ -2,11 +2,12 @@
 //! aperiodic collection, WiFi interference, Dimmer with ACKs + hopping,
 //! plain LWB and Crystal.
 
-use dimmer_baselines::{CrystalConfig, CrystalRunner, StaticLwbRunner};
-use dimmer_core::{AdaptivityPolicy, DimmerConfig, DimmerRunner};
+use dimmer_baselines::{CrystalConfig, CrystalRunner, SimulationBuilder};
+use dimmer_core::DimmerConfig;
 use dimmer_lwb::{LwbConfig, TrafficPattern};
 use dimmer_sim::{
-    NoInterference, NodeId, SimDuration, SimRng, Topology, WifiInterference, WifiLevel,
+    InterferenceModel, NoInterference, NodeId, SimDuration, SimRng, Topology, WifiInterference,
+    WifiLevel,
 };
 
 const ROUNDS: usize = 120;
@@ -15,30 +16,36 @@ fn collection(topo: &Topology) -> TrafficPattern {
     TrafficPattern::dcube_collection(topo.num_nodes(), 5, topo.coordinator())
 }
 
+/// The collection workload on `topo` under `interference`, ready for a
+/// registry protocol.
+fn workload<'a>(
+    topo: &'a Topology,
+    interference: &'a dyn InterferenceModel,
+    lwb: LwbConfig,
+    seed: u64,
+) -> SimulationBuilder<'a> {
+    SimulationBuilder::new(topo)
+        .interference(interference)
+        .lwb_config(lwb)
+        .traffic(collection(topo))
+        .seed(seed)
+}
+
 #[test]
 fn dimmer_outperforms_plain_lwb_under_wifi_level_2() {
     let topo = Topology::dcube_48(3);
     let wifi = WifiInterference::new(WifiLevel::Level2, 1);
 
-    let mut lwb = StaticLwbRunner::new(
-        &topo,
-        &wifi,
-        LwbConfig::dcube_default().with_channel_hopping(false),
-        3,
-        5,
-    )
-    .with_traffic(collection(&topo));
+    let single_channel = LwbConfig::dcube_default().with_channel_hopping(false);
+    let mut lwb = workload(&topo, &wifi, single_channel, 5)
+        .build_protocol("static")
+        .unwrap();
     lwb.run_rounds(ROUNDS);
 
-    let mut dimmer = DimmerRunner::new(
-        &topo,
-        &wifi,
-        LwbConfig::dcube_default(),
-        DimmerConfig::dcube(),
-        AdaptivityPolicy::rule_based(),
-        5,
-    )
-    .with_traffic(collection(&topo));
+    let mut dimmer = workload(&topo, &wifi, LwbConfig::dcube_default(), 5)
+        .dimmer_config(DimmerConfig::dcube())
+        .build_protocol("dimmer-rule")
+        .unwrap();
     dimmer.run_rounds(ROUNDS);
 
     assert!(
@@ -93,20 +100,16 @@ fn crystal_is_reliable_but_energy_hungry_under_interference() {
 #[test]
 fn without_interference_everyone_delivers_everything() {
     let topo = Topology::dcube_48(4);
-    let mut dimmer = DimmerRunner::new(
-        &topo,
-        &NoInterference,
-        LwbConfig::dcube_default(),
-        DimmerConfig::dcube(),
-        AdaptivityPolicy::rule_based(),
-        6,
-    )
-    .with_traffic(collection(&topo));
+    let mut dimmer = workload(&topo, &NoInterference, LwbConfig::dcube_default(), 6)
+        .dimmer_config(DimmerConfig::dcube())
+        .build_protocol("dimmer-rule")
+        .unwrap();
     dimmer.run_rounds(ROUNDS);
     assert!(dimmer.app_reliability() > 0.99);
 
-    let mut lwb = StaticLwbRunner::new(&topo, &NoInterference, LwbConfig::dcube_default(), 3, 6)
-        .with_traffic(collection(&topo));
+    let mut lwb = workload(&topo, &NoInterference, LwbConfig::dcube_default(), 6)
+        .build_protocol("static")
+        .unwrap();
     lwb.run_rounds(ROUNDS);
     assert!(lwb.app_reliability() > 0.98);
 }

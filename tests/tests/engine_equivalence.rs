@@ -1,20 +1,14 @@
-//! Equivalence suite for the `RoundEngine` redesign: the generic engine,
-//! driven through the protocol registry, must reproduce the legacy runners'
-//! report streams **byte-for-byte** at fixed seeds.
+//! Equivalence suite for the `RoundEngine`: registry-built, builder-built
+//! and hand-built engines must agree **byte-for-byte** at fixed seeds.
 //!
-//! The legacy `PidRunner` and `StaticLwbRunner` shims close their control
-//! loops *externally* (`run_round` → `update`/`force_ntx`), while the
-//! engine closes them through the `Controller::observe` hook — so equality
-//! here proves the unified hook is a faithful refactor, not a behavioural
-//! change. The Crystal comparison pins the engine's epoch adapter (traffic
+//! The Crystal comparison pins the engine's epoch adapter (traffic
 //! sampling, seed derivation, report synthesis) to the hand-rolled epoch
-//! loop the Fig. 7 harness used before the redesign.
+//! loop the Fig. 7 harness used before the redesign. The `dimmer-dqn`,
+//! `pid` and `static` report streams are pinned by the golden digests in
+//! `world_dynamics.rs`.
 
-use dimmer_baselines::{
-    CrystalConfig, CrystalRunner, PidController, PidRunner, ProtocolRegistry, SimulationBuilder,
-    StaticLwbRunner,
-};
-use dimmer_core::{AdaptivityPolicy, DimmerConfig, DimmerRunner, RoundEngine, StaticNtxController};
+use dimmer_baselines::{CrystalConfig, CrystalRunner, ProtocolRegistry, SimulationBuilder};
+use dimmer_core::{AdaptivityPolicy, DimmerConfig, RoundEngine, StaticNtxController};
 use dimmer_lwb::{LwbConfig, TrafficPattern};
 use dimmer_sim::{
     CompositeInterference, NodeId, PeriodicJammer, SimDuration, SimRng, Topology, WifiInterference,
@@ -31,145 +25,6 @@ fn kiel_jamming(duty: f64) -> CompositeInterference {
 
 const ROUNDS: usize = 40;
 const SEEDS: [u64; 3] = [1, 7, 99];
-
-#[test]
-fn pid_engine_matches_the_legacy_pid_runner() {
-    let topo = Topology::kiel_testbed_18(1);
-    let interference = kiel_jamming(0.25);
-    for seed in SEEDS {
-        let mut legacy = PidRunner::new(
-            &topo,
-            &interference,
-            LwbConfig::testbed_default(),
-            PidController::paper_pi(),
-            seed,
-        );
-        let mut engine = SimulationBuilder::new(&topo)
-            .interference(&interference)
-            .seed(seed)
-            .build_protocol("pid")
-            .unwrap();
-        assert_eq!(
-            legacy.run_rounds(ROUNDS),
-            engine.run_rounds(ROUNDS),
-            "seed {seed}: PID report streams must be identical"
-        );
-        assert_eq!(legacy.ntx(), engine.ntx(), "seed {seed}");
-        assert_eq!(
-            legacy.total_energy_joules(),
-            engine.total_energy_joules(),
-            "seed {seed}"
-        );
-        assert_eq!(
-            legacy.app_reliability(),
-            engine.app_reliability(),
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
-fn static_engine_matches_the_legacy_static_runner() {
-    let topo = Topology::kiel_testbed_18(1);
-    let interference = kiel_jamming(0.30);
-    for seed in SEEDS {
-        let mut legacy =
-            StaticLwbRunner::new(&topo, &interference, LwbConfig::testbed_default(), 3, seed);
-        let mut engine = SimulationBuilder::new(&topo)
-            .interference(&interference)
-            .static_ntx(3)
-            .seed(seed)
-            .build_protocol("static")
-            .unwrap();
-        assert_eq!(
-            legacy.run_rounds(ROUNDS),
-            engine.run_rounds(ROUNDS),
-            "seed {seed}: static-LWB report streams must be identical"
-        );
-        assert_eq!(
-            legacy.total_energy_joules(),
-            engine.total_energy_joules(),
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
-fn dimmer_engine_matches_the_legacy_runner_via_the_registry() {
-    let topo = Topology::kiel_testbed_18(1);
-    let interference = kiel_jamming(0.15);
-    for seed in SEEDS {
-        let mut legacy = DimmerRunner::new(
-            &topo,
-            &interference,
-            LwbConfig::testbed_default(),
-            DimmerConfig::default(),
-            AdaptivityPolicy::rule_based(),
-            seed,
-        );
-        let mut engine = SimulationBuilder::new(&topo)
-            .interference(&interference)
-            .policy(AdaptivityPolicy::rule_based())
-            .seed(seed)
-            .build_protocol("dimmer-dqn")
-            .unwrap();
-        assert_eq!(
-            legacy.run_rounds(ROUNDS),
-            engine.run_rounds(ROUNDS),
-            "seed {seed}: Dimmer report streams must be identical"
-        );
-    }
-}
-
-#[test]
-fn dimmer_equivalence_holds_with_the_pretrained_policy() {
-    let topo = Topology::kiel_testbed_18(1);
-    let interference = kiel_jamming(0.25);
-    let policy = dimmer_core::pretrained::pretrained_policy();
-    let mut legacy = DimmerRunner::new(
-        &topo,
-        &interference,
-        LwbConfig::testbed_default(),
-        DimmerConfig::default(),
-        policy,
-        13,
-    );
-    // No `.policy(...)`: "dimmer-dqn" defaults to the pretrained network.
-    let mut engine = SimulationBuilder::new(&topo)
-        .interference(&interference)
-        .seed(13)
-        .build_protocol("dimmer-dqn")
-        .unwrap();
-    assert_eq!(legacy.run_rounds(ROUNDS), engine.run_rounds(ROUNDS));
-}
-
-#[test]
-fn collection_traffic_with_acks_is_preserved_by_the_engine() {
-    // The D-Cube workload exercises the sink/ACK delivery-tracking path.
-    let topo = Topology::dcube_48(1);
-    let wifi = WifiInterference::new(WifiLevel::Level1, 5);
-    let traffic = TrafficPattern::dcube_collection(48, 5, topo.coordinator());
-    let mut legacy = DimmerRunner::new(
-        &topo,
-        &wifi,
-        LwbConfig::dcube_default(),
-        DimmerConfig::dcube(),
-        AdaptivityPolicy::rule_based(),
-        4,
-    )
-    .with_traffic(traffic.clone());
-    let mut engine = SimulationBuilder::new(&topo)
-        .interference(&wifi)
-        .lwb_config(LwbConfig::dcube_default())
-        .dimmer_config(DimmerConfig::dcube())
-        .policy(AdaptivityPolicy::rule_based())
-        .traffic(traffic)
-        .seed(4)
-        .build_protocol("dimmer-dqn")
-        .unwrap();
-    assert_eq!(legacy.run_rounds(60), engine.run_rounds(60));
-    assert_eq!(legacy.app_reliability(), engine.app_reliability());
-}
 
 #[test]
 fn crystal_engine_matches_the_legacy_epoch_loop() {

@@ -1,9 +1,9 @@
 //! Integration test of the offline training pipeline: trace collection →
 //! DQN training → quantization → protocol-in-the-loop behaviour.
 
-use dimmer_core::{AdaptivityController, DimmerConfig, DimmerRunner, GlobalView, StateBuilder};
+use dimmer_baselines::SimulationBuilder;
+use dimmer_core::{AdaptivityController, DimmerConfig, GlobalView, StateBuilder};
 use dimmer_integration::jamming;
-use dimmer_lwb::LwbConfig;
 use dimmer_rl::DqnConfig;
 use dimmer_sim::{NoInterference, Topology};
 use dimmer_traces::{train_policy, TraceCollector};
@@ -20,7 +20,7 @@ fn trained_policy_drives_the_protocol_sensibly() {
 
     // The quantized policy must be executable on Table-I states.
     let controller = AdaptivityController::new(report.quantized_policy(), cfg.clone());
-    let state = StateBuilder::new(cfg.clone()).build(&GlobalView::new(18), 3);
+    let state = StateBuilder::new(cfg).build(&GlobalView::new(18), 3);
     let _ = controller.decide(&state);
     assert_eq!(
         controller.flash_size_bytes(),
@@ -31,31 +31,22 @@ fn trained_policy_drives_the_protocol_sensibly() {
     // Protocol-in-the-loop: under jamming the learned policy must end up with
     // at least as many retransmissions as it uses when calm.
     let interference = jamming(0.35);
-    let mut jammed = DimmerRunner::new(
-        &topo,
-        &interference,
-        LwbConfig::testbed_default(),
-        cfg.clone(),
-        report.quantized_policy(),
-        3,
-    );
-    jammed.run_rounds(25);
-
-    let mut calm = DimmerRunner::new(
-        &topo,
-        &NoInterference,
-        LwbConfig::testbed_default(),
-        cfg,
-        report.quantized_policy(),
-        3,
-    );
-    calm.run_rounds(25);
+    let dimmer = |interference: &dyn dimmer_sim::InterferenceModel| {
+        let mut sim = SimulationBuilder::new(&topo)
+            .interference(interference)
+            .policy(report.quantized_policy())
+            .seed(3)
+            .build_protocol("dimmer-dqn")
+            .unwrap();
+        sim.run_rounds(25);
+        sim.ntx()
+    };
+    let jammed_ntx = dimmer(&interference);
+    let calm_ntx = dimmer(&NoInterference);
 
     assert!(
-        jammed.ntx() >= calm.ntx(),
-        "the learned policy should use at least as many retransmissions under jamming ({} vs {})",
-        jammed.ntx(),
-        calm.ntx()
+        jammed_ntx >= calm_ntx,
+        "the learned policy should use at least as many retransmissions under jamming ({jammed_ntx} vs {calm_ntx})"
     );
 }
 
