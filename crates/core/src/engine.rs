@@ -294,8 +294,19 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     ///
     /// Panics if the script references out-of-range nodes, fails the
     /// coordinator, or contains malformed topology swaps (see
-    /// [`World::new`]).
+    /// [`World::new`]). Also panics if the script grows the topology
+    /// ([`WorldEvent::TopologyGrow`]): the traffic sources, statistics,
+    /// global view, forwarder state and energy accounting are all sized for
+    /// the construction topology. Grow worlds at the flood layer instead
+    /// (`FloodSimulator::apply_world_event`).
     pub fn with_world_script(mut self, script: ScenarioScript) -> Self {
+        assert!(
+            !script
+                .events()
+                .iter()
+                .any(|(_, e)| matches!(e, WorldEvent::TopologyGrow { .. })),
+            "the round engine cannot grow its topology: its per-node state is sized at construction"
+        );
         self.world = World::new(
             self.topology.num_nodes(),
             self.topology.coordinator(),
@@ -1055,6 +1066,24 @@ mod tests {
             );
             assert_eq!(r.alive_nodes, 18, "drift does not change membership");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot grow its topology")]
+    fn world_script_growth_is_refused() {
+        let topo = Topology::kiel_testbed_18(1);
+        let script = ScenarioScript::new().grow_topology(
+            SimTime::from_secs(8),
+            vec![
+                dimmer_sim::Position::new(30.0, 30.0),
+                dimmer_sim::Position::new(34.0, 30.0),
+            ],
+            vec![
+                (dimmer_sim::NodeId(17), dimmer_sim::NodeId(18), 0.9),
+                (dimmer_sim::NodeId(18), dimmer_sim::NodeId(19), 0.9),
+            ],
+        );
+        let _ = calm_runner(&topo, &NoInterference, 1).with_world_script(script);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Batched floods over one shared compiled world — the city-scale driver.
 //!
-//! A [`FloodSimulator`](crate::FloodSimulator) borrows a dense
+//! A [`FloodSimulator`](crate::FloodSimulator) compiles a dense
 //! [`dimmer_sim::Topology`] and runs one flood at a time. At 10k–100k nodes
 //! that shape breaks down twice: the dense topology cannot even be built
 //! (`O(n²)` memory), and a sweep wants *many* floods — different initiators,

@@ -28,18 +28,16 @@
 //! * node state is structure-of-arrays scratch in a reusable
 //!   [`FloodWorkspace`] — zero heap allocation per flood except the returned
 //!   [`FloodOutcome`],
-//! * each receiver's miss product gathers from the [`CompiledTopology`]
-//!   (compiled once per simulator), adaptively picking the cheaper of two
-//!   bit-identical
-//!   iteration orders: the dense per-receiver factor row indexed by the
-//!   slot's transmitter list, or — when fewer incoming links than
-//!   transmitters exist — the receiver's in-link CSR filtered by a
-//!   transmitter bitmask. Sparse (CSR-only) worlds have no dense factor
-//!   rows and always take the in-CSR path, which multiplies the same
-//!   material factors in the same ascending order and is therefore
-//!   bit-identical to the dense gather,
-//! * a sorted active-node list replaces the per-slot full scans, and
-//!   transmitter membership is a boolean mask instead of a `Vec` scan,
+//! * each listener's miss product comes from the [`CompiledTopology`]
+//!   (compiled once per simulator) in one of two ways, picked by what the
+//!   world stores. Dense worlds multiply the listener's miss-factor row
+//!   ([`CompiledTopology::miss_rows`]) over the slot's ascending
+//!   transmitter list. Sparse (CSR-only) worlds scatter instead: each
+//!   transmitter, in ascending order, multiplies `1.0 - prr` into the
+//!   per-node miss accumulator of every listening out-neighbour, so the
+//!   work follows the wavefront rather than the listener count. One draw
+//!   pass over the listeners then follows for both,
+//! * a sorted active-node list replaces the per-slot full scans,
 //! * interference is evaluated through a precompiled per-node mask
 //!   ([`InterferenceModel::compile_for`]) at most **once per slot** instead
 //!   of once per receiver, and calm scenarios
@@ -49,13 +47,13 @@
 //! consumed for exactly the same receivers in the same order
 //! ([`SimRng::chance`] consumes no state for `p <= 0`, which covers every
 //! receiver the kernel skips), (b) each receiver's miss product multiplies
-//! the same factors in the same (ascending-transmitter) order — the CSR
-//! only omits links whose factor `1.0 - prr` rounds to exactly `1.0`, a
-//! bitwise no-op — and (c) compiled interference masks are contractually
-//! bit-identical to per-receiver `busy_fraction` calls.
+//! the same factors in the same (ascending-transmitter) order on both paths
+//! — the CSR only omits links whose factor `1.0 - prr` rounds to exactly
+//! `1.0`, a bitwise no-op — and (c) compiled interference masks are
+//! contractually bit-identical to per-receiver `busy_fraction` calls.
 //!
 //! The kernel itself is a crate-private free function shared by
-//! [`FloodSimulator`] (one flood at a time, borrowed topology) and
+//! [`FloodSimulator`] (one flood at a time) and
 //! [`crate::FloodBatch`] (many independent floods stepping through one
 //! shared owned [`CompiledTopology`] — the city-scale sweep driver).
 
@@ -92,7 +90,9 @@ pub struct FloodWorkspace {
     listening: Vec<u16>,
     /// This slot's transmitters, ascending by id.
     transmitters: Vec<u16>,
-    is_transmitting: Vec<bool>,
+    /// Per-node miss-product accumulators of the sparse scatter; every
+    /// entry is `1.0` between slots.
+    miss: Vec<f64>,
     /// Per-node busy fractions of the current slot, filled lazily from the
     /// compiled interference mask.
     busy: Vec<f64>,
@@ -130,8 +130,8 @@ impl FloodWorkspace {
         self.active.clear();
         self.listening.clear();
         self.transmitters.clear();
-        self.is_transmitting.clear();
-        self.is_transmitting.resize(n, false);
+        self.miss.clear();
+        self.miss.resize(n, 1.0);
         self.busy.resize(n, 0.0);
     }
 }
@@ -156,10 +156,6 @@ impl FloodWorkspace {
 /// ```
 #[derive(Debug)]
 pub struct FloodSimulator<'a> {
-    /// The construction topology, when built from a dense [`Topology`];
-    /// `None` for simulators built directly over a compiled (typically
-    /// sparse) world via [`from_compiled`](Self::from_compiled).
-    topology: Option<&'a Topology>,
     compiled: CompiledTopology,
     interference: &'a dyn InterferenceModel,
     /// Precompiled per-node interference mask, when the model supports one.
@@ -175,17 +171,14 @@ impl<'a> FloodSimulator<'a> {
     /// Creates a flood simulator for the given topology and interference
     /// environment, compiling the topology (and, when supported, the
     /// interference mask) for the kernel.
-    pub fn new(topology: &'a Topology, interference: &'a dyn InterferenceModel) -> Self {
-        let mut sim = Self::from_compiled(CompiledTopology::compile(topology), interference);
-        sim.topology = Some(topology);
-        sim
+    pub fn new(topology: &Topology, interference: &'a dyn InterferenceModel) -> Self {
+        Self::from_compiled(CompiledTopology::compile(topology), interference)
     }
 
     /// Creates a flood simulator directly over an already-compiled world —
     /// the entry point for sparse (CSR-only) topologies from
     /// [`dimmer_sim::topogen`], which never materialize a dense
-    /// [`Topology`]. The simulator owns the compiled world;
-    /// [`topology`](Self::topology) returns `None`.
+    /// [`Topology`]. The simulator owns the compiled world.
     pub fn from_compiled(
         compiled: CompiledTopology,
         interference: &'a dyn InterferenceModel,
@@ -193,7 +186,6 @@ impl<'a> FloodSimulator<'a> {
         let slot_interference = interference.compile_for(compiled.positions());
         let workspace = FloodWorkspace::for_nodes(compiled.num_nodes());
         FloodSimulator {
-            topology: None,
             compiled,
             interference,
             slot_interference,
@@ -202,18 +194,8 @@ impl<'a> FloodSimulator<'a> {
         }
     }
 
-    /// The topology this simulator floods over, when it was built from a
-    /// dense [`Topology`] (`None` after
-    /// [`from_compiled`](Self::from_compiled)).
-    ///
-    /// This is the *construction* topology; a dynamic world patches only
-    /// the [`compiled`](Self::compiled) view, so after world events the two
-    /// may disagree on link qualities.
-    pub fn topology(&self) -> Option<&'a Topology> {
-        self.topology
-    }
-
-    /// The compiled (structure-of-arrays) view the kernel runs on.
+    /// The compiled (structure-of-arrays) view the kernel runs on, kept
+    /// current by [`apply_world_event`](Self::apply_world_event).
     pub fn compiled(&self) -> &CompiledTopology {
         &self.compiled
     }
@@ -381,8 +363,8 @@ pub(crate) fn run_flood(
     let airtime_us = airtime.as_micros();
     let max_slots = cfg.max_relay_slots().max(1);
     let idle = interference.is_always_idle();
-    // Hoisted: in a sparse world every gather takes the in-CSR path.
-    let has_dense = compiled.has_dense();
+    // Hoisted: dense worlds gather rows, sparse worlds scatter out-links.
+    let miss_rows = compiled.miss_rows();
     ws.reset(n);
 
     for i in 0..n {
@@ -423,7 +405,6 @@ pub(crate) fn run_flood(
             let iu = i as usize;
             if ws.next_tx_slot[iu] == slot_u32 && ws.tx_remaining[iu] > 0 {
                 ws.transmitters.push(i);
-                ws.is_transmitting[iu] = true;
             }
         }
 
@@ -450,44 +431,45 @@ pub(crate) fn run_flood(
                 false
             };
 
-            // Gather phase over the eligible receivers, ascending by
-            // receiver id. `listening` excludes every packet holder, so
-            // no transmitter or done node needs filtering out here.
+            // Sparse worlds scatter: each transmitter, ascending, folds its
+            // factor into every listening out-neighbour's accumulator, so
+            // each product multiplies the same factors in the same order
+            // as the dense row below. Transmitters hold the packet, so
+            // `!has_packet` also keeps them out.
+            if miss_rows.is_none() && !ws.listening.is_empty() {
+                for &t in &ws.transmitters {
+                    let (dests, prrs) = compiled.neighbor_slices(t as usize);
+                    for (&r, &prr) in dests.iter().zip(prrs) {
+                        let ru = r as usize;
+                        if ws.participating[ru] && !ws.has_packet[ru] {
+                            ws.miss[ru] *= 1.0 - prr;
+                        }
+                    }
+                }
+            }
+
+            // Draw pass over the eligible receivers, ascending by id.
+            // `listening` excludes every packet holder, so no transmitter
+            // or done node needs filtering out here.
             let mut received_any = false;
             for idx in 0..ws.listening.len() {
                 let r = ws.listening[idx];
                 let ru = r as usize;
-                // Miss product over the slot's transmitters, ascending —
-                // the same factors in the same order as the reference.
-                // Pick whichever bit-identical iteration is shorter: the
-                // dense factor row over the transmitter list (factors of
-                // immaterial links are exactly 1.0, a no-op), or the
-                // receiver's in-link CSR masked by `is_transmitting`
-                // (which skips only those no-op factors). For the few-
-                // transmitter case the dense row always wins; checking
-                // the in-degree first would only add loads. A sparse
-                // world has no dense rows and always gathers in-CSR.
-                let mut miss_all = 1.0;
-                if has_dense && t_count <= 4 {
-                    let row = compiled.miss_factor_row(ru);
-                    for &t in &ws.transmitters {
-                        miss_all *= row[t as usize];
-                    }
-                } else {
-                    let (in_srcs, in_factors) = compiled.in_neighbor_slices(ru);
-                    if has_dense && t_count <= in_srcs.len() {
-                        let row = compiled.miss_factor_row(ru);
+                // Dense worlds multiply the listener's factor row over the
+                // ascending transmitter list (immaterial links contribute
+                // exactly 1.0); sparse worlds take the scattered product
+                // and reset the accumulator for the next slot.
+                let miss_all = match miss_rows {
+                    Some(rows) => {
+                        let row = &rows[ru * n..(ru + 1) * n];
+                        let mut miss = 1.0;
                         for &t in &ws.transmitters {
-                            miss_all *= row[t as usize];
+                            miss *= row[t as usize];
                         }
-                    } else {
-                        for (&t, &factor) in in_srcs.iter().zip(in_factors) {
-                            if ws.is_transmitting[t as usize] {
-                                miss_all *= factor;
-                            }
-                        }
+                        miss
                     }
-                }
+                    None => std::mem::replace(&mut ws.miss[ru], 1.0),
+                };
                 if miss_all == 1.0 {
                     // No transmitter can reach this receiver: the
                     // reference computes p = 0.0 here and
@@ -532,7 +514,6 @@ pub(crate) fn run_flood(
         // Advance the transmitters' schedules.
         for k in 0..ws.transmitters.len() {
             let tu = ws.transmitters[k] as usize;
-            ws.is_transmitting[tu] = false;
             ws.relays[tu] += 1;
             ws.tx_remaining[tu] -= 1;
             if ws.tx_remaining[tu] > 0 {
@@ -888,9 +869,6 @@ mod tests {
         assert_eq!(sim.compiled().prr(NodeId(0), NodeId(1)), 0.0);
         // Membership events do not touch the topology.
         assert!(!sim.apply_world_event(&dimmer_sim::WorldEvent::NodeFail(NodeId(1))));
-        // The construction topology is untouched (only the compiled view
-        // drifts).
-        assert!(sim.topology().unwrap().link(NodeId(0), NodeId(1)).prr() > 0.0);
     }
 
     #[test]

@@ -240,7 +240,7 @@ pub struct RoundExecutor<'a> {
 impl<'a> RoundExecutor<'a> {
     /// Creates a round executor, compiling `topology` for the flood kernel.
     pub fn new(
-        topology: &'a Topology,
+        topology: &Topology,
         interference: &'a dyn InterferenceModel,
         config: LwbConfig,
     ) -> Self {
@@ -264,15 +264,8 @@ impl<'a> RoundExecutor<'a> {
         }
     }
 
-    /// The construction topology, when the executor was built from a dense
-    /// [`Topology`] (`None` after [`from_compiled`](Self::from_compiled)).
-    pub fn topology(&self) -> Option<&'a Topology> {
-        self.flood.topology()
-    }
-
-    /// The compiled world rounds are executed over — always available and,
-    /// unlike [`topology`](Self::topology), kept current by dynamic-world
-    /// events.
+    /// The compiled world rounds are executed over, kept current by
+    /// dynamic-world events.
     pub fn compiled(&self) -> &dimmer_sim::CompiledTopology {
         self.flood.compiled()
     }

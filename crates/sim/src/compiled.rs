@@ -1,4 +1,5 @@
-//! A flood-kernel-friendly, structure-of-arrays view of a [`Topology`].
+//! A flood-kernel-friendly view of a [`Topology`] that stores each link
+//! once.
 //!
 //! [`Topology`] is the *construction* representation: positions, a dense
 //! [`LinkQuality`](crate::link::LinkQuality) matrix and convenience queries (BFS, neighbor filters).
@@ -6,14 +7,14 @@
 //! needs something flatter. [`CompiledTopology`] is that view, compiled once
 //! per trial:
 //!
-//! * a dense row-major `f64` PRR matrix (no `LinkQuality` wrapper, no
-//!   bounds-check branches in the kernel loops),
-//! * a CSR-style adjacency (`row_ptr` / `col_idx` / `link_prr`) holding, per
+//! * one out-link CSR (`row_ptr` / `col_idx` / `link_prr`) holding, per
 //!   node, only the outgoing links that can actually change a reception
-//!   probability, sorted by destination id,
-//! * a quality bucket (`0..QUALITY_BUCKETS`) per stored link, so dashboards
-//!   and benchmarks can summarize link distributions without re-deriving
-//!   them from floats.
+//!   probability, sorted by destination id. It is the only link store:
+//!   [`prr`](CompiledTopology::prr), patches and digests all read it;
+//! * for worlds compiled from a matrix of at most [`DENSE_NODE_LIMIT`]
+//!   nodes, the transposed miss-factor rows derived from that CSR
+//!   (`1.0 - prr(t → r)`, contiguous per receiver `r`) — the table the
+//!   flood kernel multiplies over a slot's transmitter list.
 //!
 //! The CSR drops a link `(i, j)` only when its PRR is so small that
 //! `1.0 - prr == 1.0` in `f64` — i.e. when multiplying a miss-probability
@@ -23,15 +24,12 @@
 //!
 //! # Sparse (CSR-only) worlds
 //!
-//! The dense matrices cost `O(n²)` memory (a 100k-node world would need
-//! ~160 GB for the two `f64` matrices alone), so above
-//! [`DENSE_NODE_LIMIT`] nodes compilation switches to **sparse mode**: only
-//! the two CSR views are built and the dense mirrors are skipped entirely.
-//! Every kernel-facing query keeps working — the flood kernel's miss gather
-//! simply always takes its in-CSR path, which is bit-identical to the dense
-//! row by construction (the CSR omits exactly the factors that are `1.0`
-//! bitwise). Force the mode explicitly with
-//! [`CompiledTopology::compile_sparse`] /
+//! The miss rows cost `n² × 8 B` (2 MiB at the limit, 80 GB at 100k
+//! nodes), so above [`DENSE_NODE_LIMIT`] nodes compilation keeps the CSR
+//! alone. Every query keeps working; the flood kernel scatters each
+//! transmitter's out-links instead of reading rows, which multiplies the
+//! same material factors in the same ascending-transmitter order. Force
+//! the mode explicitly with [`CompiledTopology::compile_sparse`] /
 //! [`CompiledTopology::from_prr_matrix_sparse`], or build city-scale worlds
 //! straight from an edge list with [`CompiledTopology::from_links`] without
 //! ever materializing an `n²` matrix.
@@ -39,28 +37,14 @@
 use crate::topology::{NodeId, Position, Topology};
 use crate::world::WorldEvent;
 
-/// Number of link-quality buckets exposed by [`CompiledTopology`].
-pub const QUALITY_BUCKETS: usize = 10;
-
 /// Largest node count for which [`CompiledTopology::compile`] and
-/// [`CompiledTopology::from_prr_matrix`] still build the dense `O(n²)`
-/// PRR / miss-factor mirrors; larger worlds compile CSR-only (sparse mode).
+/// [`CompiledTopology::from_prr_matrix`] still build the dense miss-factor
+/// rows; larger worlds compile CSR-only (sparse mode).
 ///
-/// At the limit the two mirrors cost `2 × 512² × 8 B = 4 MiB` — cheap enough
-/// to keep the kernel's dense few-transmitter gather. One step above, the
+/// At the limit the rows cost `512² × 8 B = 2 MiB` — cheap enough to keep
+/// the kernel's contiguous per-receiver gather. One step above, the
 /// quadratic growth starts dominating every other allocation.
 pub const DENSE_NODE_LIMIT: usize = 512;
-
-/// One stored (outgoing) link of a [`CompiledTopology`] node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompiledLink {
-    /// Destination node.
-    pub to: NodeId,
-    /// Packet reception ratio of the link, in `(0, 1]`.
-    pub prr: f64,
-    /// Quality bucket of the link (`0..QUALITY_BUCKETS`).
-    pub bucket: u8,
-}
 
 /// A structure-of-arrays topology compiled for the flood hot path.
 ///
@@ -76,7 +60,7 @@ pub struct CompiledLink {
 /// let topo = Topology::line(4, 8.0, 1);
 /// let compiled = CompiledTopology::compile(&topo);
 /// assert_eq!(compiled.num_nodes(), 4);
-/// // Dense lookups agree with the source topology...
+/// // Lookups agree with the source topology...
 /// assert_eq!(compiled.prr(NodeId(0), NodeId(1)), topo.link(NodeId(0), NodeId(1)).prr());
 /// // ...and the CSR only stores links that can affect a reception.
 /// assert!(compiled.out_degree(NodeId(0)) <= 3);
@@ -86,33 +70,17 @@ pub struct CompiledTopology {
     num_nodes: usize,
     coordinator: NodeId,
     positions: Vec<Position>,
-    /// Dense `O(n²)` mirrors; `None` in sparse (CSR-only) mode.
-    dense: Option<DenseMirror>,
-    /// CSR row offsets into `col_idx` / `link_prr` / `link_bucket`.
+    /// CSR row offsets into `col_idx` / `link_prr`.
     row_ptr: Vec<u32>,
     /// CSR destination ids, ascending within each row.
     col_idx: Vec<u16>,
     /// CSR link PRRs, parallel to `col_idx`.
     link_prr: Vec<f64>,
-    /// CSR link quality buckets, parallel to `col_idx`.
-    link_bucket: Vec<u8>,
-    /// In-link CSR row offsets into `in_col_idx` / `in_factor`.
-    in_row_ptr: Vec<u32>,
-    /// In-link CSR source ids, ascending within each row.
-    in_col_idx: Vec<u16>,
-    /// In-link CSR miss factors (`1.0 - prr(source → row node)`).
-    in_factor: Vec<f64>,
-}
-
-/// The dense `O(n²)` matrices kept alongside the CSRs for small worlds.
-#[derive(Debug, Clone, PartialEq)]
-struct DenseMirror {
-    /// Dense row-major `num_nodes × num_nodes` PRR matrix; diagonal is 0.
-    prr: Vec<f64>,
-    /// Dense *transposed* miss-factor matrix: `miss_factor[r * n + t]`
-    /// is `1.0 - prr(t → r)`, so a receiver's factors over all
-    /// transmitters are contiguous.
-    miss_factor: Vec<f64>,
+    /// Transposed dense miss factors derived from the CSR:
+    /// `miss_rows[r * n + t]` is `1.0 - prr(t → r)`, so a receiver's
+    /// factors over all transmitters are contiguous. `None` in sparse
+    /// (CSR-only) mode.
+    miss_rows: Option<Vec<f64>>,
 }
 
 impl CompiledTopology {
@@ -126,18 +94,9 @@ impl CompiledTopology {
         1.0 - prr != 1.0
     }
 
-    /// The quality bucket (`0..QUALITY_BUCKETS`) of a PRR value.
-    ///
-    /// Buckets are uniform in PRR: bucket `b` covers
-    /// `[b/QUALITY_BUCKETS, (b+1)/QUALITY_BUCKETS)`, with `prr = 1.0`
-    /// folded into the top bucket.
-    pub fn quality_bucket(prr: f64) -> u8 {
-        ((prr.clamp(0.0, 1.0) * QUALITY_BUCKETS as f64) as usize).min(QUALITY_BUCKETS - 1) as u8
-    }
-
     /// Compiles a [`Topology`] into the structure-of-arrays form.
     ///
-    /// Worlds up to [`DENSE_NODE_LIMIT`] nodes keep the dense mirrors;
+    /// Worlds up to [`DENSE_NODE_LIMIT`] nodes keep the dense miss rows;
     /// larger worlds compile CSR-only (see the module docs).
     pub fn compile(topology: &Topology) -> Self {
         Self::compile_with_mode(topology, topology.num_nodes() <= DENSE_NODE_LIMIT)
@@ -165,7 +124,7 @@ impl CompiledTopology {
             .node_ids()
             .map(|id| topology.position(id))
             .collect();
-        Self::from_parts(positions, topology.coordinator(), prr, want_dense)
+        Self::from_parts(positions, topology.coordinator(), &prr, want_dense)
     }
 
     /// Builds a compiled topology from a raw row-major PRR matrix.
@@ -173,7 +132,7 @@ impl CompiledTopology {
     /// Unlike [`Topology`], the matrix may be *asymmetric*
     /// (`prr[i][j] != prr[j][i]`); the CSR stores outgoing links per row, so
     /// directional deployments compile correctly. Worlds up to
-    /// [`DENSE_NODE_LIMIT`] nodes keep the dense mirrors; larger worlds
+    /// [`DENSE_NODE_LIMIT`] nodes keep the dense miss rows; larger worlds
     /// compile CSR-only.
     ///
     /// # Panics
@@ -183,7 +142,7 @@ impl CompiledTopology {
     /// outside `[0, 1]`.
     pub fn from_prr_matrix(positions: Vec<Position>, coordinator: NodeId, prr: Vec<f64>) -> Self {
         let want_dense = positions.len() <= DENSE_NODE_LIMIT;
-        Self::from_matrix_checked(positions, coordinator, prr, want_dense)
+        Self::from_matrix_checked(positions, coordinator, &prr, want_dense)
     }
 
     /// [`from_prr_matrix`](Self::from_prr_matrix), but CSR-only regardless
@@ -198,13 +157,13 @@ impl CompiledTopology {
         coordinator: NodeId,
         prr: Vec<f64>,
     ) -> Self {
-        Self::from_matrix_checked(positions, coordinator, prr, false)
+        Self::from_matrix_checked(positions, coordinator, &prr, false)
     }
 
     fn from_matrix_checked(
         positions: Vec<Position>,
         coordinator: NodeId,
-        prr: Vec<f64>,
+        prr: &[f64],
         want_dense: bool,
     ) -> Self {
         let n = positions.len();
@@ -277,70 +236,31 @@ impl CompiledTopology {
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::with_capacity(edges.len());
         let mut link_prr = Vec::with_capacity(edges.len());
-        let mut link_bucket = Vec::with_capacity(edges.len());
         row_ptr.push(0u32);
         let mut k = 0usize;
         for i in 0..n {
             while k < edges.len() && edges[k].0 as usize == i {
                 col_idx.push(edges[k].1);
                 link_prr.push(edges[k].2);
-                link_bucket.push(Self::quality_bucket(edges[k].2));
                 k += 1;
             }
             row_ptr.push(col_idx.len() as u32);
         }
-        let mut topo = CompiledTopology {
+        CompiledTopology {
             num_nodes: n,
             coordinator,
             positions,
-            dense: None,
             row_ptr,
             col_idx,
             link_prr,
-            link_bucket,
-            in_row_ptr: Vec::new(),
-            in_col_idx: Vec::new(),
-            in_factor: Vec::new(),
-        };
-        topo.rebuild_in_csr();
-        topo
-    }
-
-    /// Rebuilds the in-link CSR from the out-link CSR (counting sort over
-    /// destinations; scanning sources ascending keeps each in-row sorted).
-    fn rebuild_in_csr(&mut self) {
-        let n = self.num_nodes;
-        let m = self.col_idx.len();
-        let mut in_row_ptr = vec![0u32; n + 1];
-        for &j in &self.col_idx {
-            in_row_ptr[j as usize + 1] += 1;
+            miss_rows: None,
         }
-        for r in 0..n {
-            in_row_ptr[r + 1] += in_row_ptr[r];
-        }
-        let mut in_col_idx = vec![0u16; m];
-        let mut in_factor = vec![0.0f64; m];
-        let mut next = in_row_ptr.clone();
-        for i in 0..n {
-            let lo = self.row_ptr[i] as usize;
-            let hi = self.row_ptr[i + 1] as usize;
-            for k in lo..hi {
-                let j = self.col_idx[k] as usize;
-                let slot = next[j] as usize;
-                in_col_idx[slot] = i as u16;
-                in_factor[slot] = 1.0 - self.link_prr[k];
-                next[j] += 1;
-            }
-        }
-        self.in_row_ptr = in_row_ptr;
-        self.in_col_idx = in_col_idx;
-        self.in_factor = in_factor;
     }
 
     fn from_parts(
         positions: Vec<Position>,
         coordinator: NodeId,
-        prr: Vec<f64>,
+        prr: &[f64],
         want_dense: bool,
     ) -> Self {
         let n = positions.len();
@@ -351,7 +271,6 @@ impl CompiledTopology {
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::new();
         let mut link_prr = Vec::new();
-        let mut link_bucket = Vec::new();
         row_ptr.push(0u32);
         for i in 0..n {
             for j in 0..n {
@@ -359,51 +278,39 @@ impl CompiledTopology {
                 if i != j && Self::link_matters(p) {
                     col_idx.push(j as u16);
                     link_prr.push(p);
-                    link_bucket.push(Self::quality_bucket(p));
                 }
             }
             row_ptr.push(col_idx.len() as u32);
         }
-        // The in-link CSR: the flood kernel gathers per *receiver*, so its
-        // sparse rows are keyed by incoming links.
-        let mut in_row_ptr = Vec::with_capacity(n + 1);
-        let mut in_col_idx = Vec::new();
-        let mut in_factor = Vec::new();
-        in_row_ptr.push(0u32);
-        for r in 0..n {
-            for t in 0..n {
-                let p = prr[t * n + r];
-                if t != r && Self::link_matters(p) {
-                    in_col_idx.push(t as u16);
-                    in_factor.push(1.0 - p);
-                }
-            }
-            in_row_ptr.push(in_col_idx.len() as u32);
-        }
-        // Transposed dense miss factors (contiguous per receiver), only for
-        // small worlds: above the limit the quadratic mirrors are skipped.
-        let dense = want_dense.then(|| {
-            let mut miss_factor = vec![1.0; n * n];
-            for r in 0..n {
-                for t in 0..n {
-                    miss_factor[r * n + t] = 1.0 - prr[t * n + r];
-                }
-            }
-            DenseMirror { prr, miss_factor }
-        });
-        CompiledTopology {
+        let mut topo = CompiledTopology {
             num_nodes: n,
             coordinator,
             positions,
-            dense,
             row_ptr,
             col_idx,
             link_prr,
-            link_bucket,
-            in_row_ptr,
-            in_col_idx,
-            in_factor,
+            miss_rows: None,
+        };
+        if want_dense {
+            topo.miss_rows = Some(topo.csr_miss_rows());
         }
+        topo
+    }
+
+    /// The dense miss rows the CSR implies: `1.0 - prr(t → r)` at
+    /// `r * n + t` for every stored link and `1.0` everywhere else — the
+    /// diagonal and immaterial links included, whose factors are exactly
+    /// `1.0` anyway.
+    fn csr_miss_rows(&self) -> Vec<f64> {
+        let n = self.num_nodes;
+        let mut miss = vec![1.0; n * n];
+        for t in 0..n {
+            let (dests, prrs) = self.neighbor_slices(t);
+            for (&r, &p) in dests.iter().zip(prrs) {
+                miss[r as usize * n + t] = 1.0 - p;
+            }
+        }
+        miss
     }
 
     /// Number of nodes.
@@ -430,24 +337,12 @@ impl CompiledTopology {
         &self.positions
     }
 
-    /// Whether the dense `O(n²)` mirrors exist (see [`DENSE_NODE_LIMIT`]).
-    pub fn has_dense(&self) -> bool {
-        self.dense.is_some()
-    }
-
-    /// Whether this topology is CSR-only (no dense mirrors).
-    pub fn is_sparse(&self) -> bool {
-        self.dense.is_none()
-    }
-
-    /// PRR lookup (0 on the diagonal).
+    /// PRR lookup: a binary search of the out-CSR row, `O(log degree)`.
     ///
-    /// Dense mode reads the matrix in `O(1)`; sparse mode binary-searches
-    /// the out-CSR row in `O(log degree)` and reports `0.0` for any link it
-    /// does not store — sparse worlds canonicalize *immaterial* PRRs (those
-    /// failing [`link_matters`](Self::link_matters), e.g. `1e-18`) to `0.0`.
-    /// No flood outcome can tell the difference: the kernel only ever
-    /// multiplies by material factors.
+    /// Links the CSR does not store read as `0.0`: the diagonal and every
+    /// *immaterial* PRR (one failing [`link_matters`](Self::link_matters),
+    /// e.g. `1e-18`). No flood outcome can tell the difference: the kernel
+    /// only ever multiplies by material factors.
     ///
     /// # Panics
     ///
@@ -458,16 +353,10 @@ impl CompiledTopology {
             i < self.num_nodes && j < self.num_nodes,
             "node out of range"
         );
-        match &self.dense {
-            Some(d) => d.prr[i * self.num_nodes + j],
-            None => {
-                let lo = self.row_ptr[i] as usize;
-                let hi = self.row_ptr[i + 1] as usize;
-                match self.col_idx[lo..hi].binary_search(&(j as u16)) {
-                    Ok(pos) => self.link_prr[lo + pos],
-                    Err(_) => 0.0,
-                }
-            }
+        let (dests, prrs) = self.neighbor_slices(i);
+        match dests.binary_search(&(j as u16)) {
+            Ok(pos) => prrs[pos],
+            Err(_) => 0.0,
         }
     }
 
@@ -487,7 +376,8 @@ impl CompiledTopology {
     }
 
     /// The raw CSR slices (`destinations`, `prrs`) of one node's outgoing
-    /// links.
+    /// links, destinations ascending. This is what the flood kernel
+    /// scatters in sparse worlds.
     ///
     /// # Panics
     ///
@@ -499,78 +389,29 @@ impl CompiledTopology {
         (&self.col_idx[lo..hi], &self.link_prr[lo..hi])
     }
 
-    /// Number of stored *incoming* links of `node` (sources that can reach
-    /// it).
+    /// The dense miss-factor rows, row-major `n × n`: element `r * n + t`
+    /// is `1.0 - prr(t → r)`, and exactly `1.0` on the diagonal and
+    /// wherever no material link exists. This is the flood kernel's dense
+    /// gather table, contiguous per receiver.
     ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        let i = node.index();
-        (self.in_row_ptr[i + 1] - self.in_row_ptr[i]) as usize
-    }
-
-    /// The raw in-link CSR slices (`sources`, `miss factors`) of one node —
-    /// sources ascending, factors being `1.0 - prr(source → node)`. This is
-    /// the sparse gather path of the flood kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
+    /// `None` for sparse (CSR-only) worlds: those compiled above
+    /// [`DENSE_NODE_LIMIT`], through a `*_sparse` constructor or from
+    /// links.
     #[inline]
-    pub fn in_neighbor_slices(&self, node: usize) -> (&[u16], &[f64]) {
-        let lo = self.in_row_ptr[node] as usize;
-        let hi = self.in_row_ptr[node + 1] as usize;
-        (&self.in_col_idx[lo..hi], &self.in_factor[lo..hi])
-    }
-
-    /// One receiver's dense miss-factor row: element `t` is
-    /// `1.0 - prr(t → node)` (and `1.0` on the diagonal). This is the dense
-    /// gather path of the flood kernel, contiguous per receiver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range, or in sparse mode — gate on
-    /// [`has_dense`](Self::has_dense) and gather through
-    /// [`in_neighbor_slices`](Self::in_neighbor_slices) instead.
-    #[inline]
-    pub fn miss_factor_row(&self, node: usize) -> &[f64] {
-        // lint: allow(P001) -- contract: callers gate on has_dense()
-        let dense = self.dense.as_ref().expect(
-            "miss_factor_row needs the dense mirrors; sparse worlds gather via in_neighbor_slices",
-        );
-        &dense.miss_factor[node * self.num_nodes..(node + 1) * self.num_nodes]
-    }
-
-    /// Iterator over one node's stored outgoing links, ascending by
-    /// destination id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = CompiledLink> + '_ {
-        let lo = self.row_ptr[node.index()] as usize;
-        let hi = self.row_ptr[node.index() + 1] as usize;
-        (lo..hi).map(move |k| CompiledLink {
-            to: NodeId(self.col_idx[k]),
-            prr: self.link_prr[k],
-            bucket: self.link_bucket[k],
-        })
+    pub fn miss_rows(&self) -> Option<&[f64]> {
+        self.miss_rows.as_deref()
     }
 
     /// Incrementally patches one directional link to `new_prr`, updating
-    /// the dense PRR and miss-factor matrices (when present) and both CSR
-    /// views in place.
+    /// the CSR row of `from` and (when present) the dense miss row of `to`
+    /// in place.
     ///
     /// The result is **identical** (full struct equality, CSR layout
     /// included) to rebuilding via [`from_prr_matrix`](Self::from_prr_matrix)
     /// with the patched matrix — pinned by a property test — but costs
-    /// `O(degree)` when the link stays material (or stays immaterial) and
-    /// `O(total links)` when it appears or vanishes, instead of the `O(n²)`
-    /// full recompilation. Sparse worlds stay `O(degree)` / `O(links)` too:
-    /// there is no dense write, and the "old" value is read from the CSR
-    /// (immaterial PRRs read back as their canonical `0.0` — see
-    /// [`prr`](Self::prr)).
+    /// `O(log degree)` when the link stays material (or stays immaterial)
+    /// and `O(total links)` when it appears or vanishes, instead of the
+    /// `O(n²)` full recompilation.
     ///
     /// # Panics
     ///
@@ -582,46 +423,30 @@ impl CompiledTopology {
         assert!(i < n && j < n, "node out of range");
         assert!(i != j, "a link needs two distinct endpoints");
         assert!((0.0..=1.0).contains(&new_prr), "PRR must be in [0, 1]");
-        let old = self.prr(from, to);
-        if old.to_bits() == new_prr.to_bits() {
-            return;
+        if let Some(miss) = &mut self.miss_rows {
+            // Exactly 1.0 for an immaterial PRR, as the CSR-derived rows.
+            miss[j * n + i] = 1.0 - new_prr;
         }
-        if let Some(d) = &mut self.dense {
-            d.prr[i * n + j] = new_prr;
-            d.miss_factor[j * n + i] = 1.0 - new_prr;
-        }
-        let (was, is) = (Self::link_matters(old), Self::link_matters(new_prr));
-        // Out-link CSR row of `from`, keyed by destination `to`.
-        match csr_patch(&mut self.row_ptr, &mut self.col_idx, i, j as u16, was, is) {
-            CsrPatch::InPlace(pos) => {
-                self.link_prr[pos] = new_prr;
-                self.link_bucket[pos] = Self::quality_bucket(new_prr);
+        let lo = self.row_ptr[i] as usize;
+        let hi = self.row_ptr[i + 1] as usize;
+        let stored = self.col_idx[lo..hi].binary_search(&(j as u16));
+        match (stored, Self::link_matters(new_prr)) {
+            (Ok(k), true) => self.link_prr[lo + k] = new_prr,
+            (Ok(k), false) => {
+                self.col_idx.remove(lo + k);
+                self.link_prr.remove(lo + k);
+                for p in &mut self.row_ptr[i + 1..] {
+                    *p -= 1;
+                }
             }
-            CsrPatch::Inserted(pos) => {
-                self.link_prr.insert(pos, new_prr);
-                self.link_bucket.insert(pos, Self::quality_bucket(new_prr));
+            (Err(k), true) => {
+                self.col_idx.insert(lo + k, j as u16);
+                self.link_prr.insert(lo + k, new_prr);
+                for p in &mut self.row_ptr[i + 1..] {
+                    *p += 1;
+                }
             }
-            CsrPatch::Removed(pos) => {
-                self.link_prr.remove(pos);
-                self.link_bucket.remove(pos);
-            }
-            CsrPatch::Untouched => {}
-        }
-        // In-link CSR row of `to`, keyed by source `from`.
-        match csr_patch(
-            &mut self.in_row_ptr,
-            &mut self.in_col_idx,
-            j,
-            i as u16,
-            was,
-            is,
-        ) {
-            CsrPatch::InPlace(pos) => self.in_factor[pos] = 1.0 - new_prr,
-            CsrPatch::Inserted(pos) => self.in_factor.insert(pos, 1.0 - new_prr),
-            CsrPatch::Removed(pos) => {
-                self.in_factor.remove(pos);
-            }
-            CsrPatch::Untouched => {}
+            (Err(_), false) => {}
         }
     }
 
@@ -654,11 +479,11 @@ impl CompiledTopology {
                 true
             }
             WorldEvent::TopologySwap { prr } => {
-                let keep_dense = self.dense.is_some();
+                let keep_dense = self.miss_rows.is_some();
                 *self = Self::from_matrix_checked(
                     std::mem::take(&mut self.positions),
                     self.coordinator,
-                    prr.clone(), // lint: allow(H001) -- full-rebuild path: a swap is inherently O(n^2); drift stays allocation-free
+                    prr,
                     keep_dense,
                 );
                 true
@@ -676,15 +501,16 @@ impl CompiledTopology {
 
     /// Appends `new_positions.len()` nodes (ids continuing after the
     /// current last node) and wires `links` — symmetric `(a, b, prr)`
-    /// triples whose endpoints may be old or new nodes — patching both CSR
-    /// views in place.
+    /// triples whose endpoints may be old or new nodes — patching the CSR
+    /// in place.
     ///
     /// The result is **identical** (full struct equality) to recompiling
     /// the grown world from scratch — pinned by a property test. Sparse
-    /// worlds never materialize anything quadratic; dense worlds re-stride
-    /// their mirrors (`O(m²)`, still cheap below [`DENSE_NODE_LIMIT`]).
-    /// A grown world keeps its dense/sparse mode even if it crosses the
-    /// limit — the limit only picks the mode at construction time.
+    /// worlds never materialize anything quadratic; dense worlds rebuild
+    /// their miss rows at the new stride (`O(m²)`, still cheap below
+    /// [`DENSE_NODE_LIMIT`]). A grown world keeps its dense/sparse mode
+    /// even if it crosses the limit — the limit only picks the mode at
+    /// construction time.
     ///
     /// # Panics
     ///
@@ -710,42 +536,23 @@ impl CompiledTopology {
         // New nodes start with empty CSR rows.
         let tail = self.row_ptr[old_n];
         self.row_ptr.resize(m + 1, tail);
-        let in_tail = self.in_row_ptr[old_n];
-        self.in_row_ptr.resize(m + 1, in_tail);
-        // Dense mirrors re-stride from n to m columns; the fresh cells are
-        // the no-link defaults (PRR 0, miss factor 1).
-        if let Some(d) = &mut self.dense {
-            let mut prr = vec![0.0; m * m];
-            let mut miss = vec![1.0; m * m];
-            for i in 0..old_n {
-                prr[i * m..i * m + old_n].copy_from_slice(&d.prr[i * old_n..(i + 1) * old_n]);
-                miss[i * m..i * m + old_n]
-                    .copy_from_slice(&d.miss_factor[i * old_n..(i + 1) * old_n]);
-            }
-            d.prr = prr;
-            d.miss_factor = miss;
-        }
         self.num_nodes = m;
+        // Dense miss rows re-stride from n to m columns; the fresh cells
+        // are the no-link factor 1.0.
+        if self.miss_rows.is_some() {
+            self.miss_rows = Some(self.csr_miss_rows());
+        }
         for &(a, b, prr) in links {
             self.set_prr(a, b, prr);
             self.set_prr(b, a, prr);
         }
     }
 
-    /// Histogram of stored links per quality bucket.
-    pub fn bucket_histogram(&self) -> [usize; QUALITY_BUCKETS] {
-        let mut hist = [0usize; QUALITY_BUCKETS];
-        for &b in &self.link_bucket {
-            hist[b as usize] += 1;
-        }
-        hist
-    }
-
     /// FNV-1a digest of the world's *semantic* content: node count,
     /// coordinator, position bits and the out-CSR (offsets, destinations,
-    /// PRR bits). The in-CSR, buckets and dense mirrors are derived data
-    /// and excluded, so a dense and a sparse compilation of the same world
-    /// digest identically.
+    /// PRR bits). The dense miss rows are derived data and excluded, so a
+    /// dense and a sparse compilation of the same world digest
+    /// identically.
     ///
     /// This is what the golden-digest tests pin the clustered generators
     /// with: any drift in generated positions or links changes the digest.
@@ -778,86 +585,29 @@ impl CompiledTopology {
     }
 
     /// Approximate heap footprint of the compiled world in bytes (CSR
-    /// arrays, positions, and the dense mirrors when present) — the number
-    /// the "sparse vs dense" documentation and scaling benches report.
+    /// arrays, positions, and the dense miss rows when present) — the
+    /// number the "sparse vs dense" documentation and scaling benches
+    /// report.
     pub fn memory_bytes(&self) -> usize {
-        let csr = self.row_ptr.len() * 4
-            + self.col_idx.len() * 2
-            + self.link_prr.len() * 8
-            + self.link_bucket.len()
-            + self.in_row_ptr.len() * 4
-            + self.in_col_idx.len() * 2
-            + self.in_factor.len() * 8;
-        let dense = self
-            .dense
-            .as_ref()
-            .map_or(0, |d| (d.prr.len() + d.miss_factor.len()) * 8);
+        let csr = self.row_ptr.len() * 4 + self.col_idx.len() * 2 + self.link_prr.len() * 8;
+        let dense = self.miss_rows.as_ref().map_or(0, |m| m.len() * 8);
         csr + dense + self.positions.len() * std::mem::size_of::<Position>()
-    }
-}
-
-/// What [`csr_patch`] did to the structural arrays; tells the caller which
-/// parallel-value position to mirror the change at.
-enum CsrPatch {
-    /// The key exists before and after: update values at this flat index.
-    InPlace(usize),
-    /// The key was inserted at this flat index (row offsets shifted).
-    Inserted(usize),
-    /// The key was removed from this flat index (row offsets shifted).
-    Removed(usize),
-    /// The key is absent before and after: nothing to mirror.
-    Untouched,
-}
-
-/// Patches one `(row, key)` entry of a CSR structure: updates `col_idx` and
-/// the row offsets, keeping the row's keys ascending, and reports where the
-/// caller must mirror the change in its parallel value arrays.
-fn csr_patch(
-    row_ptr: &mut [u32],
-    col_idx: &mut Vec<u16>,
-    row: usize,
-    key: u16,
-    was_stored: bool,
-    is_stored: bool,
-) -> CsrPatch {
-    let lo = row_ptr[row] as usize;
-    let hi = row_ptr[row + 1] as usize;
-    match (was_stored, is_stored) {
-        (false, false) => CsrPatch::Untouched,
-        (true, true) => {
-            let pos = lo
-                + col_idx[lo..hi]
-                    .binary_search(&key)
-                    // lint: allow(P001) -- caller passes was_stored=true only for keys this CSR holds
-                    .expect("stored link must be present in its CSR row");
-            CsrPatch::InPlace(pos)
-        }
-        (false, true) => {
-            let pos = lo + col_idx[lo..hi].partition_point(|&k| k < key);
-            col_idx.insert(pos, key);
-            for p in &mut row_ptr[row + 1..] {
-                *p += 1;
-            }
-            CsrPatch::Inserted(pos)
-        }
-        (true, false) => {
-            let pos = lo
-                + col_idx[lo..hi]
-                    .binary_search(&key)
-                    // lint: allow(P001) -- caller passes was_stored=true only for keys this CSR holds
-                    .expect("stored link must be present in its CSR row");
-            col_idx.remove(pos);
-            for p in &mut row_ptr[row + 1..] {
-                *p -= 1;
-            }
-            CsrPatch::Removed(pos)
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What `prr()` must read for a PRR the source matrix holds: the value
+    /// itself when the CSR stores it, `0.0` when it is immaterial.
+    fn canonical(p: f64) -> f64 {
+        if CompiledTopology::link_matters(p) {
+            p
+        } else {
+            0.0
+        }
+    }
 
     #[test]
     fn compile_matches_dense_topology() {
@@ -868,7 +618,7 @@ mod tests {
         for i in topo.node_ids() {
             assert_eq!(c.position(i), topo.position(i));
             for j in topo.node_ids() {
-                assert_eq!(c.prr(i, j), topo.link(i, j).prr());
+                assert_eq!(c.prr(i, j), canonical(topo.link(i, j).prr()));
             }
         }
     }
@@ -878,18 +628,18 @@ mod tests {
         let topo = Topology::dcube_48(3);
         let c = CompiledTopology::compile(&topo);
         for i in topo.node_ids() {
-            let links: Vec<CompiledLink> = c.neighbors(i).collect();
+            let (dests, _) = c.neighbor_slices(i.index());
             // Ascending destination ids, no self link.
-            for w in links.windows(2) {
-                assert!(w[0].to < w[1].to);
+            for w in dests.windows(2) {
+                assert!(w[0] < w[1]);
             }
-            assert!(links.iter().all(|l| l.to != i));
+            assert!(dests.iter().all(|&d| d != i.0));
             // Exactly the links whose PRR can change a miss product.
             let expected = topo
                 .node_ids()
                 .filter(|&j| j != i && CompiledTopology::link_matters(topo.link(i, j).prr()))
                 .count();
-            assert_eq!(links.len(), expected);
+            assert_eq!(dests.len(), expected);
             assert_eq!(c.out_degree(i), expected);
         }
     }
@@ -906,29 +656,116 @@ mod tests {
         prr[1] = 0.9; // 0 -> 1
         prr[2 * 3 + 1] = 0.2; // 2 -> 1
         let c = CompiledTopology::from_prr_matrix(positions, NodeId(0), prr);
-        assert_eq!(c.in_degree(NodeId(1)), 2);
-        assert_eq!(c.in_degree(NodeId(0)), 0);
-        let (sources, factors) = c.in_neighbor_slices(1);
-        assert_eq!(sources, &[0, 2]);
-        assert_eq!(factors, &[1.0 - 0.9, 1.0 - 0.2]);
-        let row = c.miss_factor_row(1);
-        assert_eq!(row, &[1.0 - 0.9, 1.0, 1.0 - 0.2]);
+        let rows = c.miss_rows().expect("a 3-node world keeps its miss rows");
+        // Row r holds the factors of the links *into* r, by source.
+        assert_eq!(&rows[3..6], &[1.0 - 0.9, 1.0, 1.0 - 0.2]);
+        assert_eq!(&rows[0..3], &[1.0; 3]);
+        assert_eq!(&rows[6..9], &[1.0; 3]);
     }
 
     #[test]
     fn dense_and_sparse_gather_views_agree() {
+        // The dense rows hold exactly the factors the sparse scatter
+        // multiplies: one per stored out-link, 1.0 everywhere else.
         let topo = Topology::kiel_testbed_18(9);
         let c = CompiledTopology::compile(&topo);
-        for r in topo.node_ids() {
-            let row = c.miss_factor_row(r.index());
-            for t in topo.node_ids() {
-                assert_eq!(row[t.index()], 1.0 - c.prr(t, r));
-            }
-            let (sources, factors) = c.in_neighbor_slices(r.index());
-            for (&t, &f) in sources.iter().zip(factors) {
-                assert_eq!(f, row[t as usize]);
+        let n = c.num_nodes();
+        let rows = c.miss_rows().unwrap();
+        let mut scattered = vec![1.0; n * n];
+        for t in 0..n {
+            let (dests, prrs) = c.neighbor_slices(t);
+            for (&r, &p) in dests.iter().zip(prrs) {
+                scattered[r as usize * n + t] = 1.0 - p;
             }
         }
+        assert_eq!(rows, &scattered[..]);
+        for r in topo.node_ids() {
+            for t in topo.node_ids() {
+                assert_eq!(rows[r.index() * n + t.index()], 1.0 - c.prr(t, r));
+            }
+        }
+    }
+
+    /// A line of `n` nodes, 1 m apart, with symmetric 0.9 links between
+    /// neighbours.
+    fn chain_matrix(n: usize) -> (Vec<Position>, Vec<f64>) {
+        let positions = (0..n).map(|i| Position::new(i as f64, 0.0)).collect();
+        let mut prr = vec![0.0; n * n];
+        for i in 1..n {
+            prr[(i - 1) * n + i] = 0.9;
+            prr[i * n + i - 1] = 0.9;
+        }
+        (positions, prr)
+    }
+
+    #[test]
+    fn miss_rows_stop_at_the_node_limit() {
+        // At the limit the matrix constructor keeps the rows: n² factors,
+        // 2 MiB on top of its CSR-only twin, which stores the same links.
+        let n = DENSE_NODE_LIMIT;
+        let (positions, prr) = chain_matrix(n);
+        let dense = CompiledTopology::from_prr_matrix(positions.clone(), NodeId(0), prr.clone());
+        let sparse = CompiledTopology::from_prr_matrix_sparse(positions, NodeId(0), prr);
+        assert_eq!(dense.miss_rows().map(<[f64]>::len), Some(n * n));
+        assert!(sparse.miss_rows().is_none());
+        assert_eq!(dense.memory_bytes() - sparse.memory_bytes(), 2 << 20);
+        assert_eq!(dense.digest(), sparse.digest());
+
+        // One node more and it compiles CSR-only, equal to the forced twin.
+        let (positions, prr) = chain_matrix(n + 1);
+        let above = CompiledTopology::from_prr_matrix(positions.clone(), NodeId(0), prr.clone());
+        assert!(above.miss_rows().is_none());
+        assert_eq!(
+            above,
+            CompiledTopology::from_prr_matrix_sparse(positions.clone(), NodeId(0), prr.clone())
+        );
+
+        // Growing past the limit keeps the dense mode, with rows re-strided
+        // exactly as a dense compilation of the grown matrix lays them out.
+        let mut grown = dense;
+        grown.grow(
+            &[Position::new(n as f64, 0.0)],
+            &[(NodeId(n as u16 - 1), NodeId(n as u16), 0.9)],
+        );
+        assert_eq!(grown.digest(), above.digest());
+        assert_eq!(
+            grown,
+            CompiledTopology::from_matrix_checked(positions, NodeId(0), &prr, true)
+        );
+    }
+
+    #[test]
+    fn dense_growth_equals_full_recompile() {
+        // New nodes wire into the middle of old CSR rows and to each other;
+        // the dense rows must come out as a from-scratch compilation's.
+        let mut grown = CompiledTopology::compile(&Topology::kiel_testbed_18(5));
+        let base = grown.clone();
+        let old_n = base.num_nodes();
+        let new_positions = [Position::new(-5.0, 2.0), Position::new(-9.0, 2.0)];
+        let links = [
+            (NodeId(3), NodeId(18), 0.8),
+            (NodeId(18), NodeId(19), 0.6),
+            (NodeId(11), NodeId(19), 0.3),
+            (NodeId(0), NodeId(5), 0.05),
+        ];
+        grown.grow(&new_positions, &links);
+
+        let m = old_n + new_positions.len();
+        let mut prr = vec![0.0; m * m];
+        for i in 0..old_n {
+            for j in 0..old_n {
+                prr[i * m + j] = base.prr(NodeId(i as u16), NodeId(j as u16));
+            }
+        }
+        for (a, b, p) in links {
+            prr[a.index() * m + b.index()] = p;
+            prr[b.index() * m + a.index()] = p;
+        }
+        let mut positions = base.positions().to_vec();
+        positions.extend_from_slice(&new_positions);
+        let recompiled = CompiledTopology::from_prr_matrix(positions, base.coordinator(), prr);
+        assert!(recompiled.miss_rows().is_some());
+        assert_eq!(grown, recompiled);
     }
 
     #[test]
@@ -953,7 +790,7 @@ mod tests {
         let c = CompiledTopology::from_prr_matrix(positions, NodeId(0), prr);
         assert_eq!(c.out_degree(NodeId(2)), 0, "far node must be isolated");
         assert!(c.out_degree(NodeId(0)) >= 1);
-        assert_eq!(c.neighbors(NodeId(2)).count(), 0);
+        assert!(c.neighbor_slices(2).0.is_empty());
     }
 
     #[test]
@@ -966,9 +803,7 @@ mod tests {
         assert_eq!(c.out_degree(NodeId(1)), 0);
         assert_eq!(c.prr(NodeId(0), NodeId(1)), 0.9);
         assert_eq!(c.prr(NodeId(1), NodeId(0)), 0.0);
-        let link = c.neighbors(NodeId(0)).next().unwrap();
-        assert_eq!(link.to, NodeId(1));
-        assert_eq!(link.prr, 0.9);
+        assert_eq!(c.neighbor_slices(0), (&[1u16][..], &[0.9][..]));
     }
 
     #[test]
@@ -979,31 +814,6 @@ mod tests {
         assert!(CompiledTopology::link_matters(1e-15));
         assert!(CompiledTopology::link_matters(0.5));
         assert!(CompiledTopology::link_matters(1.0));
-    }
-
-    #[test]
-    fn quality_buckets_are_monotone_and_bounded() {
-        let mut last = 0u8;
-        for k in 0..=100 {
-            let b = CompiledTopology::quality_bucket(k as f64 / 100.0);
-            assert!((b as usize) < QUALITY_BUCKETS);
-            assert!(b >= last);
-            last = b;
-        }
-        assert_eq!(CompiledTopology::quality_bucket(0.0), 0);
-        assert_eq!(
-            CompiledTopology::quality_bucket(1.0) as usize,
-            QUALITY_BUCKETS - 1
-        );
-    }
-
-    #[test]
-    fn bucket_histogram_counts_every_stored_link() {
-        let topo = Topology::kiel_testbed_18(1);
-        let c = CompiledTopology::compile(&topo);
-        let hist = c.bucket_histogram();
-        assert_eq!(hist.iter().sum::<usize>(), c.num_links());
-        assert!(c.num_links() > 0);
     }
 
     #[test]
@@ -1026,17 +836,15 @@ mod tests {
     fn set_prr_patches_all_views_in_place() {
         let topo = Topology::kiel_testbed_18(3);
         let mut c = CompiledTopology::compile(&topo);
+        let n = c.num_nodes();
         // Directional patch: only 2 -> 5 changes.
         c.set_prr(NodeId(2), NodeId(5), 0.1234);
         assert_eq!(c.prr(NodeId(2), NodeId(5)), 0.1234);
         assert_ne!(c.prr(NodeId(5), NodeId(2)), 0.1234);
-        assert_eq!(c.miss_factor_row(5)[2], 1.0 - 0.1234);
-        let link = c.neighbors(NodeId(2)).find(|l| l.to == NodeId(5)).unwrap();
-        assert_eq!(link.prr, 0.1234);
-        assert_eq!(link.bucket, CompiledTopology::quality_bucket(0.1234));
-        let (sources, factors) = c.in_neighbor_slices(5);
-        let pos = sources.iter().position(|&s| s == 2).unwrap();
-        assert_eq!(factors[pos], 1.0 - 0.1234);
+        assert_eq!(c.miss_rows().unwrap()[5 * n + 2], 1.0 - 0.1234);
+        let (dests, prrs) = c.neighbor_slices(2);
+        let pos = dests.iter().position(|&d| d == 5).unwrap();
+        assert_eq!(prrs[pos], 0.1234);
     }
 
     #[test]
@@ -1048,22 +856,23 @@ mod tests {
         prr[2] = 0.4;
         let mut c = CompiledTopology::from_prr_matrix(positions, NodeId(0), prr);
         assert_eq!(c.out_degree(NodeId(0)), 2);
-        assert_eq!(c.in_degree(NodeId(3)), 0);
+        assert_eq!(c.miss_rows().unwrap()[3 * 4], 1.0);
 
         // Drifting 0 -> 3 up inserts the link at the right sorted spot...
         c.set_prr(NodeId(0), NodeId(3), 0.8);
         assert_eq!(c.out_degree(NodeId(0)), 3);
-        assert_eq!(c.in_degree(NodeId(3)), 1);
-        let dests: Vec<u16> = c.neighbors(NodeId(0)).map(|l| l.to.0).collect();
-        assert_eq!(dests, vec![1, 2, 3]);
+        assert_eq!(c.miss_rows().unwrap()[3 * 4], 1.0 - 0.8);
+        assert_eq!(c.neighbor_slices(0).0, &[1, 2, 3]);
         // ...and drifting it to zero removes it again.
         c.set_prr(NodeId(0), NodeId(3), 0.0);
         assert_eq!(c.out_degree(NodeId(0)), 2);
-        assert_eq!(c.in_degree(NodeId(3)), 0);
-        // A sub-ULP PRR is just as immaterial as zero.
+        assert_eq!(c.miss_rows().unwrap()[3 * 4], 1.0);
+        // A sub-ULP PRR is just as immaterial as zero, and reads back as
+        // its canonical 0.0.
         c.set_prr(NodeId(0), NodeId(3), 1e-18);
         assert_eq!(c.out_degree(NodeId(0)), 2);
-        assert_eq!(c.prr(NodeId(0), NodeId(3)), 1e-18);
+        assert_eq!(c.prr(NodeId(0), NodeId(3)), 0.0);
+        assert_eq!(c.miss_rows().unwrap()[3 * 4], 1.0);
     }
 
     #[test]
@@ -1132,8 +941,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
             /// The satellite invariant: a chain of `apply_event` calls ends
             /// in *exactly* the struct a full recompilation of the final
-            /// matrix produces — dense PRR and miss-factor matrices, both
-            /// CSR layouts and the quality buckets included.
+            /// matrix produces — the CSR layout and the dense miss rows
+            /// included.
             #[test]
             fn prop_apply_event_chain_equals_full_recompile(
                 seed in 0u64..50,

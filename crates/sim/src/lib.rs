@@ -55,7 +55,7 @@ pub mod topology;
 pub mod workqueue;
 pub mod world;
 
-pub use compiled::{CompiledLink, CompiledTopology, DENSE_NODE_LIMIT, QUALITY_BUCKETS};
+pub use compiled::{CompiledTopology, DENSE_NODE_LIMIT};
 pub use interference::{
     CompositeInterference, InterferenceModel, MobileJammer, NoInterference, PeriodicJammer,
     ScheduledInterference, SlotInterference, WifiInterference, WifiLevel,

@@ -152,7 +152,7 @@ fn push_bridge(links: &mut Vec<(NodeId, NodeId, f64)>, a: NodeId, b: NodeId) {
 /// use dimmer_sim::topogen;
 /// let world = topogen::sparse_grid(4, 8, 8.0, 1);
 /// assert_eq!(world.num_nodes(), 32);
-/// assert!(world.is_sparse());
+/// assert!(world.miss_rows().is_none());
 /// ```
 pub fn sparse_grid(rows: usize, cols: usize, spacing: f64, seed: u64) -> CompiledTopology {
     assert!(rows * cols >= 1, "a grid needs at least one node");
@@ -371,7 +371,7 @@ mod tests {
     fn sparse_grid_has_expected_shape() {
         let world = sparse_grid(10, 10, 8.0, 3);
         assert_eq!(world.num_nodes(), 100);
-        assert!(world.is_sparse());
+        assert!(world.miss_rows().is_none());
         assert_eq!(world.coordinator(), NodeId(0));
         assert!(reaches_everyone(&world));
         // A corner node sees fewer neighbors than an interior node.
@@ -382,7 +382,7 @@ mod tests {
     fn city_blocks_are_bridged_and_connected() {
         let world = city_blocks(3, 2, 12, 7);
         assert_eq!(world.num_nodes(), 3 * 2 * 12);
-        assert!(world.is_sparse());
+        assert!(world.miss_rows().is_none());
         assert!(reaches_everyone(&world));
         // The head-to-head bridge exists exactly at BRIDGE_PRR (heads are a
         // block pitch apart, beyond the radio cutoff).
@@ -466,9 +466,9 @@ mod tests {
     fn grid10k_scale_world_compiles_sparse_and_small() {
         let world = sparse_grid(100, 100, 8.0, 1);
         assert_eq!(world.num_nodes(), 10_000);
-        assert!(world.is_sparse());
-        // A dense world of this size would need 2 matrices x 8 B x 1e8
-        // cells = 1.6 GB; the CSR stays in the tens of megabytes.
+        assert!(world.miss_rows().is_none());
+        // Dense miss rows at this size would need 8 B x 1e8 cells =
+        // 800 MB; the CSR stays in the tens of megabytes.
         assert!(
             world.memory_bytes() < 64 << 20,
             "sparse world took {} bytes",

@@ -99,8 +99,9 @@ pub enum WorldEvent {
     /// [`CompiledTopology::grow`](crate::CompiledTopology::grow)).
     ///
     /// Supported by the flood layer (`FloodSimulator::apply_world_event`
-    /// in `dimmer-glossy`); the round engines do not script growth yet —
-    /// their per-node state is sized at construction.
+    /// in `dimmer-glossy`). `RoundEngine::with_world_script` in
+    /// `dimmer-core` refuses it: the engine's per-node state is sized at
+    /// construction.
     TopologyGrow {
         /// Positions of the appended nodes.
         positions: Vec<Position>,

@@ -118,31 +118,77 @@ pub fn assert_flood_equivalent(
     a
 }
 
-/// Runs the same flood over the dense and the sparse (CSR-only) compilation
-/// of `topo` and asserts byte-equality of the outcome **and** of the RNG
+/// The dense and the forced-sparse (CSR-only) compilation of `topo`.
+pub fn dense_and_sparse(topo: &Topology) -> (CompiledTopology, CompiledTopology) {
+    (
+        CompiledTopology::compile(topo),
+        CompiledTopology::compile_sparse(topo),
+    )
+}
+
+/// A deterministic random world with *one-way* links, as its dense and
+/// forced-sparse compilations: the PRR matrix of [`random_topology`] with
+/// one direction of roughly 30 % of its links cut. A symmetric world cannot
+/// tell `prr(t → r)` from `prr(r → t)`; this one can.
+pub fn one_way_twins(n: usize, seed: u64) -> (CompiledTopology, CompiledTopology) {
+    let topo = random_topology(n, seed);
+    let mut rng = SimRng::seed_from(seed ^ 0x0E_3A11);
+    let mut prr = vec![0.0; n * n];
+    for i in topo.node_ids() {
+        for j in topo.node_ids().filter(|&j| j != i) {
+            prr[i.index() * n + j.index()] = topo.link(i, j).prr();
+        }
+    }
+    for i in 0..n {
+        for j in i + 1..n {
+            if rng.chance(0.3) {
+                let (from, to) = if rng.chance(0.5) { (i, j) } else { (j, i) };
+                prr[from * n + to] = 0.0;
+            }
+        }
+    }
+    let positions: Vec<_> = topo.node_ids().map(|id| topo.position(id)).collect();
+    (
+        CompiledTopology::from_prr_matrix(positions.clone(), topo.coordinator(), prr.clone()),
+        CompiledTopology::from_prr_matrix_sparse(positions, topo.coordinator(), prr),
+    )
+}
+
+/// Runs the same flood over a dense and a sparse (CSR-only) compilation of
+/// one world and asserts byte-equality of the outcome **and** of the RNG
 /// stream position afterwards — the sparse mode's whole contract: no dense
-/// mirrors, same bits.
+/// miss rows, same bits. `participants: None` floods with every node.
 pub fn assert_sparse_equals_dense(
-    topo: &Topology,
+    (dense, sparse): (CompiledTopology, CompiledTopology),
     interference: &dyn InterferenceModel,
     cfg: &GlossyConfig,
     initiator: NodeId,
     start: SimTime,
     seed: u64,
+    participants: Option<&[bool]>,
 ) -> FloodOutcome {
-    let dense = CompiledTopology::compile(topo);
-    let sparse = CompiledTopology::compile_sparse(topo);
     assert!(
-        dense.has_dense(),
-        "test topologies must stay under DENSE_NODE_LIMIT"
+        dense.miss_rows().is_some(),
+        "test worlds must stay under DENSE_NODE_LIMIT"
     );
-    assert!(sparse.is_sparse(), "compile_sparse must skip the mirrors");
+    assert!(
+        sparse.miss_rows().is_none(),
+        "the sparse twin must skip the miss rows"
+    );
     let mut on_dense = FloodSimulator::from_compiled(dense, interference);
     let mut on_sparse = FloodSimulator::from_compiled(sparse, interference);
     let mut rng_dense = SimRng::seed_from(seed);
     let mut rng_sparse = SimRng::seed_from(seed);
-    let a = on_dense.flood(cfg, initiator, start, &mut rng_dense);
-    let b = on_sparse.flood(cfg, initiator, start, &mut rng_sparse);
+    let (a, b) = match participants {
+        None => (
+            on_dense.flood(cfg, initiator, start, &mut rng_dense),
+            on_sparse.flood(cfg, initiator, start, &mut rng_sparse),
+        ),
+        Some(mask) => (
+            on_dense.flood_with_participants(cfg, initiator, start, &mut rng_dense, mask),
+            on_sparse.flood_with_participants(cfg, initiator, start, &mut rng_sparse, mask),
+        ),
+    };
     assert_eq!(a, b, "sparse flood diverged from dense (seed {seed})");
     assert_eq!(
         rng_dense.gen_probability(),

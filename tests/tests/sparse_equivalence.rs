@@ -1,5 +1,5 @@
 //! Equivalence suite for sparse (CSR-only) compiled worlds: a flood over a
-//! `CompiledTopology` without dense PRR/miss mirrors must be byte-identical
+//! `CompiledTopology` without dense miss rows must be byte-identical
 //! — outcomes *and* RNG stream position — to the same flood over the dense
 //! compilation, and in-place patching (`apply_event`, `grow`) of a sparse
 //! world must equal a full recompile. The clustered generators that produce
@@ -7,13 +7,15 @@
 //! seeds, world_dynamics-style, so generator drift fails `cargo test -q`.
 //!
 //! The bit-exactness argument mirrors `flood_equivalence.rs`: the sparse
-//! gather multiplies the same material miss factors in the same ascending-
-//! transmitter order (the CSR omits only factors that are exactly `1.0`,
-//! a bitwise no-op), and `SimRng::chance` consumes no state for receivers
-//! both paths skip.
+//! scatter multiplies the same material miss factors in the same ascending-
+//! transmitter order as the dense rows (the CSR omits only factors that are
+//! exactly `1.0`, a bitwise no-op), and `SimRng::chance` consumes no state
+//! for receivers both paths skip.
 
 use dimmer_glossy::{FloodSimulator, GlossyConfig};
-use dimmer_integration::equivalence::{assert_sparse_equals_dense, random_topology};
+use dimmer_integration::equivalence::{
+    assert_sparse_equals_dense, dense_and_sparse, one_way_twins, random_topology,
+};
 use dimmer_integration::jamming;
 use dimmer_sim::{
     topogen, CompiledTopology, InterferenceModel, NoInterference, NodeId, PeriodicJammer, Position,
@@ -30,7 +32,15 @@ fn sparse_matches_dense_on_grid100() {
     for seed in 0..10u64 {
         let initiator = NodeId(((seed * 37) % 100) as u16);
         let start = SimTime::from_millis(seed * 13);
-        assert_sparse_equals_dense(&topo, &jam, &cfg, initiator, start, seed);
+        assert_sparse_equals_dense(
+            dense_and_sparse(&topo),
+            &jam,
+            &cfg,
+            initiator,
+            start,
+            seed,
+            None,
+        );
     }
 }
 
@@ -43,12 +53,13 @@ fn sparse_matches_dense_on_dcube48() {
         let cfg = GlossyConfig::with_uniform_ntx(ntx);
         for seed in 0..6u64 {
             assert_sparse_equals_dense(
-                &topo,
+                dense_and_sparse(&topo),
                 &wifi,
                 &cfg,
                 topo.coordinator(),
                 SimTime::from_millis(seed * 7),
                 seed ^ (ntx as u64) << 8,
+                None,
             );
         }
     }
@@ -64,28 +75,20 @@ fn sparse_matches_dense_with_masks_and_per_node_ntx() {
     per_node[5] = 0;
     per_node[14] = 8;
     let cfg = GlossyConfig::default().with_ntx(dimmer_glossy::NtxAssignment::PerNode(per_node));
-    let mut dense = FloodSimulator::from_compiled(CompiledTopology::compile(&topo), &jam);
-    let mut sparse = FloodSimulator::from_compiled(CompiledTopology::compile_sparse(&topo), &jam);
     for seed in 0..8u64 {
         let mut mask: Vec<bool> = (0..topo.num_nodes())
             .map(|i| (seed.wrapping_mul(0x9E37_79B9) >> (i % 60)) & 1 == 0)
             .collect();
         mask[0] = true;
-        let a = dense.flood_with_participants(
+        assert_sparse_equals_dense(
+            dense_and_sparse(&topo),
+            &jam,
             &cfg,
             NodeId(0),
             SimTime::ZERO,
-            &mut SimRng::seed_from(seed),
-            &mask,
+            seed,
+            Some(&mask),
         );
-        let b = sparse.flood_with_participants(
-            &cfg,
-            NodeId(0),
-            SimTime::ZERO,
-            &mut SimRng::seed_from(seed),
-            &mask,
-        );
-        assert_eq!(a, b, "masked sparse flood diverged (seed {seed})");
     }
 }
 
@@ -265,8 +268,8 @@ fn grid10k_single_flood_completes() {
     let world = topogen::sparse_grid(100, 100, 8.0, 1);
     assert_eq!(world.num_nodes(), 10_000);
     assert!(
-        world.is_sparse(),
-        "grid10k must never allocate dense mirrors"
+        world.miss_rows().is_none(),
+        "grid10k must never allocate dense miss rows"
     );
     let mut batch = FloodBatch::new(world, &NoInterference);
     // The 800 m grid span needs dozens of hops; give the flood room.
@@ -288,12 +291,14 @@ fn grid10k_single_flood_completes() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline property: on random topologies, seeds, initiators,
-    /// N_TX and interference levels, the sparse CSR-only flood is
+    /// The headline property: on random topologies — symmetric, or with
+    /// one-way links — and random seeds, initiators, N_TX, interference
+    /// levels and participation masks, the sparse CSR-only flood is
     /// byte-identical to the dense path (outcome and RNG stream position —
-    /// the latter asserted inside the runner).
+    /// the latter asserted inside the runner). Only the one-way worlds
+    /// tell a scatter over `prr(t → r)` from one over `prr(r → t)`.
     #[test]
     fn prop_sparse_equals_dense_on_random_topologies(
         topo_seed in 0u64..300,
@@ -302,8 +307,14 @@ proptest! {
         ntx in 0u8..=8,
         initiator_pick in 0usize..40,
         duty_pct in 0u32..=50,
+        one_way: bool,
+        mask_bits: u64,
     ) {
-        let topo = random_topology(n, topo_seed);
+        let worlds = if one_way {
+            one_way_twins(n, topo_seed)
+        } else {
+            dense_and_sparse(&random_topology(n, topo_seed))
+        };
         let initiator = NodeId((initiator_pick % n) as u16);
         let cfg = GlossyConfig::with_uniform_ntx(ntx);
         let jam;
@@ -316,7 +327,21 @@ proptest! {
             );
             &jam
         };
-        assert_sparse_equals_dense(&topo, interference, &cfg, initiator, SimTime::ZERO, flood_seed);
+        // Odd cases drop about a quarter of the nodes (never the initiator).
+        let mask: Option<Vec<bool>> = (mask_bits & 1 == 1).then(|| {
+            (0..n)
+                .map(|i| i == initiator.index() || (mask_bits >> (1 + i % 60)) & 3 != 0)
+                .collect()
+        });
+        assert_sparse_equals_dense(
+            worlds,
+            interference,
+            &cfg,
+            initiator,
+            SimTime::ZERO,
+            flood_seed,
+            mask.as_deref(),
+        );
     }
 
     /// Growing a sparse world in place always equals a from-scratch
