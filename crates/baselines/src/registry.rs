@@ -135,10 +135,10 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Installs a dynamic-world scenario script (node churn, link drift,
-    /// topology swaps), applied between rounds by every protocol built from
-    /// this builder. The default is the empty script — a static world,
-    /// byte-for-byte identical to runs without one.
+    /// Installs a dynamic-world scenario script (node churn, link drift),
+    /// applied between rounds by every protocol built from this builder.
+    /// The default is the empty script — a static world, byte-for-byte
+    /// identical to runs without one.
     pub fn script(mut self, script: ScenarioScript) -> Self {
         self.script = script;
         self

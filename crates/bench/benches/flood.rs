@@ -16,7 +16,7 @@
 use criterion::Criterion;
 use dimmer_bench::experiments::fig5_run;
 use dimmer_core::AdaptivityPolicy;
-use dimmer_glossy::{FloodBatch, FloodJob, FloodSimulator, GlossyConfig, ReferenceFloodSimulator};
+use dimmer_glossy::{FloodJob, FloodSimulator, GlossyConfig, ReferenceFloodSimulator};
 use dimmer_lwb::{LwbConfig, LwbScheduler, RoundExecutor};
 use dimmer_sim::{
     topogen, CompositeInterference, InterferenceModel, NoInterference, NodeId, PeriodicJammer,
@@ -113,7 +113,7 @@ fn main() {
         let world = topogen::sparse_grid(rows, cols, 8.0, 1);
         let nodes = world.num_nodes();
         let id = format!("flood/{label}_sparse/batched");
-        let mut batch = FloodBatch::new(world, &NoInterference);
+        let mut batch = FloodSimulator::new(world, &NoInterference);
         let cfg = GlossyConfig::with_uniform_ntx(3);
         let job = FloodJob {
             initiator: NodeId(0),
@@ -125,7 +125,7 @@ fn main() {
     }
 
     // The threads-scaling rung: one grid10k world, a fixed 16-job batch
-    // fanned across T scoped workers via `FloodBatch::run_parallel`
+    // fanned across T scoped workers via `FloodSimulator::run_parallel`
     // (byte-identical outcomes for every T — this curve measures pure
     // wall-clock). Feeds the `"parallel"` key in the JSON report.
     const PARALLEL_JOBS: usize = 16;
@@ -134,7 +134,7 @@ fn main() {
     {
         let world = topogen::sparse_grid(100, 100, 8.0, 1);
         parallel_nodes = world.num_nodes();
-        let mut batch = FloodBatch::new(world, &NoInterference);
+        let mut batch = FloodSimulator::new(world, &NoInterference);
         let cfg = GlossyConfig::with_uniform_ntx(3);
         let jobs: Vec<FloodJob> = (0..PARALLEL_JOBS)
             .map(|k| FloodJob {

@@ -30,7 +30,7 @@
 //!
 //! For the batched presets (`city`, `grid10k`) the `--threads` flag also
 //! fans each trial's floods across that many scoped workers
-//! (`FloodBatch::run_parallel`); reports stay byte-identical for every
+//! (`FloodSimulator::run_parallel`); reports stay byte-identical for every
 //! thread count, so CI `cmp`s `--threads 1` against `--threads 4`.
 
 use dimmer_bench::catalogue::{self, Extras};

@@ -637,7 +637,7 @@ pub fn topology_size_grid(rounds: usize, sides: &[usize], protocols: &[String]) 
 /// compiled topologies from [`dimmer_sim::topogen`], far beyond anything a
 /// dense [`Topology`] can represent. Each trial builds the preset world
 /// (fixed world seed — the world *is* the cell), drives `floods`
-/// independent floods through one shared [`dimmer_glossy::FloodBatch`]
+/// independent floods through one shared [`dimmer_glossy::FloodSimulator`]
 /// with initiators
 /// rotating across the network and per-flood seeds derived from the trial
 /// seed, and reports flood-level metrics. A jammer parked at the world
@@ -662,7 +662,7 @@ pub fn grid10k_scale_grid(floods: usize, batch_threads: usize) -> ScenarioGrid {
 
 /// A prebuilt city-scale world: the compiled CSR topology, its
 /// centroid-parked jammer model and the pristine compiled interference
-/// bank, ready to stamp out per-trial [`dimmer_glossy::FloodBatch`]es
+/// bank, ready to stamp out per-trial [`dimmer_glossy::FloodSimulator`]s
 /// without recompiling anything.
 ///
 /// This is the unit the `dimmerd` daemon's warm cache stores: building one
@@ -707,17 +707,19 @@ impl CityWorld {
         &self.compiled
     }
 
-    /// Resident size of the compiled world plus a nominal bank share —
-    /// what a warm cache should account for this entry.
+    /// Resident size of the compiled world (see
+    /// [`CompiledTopology::memory_bytes`](dimmer_sim::CompiledTopology::memory_bytes))
+    /// — what a warm cache accounts for this entry. The compiled bank is
+    /// not counted.
     pub fn memory_bytes(&self) -> usize {
         self.compiled.memory_bytes()
     }
 
-    /// Stamps out a fresh [`dimmer_glossy::FloodBatch`] over a clone of the
-    /// world and a pristine clone of the compiled bank — the warm
-    /// equivalent of `FloodBatch::new`, byte-identical in every outcome.
-    pub fn batch(&self) -> dimmer_glossy::FloodBatch<'_> {
-        dimmer_glossy::FloodBatch::from_parts(
+    /// Stamps out a fresh [`dimmer_glossy::FloodSimulator`] over a clone
+    /// of the world and a pristine clone of the compiled bank — the warm
+    /// equivalent of `FloodSimulator::new`, byte-identical in every outcome.
+    pub fn batch(&self) -> dimmer_glossy::FloodSimulator<'_> {
+        dimmer_glossy::FloodSimulator::from_parts(
             self.compiled.clone(),
             &self.interference,
             self.bank.as_ref().map(|b| b.box_clone()),
@@ -740,7 +742,7 @@ pub fn city_worlds() -> Vec<CityWorld> {
 /// The city grid over prebuilt [`CityWorld`]s: trials clone the compiled
 /// world and bank instead of rebuilding them, which is what lets the
 /// `dimmerd` daemon serve city sweeps from its warm cache, and run their
-/// flood jobs through [`dimmer_glossy::FloodBatch::run_parallel`] across
+/// flood jobs through [`dimmer_glossy::FloodSimulator::run_parallel`] across
 /// `batch_threads` scoped workers (1 = the serial path). Reports are
 /// byte-identical to [`city_scale_grid`] for every thread count (pinned by
 /// the scheduler extraction goldens).

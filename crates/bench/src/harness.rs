@@ -46,6 +46,7 @@
 use crate::catalogue::{resolve_protocols, ProtocolAxis};
 use crate::report::GridReport;
 use crate::scheduler;
+use dimmer_sim::workqueue;
 
 /// The named metric samples produced by one trial.
 ///
@@ -158,13 +159,14 @@ impl ScenarioGrid {
     ///
     /// This is a thin wrapper over the reusable
     /// [`scheduler`] pipeline — [`plan_trials`]
-    /// (stateless seeding), [`run_jobs`] (order-independent worker pool)
-    /// and [`assemble_report`] (deterministic aggregation) — shared with
-    /// the `dimmerd` daemon, so reports stay byte-identical for any
-    /// `threads` no matter who runs the grid.
+    /// (stateless seeding), [`run_indexed_jobs`] (the shared
+    /// order-independent worker pool) and [`assemble_report`]
+    /// (deterministic aggregation) — shared with the `dimmerd` daemon, so
+    /// reports stay byte-identical for any `threads` no matter who runs the
+    /// grid.
     ///
     /// [`plan_trials`]: crate::scheduler::plan_trials
-    /// [`run_jobs`]: crate::scheduler::run_jobs
+    /// [`run_indexed_jobs`]: dimmer_sim::workqueue::run_indexed_jobs
     /// [`assemble_report`]: crate::scheduler::assemble_report
     ///
     /// # Panics
@@ -174,7 +176,7 @@ impl ScenarioGrid {
     pub fn run(&self, opts: &RunOptions) -> GridReport {
         assert!(opts.trials > 0, "need at least one trial per cell");
         let plan = scheduler::plan_trials(self.cells.len(), opts.trials, opts.seed);
-        let results = scheduler::run_jobs(plan.len(), opts.threads, |i| {
+        let results = workqueue::run_indexed_jobs(plan.len(), opts.threads, |i| {
             (self.cells[plan[i].cell].run)(plan[i].seed)
         });
         scheduler::assemble_report(&self.name, opts, &self.cells, &results)

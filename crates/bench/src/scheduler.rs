@@ -1,5 +1,5 @@
-//! The reusable trial scheduler: worker pool, stateless per-trial seeding
-//! and deterministic report assembly.
+//! The reusable trial scheduler: stateless per-trial seeding and
+//! deterministic report assembly around the shared worker pool.
 //!
 //! This is the execution core that used to live inside
 //! [`ScenarioGrid::run`](crate::harness::ScenarioGrid::run), extracted so
@@ -17,15 +17,16 @@
 //! 1. **Stateless seeding** — [`plan_trials`] derives every trial's seed
 //!    from `(base seed, cell index, trial index)` via
 //!    [`SimRng::derive_seed`](dimmer_sim::SimRng::derive_seed); no seed depends on execution order.
-//! 2. **Order-independent fan-out** — [`run_jobs`] distributes jobs to
-//!    workers through an atomic cursor but writes each result into its
-//!    pre-assigned slot, so the collected vector is in job order no matter
-//!    how the OS schedules the workers.
+//! 2. **Order-independent fan-out** — the shared worker pool
+//!    [`workqueue::run_indexed_jobs`](dimmer_sim::workqueue::run_indexed_jobs)
+//!    distributes jobs to workers through an atomic cursor but writes each
+//!    result into its pre-assigned slot, so the collected vector is in job
+//!    order no matter how the OS schedules the workers.
 //! 3. **Deterministic assembly** — [`assemble_report`] folds per-trial
 //!    metrics cell by cell in grid order, producing reports that are
 //!    byte-identical for any worker count.
 
-use dimmer_sim::{workqueue, SimRng};
+use dimmer_sim::SimRng;
 
 use crate::harness::{GridCell, RunOptions, TrialMetrics};
 use crate::report::{Aggregate, CellReport, GridReport};
@@ -68,30 +69,6 @@ pub fn plan_trials(cells: usize, trials: usize, base_seed: u64) -> Vec<TrialPlan
             })
         })
         .collect()
-}
-
-/// Fans `jobs` indexed jobs out across `threads` workers and returns the
-/// results **in job order**.
-///
-/// Jobs are distributed dynamically (an atomic cursor over the job
-/// indices), so long and short jobs share the workers efficiently; each
-/// result lands in its pre-assigned slot, keeping the output order — and
-/// therefore anything assembled from it — independent of scheduling.
-///
-/// Since PR 10 this is a thin wrapper over the shared scoped worker pool
-/// in [`dimmer_sim::workqueue`], which `FloodBatch::run_parallel` also
-/// runs on; the golden digests in `tests/tests/scheduler_extraction.rs`
-/// pin that the extraction changed nothing.
-///
-/// # Panics
-///
-/// Panics if a job closure panics (the poisoned result store propagates).
-pub fn run_jobs<R, F>(jobs: usize, threads: usize, run: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    workqueue::run_indexed_jobs(jobs, threads, run)
 }
 
 /// Assembles the deterministic [`GridReport`] from per-trial metrics in
@@ -193,15 +170,6 @@ mod tests {
         }
         // Flat layout: cell-major, trial-minor.
         assert_eq!((plan[3].cell, plan[3].trial), (1, 1));
-    }
-
-    #[test]
-    fn run_jobs_returns_results_in_job_order_for_any_worker_count() {
-        for threads in [1, 2, 4, 64] {
-            let out = run_jobs(10, threads, |i| i * i);
-            assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(run_jobs(0, 4, |i| i).is_empty());
     }
 
     #[test]

@@ -293,20 +293,9 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     /// # Panics
     ///
     /// Panics if the script references out-of-range nodes, fails the
-    /// coordinator, or contains malformed topology swaps (see
-    /// [`World::new`]). Also panics if the script grows the topology
-    /// ([`WorldEvent::TopologyGrow`]): the traffic sources, statistics,
-    /// global view, forwarder state and energy accounting are all sized for
-    /// the construction topology. Grow worlds at the flood layer instead
-    /// (`FloodSimulator::apply_world_event`).
+    /// coordinator, or drifts a link to a PRR outside `[0, 1]` (see
+    /// [`World::new`]).
     pub fn with_world_script(mut self, script: ScenarioScript) -> Self {
-        assert!(
-            !script
-                .events()
-                .iter()
-                .any(|(_, e)| matches!(e, WorldEvent::TopologyGrow { .. })),
-            "the round engine cannot grow its topology: its per-node state is sized at construction"
-        );
         self.world = World::new(
             self.topology.num_nodes(),
             self.topology.coordinator(),
@@ -1069,19 +1058,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot grow its topology")]
-    fn world_script_growth_is_refused() {
+    #[should_panic(expected = "out of range")]
+    fn world_script_naming_a_node_outside_the_topology_is_refused() {
+        // Per-node engine state is sized for the construction topology, and
+        // the script is checked against exactly that node set.
         let topo = Topology::kiel_testbed_18(1);
-        let script = ScenarioScript::new().grow_topology(
+        let script = ScenarioScript::new().drift_link(
             SimTime::from_secs(8),
-            vec![
-                dimmer_sim::Position::new(30.0, 30.0),
-                dimmer_sim::Position::new(34.0, 30.0),
-            ],
-            vec![
-                (dimmer_sim::NodeId(17), dimmer_sim::NodeId(18), 0.9),
-                (dimmer_sim::NodeId(18), dimmer_sim::NodeId(19), 0.9),
-            ],
+            dimmer_sim::NodeId(17),
+            dimmer_sim::NodeId(18),
+            0.9,
         );
         let _ = calm_runner(&topo, &NoInterference, 1).with_world_script(script);
     }

@@ -18,6 +18,12 @@ use dimmer_bench::harness::ScenarioGrid;
 use crate::cache::WorldCache;
 use crate::json::Json;
 
+/// The largest `spec.trials` a request may ask for. A grid plans every
+/// `(cell, trial)` pair before it runs, so an unbounded count would let one
+/// request exhaust the daemon's memory; the largest catalogue default is
+/// 16.
+const MAX_TRIALS: u64 = 1_000;
+
 /// One submitted scenario: which grid, at which scale, with which
 /// protocol selection and seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +33,7 @@ pub struct ScenarioSpec {
     pub grid: String,
     /// Quick mode: the catalogue's `--quick` trials and round counts.
     pub quick: bool,
-    /// Trials per cell; `None` uses the catalogue default.
+    /// Trials per cell, at most 1 000; `None` uses the catalogue default.
     pub trials: Option<usize>,
     /// Base seed; `None` uses the catalogue default.
     pub seed: Option<u64>,
@@ -69,6 +75,9 @@ impl ScenarioSpec {
                         .ok_or_else(|| "spec.trials must be a non-negative integer".to_string())?;
                     if n == 0 {
                         return Err("spec.trials must be at least 1".to_string());
+                    }
+                    if n > MAX_TRIALS {
+                        return Err(format!("spec.trials must be at most {MAX_TRIALS}"));
                     }
                     spec.trials = Some(n as usize);
                 }
@@ -254,6 +263,12 @@ mod tests {
         assert!(spec(r#"{"grid":"fig5","trials":0}"#)
             .unwrap_err()
             .contains("at least 1"));
+        // Counts above the ceiling would plan cells × trials jobs up front.
+        for trials in [MAX_TRIALS + 1, 1_099_511_627_776] {
+            let line = format!(r#"{{"grid":"table1","trials":{trials}}}"#);
+            assert!(spec(&line).unwrap_err().contains("at most 1000"), "{line}");
+        }
+        assert!(spec(&format!(r#"{{"grid":"table1","trials":{MAX_TRIALS}}}"#)).is_ok());
         assert!(spec(r#"{"grid":"fig5","rounds":9}"#)
             .unwrap_err()
             .contains("unknown spec field"));

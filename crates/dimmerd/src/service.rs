@@ -506,4 +506,19 @@ mod tests {
         let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
         assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
     }
+
+    #[test]
+    fn an_oversized_trial_count_is_refused_before_it_is_queued() {
+        let d = daemon(4);
+        let reply = submit_line(
+            &d,
+            r#"{"cmd":"submit","spec":{"grid":"table1","trials":1099511627776}}"#,
+        );
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("spec.trials must be at most"), "{error}");
+        let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
+        assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(stats.get("queue_len").and_then(Json::as_u64), Some(0));
+    }
 }

@@ -52,16 +52,17 @@
 //! `1.0`, a bitwise no-op — and (c) compiled interference masks are
 //! contractually bit-identical to per-receiver `busy_fraction` calls.
 //!
-//! The kernel itself is a crate-private free function shared by
-//! [`FloodSimulator`] (one flood at a time) and
-//! [`crate::FloodBatch`] (many independent floods stepping through one
-//! shared owned [`CompiledTopology`] — the city-scale sweep driver).
+//! The kernel itself is a private free function. [`FloodSimulator`] is
+//! its one driver: it runs single floods and batches of independent
+//! [`FloodJob`]s, serially or across worker threads (see [`crate::batch`]).
 
+use crate::batch::FloodJob;
 use crate::config::GlossyConfig;
 use crate::outcome::{FloodOutcome, NodeFloodOutcome};
+use dimmer_sim::workqueue::run_indexed_jobs_with;
 use dimmer_sim::{
     CompiledTopology, InterferenceModel, NodeId, RadioAccounting, RadioState, SimRng, SimTime,
-    SlotInterference, Topology, WorldEvent,
+    SlotInterference, WorldEvent,
 };
 
 /// Sentinel for "no scheduled transmission" / "never switched off".
@@ -136,13 +137,23 @@ impl FloodWorkspace {
     }
 }
 
-/// Simulates Glossy floods over a fixed topology and interference
-/// environment using the optimized kernel.
+/// Simulates Glossy floods over one owned compiled world and an
+/// interference environment using the optimized kernel — the crate's only
+/// flood driver.
 ///
-/// Construction compiles the topology into its structure-of-arrays form
-/// (`O(n²)`, once per trial) and allocates the reusable [`FloodWorkspace`];
-/// every subsequent flood is allocation-free apart from its returned
-/// outcome, which is why the methods take `&mut self`.
+/// Construction takes a [`CompiledTopology`] (or a [`Topology`] to
+/// compile, `O(n²)` once per trial), compiles the interference mask for
+/// its positions and allocates the reusable [`FloodWorkspace`]; every
+/// subsequent flood is allocation-free apart from its returned outcome,
+/// which is why the methods take `&mut self`. The world's node set is fixed
+/// for the simulator's lifetime: world events patch links, and membership
+/// goes through [`set_alive`](Self::set_alive).
+///
+/// Single floods run through [`flood`](Self::flood); batches of
+/// [`FloodJob`]s run through [`run`](Self::run) and
+/// [`run_parallel`](Self::run_parallel).
+///
+/// [`Topology`]: dimmer_sim::Topology
 ///
 /// # Examples
 ///
@@ -168,22 +179,35 @@ pub struct FloodSimulator<'a> {
 }
 
 impl<'a> FloodSimulator<'a> {
-    /// Creates a flood simulator for the given topology and interference
-    /// environment, compiling the topology (and, when supported, the
-    /// interference mask) for the kernel.
-    pub fn new(topology: &Topology, interference: &'a dyn InterferenceModel) -> Self {
-        Self::from_compiled(CompiledTopology::compile(topology), interference)
-    }
-
-    /// Creates a flood simulator directly over an already-compiled world —
-    /// the entry point for sparse (CSR-only) topologies from
-    /// [`dimmer_sim::topogen`], which never materialize a dense
-    /// [`Topology`]. The simulator owns the compiled world.
-    pub fn from_compiled(
-        compiled: CompiledTopology,
+    /// Creates a flood simulator over `world` — a [`CompiledTopology`]
+    /// (dense, or a sparse CSR-only world from [`dimmer_sim::topogen`]) or
+    /// a `&Topology` to compile — compiling the interference mask for its
+    /// positions when the model supports one. The simulator owns the
+    /// compiled world.
+    pub fn new(
+        world: impl Into<CompiledTopology>,
         interference: &'a dyn InterferenceModel,
     ) -> Self {
+        let compiled = world.into();
         let slot_interference = interference.compile_for(compiled.positions());
+        Self::from_parts(compiled, interference, slot_interference)
+    }
+
+    /// Creates a flood simulator over an owned compiled world **reusing**
+    /// an already-compiled interference bank instead of calling
+    /// [`InterferenceModel::compile_for`].
+    ///
+    /// This is the warm-cache entry point: the `dimmerd` daemon compiles a
+    /// scenario's bank once, keeps the pristine evaluator as a prototype
+    /// and hands each trial a [`SlotInterference::box_clone`] of it. The
+    /// caller is responsible for the bank matching
+    /// `interference.compile_for(compiled.positions())` — a mismatched bank
+    /// silently produces wrong busy fractions.
+    pub fn from_parts(
+        compiled: CompiledTopology,
+        interference: &'a dyn InterferenceModel,
+        slot_interference: Option<Box<dyn SlotInterference>>,
+    ) -> Self {
         let workspace = FloodWorkspace::for_nodes(compiled.num_nodes());
         FloodSimulator {
             compiled,
@@ -204,24 +228,8 @@ impl<'a> FloodSimulator<'a> {
     /// [`CompiledTopology::apply_event`]), returning whether the topology
     /// changed. Membership events are ignored here — drive those through
     /// [`set_alive`](Self::set_alive).
-    ///
-    /// Events that change the node count (`TopologyGrow`, or a
-    /// `TopologySwap` to a different size) also recompile the per-node
-    /// interference mask for the new position set and extend any installed
-    /// alive mask with `true` for the new nodes, so the very next flood is
-    /// safe — the flood workspace itself re-sizes per flood.
     pub fn apply_world_event(&mut self, event: &WorldEvent) -> bool {
-        let before = self.compiled.num_nodes();
-        let changed = self.compiled.apply_event(event);
-        if self.compiled.num_nodes() != before {
-            // The compiled interference mask is indexed by node position and
-            // the alive mask by node id; both were sized for the old world.
-            self.slot_interference = self.interference.compile_for(self.compiled.positions());
-            if let Some(alive) = &mut self.alive {
-                alive.resize(self.compiled.num_nodes(), true);
-            }
-        }
-        changed
+        self.compiled.apply_event(event)
     }
 
     /// Installs the dynamic-world alive mask: nodes marked `false` keep
@@ -271,14 +279,7 @@ impl<'a> FloodSimulator<'a> {
         start: SimTime,
         rng: &mut SimRng,
     ) -> FloodOutcome {
-        assert!(
-            initiator.index() < self.compiled.num_nodes(),
-            "initiator out of range"
-        );
-        assert!(
-            self.alive.as_ref().is_none_or(|a| a[initiator.index()]),
-            "the initiator must be alive"
-        );
+        self.check_initiator(initiator);
         self.flood_impl(cfg, initiator, start, rng, None)
     }
 
@@ -297,22 +298,151 @@ impl<'a> FloodSimulator<'a> {
         rng: &mut SimRng,
         participants: &[bool],
     ) -> FloodOutcome {
-        let n = self.compiled.num_nodes();
         assert_eq!(
             participants.len(),
-            n,
+            self.compiled.num_nodes(),
             "participation mask must cover every node"
         );
-        assert!(initiator.index() < n, "initiator out of range");
+        self.check_initiator(initiator);
         assert!(
             participants[initiator.index()],
             "the initiator must participate in its own flood"
+        );
+        self.flood_impl(cfg, initiator, start, rng, Some(participants))
+    }
+
+    /// Asserts that `initiator` is a node of the world and currently alive.
+    fn check_initiator(&self, initiator: NodeId) {
+        assert!(
+            initiator.index() < self.compiled.num_nodes(),
+            "initiator out of range"
         );
         assert!(
             self.alive.as_ref().is_none_or(|a| a[initiator.index()]),
             "the initiator must be alive"
         );
-        self.flood_impl(cfg, initiator, start, rng, Some(participants))
+    }
+
+    /// Runs one job: a [`flood`](Self::flood) from `job.initiator` at
+    /// `job.start`, drawing from a fresh [`SimRng`] seeded with `job.seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job's initiator is out of range or dead.
+    pub fn run_one(&mut self, cfg: &GlossyConfig, job: &FloodJob) -> FloodOutcome {
+        self.flood(
+            cfg,
+            job.initiator,
+            job.start,
+            &mut SimRng::seed_from(job.seed),
+        )
+    }
+
+    /// Runs every job in order through the shared world, reusing the one
+    /// workspace — allocation-free per flood apart from the outcomes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any job's initiator is out of range or dead.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dimmer_glossy::{FloodJob, FloodSimulator, GlossyConfig};
+    /// use dimmer_sim::{topogen, NoInterference, NodeId, SimTime};
+    ///
+    /// let world = topogen::sparse_grid(8, 8, 8.0, 1);
+    /// let mut sim = FloodSimulator::new(world, &NoInterference);
+    /// let jobs: Vec<FloodJob> = (0..4)
+    ///     .map(|k| FloodJob {
+    ///         initiator: NodeId(k * 9),
+    ///         start: SimTime::from_millis(k as u64 * 50),
+    ///         seed: 100 + k as u64,
+    ///     })
+    ///     .collect();
+    /// let outcomes = sim.run(&GlossyConfig::default(), &jobs);
+    /// assert_eq!(outcomes.len(), 4);
+    /// ```
+    pub fn run(&mut self, cfg: &GlossyConfig, jobs: &[FloodJob]) -> Vec<FloodOutcome> {
+        let mut outcomes = Vec::with_capacity(jobs.len());
+        // lint: hot-begin
+        for job in jobs {
+            outcomes.push(self.run_one(cfg, job));
+        }
+        // lint: hot-end
+        outcomes
+    }
+
+    /// Runs every job across `threads` scoped workers, returning outcomes
+    /// **in job order, byte-identical to [`run`](Self::run) for every
+    /// thread count** — parallelism here is pure prefetch.
+    ///
+    /// The determinism argument, pinned by the equivalence suite and a
+    /// proptest in `tests/tests/parallel_batching.rs`:
+    ///
+    /// * the compiled world and alive mask are read-only during the
+    ///   batch and shared by `&`;
+    /// * each worker owns a **private** [`FloodWorkspace`] and a
+    ///   [`SlotInterference::box_clone`] of the pristine bank, so no flood
+    ///   observes another flood's scratch mutations (the bank contract —
+    ///   `busy_for_slot` is a pure function of the slot arguments — makes a
+    ///   clone indistinguishable from the serial path's reused evaluator);
+    /// * every job seeds its own [`SimRng`] stream from `job.seed` and
+    ///   writes its [`FloodOutcome`] into a pre-assigned slot of the shared
+    ///   work queue ([`dimmer_sim::workqueue`]), so neither the OS schedule
+    ///   nor the worker count can leak into the results.
+    ///
+    /// `threads <= 1` (or a single job) falls back to the serial
+    /// [`run`](Self::run), reusing the simulator's own workspace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any job's initiator is out of range or dead. Unlike the
+    /// serial path the whole job list is validated **before** any flood
+    /// runs, so a bad job never wastes a partial parallel sweep.
+    ///
+    /// [`SlotInterference::box_clone`]: dimmer_sim::SlotInterference::box_clone
+    pub fn run_parallel(
+        &mut self,
+        cfg: &GlossyConfig,
+        jobs: &[FloodJob],
+        threads: usize,
+    ) -> Vec<FloodOutcome> {
+        if threads <= 1 || jobs.len() <= 1 {
+            return self.run(cfg, jobs);
+        }
+        for job in jobs {
+            self.check_initiator(job.initiator);
+        }
+        let compiled = &self.compiled;
+        let n = compiled.num_nodes();
+        let interference = self.interference;
+        let alive = self.alive.as_deref();
+        let bank = self.slot_interference.as_ref();
+        run_indexed_jobs_with(
+            jobs.len(),
+            threads,
+            // Once per worker: a private workspace and a pristine bank clone.
+            || (FloodWorkspace::for_nodes(n), bank.map(|b| b.box_clone())),
+            |(workspace, bank), i| {
+                let job = &jobs[i];
+                // lint: hot-begin
+                let mut rng = SimRng::seed_from(job.seed);
+                run_flood(
+                    compiled,
+                    interference,
+                    bank,
+                    alive,
+                    workspace,
+                    cfg,
+                    job.initiator,
+                    job.start,
+                    &mut rng,
+                    None,
+                )
+                // lint: hot-end
+            },
+        )
     }
 
     /// The kernel entry. `participants: None` means everyone participates.
@@ -339,13 +469,14 @@ impl<'a> FloodSimulator<'a> {
     }
 }
 
-/// The shared flood kernel — one flood over a compiled world, borrowed
-/// scratch. [`FloodSimulator`] and [`crate::FloodBatch`] both call this, so
-/// the bit-exactness argument in the module docs covers every driver.
+/// The flood kernel — one flood over a compiled world, borrowed scratch.
+/// [`FloodSimulator`]'s serial paths pass their own workspace and bank;
+/// [`FloodSimulator::run_parallel`] passes each worker's private ones, so
+/// the bit-exactness argument in the module docs covers every path.
 ///
 /// `participants: None` means everyone participates.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_flood(
+fn run_flood(
     compiled: &CompiledTopology,
     interference: &dyn InterferenceModel,
     slot_interference: &mut Option<Box<dyn SlotInterference>>,
@@ -566,7 +697,7 @@ mod tests {
     use super::*;
     use crate::config::NtxAssignment;
     use crate::reference::ReferenceFloodSimulator;
-    use dimmer_sim::{NoInterference, PeriodicJammer, Position, SimDuration};
+    use dimmer_sim::{NoInterference, PeriodicJammer, Position, SimDuration, Topology};
     use proptest::prelude::*;
 
     fn calm_flood(topo: &Topology, cfg: &GlossyConfig, seed: u64) -> FloodOutcome {
@@ -901,6 +1032,18 @@ mod tests {
         sim.flood(
             &GlossyConfig::default(),
             NodeId(1),
+            SimTime::ZERO,
+            &mut SimRng::seed_from(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "initiator out of range")]
+    fn out_of_range_initiator_is_rejected() {
+        let topo = Topology::line(3, 6.0, 1);
+        FloodSimulator::new(&topo, &NoInterference).flood(
+            &GlossyConfig::default(),
+            NodeId(3),
             SimTime::ZERO,
             &mut SimRng::seed_from(1),
         );

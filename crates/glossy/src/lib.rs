@@ -29,6 +29,12 @@
 //! kept verbatim as the equivalence oracle the kernel is pinned to
 //! byte-for-byte at fixed seeds.
 //!
+//! [`FloodSimulator`] is the kernel's one driver. It owns a compiled world
+//! with a fixed node set, the compiled interference bank, the workspace and
+//! the alive mask, and runs single floods as well as batches of
+//! [`FloodJob`]s, serially or across worker threads ([`mod@batch`]).
+//! [`FloodBatch`] is another name for it.
+//!
 //! ## Example
 //!
 //! ```

@@ -250,20 +250,6 @@ impl<'a> RoundExecutor<'a> {
         }
     }
 
-    /// Creates a round executor directly over an already-compiled world —
-    /// the entry point for sparse (CSR-only) topologies from
-    /// [`dimmer_sim::topogen`] that never materialize a dense [`Topology`].
-    pub fn from_compiled(
-        compiled: dimmer_sim::CompiledTopology,
-        interference: &'a dyn InterferenceModel,
-        config: LwbConfig,
-    ) -> Self {
-        RoundExecutor {
-            flood: FloodSimulator::from_compiled(compiled, interference),
-            config,
-        }
-    }
-
     /// The compiled world rounds are executed over, kept current by
     /// dynamic-world events.
     pub fn compiled(&self) -> &dimmer_sim::CompiledTopology {
@@ -581,6 +567,30 @@ mod tests {
             "got {}",
             round.broadcast_reliability()
         );
+    }
+
+    #[test]
+    fn link_drift_reaches_the_executors_world() {
+        // Cutting every link of node 17 leaves it alive but unreachable.
+        let topo = Topology::kiel_testbed_18(1);
+        let cfg = LwbConfig::testbed_default();
+        let mut scheduler = LwbScheduler::new(cfg.clone());
+        let mut exec = RoundExecutor::new(&topo, &NoInterference, cfg);
+        for other in 0..17u16 {
+            assert!(exec.apply_world_event(&WorldEvent::LinkDrift {
+                a: NodeId(17),
+                b: NodeId(other),
+                prr: 0.0,
+            }));
+        }
+        // Membership events do not touch the topology.
+        assert!(!exec.apply_world_event(&WorldEvent::NodeFail(NodeId(17))));
+        assert_eq!(exec.compiled().out_degree(NodeId(17)), 0);
+        let sources: Vec<NodeId> = topo.node_ids().collect();
+        let schedule = scheduler.next_schedule(&sources, NtxAssignment::Uniform(3));
+        let round = exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(5));
+        assert!(!round.synced()[17], "an unreachable node never syncs");
+        assert_eq!(round.alive_count(), 18, "drift does not change membership");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! rebuilt from the factory, reset from the episode's private RNG, and
 //! driven by an *off-policy uniform-random behaviour policy* drawn from the
 //! same RNG. Because no episode depends on the learner's evolving network,
-//! batches of `envs` episodes can roll out concurrently, yet the learner
-//! consumes their transitions in strict episode order through one shared
-//! global transition counter ([`DqnTrainer::observe_at`]).
+//! batches of `envs` episodes can roll out concurrently on the shared
+//! [`dimmer_sim::workqueue`] pool, yet the learner consumes their
+//! transitions in strict episode order through one shared global
+//! transition counter ([`DqnTrainer::observe_at`]).
 //!
 //! The result is the same determinism contract the experiment harness
 //! guarantees (`dimmer-bench::scheduler`): the trained weights and the
@@ -35,11 +36,10 @@
 use crate::dqn::{DqnConfig, DqnTrainer};
 use crate::env::Environment;
 use crate::replay::Transition;
+use dimmer_sim::workqueue::run_indexed_jobs;
 use dimmer_sim::SimRng;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Seed stream of the trainer itself (weight init + replay sampling).
 const TRAINER_STREAM: u64 = 0;
@@ -172,7 +172,7 @@ where
         // Roll out the next `envs` episodes concurrently; slot-ordered
         // collection keeps the result independent of worker scheduling.
         let first = next_episode;
-        let batch = run_slots(farm.envs, farm.envs, |i| {
+        let batch = run_indexed_jobs(farm.envs, farm.envs, |i| {
             rollout_episode(factory, seed, first + i as u64, farm.max_episode_steps)
         });
         next_episode += farm.envs as u64;
@@ -298,46 +298,6 @@ where
     }
 }
 
-/// Fans `jobs` indexed jobs out across `workers` threads and returns the
-/// results **in job order** — the same slot-ordered pattern as
-/// `dimmer-bench::scheduler::run_jobs`, reimplemented here because the
-/// bench crate sits above this one in the dependency graph.
-fn run_slots<R, F>(jobs: usize, workers: usize, run: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(jobs, || None);
-    let results = Mutex::new(slots);
-    let cursor = AtomicUsize::new(0);
-    let workers = workers.max(1).min(jobs.max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let result = run(i);
-                // lint: allow(P001) -- poisoned only if a job panicked; propagating is correct
-                results.lock().expect("result store poisoned")[i] = Some(result);
-            });
-        }
-    });
-
-    // lint: allow(P001) -- poisoned only if a job panicked; propagating is correct
-    let results = results.into_inner().expect("result store poisoned");
-    results
-        .into_iter()
-        .map(|slot| {
-            // lint: allow(P001) -- the scope joins every worker, so all slots are filled
-            slot.expect("every job slot is filled after the scope joins")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,14 +401,5 @@ mod tests {
             .all(|w| w[0].transitions < w[1].transitions));
         assert_eq!(run.transitions, 500);
         assert!(run.episodes > 0);
-    }
-
-    #[test]
-    fn run_slots_is_order_stable_for_any_worker_count() {
-        for workers in [1, 2, 8, 64] {
-            let out = run_slots(12, workers, |i| i * 3);
-            assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
-        }
-        assert!(run_slots(0, 4, |i| i).is_empty());
     }
 }

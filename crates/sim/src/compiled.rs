@@ -455,41 +455,23 @@ impl CompiledTopology {
     ///
     /// * [`WorldEvent::LinkDrift`] patches both directions incrementally
     ///   via [`set_prr`](Self::set_prr);
-    /// * [`WorldEvent::TopologySwap`] rebuilds from the new matrix
-    ///   (inherently a full recompilation), preserving positions,
-    ///   coordinator and the dense/sparse mode;
-    /// * [`WorldEvent::TopologyGrow`] appends nodes and wires their links
-    ///   in place (see [`grow`](Self::grow)) — `O(new links × n)` in sparse
-    ///   mode, never `O(n²)`;
     /// * membership and jammer events are topology no-ops (`false`) —
     ///   node failures are an *aliveness* concern handled by
     ///   [`World`](crate::World), so a later rejoin restores the world
     ///   exactly.
     ///
+    /// No event changes the node set, so positions, the coordinator and the
+    /// dense/sparse mode stay as compiled.
+    ///
     /// # Panics
     ///
-    /// Panics on out-of-range nodes, a swap matrix that is not `n × n`, or
-    /// PRR values outside `[0, 1]`.
+    /// Panics on out-of-range nodes or PRR values outside `[0, 1]`.
     pub fn apply_event(&mut self, event: &WorldEvent) -> bool {
         // lint: hot-begin
-        match event {
+        match *event {
             WorldEvent::LinkDrift { a, b, prr } => {
-                self.set_prr(*a, *b, *prr);
-                self.set_prr(*b, *a, *prr);
-                true
-            }
-            WorldEvent::TopologySwap { prr } => {
-                let keep_dense = self.miss_rows.is_some();
-                *self = Self::from_matrix_checked(
-                    std::mem::take(&mut self.positions),
-                    self.coordinator,
-                    prr,
-                    keep_dense,
-                );
-                true
-            }
-            WorldEvent::TopologyGrow { positions, links } => {
-                self.grow(positions, links);
+                self.set_prr(a, b, prr);
+                self.set_prr(b, a, prr);
                 true
             }
             WorldEvent::NodeFail(_)
@@ -497,55 +479,6 @@ impl CompiledTopology {
             | WorldEvent::JammerRelocate { .. } => false,
         }
         // lint: hot-end
-    }
-
-    /// Appends `new_positions.len()` nodes (ids continuing after the
-    /// current last node) and wires `links` — symmetric `(a, b, prr)`
-    /// triples whose endpoints may be old or new nodes — patching the CSR
-    /// in place.
-    ///
-    /// The result is **identical** (full struct equality) to recompiling
-    /// the grown world from scratch — pinned by a property test. Sparse
-    /// worlds never materialize anything quadratic; dense worlds rebuild
-    /// their miss rows at the new stride (`O(m²)`, still cheap below
-    /// [`DENSE_NODE_LIMIT`]). A grown world keeps its dense/sparse mode
-    /// even if it crosses the limit — the limit only picks the mode at
-    /// construction time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grown world exceeds 65536 nodes, on out-of-range link
-    /// endpoints (relative to the *grown* node count), self-links, or PRRs
-    /// outside `[0, 1]`.
-    pub fn grow(&mut self, new_positions: &[Position], links: &[(NodeId, NodeId, f64)]) {
-        let old_n = self.num_nodes;
-        let m = old_n + new_positions.len();
-        assert!(
-            m <= u16::MAX as usize + 1,
-            "compiled topologies support at most 65536 nodes"
-        );
-        for &(a, b, prr) in links {
-            assert!(
-                a.index() < m && b.index() < m,
-                "grown link endpoint out of range"
-            );
-            assert!(a != b, "a link needs two distinct endpoints");
-            assert!((0.0..=1.0).contains(&prr), "PRR must be in [0, 1]");
-        }
-        self.positions.extend_from_slice(new_positions);
-        // New nodes start with empty CSR rows.
-        let tail = self.row_ptr[old_n];
-        self.row_ptr.resize(m + 1, tail);
-        self.num_nodes = m;
-        // Dense miss rows re-stride from n to m columns; the fresh cells
-        // are the no-link factor 1.0.
-        if self.miss_rows.is_some() {
-            self.miss_rows = Some(self.csr_miss_rows());
-        }
-        for &(a, b, prr) in links {
-            self.set_prr(a, b, prr);
-            self.set_prr(b, a, prr);
-        }
     }
 
     /// FNV-1a digest of the world's *semantic* content: node count,
@@ -595,6 +528,13 @@ impl CompiledTopology {
     }
 }
 
+impl From<&Topology> for CompiledTopology {
+    /// Compiles the topology; the same as [`CompiledTopology::compile`].
+    fn from(topology: &Topology) -> Self {
+        Self::compile(topology)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,6 +561,17 @@ mod tests {
                 assert_eq!(c.prr(i, j), canonical(topo.link(i, j).prr()));
             }
         }
+    }
+
+    #[test]
+    fn from_topology_is_compile() {
+        let topo = Topology::dcube_48(2);
+        let from: CompiledTopology = (&topo).into();
+        assert_eq!(from, CompiledTopology::compile(&topo));
+        assert!(
+            from.miss_rows().is_some(),
+            "a 48-node world keeps dense rows"
+        );
     }
 
     #[test]
@@ -717,55 +668,8 @@ mod tests {
         assert!(above.miss_rows().is_none());
         assert_eq!(
             above,
-            CompiledTopology::from_prr_matrix_sparse(positions.clone(), NodeId(0), prr.clone())
+            CompiledTopology::from_prr_matrix_sparse(positions, NodeId(0), prr)
         );
-
-        // Growing past the limit keeps the dense mode, with rows re-strided
-        // exactly as a dense compilation of the grown matrix lays them out.
-        let mut grown = dense;
-        grown.grow(
-            &[Position::new(n as f64, 0.0)],
-            &[(NodeId(n as u16 - 1), NodeId(n as u16), 0.9)],
-        );
-        assert_eq!(grown.digest(), above.digest());
-        assert_eq!(
-            grown,
-            CompiledTopology::from_matrix_checked(positions, NodeId(0), &prr, true)
-        );
-    }
-
-    #[test]
-    fn dense_growth_equals_full_recompile() {
-        // New nodes wire into the middle of old CSR rows and to each other;
-        // the dense rows must come out as a from-scratch compilation's.
-        let mut grown = CompiledTopology::compile(&Topology::kiel_testbed_18(5));
-        let base = grown.clone();
-        let old_n = base.num_nodes();
-        let new_positions = [Position::new(-5.0, 2.0), Position::new(-9.0, 2.0)];
-        let links = [
-            (NodeId(3), NodeId(18), 0.8),
-            (NodeId(18), NodeId(19), 0.6),
-            (NodeId(11), NodeId(19), 0.3),
-            (NodeId(0), NodeId(5), 0.05),
-        ];
-        grown.grow(&new_positions, &links);
-
-        let m = old_n + new_positions.len();
-        let mut prr = vec![0.0; m * m];
-        for i in 0..old_n {
-            for j in 0..old_n {
-                prr[i * m + j] = base.prr(NodeId(i as u16), NodeId(j as u16));
-            }
-        }
-        for (a, b, p) in links {
-            prr[a.index() * m + b.index()] = p;
-            prr[b.index() * m + a.index()] = p;
-        }
-        let mut positions = base.positions().to_vec();
-        positions.extend_from_slice(&new_positions);
-        let recompiled = CompiledTopology::from_prr_matrix(positions, base.coordinator(), prr);
-        assert!(recompiled.miss_rows().is_some());
-        assert_eq!(grown, recompiled);
     }
 
     #[test]
@@ -903,23 +807,6 @@ mod tests {
         assert_eq!(c, before);
     }
 
-    #[test]
-    fn apply_event_topology_swap_rebuilds_but_keeps_positions() {
-        let topo = Topology::line(3, 8.0, 1);
-        let mut c = CompiledTopology::compile(&topo);
-        let positions = c.positions().to_vec();
-        let new_prr = vec![0.0, 0.9, 0.0, 0.9, 0.0, 0.7, 0.0, 0.7, 0.0];
-        assert!(c.apply_event(&crate::world::WorldEvent::TopologySwap {
-            prr: new_prr.clone(),
-        }));
-        assert_eq!(c.positions(), &positions[..]);
-        assert_eq!(c.coordinator(), topo.coordinator());
-        assert_eq!(
-            c,
-            CompiledTopology::from_prr_matrix(positions, topo.coordinator(), new_prr)
-        );
-    }
-
     mod patch_equivalence {
         use super::*;
         use crate::world::WorldEvent;
@@ -947,30 +834,18 @@ mod tests {
             fn prop_apply_event_chain_equals_full_recompile(
                 seed in 0u64..50,
                 events in proptest::collection::vec((0u16..12, 0u16..12, 0u32..1000), 1..40),
-                swap_sel in 0usize..80,
             ) {
                 let topo = Topology::random(12, 40.0, 40.0, seed);
                 let mut patched = CompiledTopology::compile(&topo);
                 let n = patched.num_nodes();
-                // Interleave a full swap in half the cases.
-                let swap_at = (swap_sel < 40).then_some(swap_sel);
                 // Shadow dense matrix receiving the same edits.
                 let mut shadow: Vec<f64> = (0..n * n)
                     .map(|k| patched.prr(NodeId((k / n) as u16), NodeId((k % n) as u16)))
                     .collect();
-                for (idx, &(a, b, sel)) in events.iter().enumerate() {
+                for &(a, b, sel) in &events {
                     let prr = decode_prr(sel);
                     if a == b {
                         continue;
-                    }
-                    if swap_at == Some(idx) {
-                        // Occasionally interleave a full swap to a uniform
-                        // mid-quality matrix.
-                        let swap: Vec<f64> = (0..n * n)
-                            .map(|k| if k / n == k % n { 0.0 } else { 0.5 })
-                            .collect();
-                        patched.apply_event(&WorldEvent::TopologySwap { prr: swap.clone() });
-                        shadow = swap;
                     }
                     patched.apply_event(&WorldEvent::LinkDrift {
                         a: NodeId(a),

@@ -1,11 +1,11 @@
 //! Deterministic scoped worker pool: the atomic-cursor work queue shared
 //! by every parallel layer of the workspace.
 //!
-//! This is the execution primitive extracted from
-//! `dimmer_bench::scheduler::run_jobs` so that flood-level parallelism
-//! ([`FloodBatch::run_parallel`]) and trial-level parallelism (the bench
-//! scheduler, the `dimmerd` worker pool) share one implementation with one
-//! determinism argument:
+//! Every parallel layer calls it directly — flood-level parallelism
+//! ([`FloodSimulator::run_parallel`]), trial-level parallelism (the bench
+//! harness, and through it every grid `dimmerd` serves) and the training
+//! farm's episode rollouts (`dimmer_rl::farm`) — so they share one
+//! implementation with one determinism argument:
 //!
 //! 1. **Dynamic distribution, static placement** — jobs are handed to
 //!    workers through an atomic cursor (long and short jobs share the pool
@@ -20,7 +20,7 @@
 //! Together these make the output byte-identical for every thread count:
 //! parallelism is pure prefetch.
 //!
-//! [`FloodBatch::run_parallel`]: https://docs.rs/dimmer-glossy
+//! [`FloodSimulator::run_parallel`]: https://docs.rs/dimmer-glossy
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -56,7 +56,7 @@ where
 /// Like [`run_indexed_jobs`], but each worker first builds a private
 /// scratch state with `init` and threads it through its jobs.
 ///
-/// This is the variant the flood batch uses: `init` clones the pristine
+/// This is the variant batched floods use: `init` clones the pristine
 /// interference bank and allocates a private `FloodWorkspace` once per
 /// worker, so the per-job hot path allocates nothing and no worker ever
 /// observes another worker's mutations. Because each job still consumes

@@ -6,8 +6,7 @@
 //! controller must track it. This module makes those scenarios expressible:
 //!
 //! * a [`WorldEvent`] is one atomic change (node fail/rejoin, symmetric
-//!   per-link PRR drift, a full topology swap, a scripted jammer
-//!   relocation),
+//!   per-link PRR drift, a scripted jammer relocation),
 //! * a [`ScenarioScript`] is a time-sorted list of `(SimTime, WorldEvent)`
 //!   pairs built with a fluent API,
 //! * a [`World`] owns a script plus the network's membership state
@@ -16,6 +15,11 @@
 //!   updates the alive mask itself and hands the fired range back so the
 //!   caller can patch its compiled substrate
 //!   ([`CompiledTopology::apply_event`](crate::CompiledTopology::apply_event)).
+//!
+//! The node set is fixed for a world's lifetime: nodes fail and rejoin, but
+//! none is ever added or removed, so the alive mask, the compiled world and
+//! every per-node buffer keep the size they were built with. (A join wave
+//! is scripted as a failure at the start followed by a rejoin.)
 //!
 //! Events apply **between rounds**: engines advance the world once per round
 //! before executing it, so a round always runs against a consistent world.
@@ -54,7 +58,7 @@ use crate::topology::{NodeId, Position};
 use std::ops::Range;
 
 /// One atomic change to the simulated world, applied between rounds.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorldEvent {
     /// The node powers down: it stops participating in floods (radio off,
     /// no receptions, no energy) until it rejoins. Its links are kept, so a
@@ -74,14 +78,6 @@ pub enum WorldEvent {
         /// The new packet-reception ratio, in `[0, 1]`.
         prr: f64,
     },
-    /// Replace the entire PRR matrix (row-major `n × n`, like
-    /// [`CompiledTopology::from_prr_matrix`](crate::CompiledTopology::from_prr_matrix)).
-    /// Node positions and the coordinator are preserved, so compiled
-    /// interference masks stay valid.
-    TopologySwap {
-        /// The new row-major PRR matrix.
-        prr: Vec<f64>,
-    },
     /// Scripted relocation of jammer `jammer` to position `to`. Not a
     /// topology patch: resolved into [`MobileJammer`](crate::MobileJammer)
     /// waypoints at scenario-construction time via
@@ -92,22 +88,6 @@ pub enum WorldEvent {
         /// Where it moves to.
         to: Position,
     },
-    /// Append `positions.len()` new nodes (ids continuing after the
-    /// current last node) and wire them with symmetric `(a, b, prr)`
-    /// links whose endpoints may be old or new nodes. New nodes start
-    /// alive. Sparse-friendly: no `n²` matrix is ever materialized (see
-    /// [`CompiledTopology::grow`](crate::CompiledTopology::grow)).
-    ///
-    /// Supported by the flood layer (`FloodSimulator::apply_world_event`
-    /// in `dimmer-glossy`). `RoundEngine::with_world_script` in
-    /// `dimmer-core` refuses it: the engine's per-node state is sized at
-    /// construction.
-    TopologyGrow {
-        /// Positions of the appended nodes.
-        positions: Vec<Position>,
-        /// Symmetric links to wire, endpoints in the *grown* id space.
-        links: Vec<(NodeId, NodeId, f64)>,
-    },
 }
 
 impl WorldEvent {
@@ -116,12 +96,7 @@ impl WorldEvent {
     /// [`CompiledTopology::apply_event`](crate::CompiledTopology::apply_event)
     /// acts on.
     pub fn is_topology_event(&self) -> bool {
-        matches!(
-            self,
-            WorldEvent::LinkDrift { .. }
-                | WorldEvent::TopologySwap { .. }
-                | WorldEvent::TopologyGrow { .. }
-        )
+        matches!(self, WorldEvent::LinkDrift { .. })
     }
 }
 
@@ -183,24 +158,9 @@ impl ScenarioScript {
         self.at(at, WorldEvent::LinkDrift { a, b, prr })
     }
 
-    /// Schedules a full topology swap (row-major PRR matrix).
-    pub fn swap_topology(self, at: SimTime, prr: Vec<f64>) -> Self {
-        self.at(at, WorldEvent::TopologySwap { prr })
-    }
-
     /// Schedules a jammer relocation (see [`WorldEvent::JammerRelocate`]).
     pub fn relocate_jammer(self, at: SimTime, jammer: usize, to: Position) -> Self {
         self.at(at, WorldEvent::JammerRelocate { jammer, to })
-    }
-
-    /// Schedules a topology growth (see [`WorldEvent::TopologyGrow`]).
-    pub fn grow_topology(
-        self,
-        at: SimTime,
-        positions: Vec<Position>,
-        links: Vec<(NodeId, NodeId, f64)>,
-    ) -> Self {
-        self.at(at, WorldEvent::TopologyGrow { positions, links })
     }
 
     /// Resolves the relocation events of jammer `jammer` into the waypoint
@@ -230,9 +190,6 @@ pub struct WorldUpdate {
     pub failed: usize,
     /// Number of nodes that went from failed to alive.
     pub rejoined: usize,
-    /// Number of nodes appended by [`WorldEvent::TopologyGrow`] events
-    /// (they start alive and extend the alive mask).
-    pub grown: usize,
     /// Whether any fired event patches the topology
     /// ([`WorldEvent::is_topology_event`]).
     pub topology_changed: bool,
@@ -268,56 +225,33 @@ impl World {
     ///
     /// Panics if the script references a node outside `0..num_nodes`, fails
     /// the coordinator (the LWB host cannot leave — move the coordinator
-    /// instead of scripting its death), or contains a
-    /// [`WorldEvent::TopologySwap`] whose matrix is not `n × n` or has
-    /// entries outside `[0, 1]`.
+    /// instead of scripting its death), or drifts a link to a PRR outside
+    /// `[0, 1]`.
     pub fn new(num_nodes: usize, coordinator: NodeId, script: ScenarioScript) -> Self {
         assert!(num_nodes >= 1, "a world needs at least one node");
         assert!(
             coordinator.index() < num_nodes,
             "coordinator must be one of the nodes"
         );
-        // Validation tracks the *running* node count: events scheduled
-        // after a TopologyGrow may reference the appended nodes.
-        let mut nodes = num_nodes;
         for (t, e) in script.events() {
             match e {
                 WorldEvent::NodeFail(n) => {
-                    assert!(n.index() < nodes, "scripted node {n} out of range");
+                    assert!(n.index() < num_nodes, "scripted node {n} out of range");
                     assert!(
                         *n != coordinator,
                         "the coordinator cannot fail (event at {t:?})"
                     );
                 }
                 WorldEvent::NodeRejoin(n) => {
-                    assert!(n.index() < nodes, "scripted node {n} out of range");
+                    assert!(n.index() < num_nodes, "scripted node {n} out of range");
                 }
                 WorldEvent::LinkDrift { a, b, prr } => {
                     assert!(
-                        a.index() < nodes && b.index() < nodes,
+                        a.index() < num_nodes && b.index() < num_nodes,
                         "scripted link endpoint out of range"
                     );
                     assert!(a != b, "a link needs two distinct endpoints");
                     assert!((0.0..=1.0).contains(prr), "PRR must be in [0, 1]");
-                }
-                WorldEvent::TopologySwap { prr } => {
-                    assert_eq!(prr.len(), nodes * nodes, "swapped PRR matrix must be n x n");
-                    assert!(
-                        prr.iter().all(|p| (0.0..=1.0).contains(p)),
-                        "PRR entries must be in [0, 1]"
-                    );
-                }
-                WorldEvent::TopologyGrow { positions, links } => {
-                    let grown = nodes + positions.len();
-                    for (a, b, prr) in links {
-                        assert!(
-                            a.index() < grown && b.index() < grown,
-                            "grown link endpoint out of range"
-                        );
-                        assert!(a != b, "a link needs two distinct endpoints");
-                        assert!((0.0..=1.0).contains(prr), "PRR must be in [0, 1]");
-                    }
-                    nodes = grown;
                 }
                 WorldEvent::JammerRelocate { .. } => {}
             }
@@ -395,13 +329,6 @@ impl World {
                 WorldEvent::NodeRejoin(n) if !self.alive[n.index()] => {
                     self.alive[n.index()] = true;
                     update.rejoined += 1;
-                }
-                WorldEvent::TopologyGrow { positions, .. } => {
-                    // Appended nodes start alive; the caller patches its
-                    // compiled substrate via the fired range as usual.
-                    self.alive.resize(self.alive.len() + positions.len(), true);
-                    update.grown += positions.len();
-                    update.topology_changed = true;
                 }
                 e if e.is_topology_event() => update.topology_changed = true,
                 _ => {}
@@ -535,12 +462,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be n x n")]
-    fn bad_swap_matrix_is_rejected() {
+    #[should_panic(expected = "scripted link endpoint out of range")]
+    fn link_drift_to_a_node_outside_the_fixed_set_is_rejected() {
+        // The node set is fixed for the world's lifetime: node 4 of a
+        // 4-node world never exists, however late the drift fires.
         World::new(
-            3,
+            4,
             NodeId(0),
-            ScenarioScript::new().swap_topology(t(1), vec![0.0; 4]),
+            ScenarioScript::new().drift_link(t(60), NodeId(3), NodeId(4), 0.9),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "two distinct endpoints")]
+    fn self_link_drift_is_rejected() {
+        World::new(
+            4,
+            NodeId(0),
+            ScenarioScript::new().drift_link(t(1), NodeId(2), NodeId(2), 0.5),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "PRR must be in [0, 1]")]
+    fn drift_prr_outside_the_unit_interval_is_rejected() {
+        World::new(
+            4,
+            NodeId(0),
+            ScenarioScript::new().drift_link(t(1), NodeId(1), NodeId(2), 1.5),
         );
     }
 }

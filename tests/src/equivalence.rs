@@ -175,8 +175,8 @@ pub fn assert_sparse_equals_dense(
         sparse.miss_rows().is_none(),
         "the sparse twin must skip the miss rows"
     );
-    let mut on_dense = FloodSimulator::from_compiled(dense, interference);
-    let mut on_sparse = FloodSimulator::from_compiled(sparse, interference);
+    let mut on_dense = FloodSimulator::new(dense, interference);
+    let mut on_sparse = FloodSimulator::new(sparse, interference);
     let mut rng_dense = SimRng::seed_from(seed);
     let mut rng_sparse = SimRng::seed_from(seed);
     let (a, b) = match participants {

@@ -1,5 +1,5 @@
 //! Equivalence suite for deterministic parallel flood batching:
-//! `FloodBatch::run_parallel(cfg, jobs, T)` must be **byte-identical** to
+//! `FloodSimulator::run_parallel(cfg, jobs, T)` must be **byte-identical** to
 //! the serial `run(cfg, jobs)` for every thread count `T` — same
 //! `FloodOutcome`s, including every per-node stream — over sparse and
 //! dense worlds, with and without alive masks and interference banks.
@@ -14,11 +14,11 @@
 //! pure prefetch: neither the OS schedule nor the worker count can reach
 //! the bytes.
 
-use dimmer_glossy::{FloodBatch, FloodJob, GlossyConfig};
+use dimmer_glossy::{FloodJob, FloodSimulator, GlossyConfig};
 use dimmer_integration::equivalence::random_topology;
 use dimmer_sim::{
     topogen, CompiledTopology, InterferenceModel, NoInterference, NodeId, PeriodicJammer, Position,
-    SimRng, SimTime,
+    SimRng, SimTime, WorldEvent,
 };
 use proptest::prelude::*;
 use proptest::strategy::any;
@@ -42,9 +42,9 @@ fn parallel_equals_serial_on_a_jammed_sparse_grid() {
     let world = topogen::sparse_grid(10, 10, 8.0, 2);
     let cfg = GlossyConfig::default();
     let jobs = jobs_for(100, 12, 77);
-    let serial = FloodBatch::new(world.clone(), &jam).run(&cfg, &jobs);
+    let serial = FloodSimulator::new(world.clone(), &jam).run(&cfg, &jobs);
     for threads in 1..=8usize {
-        let parallel = FloodBatch::new(world.clone(), &jam).run_parallel(&cfg, &jobs, threads);
+        let parallel = FloodSimulator::new(world.clone(), &jam).run_parallel(&cfg, &jobs, threads);
         assert_eq!(serial, parallel, "T={threads} diverged from serial");
     }
 }
@@ -65,11 +65,11 @@ fn parallel_equals_serial_on_city_generators_with_alive_masks() {
         for job in &jobs {
             mask[job.initiator.index()] = true;
         }
-        let mut serial = FloodBatch::new(world.clone(), &jam);
+        let mut serial = FloodSimulator::new(world.clone(), &jam);
         serial.set_alive(&mask);
         let want = serial.run(&cfg, &jobs);
         for threads in [2, 5, 8] {
-            let mut par = FloodBatch::new(world.clone(), &jam);
+            let mut par = FloodSimulator::new(world.clone(), &jam);
             par.set_alive(&mask);
             let got = par.run_parallel(&cfg, &jobs, threads);
             assert_eq!(want, got, "{label}: T={threads} diverged from serial");
@@ -83,13 +83,39 @@ fn parallel_per_node_streams_are_bitwise_equal() {
     let world = topogen::warehouse_floor(4, 20, 3);
     let cfg = GlossyConfig::default();
     let jobs = jobs_for(world.num_nodes(), 6, 5);
-    let serial = FloodBatch::new(world.clone(), &NoInterference).run(&cfg, &jobs);
-    let parallel = FloodBatch::new(world, &NoInterference).run_parallel(&cfg, &jobs, 4);
+    let serial = FloodSimulator::new(world.clone(), &NoInterference).run(&cfg, &jobs);
+    let parallel = FloodSimulator::new(world, &NoInterference).run_parallel(&cfg, &jobs, 4);
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.per_node().len(), b.per_node().len());
         for (na, nb) in a.per_node().iter().zip(b.per_node()) {
             assert_eq!(na, nb, "per-node stream diverged");
         }
+    }
+}
+
+/// Link drift patches the shared world in place and keeps the compiled
+/// interference bank (node positions never change): a patched simulator's
+/// batches, serial and parallel, equal a cold build over the patched world.
+#[test]
+fn patched_worlds_batch_like_a_cold_build() {
+    let jam = PeriodicJammer::with_duty_cycle(Position::new(20.0, 20.0), 0.3);
+    let mut sim = FloodSimulator::new(topogen::sparse_grid(6, 6, 8.0, 4), &jam);
+    let cfg = GlossyConfig::default();
+    let jobs = jobs_for(36, 8, 21);
+    let before = sim.run(&cfg, &jobs);
+    for (a, b, prr) in [(0u16, 1u16, 0.0), (0, 35, 0.85), (14, 15, 0.2)] {
+        assert!(sim.apply_world_event(&WorldEvent::LinkDrift {
+            a: NodeId(a),
+            b: NodeId(b),
+            prr,
+        }));
+    }
+    let want = FloodSimulator::new(sim.compiled().clone(), &jam).run(&cfg, &jobs);
+    assert_ne!(before, want, "the drifts must change some flood");
+    assert_eq!(sim.run(&cfg, &jobs), want);
+    for threads in [2, 4] {
+        let got = sim.run_parallel(&cfg, &jobs, threads);
+        assert_eq!(got, want, "T={threads} diverged from a cold build");
     }
 }
 
@@ -139,13 +165,13 @@ proptest! {
         });
         let cfg = GlossyConfig::default();
 
-        let mut serial = FloodBatch::new(world.clone(), interference);
+        let mut serial = FloodSimulator::new(world.clone(), interference);
         if let Some(mask) = &mask {
             serial.set_alive(mask);
         }
         let want = serial.run(&cfg, &jobs);
 
-        let mut par = FloodBatch::new(world, interference);
+        let mut par = FloodSimulator::new(world, interference);
         if let Some(mask) = &mask {
             par.set_alive(mask);
         }

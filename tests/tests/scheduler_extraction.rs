@@ -18,6 +18,7 @@ use dimmer_bench::experiments::{
     DYNAMICS_PROTOCOLS, TESTBED_PROTOCOLS,
 };
 use dimmer_bench::harness::{RunOptions, ScenarioGrid};
+use dimmer_bench::scenarios::DYNAMIC_SCENARIOS;
 use dimmer_core::{AdaptivityPolicy, DimmerConfig};
 use dimmer_integration::equivalence::json_digest;
 use dimmer_sim::Topology;
@@ -124,14 +125,16 @@ fn topology_size_grid_is_pinned() {
 
 #[test]
 fn dynamics_grid_is_pinned() {
-    let grid = dynamics_grid(
-        AdaptivityPolicy::rule_based(),
-        8,
-        "churn-storm",
-        &protocol_list(&DYNAMICS_PROTOCOLS),
-        None,
-    );
-    pin(grid, 1, GOLDEN_DYNAMICS);
+    for (preset, golden) in DYNAMIC_SCENARIOS.into_iter().zip(GOLDEN_DYNAMICS) {
+        let grid = dynamics_grid(
+            AdaptivityPolicy::rule_based(),
+            8,
+            preset,
+            &protocol_list(&DYNAMICS_PROTOCOLS),
+            None,
+        );
+        pin(grid, 1, golden);
+    }
 }
 
 #[test]
@@ -150,5 +153,14 @@ const GOLDEN_FIG5_SEEDS: u64 = 0xebbd7233feb5a77c;
 const GOLDEN_FIG6: u64 = 0x15b103acf3def9c8;
 const GOLDEN_FIG7: u64 = 0xcc64ed8bb5815025;
 const GOLDEN_TOPOLOGY_SIZE: u64 = 0xa021c2d5cb1bcea7;
-const GOLDEN_DYNAMICS: u64 = 0x60e3b414dd2b98e2;
+/// One golden per dynamics preset, in `DYNAMIC_SCENARIOS` order:
+/// churn-storm, link-fade, roaming-jammer, flash-crowd. Only churn-storm
+/// dates from the pre-extraction harness; the other three were captured
+/// before the two flood drivers were merged into one.
+const GOLDEN_DYNAMICS: [u64; 4] = [
+    0x60e3b414dd2b98e2,
+    0x0449b27546362869,
+    0x25a6b09b1a579bbe,
+    0x7f9582e98bda3f0f,
+];
 const GOLDEN_CITY: u64 = 0x04b516781a5be214;

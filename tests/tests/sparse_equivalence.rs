@@ -1,8 +1,8 @@
 //! Equivalence suite for sparse (CSR-only) compiled worlds: a flood over a
 //! `CompiledTopology` without dense miss rows must be byte-identical
 //! — outcomes *and* RNG stream position — to the same flood over the dense
-//! compilation, and in-place patching (`apply_event`, `grow`) of a sparse
-//! world must equal a full recompile. The clustered generators that produce
+//! compilation, and in-place patching (`apply_event`) of a sparse world
+//! must equal a full recompile. The clustered generators that produce
 //! city-scale sparse worlds are pinned by golden FNV digests at fixed
 //! seeds, world_dynamics-style, so generator drift fails `cargo test -q`.
 //!
@@ -128,60 +128,6 @@ fn link_drift_on_sparse_equals_full_recompile() {
     }
 }
 
-/// `grow` on a sparse world equals compiling the grown world from scratch,
-/// and the grown world floods exactly like its recompiled twin.
-#[test]
-fn growth_on_sparse_equals_full_recompile() {
-    let mut grown = topogen::sparse_grid(4, 4, 8.0, 7);
-    let base = grown.clone();
-    let old_n = base.num_nodes();
-    let new_positions = [Position::new(30.0, 4.0), Position::new(38.0, 4.0)];
-    let links = [
-        (NodeId(7), NodeId(16), 0.9),
-        (NodeId(16), NodeId(17), 0.75),
-        (NodeId(15), NodeId(17), 0.4),
-    ];
-    grown.grow(&new_positions, &links);
-
-    let m = old_n + new_positions.len();
-    let mut matrix = vec![0.0f64; m * m];
-    for i in 0..old_n {
-        for j in 0..old_n {
-            matrix[i * m + j] = base.prr(NodeId(i as u16), NodeId(j as u16));
-        }
-    }
-    for (a, b, prr) in links {
-        matrix[a.index() * m + b.index()] = prr;
-        matrix[b.index() * m + a.index()] = prr;
-    }
-    let mut positions = base.positions().to_vec();
-    positions.extend_from_slice(&new_positions);
-    let recompiled =
-        CompiledTopology::from_prr_matrix_sparse(positions, base.coordinator(), matrix);
-    assert_eq!(grown, recompiled, "grow diverged from a full recompile");
-
-    // And the grown world floods bit-identically to its recompiled twin.
-    let cfg = GlossyConfig::default();
-    let mut a = FloodSimulator::from_compiled(grown, &NoInterference);
-    let mut b = FloodSimulator::from_compiled(recompiled, &NoInterference);
-    for seed in 0..5u64 {
-        assert_eq!(
-            a.flood(
-                &cfg,
-                NodeId(17),
-                SimTime::ZERO,
-                &mut SimRng::seed_from(seed)
-            ),
-            b.flood(
-                &cfg,
-                NodeId(17),
-                SimTime::ZERO,
-                &mut SimRng::seed_from(seed)
-            ),
-        );
-    }
-}
-
 /// Golden FNV digests of the clustered generators at fixed seeds: any
 /// change to node placement, the spatial hash, link physics or shadowing
 /// derivation fails here before it can silently shift benchmark numbers.
@@ -210,51 +156,67 @@ fn clustered_generator_digests_are_pinned() {
     );
 }
 
-/// Regression test for the workspace-sizing fix: a scripted world event
-/// growing the node count mid-run must not index out of bounds (the alive
-/// and interference masks were sized at construction) and must not
-/// silently truncate the active list — the new nodes really flood.
+/// A scripted world reaches the flood layer: `World::advance_to` fires the
+/// events, topology events patch the simulator's sparse world in place
+/// (its interference bank is kept, as the node set never changes), the
+/// alive mask follows membership, and the patched simulator floods exactly
+/// like a cold one over the recompiled world.
 #[test]
-fn mid_script_growth_does_not_break_the_flood_layer() {
-    let topo = Topology::line(4, 6.0, 1);
-    // A compiled-mask interference model, so the stale-mask path is real.
-    let jam = PeriodicJammer::with_duty_cycle(Position::new(6.0, 2.0), 0.2);
-    let grow_at = SimTime::from_secs(1);
-    let script = ScenarioScript::new().grow_topology(
-        grow_at,
-        vec![Position::new(24.0, 0.0), Position::new(30.0, 0.0)],
-        vec![(NodeId(3), NodeId(4), 0.95), (NodeId(4), NodeId(5), 0.95)],
-    );
-    let mut world = World::new(topo.num_nodes(), topo.coordinator(), script);
-    let mut sim = FloodSimulator::new(&topo, &jam);
-    sim.set_alive(world.alive()); // sized for the pre-growth world
-    let cfg = GlossyConfig::default();
-    let mut rng = SimRng::seed_from(5);
+fn mid_script_events_reach_the_flood_layer() {
+    let base = topogen::sparse_grid(4, 4, 8.0, 5);
+    let n = base.num_nodes();
+    // A compiled-mask interference model, so the kept bank is real.
+    let jam = PeriodicJammer::with_duty_cycle(Position::new(12.0, 12.0), 0.2);
+    let at = SimTime::from_secs(1);
+    let drifts = [
+        (NodeId(0), NodeId(1), 0.0),   // sever a grid link
+        (NodeId(0), NodeId(15), 0.9),  // create a corner-to-corner link
+        (NodeId(9), NodeId(10), 0.35), // weaken a grid link
+    ];
+    let mut script = ScenarioScript::new().fail_node(at, NodeId(5));
+    for (a, b, prr) in drifts {
+        script = script.drift_link(at, a, b, prr);
+    }
+    let mut world = World::new(n, base.coordinator(), script);
+    let mut sim = FloodSimulator::new(base.clone(), &jam);
+    sim.set_alive(world.alive());
 
-    let before = sim.flood(&cfg, NodeId(0), SimTime::ZERO, &mut rng);
-    assert_eq!(before.per_node().len(), 4);
-
-    let update = world.advance_to(grow_at);
-    assert_eq!(update.grown, 2);
+    let update = world.advance_to(at);
     assert!(update.topology_changed);
+    assert_eq!(update.failed, 1);
     for (_, event) in world.events_in(update.fired.clone()) {
         if event.is_topology_event() {
-            sim.apply_world_event(event);
+            assert!(sim.apply_world_event(event));
         }
     }
-    assert_eq!(sim.compiled().num_nodes(), 6);
-    assert_eq!(world.alive().len(), 6);
+    sim.set_alive(world.alive());
 
-    // Pre-fix this flood indexed the 4-entry alive mask (and a 4-node
-    // interference mask) with node ids 4 and 5.
-    let after = sim.flood(&cfg, NodeId(0), grow_at, &mut rng);
-    assert_eq!(after.per_node().len(), 6, "active list was truncated");
-    assert!(after.per_node()[4].participated);
-    assert!(after.per_node()[5].participated);
-    assert!(
-        after.received(NodeId(5)),
-        "the grown chain must carry the flood to the new tail node"
+    let mut matrix: Vec<f64> = (0..n * n)
+        .map(|k| base.prr(NodeId((k / n) as u16), NodeId((k % n) as u16)))
+        .collect();
+    for (a, b, prr) in drifts {
+        matrix[a.index() * n + b.index()] = prr;
+        matrix[b.index() * n + a.index()] = prr;
+    }
+    let recompiled = CompiledTopology::from_prr_matrix_sparse(
+        base.positions().to_vec(),
+        base.coordinator(),
+        matrix,
     );
+    assert_eq!(sim.compiled(), &recompiled);
+    let mut cold = FloodSimulator::new(recompiled, &jam);
+    cold.set_alive(world.alive());
+
+    let cfg = GlossyConfig::default();
+    for seed in 0..5u64 {
+        let patched = sim.flood(&cfg, NodeId(0), at, &mut SimRng::seed_from(seed));
+        assert!(!patched.per_node()[5].participated, "node 5 failed");
+        assert_eq!(
+            patched,
+            cold.flood(&cfg, NodeId(0), at, &mut SimRng::seed_from(seed)),
+            "seed {seed}: patched world diverged from a cold build"
+        );
+    }
 }
 
 /// CI's `scale-smoke` rung: one 10k-node CSR-only flood, end to end. Debug
@@ -264,14 +226,14 @@ fn mid_script_growth_does_not_break_the_flood_layer() {
 #[test]
 #[ignore = "release-mode scale smoke; run by CI's scale-smoke job"]
 fn grid10k_single_flood_completes() {
-    use dimmer_glossy::{FloodBatch, FloodJob};
+    use dimmer_glossy::FloodJob;
     let world = topogen::sparse_grid(100, 100, 8.0, 1);
     assert_eq!(world.num_nodes(), 10_000);
     assert!(
         world.miss_rows().is_none(),
         "grid10k must never allocate dense miss rows"
     );
-    let mut batch = FloodBatch::new(world, &NoInterference);
+    let mut sim = FloodSimulator::new(world, &NoInterference);
     // The 800 m grid span needs dozens of hops; give the flood room.
     let cfg = GlossyConfig {
         max_slot_duration: dimmer_sim::SimDuration::from_millis(200),
@@ -282,7 +244,7 @@ fn grid10k_single_flood_completes() {
         start: SimTime::ZERO,
         seed: 1,
     };
-    let out = batch.run_one(&cfg, &job);
+    let out = sim.run_one(&cfg, &job);
     assert!(
         out.reach_count() > 9_000,
         "a calm 10k grid floods nearly everywhere, got {}",
@@ -344,36 +306,40 @@ proptest! {
         );
     }
 
-    /// Growing a sparse world in place always equals a from-scratch
-    /// compilation of the grown world.
+    /// A chain of `LinkDrift` events patched into a sparse world — severing,
+    /// creating and re-weighting links — always equals a from-scratch
+    /// sparse compilation of the final matrix.
     #[test]
-    fn prop_growth_equals_recompile(
+    fn prop_link_drift_chain_on_sparse_equals_recompile(
         rows in 2usize..6,
         cols in 2usize..6,
         world_seed in 0u64..50,
-        prr_pct in 1u32..=100,
+        drifts in proptest::collection::vec((0usize..36, 0usize..36, 0u32..=100), 1..20),
     ) {
-        let mut grown = topogen::sparse_grid(rows, cols, 8.0, world_seed);
-        let base = grown.clone();
-        let old_n = base.num_nodes();
-        let new_pos = Position::new(-10.0, -10.0);
-        let prr = prr_pct as f64 / 100.0;
-        let link = (NodeId(0), NodeId(old_n as u16), prr);
-        grown.grow(&[new_pos], &[link]);
-
-        let m = old_n + 1;
-        let mut matrix = vec![0.0f64; m * m];
-        for i in 0..old_n {
-            for j in 0..old_n {
-                matrix[i * m + j] = base.prr(NodeId(i as u16), NodeId(j as u16));
+        let mut patched = topogen::sparse_grid(rows, cols, 8.0, world_seed);
+        let n = patched.num_nodes();
+        let mut matrix: Vec<f64> = (0..n * n)
+            .map(|k| patched.prr(NodeId((k / n) as u16), NodeId((k % n) as u16)))
+            .collect();
+        for &(a, b, prr_pct) in &drifts {
+            let (a, b) = (a % n, b % n);
+            if a == b {
+                continue;
             }
+            let prr = prr_pct as f64 / 100.0;
+            patched.apply_event(&WorldEvent::LinkDrift {
+                a: NodeId(a as u16),
+                b: NodeId(b as u16),
+                prr,
+            });
+            matrix[a * n + b] = prr;
+            matrix[b * n + a] = prr;
         }
-        matrix[old_n] = prr;          // (0, new)
-        matrix[old_n * m] = prr;      // (new, 0)
-        let mut positions = base.positions().to_vec();
-        positions.push(new_pos);
-        let recompiled =
-            CompiledTopology::from_prr_matrix_sparse(positions, base.coordinator(), matrix);
-        prop_assert_eq!(grown, recompiled);
+        let recompiled = CompiledTopology::from_prr_matrix_sparse(
+            patched.positions().to_vec(),
+            patched.coordinator(),
+            matrix,
+        );
+        prop_assert_eq!(patched, recompiled);
     }
 }
