@@ -12,7 +12,7 @@
 //! | `dimmer-dqn`  | Dimmer with the builder's policy (pretrained DQN by default) |
 //! | `dimmer-rule` | Dimmer with the hand-written rule-based policy        |
 //! | `pid`         | LWB driven by the tuned PI(D) controller              |
-//! | `static`      | Plain LWB at a fixed `N_TX` (default 3)               |
+//! | `static`      | Plain LWB at a fixed `N_TX` of 3                      |
 //! | `crystal`     | The Crystal epoch protocol via the engine's epoch adapter |
 //! | `dimmer-zoo`  | Per-family DQN zoo selected online by an EXP3 meta-controller |
 //!
@@ -45,6 +45,9 @@ use dimmer_core::{
 use dimmer_lwb::{LwbConfig, TrafficPattern};
 use dimmer_sim::{InterferenceModel, NoInterference, ScenarioScript, Topology};
 
+/// The fixed `N_TX` of the `"static"` protocol (the paper's static LWB).
+const STATIC_NTX: u8 = 3;
+
 /// Fluent description of one simulation: the substrate (topology,
 /// interference), the workload (traffic), the protocol configurations and
 /// the seed. Finish with [`build`](Self::build) (explicit controller) or
@@ -55,9 +58,6 @@ pub struct SimulationBuilder<'a> {
     interference: &'a dyn InterferenceModel,
     lwb_config: LwbConfig,
     dimmer_config: DimmerConfig,
-    crystal_config: CrystalConfig,
-    pid: PidController,
-    static_ntx: u8,
     policy: Option<AdaptivityPolicy>,
     traffic: TrafficPattern,
     script: ScenarioScript,
@@ -74,9 +74,6 @@ impl<'a> SimulationBuilder<'a> {
             interference: &NoInterference,
             lwb_config: LwbConfig::testbed_default(),
             dimmer_config: DimmerConfig::default(),
-            crystal_config: CrystalConfig::ewsn2019(),
-            pid: PidController::paper_pi(),
-            static_ntx: 3,
             policy: None,
             traffic: TrafficPattern::AllToAll,
             script: ScenarioScript::new(),
@@ -100,24 +97,6 @@ impl<'a> SimulationBuilder<'a> {
     /// forwarder selection).
     pub fn dimmer_config(mut self, config: DimmerConfig) -> Self {
         self.dimmer_config = config;
-        self
-    }
-
-    /// Sets the Crystal configuration used by the `"crystal"` protocol.
-    pub fn crystal_config(mut self, config: CrystalConfig) -> Self {
-        self.crystal_config = config;
-        self
-    }
-
-    /// Sets the PI(D) gains used by the `"pid"` protocol.
-    pub fn pid(mut self, pid: PidController) -> Self {
-        self.pid = pid;
-        self
-    }
-
-    /// Sets the fixed `N_TX` used by the `"static"` protocol (paper: 3).
-    pub fn static_ntx(mut self, ntx: u8) -> Self {
-        self.static_ntx = ntx;
         self
     }
 
@@ -172,11 +151,19 @@ impl<'a> SimulationBuilder<'a> {
     /// Builds a [`RoundEngine`] driven by an explicit `controller`.
     pub fn build<C: Controller>(self, controller: C) -> RoundEngine<'a, C> {
         let cfg = self.normalized_config();
+        self.engine(cfg, controller)
+    }
+
+    /// The one LWB engine constructor behind [`build`](Self::build) and
+    /// every LWB registry protocol (Crystal is built with
+    /// [`RoundEngine::with_epoch_driver`]): `config` and `controller` over
+    /// the builder's substrate, traffic, script and seed.
+    fn engine<C: Controller>(self, config: DimmerConfig, controller: C) -> RoundEngine<'a, C> {
         RoundEngine::with_controller(
             self.topology,
             self.interference,
             self.lwb_config,
-            cfg,
+            config,
             controller,
             self.seed,
         )
@@ -329,20 +316,8 @@ fn build_adaptivity<'a>(
     builder: SimulationBuilder<'a>,
     policy: AdaptivityPolicy,
 ) -> Box<dyn Simulation + 'a> {
-    let cfg = builder.normalized_config();
-    let controller = AdaptivityController::new(policy, cfg.clone());
-    Box::new(
-        RoundEngine::with_controller(
-            builder.topology,
-            builder.interference,
-            builder.lwb_config,
-            cfg,
-            controller,
-            builder.seed,
-        )
-        .with_traffic(builder.traffic)
-        .with_world_script(builder.script),
-    )
+    let controller = AdaptivityController::new(policy, builder.normalized_config());
+    Box::new(builder.build(controller))
 }
 
 fn build_dimmer_dqn<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
@@ -359,56 +334,21 @@ fn build_dimmer_rule<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation +
 
 fn build_pid<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
     let cfg = builder.baseline_config();
-    Box::new(
-        RoundEngine::with_controller(
-            builder.topology,
-            builder.interference,
-            builder.lwb_config,
-            cfg,
-            builder.pid.clone(),
-            builder.seed,
-        )
-        .with_traffic(builder.traffic)
-        .with_world_script(builder.script),
-    )
+    Box::new(builder.engine(cfg, PidController::paper_pi()))
 }
 
 fn build_static<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
     let mut cfg = builder.baseline_config();
-    cfg.initial_ntx = builder.static_ntx.clamp(cfg.n_min, cfg.n_max);
-    Box::new(
-        RoundEngine::with_controller(
-            builder.topology,
-            builder.interference,
-            builder.lwb_config,
-            cfg,
-            StaticNtxController::new(builder.static_ntx),
-            builder.seed,
-        )
-        .with_traffic(builder.traffic)
-        .with_world_script(builder.script),
-    )
+    cfg.initial_ntx = STATIC_NTX.clamp(cfg.n_min, cfg.n_max);
+    Box::new(builder.engine(cfg, StaticNtxController::new(STATIC_NTX)))
 }
 
 fn build_dimmer_zoo<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
     // The zoo brings its own per-family policies; the builder's single
     // `policy` override (which every harness passes for `dimmer-dqn`) is
-    // deliberately ignored. The meta-controller's arm draws come from an
-    // engine-external RNG derived from the builder seed.
-    let cfg = builder.normalized_config();
-    let controller = dimmer_core::ZooController::standard(cfg.clone());
-    Box::new(
-        RoundEngine::with_controller(
-            builder.topology,
-            builder.interference,
-            builder.lwb_config,
-            cfg,
-            controller,
-            builder.seed,
-        )
-        .with_traffic(builder.traffic)
-        .with_world_script(builder.script),
-    )
+    // deliberately ignored.
+    let controller = dimmer_core::ZooController::standard(builder.normalized_config());
+    Box::new(builder.build(controller))
 }
 
 fn build_crystal<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
@@ -430,7 +370,7 @@ fn build_crystal<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a>
     let driver = Box::new(CrystalRunner::new(
         builder.topology,
         builder.interference,
-        builder.crystal_config.clone(),
+        CrystalConfig::ewsn2019(),
         sink,
         builder.seed,
     ));
@@ -595,15 +535,24 @@ mod tests {
             flood_ntx: 5,
             ..CrystalConfig::ewsn2019()
         };
-        let mut sim = SimulationBuilder::new(&topo)
-            .lwb_config(LwbConfig::dcube_default())
-            .crystal_config(crystal_config)
-            .traffic(traffic)
-            .seed(9)
-            .build_protocol("crystal")
-            .unwrap();
+        let driver = CrystalRunner::new(
+            &topo,
+            &NoInterference,
+            crystal_config,
+            topo.coordinator(),
+            9,
+        );
+        let mut sim = RoundEngine::with_epoch_driver(
+            &topo,
+            LwbConfig::dcube_default(),
+            DimmerConfig::default(),
+            CrystalControl,
+            Box::new(driver),
+            9,
+        )
+        .with_traffic(traffic);
         let reports = sim.run_rounds(5);
-        assert_eq!(sim.protocol(), "crystal");
+        assert_eq!(Simulation::protocol(&sim), "crystal");
         assert_eq!(sim.ntx(), 5, "ntx() reflects the epoch driver");
         assert!(reports.iter().all(|r| r.ntx == 5));
         assert!(sim.app_reliability() > 0.9);

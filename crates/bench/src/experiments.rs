@@ -98,54 +98,6 @@ pub fn table1_summary(cfg: &DimmerConfig) -> Table1Summary {
     }
 }
 
-/// One row of the Fig. 4b feature-selection tables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig4bRow {
-    /// Mean per-slot radio-on time over the mixed evaluation scenario, ms.
-    pub radio_on_ms: f64,
-    /// Mean reliability over the mixed evaluation scenario.
-    pub reliability: f64,
-    /// Quantized network size, kB.
-    pub dqn_size_kb: f64,
-}
-
-/// Trains `models` fresh policies on `traces` under `cfg` and evaluates them
-/// on the mixed calm/25 %-jamming/calm scenario of Fig. 4b.
-pub fn fig4b_row(
-    cfg: &DimmerConfig,
-    traces: &TraceDataset,
-    models: usize,
-    iterations: usize,
-    eval_rounds: usize,
-) -> Fig4bRow {
-    assert!(models > 0, "need at least one model");
-    let mut radio = 0.0;
-    let mut rel = 0.0;
-    let mut size = 0.0;
-    for model in 0..models {
-        let report = train_policy(
-            traces,
-            cfg,
-            &DqnConfig::quick().with_iterations(iterations),
-            1000 + model as u64,
-        );
-        size = QuantizedNetwork::from_mlp(&report.policy).flash_size_bytes() as f64 / 1024.0;
-        // Mixed evaluation scenario: calm then 25% jamming then calm.
-        for (duty, seed) in [(0.0, 11u64), (0.25, 12), (0.0, 13)] {
-            let policy = report.quantized_policy();
-            let summary = fig4b_phase(cfg, policy, duty, eval_rounds, seed + model as u64);
-            radio += summary.radio_on_ms;
-            rel += summary.reliability;
-        }
-    }
-    let n = (models * 3) as f64;
-    Fig4bRow {
-        radio_on_ms: radio / n,
-        reliability: rel / n,
-        dqn_size_kb: size,
-    }
-}
-
 /// One phase of the Fig. 4b evaluation: Dimmer executing a trained
 /// `policy` for `rounds` rounds on the testbed under `duty` jamming.
 fn fig4b_phase(
@@ -231,22 +183,6 @@ pub fn fig5_run(
     run_protocol(protocol, &topo, &interference, policy, rounds, seed)
 }
 
-/// The Fig. 6 forwarder-selection comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig6Summary {
-    /// Per-round reports of the run with forwarder selection enabled.
-    pub with_fs: Vec<DimmerRoundReport>,
-    /// Per-round reports of the all-forwarders reference run.
-    pub without_fs: Vec<DimmerRoundReport>,
-}
-
-impl Fig6Summary {
-    /// Mean number of active forwarders in the forwarder-selection run.
-    pub fn mean_forwarders(&self) -> f64 {
-        mean_forwarders(&self.with_fs)
-    }
-}
-
 /// Runs one Fig. 6 variant: the interference-free forwarder-selection
 /// scenario with Exp3 bandits either learning passive roles
 /// (`selection = true`) or disabled so every device keeps forwarding.
@@ -266,16 +202,6 @@ pub fn fig6_single(rounds: usize, seed: u64, selection: bool) -> Vec<DimmerRound
         // lint: allow(P001) -- "dimmer-rule" ships in the standard registry
         .expect("dimmer-rule is registered");
     sim.run_rounds(rounds)
-}
-
-/// Runs the interference-free forwarder-selection experiment (`exp_fig6`):
-/// DQN deactivated, Exp3 bandits learning passive roles, next to the
-/// all-forwarders reference run.
-pub fn fig6_run(rounds: usize, seed: u64) -> Fig6Summary {
-    Fig6Summary {
-        with_fs: fig6_single(rounds, seed, true),
-        without_fs: fig6_single(rounds, seed, false),
-    }
 }
 
 /// Application-layer outcome of one Fig. 7 run.
@@ -1080,12 +1006,12 @@ mod tests {
 
     #[test]
     fn fig6_selection_reduces_active_forwarders() {
-        let summary = fig6_run(120, 3);
-        assert_eq!(summary.with_fs.len(), 120);
+        let with_fs = fig6_single(120, 3, true);
+        assert_eq!(with_fs.len(), 120);
         assert!(
-            summary.mean_forwarders() < 18.0,
+            mean_forwarders(&with_fs) < 18.0,
             "some devices should learn a passive role, got {}",
-            summary.mean_forwarders()
+            mean_forwarders(&with_fs)
         );
     }
 }

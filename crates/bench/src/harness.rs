@@ -44,9 +44,8 @@
 //! ```
 
 use crate::catalogue::{resolve_protocols, ProtocolAxis};
-use crate::report::GridReport;
-use crate::scheduler;
-use dimmer_sim::workqueue;
+use crate::report::{Aggregate, CellReport, GridReport};
+use dimmer_sim::{workqueue, SimRng};
 
 /// The named metric samples produced by one trial.
 ///
@@ -88,6 +87,50 @@ pub struct GridCell {
     /// Structured parameters (become the JSON `params` object).
     pub params: Vec<(String, String)>,
     run: Box<dyn Fn(u64) -> TrialMetrics + Send + Sync>,
+}
+
+impl GridCell {
+    /// Folds the metric samples of this cell's trials into a [`CellReport`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trials disagree on their metric names.
+    fn aggregate(&self, trials: &[TrialMetrics]) -> CellReport {
+        let names = trials[0].entries();
+        for t in trials {
+            assert_eq!(
+                t.entries().len(),
+                names.len(),
+                "cell '{}': trials must emit identical metric sets",
+                self.label
+            );
+        }
+        let metrics = names
+            .iter()
+            .enumerate()
+            .map(|(mi, (name, _))| {
+                let samples: Vec<f64> = trials
+                    .iter()
+                    .map(|t| {
+                        let (n, v) = &t.entries()[mi];
+                        assert_eq!(
+                            n, name,
+                            "cell '{}': trials must emit identical metric names",
+                            self.label
+                        );
+                        *v
+                    })
+                    .collect();
+                (name.clone(), Aggregate::from_samples(&samples))
+            })
+            .collect();
+        CellReport {
+            label: self.label.clone(),
+            params: self.params.clone(),
+            trials: trials.len(),
+            metrics,
+        }
+    }
 }
 
 /// A named collection of [`GridCell`]s to sweep.
@@ -155,19 +198,16 @@ impl ScenarioGrid {
     }
 
     /// Runs `trials` trials of every cell across `threads` workers and
-    /// aggregates the metrics.
+    /// aggregates the metrics. The `exp_*` binaries and the `dimmerd`
+    /// daemon both run grids through here.
     ///
-    /// This is a thin wrapper over the reusable
-    /// [`scheduler`] pipeline — [`plan_trials`]
-    /// (stateless seeding), [`run_indexed_jobs`] (the shared
-    /// order-independent worker pool) and [`assemble_report`]
-    /// (deterministic aggregation) — shared with the `dimmerd` daemon, so
-    /// reports stay byte-identical for any `threads` no matter who runs the
-    /// grid.
+    /// Job `cell * trials + trial` runs with the stateless seed
+    /// `SimRng::derive_seed(seed, &[cell, trial])` on the shared worker pool
+    /// [`run_indexed_jobs`], which returns results in job order; cells are
+    /// then aggregated in grid order, so the report is byte-identical for
+    /// any `threads`.
     ///
-    /// [`plan_trials`]: crate::scheduler::plan_trials
     /// [`run_indexed_jobs`]: dimmer_sim::workqueue::run_indexed_jobs
-    /// [`assemble_report`]: crate::scheduler::assemble_report
     ///
     /// # Panics
     ///
@@ -175,11 +215,22 @@ impl ScenarioGrid {
     /// trials of one cell disagree on their metric names.
     pub fn run(&self, opts: &RunOptions) -> GridReport {
         assert!(opts.trials > 0, "need at least one trial per cell");
-        let plan = scheduler::plan_trials(self.cells.len(), opts.trials, opts.seed);
-        let results = workqueue::run_indexed_jobs(plan.len(), opts.threads, |i| {
-            (self.cells[plan[i].cell].run)(plan[i].seed)
+        let jobs = self.cells.len() * opts.trials;
+        let results = workqueue::run_indexed_jobs(jobs, opts.threads, |job| {
+            let (cell, trial) = (job / opts.trials, job % opts.trials);
+            (self.cells[cell].run)(SimRng::derive_seed(opts.seed, &[cell as u64, trial as u64]))
         });
-        scheduler::assemble_report(&self.name, opts, &self.cells, &results)
+        GridReport {
+            grid: self.name.clone(),
+            seed: opts.seed,
+            trials: opts.trials,
+            cells: self
+                .cells
+                .iter()
+                .zip(results.chunks(opts.trials))
+                .map(|(cell, trials)| cell.aggregate(trials))
+                .collect(),
+        }
     }
 }
 
@@ -461,6 +512,32 @@ mod tests {
         });
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.cells[0].trials, 1);
+    }
+
+    #[test]
+    fn each_trial_runs_with_the_documented_derived_seed() {
+        // Job `cell * trials + trial` gets `derive_seed(base, [cell, trial])`;
+        // one worker runs the jobs in that order.
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut grid = ScenarioGrid::new("seeds");
+        for cell in 0..3u64 {
+            let seen = std::sync::Arc::clone(&seen);
+            grid.push_cell(format!("cell{cell}"), vec![], move |seed| {
+                seen.lock().unwrap().push((cell, seed));
+                TrialMetrics::new().with("one", 1.0)
+            });
+        }
+        grid.run(&RunOptions {
+            trials: 2,
+            threads: 1,
+            seed: 7,
+        });
+        let expected: Vec<(u64, u64)> = (0..3u64)
+            .flat_map(|cell| {
+                (0..2u64).map(move |trial| (cell, SimRng::derive_seed(7, &[cell, trial])))
+            })
+            .collect();
+        assert_eq!(*seen.lock().unwrap(), expected);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //! | `exp_fig6`    | Fig. 6 — forwarder selection with multi-armed bandits   |
 //! | `exp_fig7`    | Fig. 7 — 48-node D-Cube comparison vs LWB and Crystal   |
 //! | `exp_sweep`   | Grid presets beyond the paper (seed & topology sweeps)  |
+//! | `exp_dynamics`| Dynamic worlds: node churn, link fades, a roaming jammer |
+//! | `exp_train`   | In-sim DQN training of one policy-zoo family            |
 //!
 //! Every binary accepts `--protocols a,b,c --trials N --threads N --seed S
 //! --json PATH` in addition to `--quick`: protocol names resolve against
 //! the registry in `dimmer-baselines` (`"dimmer-dqn"`, `"dimmer-rule"`,
-//! `"pid"`, `"static"`, `"crystal"`), trials of each scenario cell are
+//! `"pid"`, `"static"`, `"crystal"`, `"dimmer-zoo"`), trials of each scenario cell are
 //! fanned out across worker threads by the [`harness`] module, per-trial
 //! seeds are derived deterministically (reports are bit-identical
 //! regardless of `--threads`), and [`report`] aggregates mean / stddev /
@@ -36,10 +38,9 @@
 //! * [`catalogue`] — the one table of served grid families: each grid's
 //!   defaults, its protocol axis and the builder call, shared by the
 //!   binaries and `dimmerd`, plus the one protocol resolver,
-//! * [`scheduler`] — the reusable trial scheduler (worker pool, stateless
-//!   per-trial seeding, deterministic report assembly) shared by the
-//!   harness and the `dimmerd` daemon,
-//! * [`harness`] — the parallel multi-trial engine,
+//! * [`harness`] — the parallel multi-trial engine (stateless per-trial
+//!   seeding, the shared worker pool, deterministic report assembly) that
+//!   the binaries and the `dimmerd` daemon run grids through,
 //! * [`report`] — statistics aggregation, table printing and JSON,
 //!
 //! plus the Criterion micro-benchmarks in `benches/micro.rs`.
@@ -52,7 +53,6 @@ pub mod experiments;
 pub mod harness;
 pub mod report;
 pub mod scenarios;
-pub mod scheduler;
 pub mod summary;
 pub mod training;
 

@@ -6,7 +6,7 @@
 //! interference and dynamic-world script — trains a DQN against the real
 //! simulator through [`SimEnvironment`], and wraps the run as a
 //! [`ScenarioGrid`] so `exp_train` reports training curves through the same
-//! deterministic scheduler as every other experiment.
+//! deterministic grid runner as every other experiment.
 //!
 //! The environment-count knob (`--envs`) is deliberately **absent** from
 //! the grid's cell parameters and metrics: the farm's output is

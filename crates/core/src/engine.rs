@@ -1,4 +1,4 @@
-//! The generic round engine: one LWB round loop for every protocol.
+//! The generic round engine: one round loop for every protocol.
 //!
 //! Historically each protocol of the paper's evaluation had its own runner
 //! type with a copy-pasted round loop. The [`RoundEngine`] collapses them:
@@ -12,19 +12,19 @@
 //! * `RoundEngine<CrystalControl>` drives Crystal epochs through an
 //!   [`EpochDriver`] adapter instead of LWB rounds.
 //!
-//! Per LWB round the engine
+//! [`RoundEngine::run_round`] is the only round function. Per round it
 //!
-//! 1. decides whether the network is in *adaptivity* mode (interference seen
-//!    recently → all devices forward with the global `N_TX`) or in
-//!    *forwarder-selection* mode (calm → the token-holding device may try
-//!    passivity),
-//! 2. builds the LWB schedule for the round's sources,
-//! 3. executes the round over the simulated substrate,
-//! 4. ingests the statistics every node collected, propagates the 2-byte
-//!    feedback headers that actually reached the coordinator into its
-//!    [`GlobalView`], and
-//! 5. hands a [`RoundObservation`] to the controller and applies its
-//!    [`ControlDecision`] to the next round.
+//! 1. advances the dynamic world and hands every fired event (and a changed
+//!    alive mask) to the backend that owns the substrate,
+//! 2. draws the round's sources from the traffic pattern, dropping dead
+//!    nodes,
+//! 3. lets the backend execute the round: an LWB round (mode selection
+//!    between *adaptivity* and *forwarder selection*, schedule, execution,
+//!    statistics and the 2-byte feedback headers that reached the
+//!    coordinator's [`GlobalView`]) or one epoch of an [`EpochDriver`],
+//! 4. hands a [`RoundObservation`] to the controller and applies its
+//!    [`ControlDecision`] to the next LWB round, and
+//! 5. reports the round as a [`DimmerRoundReport`].
 //!
 //! With application-layer acknowledgements enabled (the D-Cube collection
 //! scenario), undelivered packets are retransmitted in later rounds and the
@@ -64,7 +64,10 @@ pub struct DimmerRoundReport {
     pub time: SimTime,
     /// Which control scheme owned the round.
     pub mode: RoundMode,
-    /// The global `N_TX` in effect during the round.
+    /// The global `N_TX`. In an adaptivity round (and every epoch) it is
+    /// the `N_TX` the round ran with. In a forwarder-selection round, whose
+    /// floods ran with a per-node assignment, it is the global `N_TX` after
+    /// the controller's decision on this round.
     pub ntx: u8,
     /// Raw network reliability of the round (broadcast or sink, without ACK
     /// crediting).
@@ -130,16 +133,211 @@ struct PendingPacket {
     retries_left: usize,
 }
 
-/// The LWB-round execution state (schedule, substrate, feedback pipeline).
+/// What one round of either backend produced; the engine builds the
+/// controller's observation and the round report from it.
+struct RoundSummary {
+    round_index: u64,
+    mode: RoundMode,
+    /// The global `N_TX` the round ran with.
+    ntx: u8,
+    reliability: f64,
+    losses: usize,
+    mean_radio_on: SimDuration,
+    energy_joules: f64,
+    generated: usize,
+    delivered: usize,
+    active_forwarders: usize,
+}
+
+/// The LWB-round execution state (schedule, substrate, feedback pipeline)
+/// and the controller-steered global `N_TX`.
 struct LwbBackend<'a> {
+    topology: &'a Topology,
     executor: RoundExecutor<'a>,
     scheduler: LwbScheduler,
     stats: StatisticsCollector,
     view: GlobalView,
     state_builder: StateBuilder,
     forwarder: ForwarderSelection,
+    ntx: u8,
     calm_rounds: usize,
     pending: Vec<PendingPacket>,
+}
+
+impl LwbBackend<'_> {
+    /// Runs one LWB round starting at `start` for the fresh `sources` (plus,
+    /// with ACKs, the pending retransmissions of alive nodes) and updates
+    /// the feedback pipeline, the calm-round count, the forwarder selection
+    /// and the state history.
+    fn run_round(
+        &mut self,
+        config: &DimmerConfig,
+        traffic: &TrafficPattern,
+        world: &World,
+        fresh_sources: &[NodeId],
+        start: SimTime,
+        rng: &mut SimRng,
+    ) -> RoundSummary {
+        // Mode selection: calm networks hand control to the forwarder
+        // selection; any recent loss keeps (or puts back) every device in
+        // forwarding mode under the central adaptivity.
+        let mode = if config.forwarder.enabled
+            && self.calm_rounds >= config.forwarder.calm_rounds_threshold
+        {
+            RoundMode::ForwarderSelection
+        } else {
+            RoundMode::Adaptivity
+        };
+
+        // With ACKs, pending retransmissions join the fresh sources; a dead
+        // node's retransmissions resume when it rejoins.
+        let mut sources = fresh_sources.to_vec();
+        if config.acknowledgements {
+            for p in &self.pending {
+                if world.is_alive(p.source) && !sources.contains(&p.source) {
+                    sources.push(p.source);
+                }
+            }
+        }
+
+        let assignment = match mode {
+            RoundMode::ForwarderSelection => {
+                self.forwarder.begin_round();
+                self.forwarder.assignment(self.ntx)
+            }
+            RoundMode::Adaptivity => NtxAssignment::Uniform(self.ntx),
+        };
+        let feedback_before = self.stats.feedback();
+        let schedule = self.scheduler.next_schedule(&sources, assignment);
+        let round = self.executor.run_round(&schedule, start, rng);
+
+        // Statistics and feedback propagation. A node's feedback reaches
+        // the coordinator only if its data-slot flood did.
+        self.stats.ingest_round(&round);
+        let coordinator = self.topology.coordinator();
+        for slot in round.data_slots() {
+            if slot.flood.received(coordinator) {
+                self.view
+                    .update(slot.source, feedback_before[slot.source.index()]);
+            }
+        }
+        self.view.mark_round();
+
+        let (reliability, losses) = match traffic.sink() {
+            Some(sink) => {
+                let missed = round
+                    .data_slots()
+                    .iter()
+                    .filter(|s| s.source != sink && !s.flood.received(sink))
+                    .count();
+                (round.sink_reliability(sink), missed)
+            }
+            None => (round.broadcast_reliability(), round.losses()),
+        };
+        let had_losses = losses > 0;
+        // Interference detection: a round counts as calm if essentially every
+        // destination was served; isolated transient misses do not push the
+        // network back into all-forwarders mode.
+        let calm = reliability >= 0.995;
+        self.calm_rounds = if calm { self.calm_rounds + 1 } else { 0 };
+
+        let (generated, delivered) =
+            self.track_delivery(config, traffic.sink(), world.alive(), &round, fresh_sources);
+
+        let active_forwarders = match mode {
+            RoundMode::ForwarderSelection => {
+                let forwarders = self.forwarder.active_forwarders();
+                self.forwarder.end_round(had_losses);
+                if !calm {
+                    // Interference returned: every device becomes a forwarder
+                    // again and the controller takes over next round.
+                    self.forwarder.reset_roles();
+                }
+                forwarders
+            }
+            RoundMode::Adaptivity => world.alive_count(),
+        };
+        self.state_builder.record_history(had_losses);
+
+        RoundSummary {
+            round_index: round.round_index(),
+            mode,
+            ntx: self.ntx,
+            reliability,
+            losses,
+            mean_radio_on: round.mean_radio_on_per_slot(),
+            energy_joules: self
+                .topology
+                .node_ids()
+                .map(|n| round.node_round_radio(n).energy_joules())
+                .sum(),
+            generated,
+            delivered,
+            active_forwarders,
+        }
+    }
+
+    /// Application-layer delivery of the round's packets: returns the
+    /// packets newly generated and delivered, and (with ACKs) queues or
+    /// retires retransmissions.
+    fn track_delivery(
+        &mut self,
+        config: &DimmerConfig,
+        sink: Option<NodeId>,
+        alive: &[bool],
+        round: &RoundOutcome,
+        fresh_sources: &[NodeId],
+    ) -> (usize, usize) {
+        let mut generated = 0;
+        let mut delivered = 0;
+        let Some(sink) = sink else {
+            // Broadcast traffic: count a packet as delivered if every
+            // alive destination received it; no retransmissions.
+            for slot in round.data_slots() {
+                generated += 1;
+                let all = self
+                    .topology
+                    .node_ids()
+                    .filter(|&n| n != slot.source && alive[n.index()])
+                    .all(|n| slot.flood.received(n));
+                if all {
+                    delivered += 1;
+                }
+            }
+            return (generated, delivered);
+        };
+
+        let pending = &mut self.pending;
+        for slot in round.data_slots() {
+            let ok = slot.source == sink || slot.flood.received(sink);
+            let was_pending = pending.iter().position(|p| p.source == slot.source);
+            let is_fresh = fresh_sources.contains(&slot.source);
+            if is_fresh && was_pending.is_none() {
+                generated += 1;
+            }
+            if ok {
+                delivered += 1;
+                if let Some(idx) = was_pending {
+                    pending.remove(idx);
+                }
+            } else if config.acknowledgements {
+                match was_pending {
+                    Some(idx) => {
+                        pending[idx].retries_left = pending[idx].retries_left.saturating_sub(1);
+                        if pending[idx].retries_left == 0 {
+                            pending.remove(idx);
+                        }
+                    }
+                    None if is_fresh => pending.push(PendingPacket {
+                        source: slot.source,
+                        retries_left: config.max_ack_retries,
+                    }),
+                    None => {}
+                }
+            }
+        }
+        (generated, delivered)
+    }
 }
 
 /// What executes a round: the LWB loop or an epoch adapter.
@@ -178,7 +376,6 @@ pub struct RoundEngine<'a, C: Controller> {
     /// to the engine clock before every round. Static (empty script) by
     /// default.
     world: World,
-    ntx: u8,
     now: SimTime,
     rng: SimRng,
     total_energy_joules: f64,
@@ -201,6 +398,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     ) -> Self {
         let num_nodes = topology.num_nodes();
         let backend = Backend::Lwb(Box::new(LwbBackend {
+            topology,
             executor: RoundExecutor::new(topology, interference, lwb_config.clone()),
             scheduler: LwbScheduler::new(lwb_config.clone()),
             stats: StatisticsCollector::new(num_nodes, crate::stats::DEFAULT_STATS_WINDOW),
@@ -212,6 +410,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
                 config.forwarder.clone(),
                 seed ^ 0xF0,
             ),
+            ntx: config.initial_ntx,
             calm_rounds: 0,
             pending: Vec::new(),
         }));
@@ -253,12 +452,11 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
         lwb_config: LwbConfig,
         config: DimmerConfig,
         mut controller: C,
-        backend: Backend<'a>,
+        mut backend: Backend<'a>,
         rng: SimRng,
     ) -> Self {
-        let mut ntx = config.initial_ntx;
-        if let Some(override_ntx) = controller.warmup(&config) {
-            ntx = override_ntx.clamp(config.n_min, config.n_max);
+        if let (Some(ntx), Backend::Lwb(lwb)) = (controller.warmup(&config), &mut backend) {
+            lwb.ntx = ntx.clamp(config.n_min, config.n_max);
         }
         RoundEngine {
             topology,
@@ -267,7 +465,6 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
             controller,
             backend,
             world: World::static_world(topology.num_nodes(), topology.coordinator()),
-            ntx,
             now: SimTime::ZERO,
             rng,
             total_energy_joules: 0.0,
@@ -321,7 +518,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     /// [`force_ntx`](Self::force_ntx)).
     pub fn ntx(&self) -> u8 {
         match &self.backend {
-            Backend::Lwb(_) => self.ntx,
+            Backend::Lwb(lwb) => lwb.ntx,
             Backend::Epoch(driver) => driver.ntx(),
         }
     }
@@ -334,15 +531,6 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     /// The LWB configuration.
     pub fn lwb_config(&self) -> &LwbConfig {
         &self.lwb_config
-    }
-
-    /// The coordinator's current global view (`None` for epoch-driven
-    /// protocols, which have no LWB feedback pipeline).
-    pub fn global_view(&self) -> Option<&GlobalView> {
-        match &self.backend {
-            Backend::Lwb(lwb) => Some(&lwb.view),
-            Backend::Epoch(_) => None,
-        }
     }
 
     /// Total energy spent by the network so far, in Joules.
@@ -371,26 +559,14 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
         (0..count).map(|_| self.run_round()).collect()
     }
 
-    /// Executes one round (or one epoch, for epoch-driven protocols) and
-    /// advances simulated time by the LWB round period.
-    pub fn run_round(&mut self) -> DimmerRoundReport {
-        match self.backend {
-            Backend::Lwb(_) => self.run_lwb_round(),
-            Backend::Epoch(_) => self.run_epoch_round(),
-        }
-    }
-
     /// Applies an external adaptivity decision instead of the controller for
     /// the *next* round (how `SimEnvironment` applies an agent's action).
     /// No effect on epoch-driven protocols, whose drivers steer their own
     /// retransmissions.
     pub fn force_ntx(&mut self, ntx: u8) {
-        self.ntx = ntx.clamp(self.config.n_min, self.config.n_max);
-    }
-
-    /// Resets the controller's internal state (see [`Controller::reset`]).
-    pub fn reset_controller(&mut self) {
-        self.controller.reset();
+        if let Backend::Lwb(lwb) = &mut self.backend {
+            lwb.ntx = ntx.clamp(self.config.n_min, self.config.n_max);
+        }
     }
 
     /// The Table-I state vector the policy sees for the current view and
@@ -398,187 +574,129 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     /// epoch-driven protocols).
     pub fn current_state(&self) -> Vec<f32> {
         match &self.backend {
-            Backend::Lwb(lwb) => lwb.state_builder.build(&lwb.view, self.ntx),
+            Backend::Lwb(lwb) => lwb.state_builder.build(&lwb.view, lwb.ntx),
             Backend::Epoch(_) => Vec::new(),
         }
     }
 
-    fn run_lwb_round(&mut self) -> DimmerRoundReport {
-        // 0. Advance the dynamic world to the round's start time: scripted
-        //    events with timestamps <= now fire between rounds, patching the
-        //    compiled substrate and the membership mask before anything
-        //    transmits.
+    /// Executes one round (or one epoch, for epoch-driven protocols) and
+    /// advances simulated time by the LWB round period.
+    pub fn run_round(&mut self) -> DimmerRoundReport {
+        // Advance the dynamic world to the round's start time: scripted
+        // events with timestamps <= now fire between rounds and reach the
+        // backend's substrate before anything transmits. Membership and
+        // jammer events leave a compiled world untouched; the alive mask
+        // carries membership.
         let update = self.world.advance_to(self.now);
-        let Backend::Lwb(lwb) = &mut self.backend else {
-            // lint: allow(P002) -- run_round dispatches on the backend variant; this arm is the LWB one
-            unreachable!("run_lwb_round on a non-LWB backend");
-        };
-        if update.topology_changed {
-            for (_, event) in self.world.events_in(update.fired.clone()) {
-                if event.is_topology_event() {
+        for (_, event) in self.world.events_in(update.fired.clone()) {
+            match &mut self.backend {
+                Backend::Lwb(lwb) => {
                     lwb.executor.apply_world_event(event);
                 }
+                Backend::Epoch(driver) => driver.world_event(event),
             }
         }
         if update.membership_changed() {
-            lwb.executor.set_alive(self.world.alive());
+            match &mut self.backend {
+                Backend::Lwb(lwb) => lwb.executor.set_alive(self.world.alive()),
+                Backend::Epoch(driver) => driver.set_alive(self.world.alive()),
+            }
         }
 
-        // 1. Mode selection: calm networks hand control to the forwarder
-        //    selection; any recent loss keeps (or puts back) every device in
-        //    forwarding mode under the central adaptivity.
-        let forwarder_mode = self.config.forwarder.enabled
-            && lwb.calm_rounds >= self.config.forwarder.calm_rounds_threshold;
-        let mode = if forwarder_mode {
-            RoundMode::ForwarderSelection
-        } else {
-            RoundMode::Adaptivity
-        };
-
-        // 2. Sources for this round: fresh traffic plus (with ACKs) pending
-        //    retransmissions. The schedule skips failed nodes — a dead node
-        //    cannot source a slot (its pending retransmissions resume when
-        //    it rejoins).
+        // Fresh traffic for this round; a dead node cannot source a slot.
         let mut sources = self
             .traffic
             .sources_for_round(&self.node_ids, &mut self.rng);
         if !self.world.is_static() {
             sources.retain(|s| self.world.is_alive(*s));
         }
-        let fresh_sources = sources.clone();
-        if self.config.acknowledgements {
-            for p in &lwb.pending {
-                if self.world.is_alive(p.source) && !sources.contains(&p.source) {
-                    sources.push(p.source);
+
+        let summary = match &mut self.backend {
+            Backend::Lwb(lwb) => lwb.run_round(
+                &self.config,
+                &self.traffic,
+                &self.world,
+                &sources,
+                self.now,
+                &mut self.rng,
+            ),
+            Backend::Epoch(driver) => {
+                let outcome = driver.run_epoch(&sources, self.lwb_config.round_period);
+                RoundSummary {
+                    round_index: self.rounds_run,
+                    mode: RoundMode::Adaptivity,
+                    ntx: driver.ntx(),
+                    reliability: if outcome.offered == 0 {
+                        1.0
+                    } else {
+                        outcome.delivered as f64 / outcome.offered as f64
+                    },
+                    losses: outcome.offered.saturating_sub(outcome.delivered),
+                    mean_radio_on: outcome.mean_radio_on,
+                    energy_joules: outcome.energy_joules,
+                    generated: outcome.offered,
+                    delivered: outcome.delivered,
+                    active_forwarders: self.world.alive_count(),
                 }
             }
-        }
-
-        // 3. N_TX assignment.
-        let assignment = if mode == RoundMode::ForwarderSelection {
-            lwb.forwarder.begin_round();
-            lwb.forwarder.assignment(self.ntx)
-        } else {
-            NtxAssignment::Uniform(self.ntx)
         };
+        self.total_energy_joules += summary.energy_joules;
+        self.total_generated += summary.generated;
+        self.total_delivered += summary.delivered;
 
-        // 4. Execute the round.
-        let feedback_before = lwb.stats.feedback();
-        let schedule = lwb.scheduler.next_schedule(&sources, assignment);
-        let round = lwb.executor.run_round(&schedule, self.now, &mut self.rng);
-
-        // 5. Statistics and feedback propagation. A node's feedback reaches
-        //    the coordinator only if its data-slot flood did.
-        lwb.stats.ingest_round(&round);
-        let coordinator = self.topology.coordinator();
-        for slot in round.data_slots() {
-            if slot.flood.received(coordinator) {
-                lwb.view
-                    .update(slot.source, feedback_before[slot.source.index()]);
-            }
-        }
-        lwb.view.mark_round();
-
-        // 6. Round-level outcome metrics.
-        let (reliability, losses) = match self.traffic.sink() {
-            Some(sink) => {
-                let r = round.sink_reliability(sink);
-                let missed = round
-                    .data_slots()
-                    .iter()
-                    .filter(|s| s.source != sink && !s.flood.received(sink))
-                    .count();
-                (r, missed)
-            }
-            None => (round.broadcast_reliability(), round.losses()),
-        };
-        let had_losses = losses > 0;
-        let round_reward = reward(
-            !had_losses,
-            self.ntx,
-            self.config.n_max,
-            self.config.reward_c,
-        );
-        let energy = round_energy(self.topology, &round);
-        self.total_energy_joules += energy;
-        // Interference detection: a round counts as calm if essentially every
-        // destination was served; isolated transient misses do not push the
-        // network back into all-forwarders mode.
-        let calm = reliability >= 0.995;
-        lwb.calm_rounds = if calm { lwb.calm_rounds + 1 } else { 0 };
-
-        // 7. Application-layer delivery tracking (ACK mode).
-        let (generated, delivered) = track_delivery(
-            self.topology,
-            &self.config,
-            &self.traffic,
-            self.world.alive(),
-            &mut lwb.pending,
-            &mut self.total_generated,
-            &mut self.total_delivered,
-            &round,
-            &fresh_sources,
-        );
-
-        // 8. Learn / adapt for the next round.
-        let active_forwarders = match mode {
-            RoundMode::ForwarderSelection => {
-                let forwarders = lwb.forwarder.active_forwarders();
-                lwb.forwarder.end_round(had_losses);
-                if !calm {
-                    // Interference returned: every device becomes a forwarder
-                    // again and the controller takes over next round.
-                    lwb.forwarder.reset_roles();
-                }
-                forwarders
-            }
-            RoundMode::Adaptivity => self.world.alive_count(),
-        };
-        lwb.state_builder.record_history(had_losses);
         // The coordinator executes its policy after every round, even while
         // the forwarder selection experiments: N_TX must still converge back
         // to its calm setpoint after interference passes (Fig. 4c).
-        let state: Vec<f32> = if self.controller.wants_state() {
-            lwb.state_builder.build(&lwb.view, self.ntx)
+        let state = if self.controller.wants_state() {
+            self.current_state()
         } else {
             Vec::new()
         };
         let observation = RoundObservation {
-            round_index: round.round_index(),
-            mode,
-            ntx: self.ntx,
-            reliability,
-            losses,
-            mean_radio_on: round.mean_radio_on_per_slot(),
-            energy_joules: energy,
+            round_index: summary.round_index,
+            mode: summary.mode,
+            ntx: summary.ntx,
+            reliability: summary.reliability,
+            losses: summary.losses,
+            mean_radio_on: summary.mean_radio_on,
+            energy_joules: summary.energy_joules,
             alive_nodes: self.world.alive_count(),
             failed_nodes: update.failed,
             rejoined_nodes: update.rejoined,
             state: &state,
         };
-        match self.controller.observe(&observation) {
-            ControlDecision::SetNtx(n) => {
-                self.ntx = n.clamp(self.config.n_min, self.config.n_max);
-            }
-            ControlDecision::Hold => {}
+        // Epoch drivers steer their own retransmissions inside each epoch;
+        // there is no engine-level N_TX for the decision to land on, so it
+        // is observed (for controller-side bookkeeping) but not applied.
+        if let (ControlDecision::SetNtx(n), Backend::Lwb(lwb)) =
+            (self.controller.observe(&observation), &mut self.backend)
+        {
+            lwb.ntx = n.clamp(self.config.n_min, self.config.n_max);
         }
 
         let report = DimmerRoundReport {
-            round_index: round.round_index(),
+            round_index: summary.round_index,
             time: self.now,
-            mode,
-            ntx: match round.schedule().ntx() {
-                NtxAssignment::Uniform(n) => *n,
-                NtxAssignment::PerNode(_) => self.ntx,
+            mode: summary.mode,
+            // A forwarder-selection round ran with a per-node assignment and
+            // reports the global N_TX after the decision.
+            ntx: match summary.mode {
+                RoundMode::Adaptivity => summary.ntx,
+                RoundMode::ForwarderSelection => self.ntx(),
             },
-            reliability,
-            mean_radio_on: round.mean_radio_on_per_slot(),
-            losses,
-            reward: round_reward,
-            active_forwarders,
-            energy_joules: energy,
-            packets_generated: generated,
-            packets_delivered: delivered,
+            reliability: summary.reliability,
+            mean_radio_on: summary.mean_radio_on,
+            losses: summary.losses,
+            reward: reward(
+                summary.losses == 0,
+                summary.ntx,
+                self.config.n_max,
+                self.config.reward_c,
+            ),
+            active_forwarders: summary.active_forwarders,
+            energy_joules: summary.energy_joules,
+            packets_generated: summary.generated,
+            packets_delivered: summary.delivered,
             alive_nodes: self.world.alive_count(),
         };
 
@@ -586,158 +704,6 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
         self.rounds_run += 1;
         report
     }
-
-    fn run_epoch_round(&mut self) -> DimmerRoundReport {
-        // Advance the dynamic world and hand every fired event to the
-        // driver (it owns its substrate), exactly like the LWB path.
-        let update = self.world.advance_to(self.now);
-        let Backend::Epoch(driver) = &mut self.backend else {
-            // lint: allow(P002) -- run_round dispatches on the backend variant; this arm is the epoch one
-            unreachable!("run_epoch_round on a non-epoch backend");
-        };
-        if !update.is_empty() {
-            for (_, event) in self.world.events_in(update.fired.clone()) {
-                driver.world_event(event);
-            }
-            if update.membership_changed() {
-                driver.set_alive(self.world.alive());
-            }
-        }
-        let mut sources = self
-            .traffic
-            .sources_for_round(&self.node_ids, &mut self.rng);
-        if !self.world.is_static() {
-            sources.retain(|s| self.world.is_alive(*s));
-        }
-        let period = self.lwb_config.round_period;
-        let outcome = driver.run_epoch(&sources, period);
-        let ntx = driver.ntx();
-
-        let reliability = if outcome.offered == 0 {
-            1.0
-        } else {
-            outcome.delivered as f64 / outcome.offered as f64
-        };
-        let losses = outcome.offered.saturating_sub(outcome.delivered);
-        self.total_energy_joules += outcome.energy_joules;
-        self.total_generated += outcome.offered;
-        self.total_delivered += outcome.delivered;
-
-        let observation = RoundObservation {
-            round_index: self.rounds_run,
-            mode: RoundMode::Adaptivity,
-            ntx,
-            reliability,
-            losses,
-            mean_radio_on: outcome.mean_radio_on,
-            energy_joules: outcome.energy_joules,
-            alive_nodes: self.world.alive_count(),
-            failed_nodes: update.failed,
-            rejoined_nodes: update.rejoined,
-            state: &[],
-        };
-        // Epoch drivers steer their own retransmissions inside each epoch;
-        // there is no engine-level N_TX for the decision to land on, so it
-        // is observed (for controller-side bookkeeping) but not applied.
-        let _ = self.controller.observe(&observation);
-
-        let report = DimmerRoundReport {
-            round_index: self.rounds_run,
-            time: self.now,
-            mode: RoundMode::Adaptivity,
-            ntx,
-            reliability,
-            mean_radio_on: outcome.mean_radio_on,
-            losses,
-            reward: reward(losses == 0, ntx, self.config.n_max, self.config.reward_c),
-            active_forwarders: self.world.alive_count(),
-            energy_joules: outcome.energy_joules,
-            packets_generated: outcome.offered,
-            packets_delivered: outcome.delivered,
-            alive_nodes: self.world.alive_count(),
-        };
-
-        self.now += period;
-        self.rounds_run += 1;
-        report
-    }
-}
-
-fn round_energy(topology: &Topology, round: &RoundOutcome) -> f64 {
-    topology
-        .node_ids()
-        .map(|n| round.node_round_radio(n).energy_joules())
-        .sum()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn track_delivery(
-    topology: &Topology,
-    config: &DimmerConfig,
-    traffic: &TrafficPattern,
-    alive: &[bool],
-    pending: &mut Vec<PendingPacket>,
-    total_generated: &mut usize,
-    total_delivered: &mut usize,
-    round: &RoundOutcome,
-    fresh_sources: &[NodeId],
-) -> (usize, usize) {
-    let sink = match traffic.sink() {
-        Some(s) => s,
-        None => {
-            // Broadcast traffic: count a packet as delivered if every
-            // alive destination received it; no retransmissions.
-            let mut generated = 0;
-            let mut delivered = 0;
-            for slot in round.data_slots() {
-                generated += 1;
-                let all = topology
-                    .node_ids()
-                    .filter(|&n| n != slot.source && alive[n.index()])
-                    .all(|n| slot.flood.received(n));
-                if all {
-                    delivered += 1;
-                }
-            }
-            *total_generated += generated;
-            *total_delivered += delivered;
-            return (generated, delivered);
-        }
-    };
-
-    let mut generated = 0;
-    let mut delivered = 0;
-    for slot in round.data_slots() {
-        let ok = slot.source == sink || slot.flood.received(sink);
-        let was_pending = pending.iter().position(|p| p.source == slot.source);
-        let is_fresh = fresh_sources.contains(&slot.source);
-        if is_fresh && was_pending.is_none() {
-            generated += 1;
-            *total_generated += 1;
-        }
-        if ok {
-            delivered += 1;
-            *total_delivered += 1;
-            if let Some(idx) = was_pending {
-                pending.remove(idx);
-            }
-        } else if config.acknowledgements {
-            match was_pending {
-                Some(idx) => {
-                    pending[idx].retries_left = pending[idx].retries_left.saturating_sub(1);
-                    if pending[idx].retries_left == 0 {
-                        pending.remove(idx);
-                    }
-                }
-                None if is_fresh => pending.push(PendingPacket {
-                    source: slot.source,
-                    retries_left: config.max_ack_retries,
-                }),
-                None => {}
-            }
-        }
-    }
-    (generated, delivered)
 }
 
 /// Object-safe facade over [`RoundEngine`]: what every protocol looks like
@@ -877,6 +843,42 @@ mod tests {
                 .iter()
                 .any(|r| r.mode == RoundMode::ForwarderSelection),
             "a calm network must hand control to the forwarder selection"
+        );
+    }
+
+    #[test]
+    fn report_ntx_is_the_round_ntx_in_adaptivity_and_the_decided_ntx_in_forwarder_selection() {
+        // Starting at the maximum with a one-round calm threshold, the
+        // rule-based policy lowers N_TX while the forwarder selection runs.
+        let topo = Topology::kiel_testbed_18(1);
+        let mut config = DimmerConfig {
+            initial_ntx: 8,
+            ..DimmerConfig::default()
+        };
+        config.forwarder.calm_rounds_threshold = 1;
+        let mut runner = dimmer(
+            &topo,
+            &NoInterference,
+            LwbConfig::testbed_default(),
+            config,
+            3,
+        );
+        let mut decided_in_selection = 0;
+        for _ in 0..20 {
+            let before = runner.ntx();
+            let report = runner.run_round();
+            let after = runner.ntx();
+            match report.mode {
+                RoundMode::Adaptivity => assert_eq!(report.ntx, before, "{report:?}"),
+                RoundMode::ForwarderSelection => {
+                    assert_eq!(report.ntx, after, "{report:?}");
+                    decided_in_selection += usize::from(before != after);
+                }
+            }
+        }
+        assert!(
+            decided_in_selection > 0,
+            "no forwarder-selection round changed N_TX"
         );
     }
 
@@ -1132,6 +1134,46 @@ mod tests {
         assert_eq!(seen.borrow().alive_calls, 1, "one membership change");
         assert_eq!(reports[0].alive_nodes, 18);
         assert_eq!(reports[1].alive_nodes, 17);
+    }
+
+    #[test]
+    fn set_ntx_and_force_ntx_leave_an_epoch_backend_ntx_unchanged() {
+        // The driver steers its own flood N_TX (one more every epoch);
+        // neither the controller's `SetNtx(2)` nor `force_ntx(8)` lands on it.
+        struct SteppingDriver {
+            epochs: u8,
+        }
+        impl EpochDriver for SteppingDriver {
+            fn run_epoch(&mut self, sources: &[NodeId], _period: SimDuration) -> EpochOutcome {
+                self.epochs += 1;
+                EpochOutcome {
+                    offered: sources.len(),
+                    delivered: sources.len(),
+                    mean_radio_on: SimDuration::from_millis(1),
+                    energy_joules: 0.1,
+                }
+            }
+            fn ntx(&self) -> u8 {
+                3 + self.epochs
+            }
+        }
+
+        let topo = Topology::kiel_testbed_18(1);
+        let mut engine = RoundEngine::with_epoch_driver(
+            &topo,
+            LwbConfig::testbed_default(),
+            DimmerConfig::default(),
+            StaticNtxController::new(2),
+            Box::new(SteppingDriver { epochs: 0 }),
+            1,
+        );
+        for epoch in 1..=4u8 {
+            engine.force_ntx(8);
+            assert_eq!(engine.ntx(), 2 + epoch, "force_ntx was applied");
+            let report = engine.run_round();
+            assert_eq!(report.ntx, 3 + epoch, "the report carries the epoch's N_TX");
+            assert_eq!(engine.ntx(), 3 + epoch, "SetNtx was applied");
+        }
     }
 
     #[test]

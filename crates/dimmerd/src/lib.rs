@@ -4,11 +4,11 @@
 //! a newline-delimited JSON TCP protocol, reusing everything expensive
 //! across requests:
 //!
-//! * **one scheduler** — submitted scenarios run through the same
-//!   `dimmer-bench::scheduler` pipeline (stateless per-trial seeding,
-//!   order-independent worker fan-out, deterministic report assembly) as
-//!   the `exp_*` binaries, so a served report is byte-identical to the
-//!   same scenario's offline `--json` output;
+//! * **one grid runner** — submitted scenarios run through the same
+//!   `ScenarioGrid::run` (stateless per-trial seeding, order-independent
+//!   worker fan-out, deterministic report assembly) as the `exp_*`
+//!   binaries, so a served report is byte-identical to the same
+//!   scenario's offline `--json` output;
 //! * **a warm world cache** — compiled CSR topologies and their compiled
 //!   interference banks are built once and cloned per trial
 //!   ([`cache::WorldCache`]);

@@ -5,9 +5,9 @@
 //! under a single state mutex and return quickly (submissions only
 //! enqueue; memo hits answer instantly). A pool of **executor threads**
 //! ([`Daemon::spawn_executors`], `--workers N`) pops the queue in FIFO
-//! order and runs each scenario through the shared `dimmer-bench`
-//! scheduler. Because every job's report is a pure function of
-//! `(scenario_hash, seed)` — the scheduler seeds trials statelessly and
+//! order and runs each scenario through the shared `dimmer-bench` grid
+//! runner. Because every job's report is a pure function of
+//! `(scenario_hash, seed)` — the grid runner seeds trials statelessly and
 //! assembles reports in grid order — the worker count never changes a
 //! byte of any report; the worst concurrency artifact is two workers
 //! computing the same memo entry, and the second insert overwrites the

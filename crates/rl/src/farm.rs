@@ -15,10 +15,10 @@
 //! transition counter ([`DqnTrainer::observe_at`]).
 //!
 //! The result is the same determinism contract the experiment harness
-//! guarantees (`dimmer-bench::scheduler`): the trained weights and the
-//! training curve are a pure function of `(factory, DqnConfig, FarmConfig
-//! minus `envs`, seed)` — **independent of the environment count and of OS
-//! scheduling**. `envs` is purely a rollout prefetch width.
+//! guarantees (`ScenarioGrid::run` in `dimmer-bench`): the trained weights
+//! and the training curve are a pure function of `(factory, DqnConfig,
+//! FarmConfig minus `envs`, seed)` — **independent of the environment
+//! count and of OS scheduling**. `envs` is purely a rollout prefetch width.
 //!
 //! The seed derivation tree:
 //!

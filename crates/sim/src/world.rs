@@ -190,17 +190,9 @@ pub struct WorldUpdate {
     pub failed: usize,
     /// Number of nodes that went from failed to alive.
     pub rejoined: usize,
-    /// Whether any fired event patches the topology
-    /// ([`WorldEvent::is_topology_event`]).
-    pub topology_changed: bool,
 }
 
 impl WorldUpdate {
-    /// Whether anything at all fired.
-    pub fn is_empty(&self) -> bool {
-        self.fired.is_empty()
-    }
-
     /// Whether the alive mask changed.
     pub fn membership_changed(&self) -> bool {
         self.failed > 0 || self.rejoined > 0
@@ -330,7 +322,6 @@ impl World {
                     self.alive[n.index()] = true;
                     update.rejoined += 1;
                 }
-                e if e.is_topology_event() => update.topology_changed = true,
                 _ => {}
             }
             self.cursor += 1;
@@ -354,7 +345,7 @@ mod tests {
         let mut w = World::static_world(4, NodeId(0));
         assert!(w.is_static());
         let u = w.advance_to(t(1_000));
-        assert!(u.is_empty());
+        assert!(u.fired.is_empty());
         assert!(!u.membership_changed());
         assert_eq!(w.alive_count(), 4);
     }
@@ -394,12 +385,11 @@ mod tests {
         assert!(!w.is_alive(NodeId(1)));
 
         // Advancing to the same instant again fires nothing.
-        assert!(w.advance_to(t(4)).is_empty());
+        assert!(w.advance_to(t(4)).fired.is_empty());
 
         let u = w.advance_to(t(20));
         assert_eq!(u.fired, 1..4);
         assert_eq!((u.failed, u.rejoined), (1, 1));
-        assert!(u.topology_changed);
         assert_eq!(w.alive_count(), 3);
         assert_eq!(w.events_in(u.fired).len(), 3);
     }
@@ -423,7 +413,10 @@ mod tests {
         let script = ScenarioScript::new().fail_node(t(8), NodeId(1));
         let mut w = World::new(2, NodeId(0), script);
         // One microsecond early: nothing fires.
-        assert!(w.advance_to(t(8) - SimDuration::from_micros(1)).is_empty());
+        assert!(w
+            .advance_to(t(8) - SimDuration::from_micros(1))
+            .fired
+            .is_empty());
         // Exactly on the timestamp: fires.
         assert_eq!(w.advance_to(t(8)).failed, 1);
     }

@@ -63,7 +63,7 @@ fn memoized_result_is_byte_identical_to_a_fresh_run() {
     let (_, first) = submit_and_wait(&d, r#"{"cmd":"submit","spec":{"grid":"table1","seed":7}}"#);
 
     // The offline reference: the same spec built and run directly through
-    // the shared scheduler.
+    // the shared grid runner.
     let spec = json::parse(r#"{"grid":"table1","seed":7}"#).unwrap();
     let spec = ScenarioSpec::from_json(&spec).unwrap();
     let offline = spec
@@ -269,6 +269,58 @@ fn tcp_ask(addr: std::net::SocketAddr, line: &str) -> Json {
     let mut reply = String::new();
     BufReader::new(stream).read_line(&mut reply).unwrap();
     json::parse(reply.trim()).expect("daemon replies are valid JSON")
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_the_connection_keeps_serving() {
+    use dimmerd::server::MAX_REQUEST_BYTES;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let d = daemon();
+    let executor = d.spawn_executor();
+    let server = {
+        let d = d.clone();
+        std::thread::spawn(move || dimmerd::server::serve(&d, listener))
+    };
+
+    let stream = TcpStream::connect(addr).expect("connect to test daemon");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut read_reply = || {
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .expect("a reply before the read timeout");
+        json::parse(reply.trim()).expect("daemon replies are valid JSON")
+    };
+    // A line of exactly the cap (newline excluded) is still served.
+    let mut at_cap = br#"{"cmd":"stats"}"#.to_vec();
+    at_cap.resize(MAX_REQUEST_BYTES as usize, b' ');
+    at_cap.push(b'\n');
+    writer.write_all(&at_cap).unwrap();
+    writer.flush().unwrap();
+    let served = read_reply();
+    assert_eq!(served.get("ok"), Some(&Json::Bool(true)), "{served:?}");
+    // One byte past the cap and no newline: the reply must not wait for one.
+    writer
+        .write_all(&vec![b'a'; MAX_REQUEST_BYTES as usize + 1])
+        .unwrap();
+    writer.flush().unwrap();
+    let refused = read_reply();
+    assert_eq!(refused.get("ok"), Some(&Json::Bool(false)), "{refused:?}");
+    // The rest of the long line is skipped; the next line is served.
+    writer.write_all(b"aaaa\n{\"cmd\":\"stats\"}\n").unwrap();
+    writer.flush().unwrap();
+    let stats = read_reply();
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats:?}");
+
+    let bye = tcp_ask(addr, r#"{"cmd":"shutdown"}"#);
+    assert_eq!(bye.get("state").and_then(Json::as_str), Some("draining"));
+    executor.join().unwrap();
+    server.join().unwrap().expect("server exits cleanly");
 }
 
 #[test]

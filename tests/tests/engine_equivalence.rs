@@ -78,8 +78,16 @@ fn crystal_engine_matches_the_legacy_epoch_loop() {
                 "seed {seed} round {round}"
             );
         }
-        assert_eq!(engine.app_reliability(), legacy.app_reliability());
-        assert_eq!(engine.total_energy_joules(), legacy.total_energy_joules());
+        // The engine's totals are the sums over the epochs.
+        let offered: usize = legacy_epochs.iter().map(|e| e.offered.len()).sum();
+        let delivered: usize = legacy_epochs.iter().map(|e| e.delivered.len()).sum();
+        let energy: f64 = legacy_epochs.iter().map(|e| e.energy_joules).sum();
+        assert_eq!(
+            engine.app_reliability(),
+            delivered as f64 / offered as f64,
+            "seed {seed}"
+        );
+        assert_eq!(engine.total_energy_joules(), energy, "seed {seed}");
     }
 }
 
@@ -102,7 +110,6 @@ fn direct_engine_construction_matches_the_builder() {
     );
     let mut built = SimulationBuilder::new(&topo)
         .interference(&interference)
-        .static_ntx(3)
         .seed(11)
         .build_protocol("static")
         .unwrap();

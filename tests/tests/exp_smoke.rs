@@ -5,12 +5,13 @@
 //! the binaries' `--protocols` flags do.
 
 use dimmer_bench::experiments::{
-    dynamics_run, fig4b_row, fig4c_dimmer, fig4c_pid, fig5_run, fig6_run, fig6_single, fig7_run,
+    dynamics_run, fig4b_trial, fig4c_dimmer, fig4c_pid, fig5_run, fig6_grid, fig6_single, fig7_run,
     table1_summary, Fig7Scenario, DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS, TESTBED_PROTOCOLS,
 };
 use dimmer_bench::scenarios::DYNAMIC_SCENARIOS;
+use dimmer_bench::{mean_forwarders, summarize, RunOptions};
 use dimmer_core::{AdaptivityPolicy, DimmerConfig};
-use dimmer_sim::Topology;
+use dimmer_sim::{SimRng, Topology};
 use dimmer_traces::TraceCollector;
 
 fn assert_summary_sane(reliability: f64, label: &str) {
@@ -40,10 +41,18 @@ fn exp_fig4b_row_trains_and_evaluates() {
         .with_sweep(vec![0.0, 0.25], 3)
         .collect(12);
     let cfg = DimmerConfig::default();
-    let row = fig4b_row(&cfg, &traces, 1, 300, 5);
-    assert_summary_sane(row.reliability, "fig4b");
-    assert!(row.radio_on_ms.is_finite() && row.radio_on_ms > 0.0);
-    assert!(row.dqn_size_kb > 0.0);
+    let row = fig4b_trial(&cfg, &traces, 300, 5, 1000);
+    let metric = |name: &str| {
+        row.entries()
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("fig4b: missing {name}"))
+    };
+    assert_summary_sane(metric("reliability"), "fig4b");
+    let radio_on_ms = metric("radio_on_ms");
+    assert!(radio_on_ms.is_finite() && radio_on_ms > 0.0);
+    assert!(metric("dqn_size_kb") > 0.0);
 }
 
 #[test]
@@ -86,12 +95,13 @@ fn exp_fig5_static_protocol_never_adapts() {
 
 #[test]
 fn exp_fig6_run_tracks_forwarders() {
-    let summary = fig6_run(30, 3);
-    assert_eq!(summary.with_fs.len(), 30);
-    assert_eq!(summary.without_fs.len(), 30);
-    let fwd = summary.mean_forwarders();
+    let with_fs = fig6_single(30, 3, true);
+    let without_fs = fig6_single(30, 3, false);
+    assert_eq!(with_fs.len(), 30);
+    assert_eq!(without_fs.len(), 30);
+    let fwd = mean_forwarders(&with_fs);
     assert!(fwd.is_finite() && fwd > 0.0 && fwd <= 18.0);
-    for r in &summary.without_fs {
+    for r in &without_fs {
         assert_eq!(
             r.active_forwarders, 18,
             "reference run keeps everyone forwarding"
@@ -101,9 +111,31 @@ fn exp_fig6_run_tracks_forwarders() {
 
 #[test]
 fn fig6_single_variants_match_the_combined_run() {
-    let combined = fig6_run(12, 3);
-    assert_eq!(fig6_single(12, 3, true), combined.with_fs);
-    assert_eq!(fig6_single(12, 3, false), combined.without_fs);
+    // Each cell of the combined Fig. 6 grid is one `fig6_single` run at the
+    // cell's derived trial seed, for both variants.
+    let opts = RunOptions {
+        trials: 1,
+        threads: 2,
+        seed: 3,
+    };
+    let combined = fig6_grid(12, None).run(&opts);
+    for (cell, (label, selection)) in [("with_selection", true), ("without_selection", false)]
+        .into_iter()
+        .enumerate()
+    {
+        let seed = SimRng::derive_seed(opts.seed, &[cell as u64, 0]);
+        let reports = fig6_single(12, seed, selection);
+        let summary = summarize(&reports);
+        let report = combined.cell(label).expect("fig6 cell");
+        let mean = |name: &str| report.metric(name).expect(name).mean;
+        assert_eq!(mean("reliability"), summary.reliability, "{label}");
+        assert_eq!(mean("mean_ntx"), summary.mean_ntx, "{label}");
+        assert_eq!(
+            mean("mean_forwarders"),
+            mean_forwarders(&reports),
+            "{label}"
+        );
+    }
 }
 
 #[test]

@@ -2,10 +2,9 @@
 //! `exp_*` grid at fixed seeds.
 //!
 //! The worker pool, per-trial seeding and report assembly of
-//! `dimmer-bench::harness` were extracted into the reusable
-//! `dimmer-bench::scheduler` library (shared by the `exp_*` binaries and
-//! the `dimmerd` daemon). These goldens were captured from the
-//! pre-extraction harness: every grid builder is run at a small fixed
+//! `ScenarioGrid::run` (shared by the `exp_*` binaries and the `dimmerd`
+//! daemon) are pinned here. These goldens were captured from the harness
+//! before any of that code moved: every grid builder is run at a small fixed
 //! configuration and the FNV-1a digest of its serialized JSON report must
 //! never change. Any drift in seed derivation, job ordering, aggregation
 //! arithmetic or JSON formatting shows up as a digest mismatch.
