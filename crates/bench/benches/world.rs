@@ -90,7 +90,7 @@ fn main() {
     }
 
     // A churn-storm round: the 18-node testbed with a third of the nodes
-    // down — the per-round unit cost of the `exp_dynamics` storm phase.
+    // down — the per-round unit cost of the `dynamics:churn-storm` storm phase.
     {
         let kiel = Topology::kiel_testbed_18(1);
         let lwb = LwbConfig::testbed_default();

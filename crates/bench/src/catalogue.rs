@@ -1,16 +1,17 @@
-//! The one catalogue of served experiment grids.
+//! The one catalogue of experiment grids.
 //!
-//! Every grid family `dimmerd` serves has exactly one entry here, and the
-//! `exp_*` binary that runs the same grid offline reads its defaults from
-//! that entry: the default seed, quick and full trials, quick and full
-//! round (or flood) counts, the protocol axis and the call into the grid
-//! builder. A served report equals the binary's `--json` report because
-//! both go through the same entry.
+//! Every grid family has exactly one entry here, and it is the only place
+//! the family's defaults live: the default seed, quick and full trials,
+//! quick and full round (or flood) counts, the protocol axis, the notes
+//! printed under its table and the call into the grid builder. The
+//! `exp <grid>` binary and `dimmerd` both run a grid through its entry, so
+//! a served report equals `exp`'s `--json` report.
 //!
-//! [`lookup`] turns a served name (`fig5`, `dynamics:churn-storm`,
-//! `train:calm`, …) into a [`Grid`]. [`resolve_protocols`] is the one rule
-//! every protocol selection passes, whether it arrives as `--protocols` or
-//! as the daemon's `spec.protocols`.
+//! [`lookup`] turns a grid name (`fig5`, `fig4b:nodes`,
+//! `dynamics:churn-storm`, `train:calm`, …) into a [`Grid`].
+//! [`Grid::resolve_protocols`] is the one rule every protocol selection
+//! passes, whether it arrives as `--protocols` or as the daemon's
+//! `spec.protocols`.
 //!
 //! # Examples
 //!
@@ -32,9 +33,10 @@ use dimmer_baselines::ProtocolRegistry;
 use dimmer_core::DimmerConfig;
 
 use crate::experiments::{
-    city_scale_grid_from_worlds_threaded, city_worlds, dynamics_grid, fig5_grid,
-    fig5_seed_sweep_grid, fig6_grid, fig7_grid, table1_grid, topology_size_grid, CachedRun,
-    CityWorld, DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS, DYNAMICS_SUPPORTED, TESTBED_PROTOCOLS,
+    city_scale_grid_from_worlds_threaded, city_worlds, dynamics_grid, fig4b_grid, fig4c_grid,
+    fig5_grid, fig5_seed_sweep_grid, fig6_grid, fig7_grid, grid10k_scale_grid, table1_grid,
+    topology_size_grid, CachedRun, CityWorld, DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS,
+    DYNAMICS_SUPPORTED, FIG4C_PROTOCOLS, TESTBED_PROTOCOLS,
 };
 use crate::harness::ScenarioGrid;
 use crate::scenarios::{dimmer_policy, DYNAMIC_SCENARIOS};
@@ -65,17 +67,17 @@ impl Scale {
 }
 
 /// The protocols a grid compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProtocolAxis {
+#[derive(Debug, Clone, Copy)]
+struct ProtocolAxis {
     /// What runs when the caller selects nothing, in presentation order.
-    pub default: &'static [&'static str],
+    default: &'static [&'static str],
     /// Every protocol the grid is defined for.
-    pub supported: &'static [&'static str],
+    supported: &'static [&'static str],
 }
 
 impl ProtocolAxis {
     /// An axis that runs everything it supports by default.
-    pub const fn all(protocols: &'static [&'static str]) -> Self {
+    const fn all(protocols: &'static [&'static str]) -> Self {
         ProtocolAxis {
             default: protocols,
             supported: protocols,
@@ -92,18 +94,22 @@ struct Variants {
     names: &'static [&'static str],
 }
 
-/// One served grid family with the defaults every caller shares.
+/// One grid family with the defaults every caller shares.
+#[derive(Debug)]
 struct GridEntry {
-    /// The served name; a parameterised family reads `dynamics:<preset>`
-    /// or `train:<family>`.
+    /// The grid name; a parameterised family reads `fig4b:<part>`,
+    /// `dynamics:<preset>` or `train:<family>`.
     name: &'static str,
     variants: Option<Variants>,
     seed: u64,
     trials: Scale,
-    /// LWB rounds per trial (floods per world for `city`); zero for grids
-    /// that take no count.
+    /// LWB rounds per trial (trace rounds for `fig4b`, floods per world for
+    /// `city` and `grid10k`); zero for grids that take no count.
     rounds: Scale,
     protocols: Option<ProtocolAxis>,
+    /// What the paper reports, or the shape to expect, printed under the
+    /// grid's table.
+    notes: &'static [&'static str],
     build: fn(Build<'_>) -> ScenarioGrid,
 }
 
@@ -118,14 +124,15 @@ struct Build<'a> {
 
 /// What a caller may hand a grid builder besides scale and protocols.
 pub struct Extras<'a> {
-    /// An already-simulated run of the first cell (see [`CachedRun`]);
-    /// `fig6` and `dynamics:<preset>` reuse it when its seed matches.
+    /// Already-simulated runs keyed by trial seed (see [`CachedRun`]);
+    /// `fig4c`, `fig6` and `dynamics:<preset>` cells reuse the run whose
+    /// seed equals their own.
     pub cache: Option<CachedRun>,
     /// Where `city` takes its worlds from, such as the daemon's warm
     /// cache; `None` builds them.
     pub worlds: Option<&'a mut dyn FnMut() -> Vec<Arc<CityWorld>>>,
-    /// Workers each `city` trial fans its floods across (never changes a
-    /// report).
+    /// Workers each `city` or `grid10k` trial fans its floods across
+    /// (never changes a report).
     pub batch_threads: usize,
     /// Rollout width of `train:<family>` (never changes a report).
     pub envs: usize,
@@ -142,8 +149,8 @@ impl Default for Extras<'_> {
     }
 }
 
-/// Every served grid family, in documentation order.
-static CATALOGUE: [GridEntry; 9] = [
+/// Every grid family, in documentation order.
+static CATALOGUE: [GridEntry; 12] = [
     GridEntry {
         name: "table1",
         variants: None,
@@ -151,7 +158,45 @@ static CATALOGUE: [GridEntry; 9] = [
         trials: Scale(1, 1),
         rounds: Scale(0, 0),
         protocols: None,
+        notes: &["(paper: ~2.1 kB flash and ~400 B RAM for the 31-30-3 network)"],
         build: |_| table1_grid(&DimmerConfig::default()),
+    },
+    GridEntry {
+        name: "fig4b:<part>",
+        variants: Some(Variants {
+            prefix: "fig4b:",
+            kind: "fig4b part",
+            names: &["nodes", "history", "both"],
+        }),
+        seed: 1000,
+        trials: Scale(1, 3),
+        // Rounds of the one shared training trace.
+        rounds: Scale(60, 160),
+        // Every cell trains Dimmer's DQN; the cells sweep its inputs.
+        protocols: None,
+        notes: &[
+            "(paper: K = 1..5 wastes energy, K = 18 overfits, K = 10 minimizes radio-on time;",
+            " no history 98.5% vs 99% with history, more than 2 entries adds little)",
+        ],
+        build: |b| fig4b_grid(b.rounds, Scale(4_000, 20_000).at(b.quick), 40, b.variant),
+    },
+    GridEntry {
+        name: "fig4c",
+        variants: None,
+        seed: 7,
+        trials: Scale(1, 1),
+        // 14 and 27 minutes of 4-second rounds.
+        rounds: Scale(210, 405),
+        protocols: Some(ProtocolAxis::all(&FIG4C_PROTOCOLS)),
+        notes: &["(paper: 99.3% reliability for both; radio-on Dimmer 12.3 ms, PID 14.4 ms)"],
+        build: |b| {
+            fig4c_grid(
+                dimmer_policy(b.quick),
+                b.rounds,
+                b.protocols,
+                b.extras.cache,
+            )
+        },
     },
     GridEntry {
         name: "fig5",
@@ -160,6 +205,11 @@ static CATALOGUE: [GridEntry; 9] = [
         trials: Scale(1, 3),
         rounds: Scale(60, 200),
         protocols: Some(ProtocolAxis::all(&TESTBED_PROTOCOLS)),
+        notes: &[
+            "expected shape (paper): all protocols degrade with interference; Dimmer & PID stay",
+            "above LWB in reliability; the PID's radio-on time saturates towards 20 ms faster than",
+            "Dimmer's at low/moderate interference; LWB never uses the full slot on average.",
+        ],
         build: |b| fig5_grid(dimmer_policy(b.quick), b.rounds, &FIG5_LEVELS, b.protocols),
     },
     GridEntry {
@@ -169,6 +219,7 @@ static CATALOGUE: [GridEntry; 9] = [
         trials: Scale(16, 16),
         rounds: Scale(40, 120),
         protocols: Some(ProtocolAxis::all(&TESTBED_PROTOCOLS)),
+        notes: &[],
         build: |b| fig5_seed_sweep_grid(dimmer_policy(b.quick), b.rounds, b.protocols),
     },
     GridEntry {
@@ -181,6 +232,10 @@ static CATALOGUE: [GridEntry; 9] = [
         // Rule-based Dimmer only: the figure compares forwarder selection
         // on and off, not protocols.
         protocols: None,
+        notes: &[
+            "(paper: 99.9% reliability; 9.55 ms with vs 11.04 ms without forwarder selection,",
+            " active forwarders dropping towards ~14 of 18)",
+        ],
         build: |b| fig6_grid(b.rounds, b.extras.cache),
     },
     GridEntry {
@@ -191,6 +246,10 @@ static CATALOGUE: [GridEntry; 9] = [
         // Paper: ten 10-minute experiments with 1-second rounds per cell.
         rounds: Scale(200, 600),
         protocols: Some(ProtocolAxis::all(&DCUBE_PROTOCOLS)),
+        notes: &[
+            "expected shape (paper): LWB collapses under WiFi level 2 (~27%), Dimmer stays above",
+            "95%, Crystal around 99-100%; Dimmer's energy approaches Crystal's under interference.",
+        ],
         build: |b| fig7_grid(dimmer_policy(b.quick), b.rounds, b.protocols),
     },
     GridEntry {
@@ -203,6 +262,7 @@ static CATALOGUE: [GridEntry; 9] = [
             default: &["static", "dimmer-rule"],
             supported: &["static", "dimmer-rule", "pid"],
         }),
+        notes: &[],
         build: |b| topology_size_grid(b.rounds, &TOPOLOGY_SIDES, b.protocols),
     },
     GridEntry {
@@ -221,6 +281,7 @@ static CATALOGUE: [GridEntry; 9] = [
             default: &DYNAMICS_PROTOCOLS,
             supported: &DYNAMICS_SUPPORTED,
         }),
+        notes: &[],
         build: |b| {
             dynamics_grid(
                 dimmer_policy(b.quick),
@@ -243,6 +304,7 @@ static CATALOGUE: [GridEntry; 9] = [
         rounds: Scale(0, 0),
         // What a training grid produces is a policy, not a comparison.
         protocols: None,
+        notes: &[],
         build: |b| train_grid(b.variant, b.quick, b.extras.envs),
     },
     GridEntry {
@@ -253,6 +315,7 @@ static CATALOGUE: [GridEntry; 9] = [
         rounds: Scale(8, 24),
         // The cells compare worlds, not protocols.
         protocols: None,
+        notes: &[],
         build: |b| {
             let worlds = match b.extras.worlds {
                 Some(source) => source(),
@@ -261,17 +324,29 @@ static CATALOGUE: [GridEntry; 9] = [
             city_scale_grid_from_worlds_threaded(b.rounds, worlds, b.extras.batch_threads)
         },
     },
+    GridEntry {
+        name: "grid10k",
+        variants: None,
+        seed: 500,
+        trials: Scale(2, 2),
+        rounds: Scale(6, 32),
+        protocols: None,
+        notes: &[],
+        build: |b| grid10k_scale_grid(b.rounds, b.extras.batch_threads),
+    },
 ];
 
-/// A served grid name resolved against the catalogue.
+/// A grid name resolved against the catalogue.
+#[derive(Debug)]
 pub struct Grid {
     entry: &'static GridEntry,
     name: String,
     variant: &'static str,
 }
 
-/// Resolves a served grid name: a plain family such as `fig5`, or a
-/// parameterised one such as `dynamics:churn-storm` or `train:calm`.
+/// Resolves a grid name: a plain family such as `fig5`, or a
+/// parameterised one such as `fig4b:nodes`, `dynamics:churn-storm` or
+/// `train:calm`.
 pub fn lookup(name: &str) -> Result<Grid, String> {
     for entry in &CATALOGUE {
         let variant = match entry.variants {
@@ -308,9 +383,15 @@ pub fn lookup(name: &str) -> Result<Grid, String> {
 }
 
 impl Grid {
-    /// The served name, e.g. `dynamics:churn-storm`.
+    /// The grid name, e.g. `dynamics:churn-storm`.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The parameter of a parameterised family (`churn-storm` of
+    /// `dynamics:churn-storm`); empty for a plain family.
+    pub fn variant(&self) -> &'static str {
+        self.variant
     }
 
     /// The default base seed.
@@ -323,27 +404,67 @@ impl Grid {
         self.entry.trials.at(quick)
     }
 
-    /// LWB rounds per trial (floods per world for `city`) at `quick` or
-    /// full scale; zero for grids that take no count.
+    /// LWB rounds per trial (trace rounds for `fig4b`, floods per world
+    /// for `city` and `grid10k`) at `quick` or full scale; zero for grids
+    /// that take no count.
     pub fn rounds(&self, quick: bool) -> usize {
         self.entry.rounds.at(quick)
     }
 
-    /// The protocol axis, or `None` for grids that compare no protocols.
-    pub fn protocols(&self) -> Option<ProtocolAxis> {
-        self.entry.protocols
+    /// What the paper reports, or the shape to expect, printed under the
+    /// grid's table.
+    pub fn notes(&self) -> &'static [&'static str] {
+        self.entry.notes
     }
 
-    /// [`resolve_protocols`] for this grid.
+    /// Resolves a protocol selection for this grid: `None` picks the axis
+    /// default. A selection must be non-empty and name only registry
+    /// protocols the grid supports, each once. A grid without a protocol
+    /// axis accepts no selection and resolves to `None`.
     pub fn resolve_protocols(
         &self,
         requested: Option<&[String]>,
     ) -> Result<Option<Vec<String>>, String> {
-        resolve_protocols(&self.name, self.entry.protocols, requested)
+        let grid = &self.name;
+        let (axis, requested) = match (self.entry.protocols, requested) {
+            (None, None) => return Ok(None),
+            (None, Some(_)) => {
+                return Err(format!(
+                    "grid '{grid}' has no protocol axis; select no protocols"
+                ))
+            }
+            (Some(axis), None) => {
+                return Ok(Some(axis.default.iter().map(|p| p.to_string()).collect()))
+            }
+            (Some(axis), Some(requested)) => (axis, requested),
+        };
+        if requested.is_empty() {
+            return Err(format!("grid '{grid}' needs at least one protocol"));
+        }
+        let registry = ProtocolRegistry::standard();
+        for (i, name) in requested.iter().enumerate() {
+            if !registry.contains(name) {
+                return Err(format!(
+                    "unknown protocol '{name}' (registry: {})",
+                    registry.names().join(", ")
+                ));
+            }
+            if !axis.supported.contains(&name.as_str()) {
+                return Err(format!(
+                    "protocol '{name}' is not supported by grid '{grid}' (supported: {})",
+                    axis.supported.join(", ")
+                ));
+            }
+            if requested[..i].contains(name) {
+                return Err(format!("protocol '{name}' is selected more than once"));
+            }
+        }
+        Ok(Some(requested.to_vec()))
     }
 
     /// Builds the grid at `quick` or full scale over the resolved
-    /// `protocols` (empty on a grid without a protocol axis).
+    /// `protocols` (empty on a grid without a protocol axis). Building
+    /// simulates nothing; only `city` calls `extras.worlds`.
     pub fn build<'a>(
         &self,
         quick: bool,
@@ -358,51 +479,6 @@ impl Grid {
             extras,
         })
     }
-}
-
-/// Resolves a protocol selection for grid `grid` with protocol axis
-/// `axis`: `None` picks the axis default. A selection must be non-empty
-/// and name only registry protocols the grid supports, each once. A grid
-/// without a protocol axis accepts no selection and resolves to `None`.
-pub fn resolve_protocols(
-    grid: &str,
-    axis: Option<ProtocolAxis>,
-    requested: Option<&[String]>,
-) -> Result<Option<Vec<String>>, String> {
-    let (axis, requested) = match (axis, requested) {
-        (None, None) => return Ok(None),
-        (None, Some(_)) => {
-            return Err(format!(
-                "grid '{grid}' has no protocol axis; select no protocols"
-            ))
-        }
-        (Some(axis), None) => {
-            return Ok(Some(axis.default.iter().map(|p| p.to_string()).collect()))
-        }
-        (Some(axis), Some(requested)) => (axis, requested),
-    };
-    if requested.is_empty() {
-        return Err(format!("grid '{grid}' needs at least one protocol"));
-    }
-    let registry = ProtocolRegistry::standard();
-    for (i, name) in requested.iter().enumerate() {
-        if !registry.contains(name) {
-            return Err(format!(
-                "unknown protocol '{name}' (registry: {})",
-                registry.names().join(", ")
-            ));
-        }
-        if !axis.supported.contains(&name.as_str()) {
-            return Err(format!(
-                "protocol '{name}' is not supported by grid '{grid}' (supported: {})",
-                axis.supported.join(", ")
-            ));
-        }
-        if requested[..i].contains(name) {
-            return Err(format!("protocol '{name}' is selected more than once"));
-        }
-    }
-    Ok(Some(requested.to_vec()))
 }
 
 #[cfg(test)]
@@ -426,15 +502,84 @@ mod tests {
         assert_eq!(city.trials(false), 4);
         let dynamics = lookup("dynamics:churn-storm").unwrap();
         assert_eq!(dynamics.seed(), 11);
-        // `train:*` mirrors `exp_train`: seed 42, one trial.
         let train = lookup("train:calm").unwrap();
         assert_eq!(train.seed(), 42);
         assert_eq!(train.trials(false), 1);
+        let defaults = |g: &Grid| {
+            (
+                g.seed(),
+                g.trials(true),
+                g.trials(false),
+                g.rounds(true),
+                g.rounds(false),
+            )
+        };
+        for part in ["nodes", "history", "both"] {
+            let fig4b = lookup(&format!("fig4b:{part}")).unwrap();
+            assert_eq!(defaults(&fig4b), (1000, 1, 3, 60, 160), "{part}");
+            assert_eq!(fig4b.variant(), part);
+        }
+        let fig4c = lookup("fig4c").unwrap();
+        // 14 and 27 minutes of 4-second rounds.
+        assert_eq!(defaults(&fig4c), (7, 1, 1, 210, 405));
+        assert_eq!(
+            fig4c.resolve_protocols(None),
+            Ok(Some(names(&["dimmer-dqn", "pid"])))
+        );
+        let grid10k = lookup("grid10k").unwrap();
+        assert_eq!(defaults(&grid10k), (500, 2, 2, 6, 32));
+    }
+
+    #[test]
+    fn every_grid_name_resolves_and_builds() {
+        let mut all = names(&[
+            "table1",
+            "fig4c",
+            "fig5",
+            "fig5-seeds",
+            "fig6",
+            "fig7",
+            "topology-size",
+            "city",
+            "grid10k",
+        ]);
+        let families = [
+            ("fig4b:", &["nodes", "history", "both"][..]),
+            ("dynamics:", &DYNAMIC_SCENARIOS[..]),
+            ("train:", &TRAIN_FAMILIES[..]),
+        ];
+        for (prefix, variants) in families {
+            all.extend(variants.iter().map(|v| format!("{prefix}{v}")));
+        }
+        assert_eq!(all.len(), 20);
+        let mut no_worlds = Vec::new;
+        for name in &all {
+            let grid = lookup(name).unwrap();
+            let protocols = grid.resolve_protocols(None).unwrap().unwrap_or_default();
+            let extras = Extras {
+                worlds: Some(&mut no_worlds),
+                ..Extras::default()
+            };
+            let built = grid.build(true, &protocols, extras);
+            // `city` takes its worlds from `extras.worlds`, here none.
+            assert_eq!(built.is_empty(), name == "city", "{name}");
+        }
+    }
+
+    #[test]
+    fn parameterised_families_need_a_known_variant() {
+        assert!(lookup("fig4b").unwrap_err().contains("unknown grid"));
+        assert!(lookup("fig4b:")
+            .unwrap_err()
+            .contains("unknown fig4b part ''"));
+        assert!(lookup("fig4b:edges")
+            .unwrap_err()
+            .contains("nodes, history, both"));
     }
 
     #[test]
     fn selections_on_grids_without_a_protocol_axis_are_refused() {
-        for grid in ["table1", "fig6", "city"] {
+        for grid in ["table1", "fig4b:both", "fig6", "city", "grid10k"] {
             let grid = lookup(grid).unwrap();
             assert_eq!(grid.resolve_protocols(None), Ok(None), "{}", grid.name());
             let err = grid

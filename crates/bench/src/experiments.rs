@@ -1,4 +1,4 @@
-//! Reusable, testable cores of the `exp_*` binaries and their scenario-grid
+//! Reusable, testable cores of the experiment grids and their scenario-grid
 //! builders.
 //!
 //! The experiment stack has three layers. At the bottom sit the
@@ -15,14 +15,14 @@
 //! those, the **grid builders** (`fig5_grid`, `topology_size_grid`, ...)
 //! describe each experiment as a [`ScenarioGrid`] — one cell per
 //! (protocol × parameter) combination, each cell running one single-trial
-//! builder from a derived seed. The binaries are then thin shells that
-//! parse `--protocols/--trials/--threads/--seed/--json` via
-//! [`HarnessCli`](crate::harness::HarnessCli), take their grid's defaults
-//! from [`crate::catalogue`], hand the grid to the parallel engine in
-//! [`crate::harness`], and print/serialize the aggregated
+//! builder from a derived seed. The one `exp <grid>` binary is then a thin
+//! shell that parses `--protocols/--trials/--threads/--seed/--json` via
+//! [`HarnessCli`](crate::harness::HarnessCli), takes the grid's defaults
+//! from [`crate::catalogue`], hands the grid to the parallel engine in
+//! [`crate::harness`], and prints/serializes the aggregated
 //! [`GridReport`](crate::report::GridReport).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::harness::{ScenarioGrid, TrialMetrics};
 use crate::scenarios::{
@@ -43,7 +43,7 @@ use dimmer_sim::{
     CompositeInterference, InterferenceModel, NoInterference, NodeId, PeriodicJammer, SimRng,
     Topology, WifiInterference, WifiLevel,
 };
-use dimmer_traces::{train_policy, TraceDataset};
+use dimmer_traces::{train_policy, TraceCollector, TraceDataset};
 
 /// The registry protocols of the 18-node testbed comparison (Figs. 4c/5),
 /// in presentation order.
@@ -54,18 +54,22 @@ pub const TESTBED_PROTOCOLS: [&str; 3] = ["static", "dimmer-dqn", "pid"];
 pub const DCUBE_PROTOCOLS: [&str; 3] = ["static", "dimmer-dqn", "crystal"];
 
 /// The registry protocols the dynamic-world scenarios compare
-/// (`exp_dynamics`): the testbed LWB protocols — Crystal is
+/// (`dynamics:<preset>`): the testbed LWB protocols — Crystal is
 /// collection-only — in presentation order.
 pub const DYNAMICS_PROTOCOLS: [&str; 4] = ["static", "dimmer-dqn", "dimmer-rule", "pid"];
 
-/// Every protocol `exp_dynamics --protocols` accepts: the pinned default
+/// Every protocol a `dynamics:<preset>` grid accepts: the pinned default
 /// comparison ([`DYNAMICS_PROTOCOLS`], whose grid digest is golden-tested)
 /// plus the opt-in `dimmer-zoo` meta-controller. Kept separate so adding
 /// opt-in protocols never changes the default run's bytes.
 pub const DYNAMICS_SUPPORTED: [&str; 5] =
     ["static", "dimmer-dqn", "dimmer-rule", "pid", "dimmer-zoo"];
 
-/// Table I + §IV-B footprint numbers (`exp_table1`).
+/// The protocols with a defined Fig. 4c dynamic timeline: the two adaptive
+/// testbed systems, in presentation order.
+pub const FIG4C_PROTOCOLS: [&str; 2] = ["dimmer-dqn", "pid"];
+
+/// Table I + §IV-B footprint numbers (the `table1` grid).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Summary {
     /// Total DQN input dimension (31 for the paper's configuration).
@@ -82,7 +86,7 @@ pub struct Table1Summary {
     pub pretrained_shipped: bool,
 }
 
-/// Builds the Table I summary for `cfg` (`exp_table1`).
+/// Builds the Table I summary for `cfg` (the `table1` grid).
 pub fn table1_summary(cfg: &DimmerConfig) -> Table1Summary {
     let builder = StateBuilder::new(cfg.clone());
     let example_state = builder.build(&GlobalView::new(18), cfg.initial_ntx);
@@ -121,31 +125,28 @@ fn fig4b_phase(
     summarize(&engine.run_rounds(rounds))
 }
 
-/// Runs Dimmer with `policy` through the Fig. 4c dynamic-interference
-/// timeline for `rounds` rounds.
-pub fn fig4c_dimmer(policy: AdaptivityPolicy, rounds: usize, seed: u64) -> Vec<DimmerRoundReport> {
+/// Runs one registry protocol through the Fig. 4c dynamic-interference
+/// timeline on the 18-node testbed for `rounds` rounds (one `fig4c`
+/// trial), returning the per-round reports.
+///
+/// # Panics
+///
+/// Panics on unknown protocol names.
+pub fn fig4c_run(
+    protocol: &str,
+    policy: &AdaptivityPolicy,
+    rounds: usize,
+    seed: u64,
+) -> Vec<DimmerRoundReport> {
     let topo = Topology::kiel_testbed_18(1);
     let interference = dynamic_interference_scenario(rounds as u64 * 4);
     let mut sim = SimulationBuilder::new(&topo)
         .interference(&interference)
-        .policy(policy)
+        .policy(policy.clone())
         .seed(seed)
-        .build_protocol("dimmer-dqn")
-        // lint: allow(P001) -- "dimmer-dqn" ships in the standard registry
-        .expect("dimmer-dqn is registered");
-    sim.run_rounds(rounds)
-}
-
-/// Runs the PID baseline through the Fig. 4c dynamic-interference timeline.
-pub fn fig4c_pid(rounds: usize, seed: u64) -> Vec<DimmerRoundReport> {
-    let topo = Topology::kiel_testbed_18(1);
-    let interference = dynamic_interference_scenario(rounds as u64 * 4);
-    let mut sim = SimulationBuilder::new(&topo)
-        .interference(&interference)
-        .seed(seed)
-        .build_protocol("pid")
-        // lint: allow(P001) -- "pid" ships in the standard registry
-        .expect("pid is registered");
+        .build_protocol(protocol)
+        // lint: allow(P002) -- documented # Panics contract; callers pass vetted registry names
+        .unwrap_or_else(|e| panic!("{e}"));
     sim.run_rounds(rounds)
 }
 
@@ -302,7 +303,7 @@ fn testbed_period_ms() -> f64 {
 }
 
 /// The Table I / §IV-B footprint numbers as a single-cell grid
-/// (`exp_table1`). The metrics are deterministic, so every trial reproduces
+/// (`table1`). The metrics are deterministic, so every trial reproduces
 /// the same values (stddev 0).
 pub fn table1_grid(cfg: &DimmerConfig) -> ScenarioGrid {
     let cfg = cfg.clone();
@@ -349,138 +350,132 @@ pub fn fig4b_trial(
         .with("dqn_size_kb", size_kb)
 }
 
-/// The Fig. 4b feature-selection grid (`exp_fig4b`): input-node counts
+/// The Fig. 4b feature-selection grid: input-node counts
 /// K ∈ {1, 5, 10, 15, 18} (part `"nodes"`) and history sizes M ∈ {0..5}
 /// (part `"history"`); `"both"` selects all eleven cells. All cells train
-/// on the shared `traces`.
+/// on one shared `trace_rounds`-round trace of the 18-node testbed, which
+/// the first trial to run collects (building the grid simulates nothing).
 pub fn fig4b_grid(
-    traces: Arc<TraceDataset>,
+    trace_rounds: usize,
     iterations: usize,
     eval_rounds: usize,
     part: &str,
 ) -> ScenarioGrid {
-    let mut grid = ScenarioGrid::new("fig4b");
+    // (label, part, swept knob, knob value, configuration) per cell.
+    let mut cells = Vec::new();
     if part == "nodes" || part == "both" {
         for k in [1usize, 5, 10, 15, 18] {
-            let traces = Arc::clone(&traces);
-            grid.push_cell(
-                format!("K={k}"),
-                vec![
-                    ("part".into(), "nodes".into()),
-                    ("k_input_nodes".into(), k.to_string()),
-                ],
-                move |seed| {
-                    let cfg = DimmerConfig::default().with_k_input_nodes(k);
-                    fig4b_trial(&cfg, &traces, iterations, eval_rounds, seed)
-                },
-            );
+            let cfg = DimmerConfig::default().with_k_input_nodes(k);
+            cells.push((format!("K={k}"), "nodes", "k_input_nodes", k, cfg));
         }
     }
     if part == "history" || part == "both" {
         for m in 0usize..=5 {
-            let traces = Arc::clone(&traces);
-            grid.push_cell(
-                format!("M={m}"),
-                vec![
-                    ("part".into(), "history".into()),
-                    ("history_size".into(), m.to_string()),
-                ],
-                move |seed| {
-                    let cfg = DimmerConfig::default().with_history_size(m);
-                    fig4b_trial(&cfg, &traces, iterations, eval_rounds, seed)
-                },
-            );
+            let cfg = DimmerConfig::default().with_history_size(m);
+            cells.push((format!("M={m}"), "history", "history_size", m, cfg));
         }
+    }
+    let traces: Arc<OnceLock<TraceDataset>> = Arc::default();
+    let mut grid = ScenarioGrid::new("fig4b");
+    for (label, cell_part, knob, value, cfg) in cells {
+        let traces = Arc::clone(&traces);
+        grid.push_cell(
+            label,
+            vec![
+                ("part".into(), cell_part.into()),
+                (knob.into(), value.to_string()),
+            ],
+            move |seed| {
+                let traces = traces.get_or_init(|| {
+                    TraceCollector::new(&Topology::kiel_testbed_18(1), 21).collect(trace_rounds)
+                });
+                fig4b_trial(&cfg, traces, iterations, eval_rounds, seed)
+            },
+        );
     }
     grid
 }
 
-/// A pre-computed single run that a grid cell may reuse instead of
-/// re-simulating, keyed by the derived trial seed it was produced with.
+/// Already-simulated runs that grid cells may reuse instead of
+/// re-simulating, each keyed by the derived trial seed it was produced
+/// with.
 ///
-/// The `exp_fig4c`/`exp_fig6` binaries print a per-round timeline for the
-/// default single-trial case; handing the same reports to the grid builder
-/// avoids simulating that (seed, configuration) pair a second time. A cell
-/// only uses the cache when the trial seed matches, so a stale cache can
-/// never change results.
-#[derive(Clone)]
+/// `exp fig4c`, `exp fig6` and `exp dynamics:<preset>` print per-round
+/// timelines in the default single-trial case; handing the same reports to
+/// the grid builder avoids simulating those (seed, configuration) pairs a
+/// second time. A cell only uses the run whose seed equals its own trial
+/// seed, so a stale cache can never change results.
+#[derive(Clone, Default)]
 pub struct CachedRun {
-    seed: u64,
-    reports: Arc<Vec<DimmerRoundReport>>,
+    runs: Vec<(u64, Arc<Vec<DimmerRoundReport>>)>,
 }
 
 impl CachedRun {
     /// Wraps the reports of a run executed with derived trial seed `seed`.
     pub fn new(seed: u64, reports: Vec<DimmerRoundReport>) -> Self {
-        CachedRun {
-            seed,
-            reports: Arc::new(reports),
-        }
+        CachedRun::default().with(seed, reports)
     }
 
-    /// Returns the cached reports if they were produced with `seed`.
-    fn lookup(cache: &Option<CachedRun>, seed: u64) -> Option<Arc<Vec<DimmerRoundReport>>> {
+    /// Adds the reports of another run, executed with trial seed `seed`.
+    pub fn with(mut self, seed: u64, reports: Vec<DimmerRoundReport>) -> Self {
+        self.runs.push((seed, Arc::new(reports)));
+        self
+    }
+
+    /// The cached reports produced with `seed`, or `run()`'s.
+    fn reports_or(
+        cache: &Option<CachedRun>,
+        seed: u64,
+        run: impl FnOnce() -> Vec<DimmerRoundReport>,
+    ) -> Arc<Vec<DimmerRoundReport>> {
         cache
-            .as_ref()
-            .filter(|c| c.seed == seed)
-            .map(|c| Arc::clone(&c.reports))
+            .iter()
+            .flat_map(|c| &c.runs)
+            .find(|(s, _)| *s == seed)
+            .map(|(_, reports)| Arc::clone(reports))
+            .unwrap_or_else(|| Arc::new(run()))
     }
 }
 
-/// The Fig. 4c/4d dynamic-interference grid (`exp_fig4c`): the selected
-/// `protocols` (from `"dimmer-dqn"` and `"pid"`) through the scripted
-/// 27-minute jamming timeline. `dimmer_cache`/`pid_cache` may hold
-/// already-simulated runs (see [`CachedRun`]).
+/// The Fig. 4c/4d dynamic-interference grid: the selected `protocols`
+/// (from [`FIG4C_PROTOCOLS`]) through the scripted 27-minute jamming
+/// timeline. `cache` may hold already-simulated runs (see [`CachedRun`]).
 ///
 /// # Panics
 ///
-/// Panics on protocols other than `"dimmer-dqn"` and `"pid"` (the dynamic
-/// timeline is only defined for the two adaptive testbed systems).
+/// Panics on protocols outside [`FIG4C_PROTOCOLS`] (the dynamic timeline is
+/// only defined for the two adaptive testbed systems).
 pub fn fig4c_grid(
     policy: AdaptivityPolicy,
     rounds: usize,
     protocols: &[String],
-    dimmer_cache: Option<CachedRun>,
-    pid_cache: Option<CachedRun>,
+    cache: Option<CachedRun>,
 ) -> ScenarioGrid {
     let mut grid = ScenarioGrid::new("fig4c");
     let period = testbed_period_ms();
     for protocol in protocols {
-        match protocol.as_str() {
-            "dimmer-dqn" => {
-                let policy = policy.clone();
-                let cache = dimmer_cache.clone();
-                grid.push_cell(
-                    "dimmer-dqn",
-                    vec![("protocol".into(), "dimmer-dqn".into())],
-                    move |seed| {
-                        let reports = CachedRun::lookup(&cache, seed).unwrap_or_else(|| {
-                            Arc::new(fig4c_dimmer(policy.clone(), rounds, seed))
-                        });
-                        summary_metrics(&summarize(&reports), period)
-                    },
-                );
-            }
-            "pid" => {
-                let cache = pid_cache.clone();
-                grid.push_cell(
-                    "pid",
-                    vec![("protocol".into(), "pid".into())],
-                    move |seed| {
-                        let reports = CachedRun::lookup(&cache, seed)
-                            .unwrap_or_else(|| Arc::new(fig4c_pid(rounds, seed)));
-                        summary_metrics(&summarize(&reports), period)
-                    },
-                );
-            }
-            // lint: allow(P002) -- select_protocols restricts --protocols to this experiment's supported set
-            other => panic!("fig4c supports dimmer-dqn and pid, got '{other}'"),
+        if !FIG4C_PROTOCOLS.contains(&protocol.as_str()) {
+            // lint: allow(P002) -- the catalogue restricts fig4c's protocols to this set
+            panic!("fig4c supports dimmer-dqn and pid, got '{protocol}'");
         }
+        let policy = policy.clone();
+        let protocol = protocol.clone();
+        let cache = cache.clone();
+        grid.push_cell(
+            protocol.clone(),
+            vec![("protocol".into(), protocol.clone())],
+            move |seed| {
+                let reports = CachedRun::reports_or(&cache, seed, || {
+                    fig4c_run(&protocol, &policy, rounds, seed)
+                });
+                summary_metrics(&summarize(&reports), period)
+            },
+        );
     }
     grid
 }
 
-/// The Fig. 5 static-interference grid (`exp_fig5`): every selected
+/// The Fig. 5 static-interference grid (`fig5`): every selected
 /// registry protocol at every jamming duty cycle in `levels`.
 pub fn fig5_grid(
     policy: AdaptivityPolicy,
@@ -510,7 +505,7 @@ pub fn fig5_grid(
 }
 
 /// Preset: a dense seed sweep of the Fig. 5 jamming comparison at 10 % and
-/// 25 % duty cycle (`exp_sweep --preset fig5-seeds`). The cells are the
+/// 25 % duty cycle (`fig5-seeds`). The cells are the
 /// regular Fig. 5 cells; the point of the preset is running them with large
 /// `--trials` to estimate the *distribution* of each protocol's reliability,
 /// which a single-trial run cannot.
@@ -524,7 +519,7 @@ pub fn fig5_seed_sweep_grid(
 
 /// Preset: the selected protocols on square grid topologies of growing size
 /// with one 15 %-duty-cycle jammer at the grid centre
-/// (`exp_sweep --preset topology-size`) — a scalability sweep no paper
+/// (`topology-size`) — a scalability sweep no paper
 /// figure covers. Defaults to static LWB vs rule-based Dimmer.
 pub fn topology_size_grid(rounds: usize, sides: &[usize], protocols: &[String]) -> ScenarioGrid {
     let mut grid = ScenarioGrid::new("topology_size");
@@ -559,7 +554,7 @@ pub fn topology_size_grid(rounds: usize, sides: &[usize], protocols: &[String]) 
 }
 
 /// Preset: batched floods over the city-scale sparse worlds
-/// (`exp_sweep --preset city`) — the first sweep that runs on CSR-only
+/// (`city`) — the first sweep that runs on CSR-only
 /// compiled topologies from [`dimmer_sim::topogen`], far beyond anything a
 /// dense [`Topology`] can represent. Each trial builds the preset world
 /// (fixed world seed — the world *is* the cell), drives `floods`
@@ -575,15 +570,24 @@ pub fn city_scale_grid(floods: usize) -> ScenarioGrid {
 }
 
 /// Preset: one 10 000-node sparse grid cell with intra-cell parallel
-/// batching (`exp_sweep --preset grid10k`) — the scale rung the
-/// threads-scaling bench curve (`BENCH_flood.json` `"parallel"`) measures,
-/// exposed as a sweep so CI can `cmp` `--threads 1` vs `--threads 4`
-/// reports byte-for-byte.
+/// batching (`grid10k`) — the scale rung the threads-scaling bench curve
+/// (`BENCH_flood.json` `"parallel"`) measures, exposed as a sweep so CI can
+/// `cmp` `--threads 1` vs `--threads 4` reports byte-for-byte. The first
+/// trial to run builds the world; building the grid simulates nothing.
 pub fn grid10k_scale_grid(floods: usize, batch_threads: usize) -> ScenarioGrid {
-    let world = CityWorld::build("grid_100x100", || {
-        dimmer_sim::topogen::sparse_grid(100, 100, 8.0, 1)
+    const SIDE: usize = 100;
+    const LABEL: &str = "grid_100x100";
+    let world = OnceLock::new();
+    let mut grid = ScenarioGrid::new("city_scale");
+    grid.push_cell(LABEL, city_params(LABEL, SIDE * SIDE), move |seed| {
+        let world = world.get_or_init(|| {
+            CityWorld::build(LABEL, || {
+                dimmer_sim::topogen::sparse_grid(SIDE, SIDE, 8.0, 1)
+            })
+        });
+        city_trial(world, floods, batch_threads, seed)
     });
-    city_scale_grid_from_worlds_threaded(floods, vec![Arc::new(world)], batch_threads)
+    grid
 }
 
 /// A prebuilt city-scale world: the compiled CSR topology, its
@@ -677,77 +681,78 @@ pub fn city_scale_grid_from_worlds_threaded(
     worlds: Vec<Arc<CityWorld>>,
     batch_threads: usize,
 ) -> ScenarioGrid {
-    use dimmer_glossy::{FloodJob, GlossyConfig};
-    use dimmer_sim::{SimDuration, SimTime};
-
     let mut grid = ScenarioGrid::new("city_scale");
     for world in worlds {
-        let label = world.label;
-        let nodes = world.compiled.num_nodes();
-        grid.push_cell(
-            label,
-            vec![
-                ("world".into(), label.into()),
-                ("nodes".into(), nodes.to_string()),
-            ],
-            move |seed| {
-                let n = world.compiled.num_nodes();
-                let mut batch = world.batch();
-                // City-scale worlds span dozens of hops: give the flood a
-                // 200 ms slot budget instead of the testbed's 20 ms.
-                let cfg = GlossyConfig {
-                    max_slot_duration: SimDuration::from_millis(200),
-                    ..GlossyConfig::with_uniform_ntx(3)
-                };
-                let jobs: Vec<FloodJob> = (0..floods)
-                    .map(|k| FloodJob {
-                        // Rotate initiators across the world, co-prime step.
-                        initiator: NodeId(((k * 8191) % n) as u16),
-                        start: SimTime::from_millis(k as u64 * 250),
-                        seed: SimRng::derive_seed(seed, &[k as u64]),
-                    })
-                    .collect();
-                let outcomes = batch.run_parallel(&cfg, &jobs, batch_threads);
-                let reliability =
-                    outcomes.iter().map(|o| o.reliability()).sum::<f64>() / outcomes.len() as f64;
-                let radio_on_ms = outcomes
-                    .iter()
-                    .map(|o| o.mean_radio_on().as_millis_f64())
-                    .sum::<f64>()
-                    / outcomes.len() as f64;
-                let duration_ms = outcomes
-                    .iter()
-                    .map(|o| o.duration().as_millis_f64())
-                    .sum::<f64>()
-                    / outcomes.len() as f64;
-                TrialMetrics::new()
-                    .with("reliability", reliability)
-                    .with("radio_on_ms", radio_on_ms)
-                    .with("flood_ms", duration_ms)
-            },
-        );
+        let params = city_params(world.label, world.compiled.num_nodes());
+        grid.push_cell(world.label, params, move |seed| {
+            city_trial(&world, floods, batch_threads, seed)
+        });
     }
     grid
 }
 
-/// The Fig. 6 forwarder-selection grid (`exp_fig6`): Exp3 forwarder
-/// selection against the all-forwarders reference. `selection_cache` may
-/// hold an already-simulated with-selection run (see [`CachedRun`]).
-pub fn fig6_grid(rounds: usize, selection_cache: Option<CachedRun>) -> ScenarioGrid {
+/// The cell parameters of one city-scale world.
+fn city_params(label: &str, nodes: usize) -> Vec<(String, String)> {
+    vec![
+        ("world".into(), label.into()),
+        ("nodes".into(), nodes.to_string()),
+    ]
+}
+
+/// One city-scale trial: `floods` independent floods through a fresh
+/// batch over `world`, fanned across `batch_threads` workers.
+fn city_trial(world: &CityWorld, floods: usize, batch_threads: usize, seed: u64) -> TrialMetrics {
+    use dimmer_glossy::{FloodJob, GlossyConfig};
+    use dimmer_sim::{SimDuration, SimTime};
+
+    let n = world.compiled.num_nodes();
+    let mut batch = world.batch();
+    // City-scale worlds span dozens of hops: give the flood a 200 ms slot
+    // budget instead of the testbed's 20 ms.
+    let cfg = GlossyConfig {
+        max_slot_duration: SimDuration::from_millis(200),
+        ..GlossyConfig::with_uniform_ntx(3)
+    };
+    let jobs: Vec<FloodJob> = (0..floods)
+        .map(|k| FloodJob {
+            // Rotate initiators across the world, co-prime step.
+            initiator: NodeId(((k * 8191) % n) as u16),
+            start: SimTime::from_millis(k as u64 * 250),
+            seed: SimRng::derive_seed(seed, &[k as u64]),
+        })
+        .collect();
+    let outcomes = batch.run_parallel(&cfg, &jobs, batch_threads);
+    let reliability = outcomes.iter().map(|o| o.reliability()).sum::<f64>() / outcomes.len() as f64;
+    let radio_on_ms = outcomes
+        .iter()
+        .map(|o| o.mean_radio_on().as_millis_f64())
+        .sum::<f64>()
+        / outcomes.len() as f64;
+    let duration_ms = outcomes
+        .iter()
+        .map(|o| o.duration().as_millis_f64())
+        .sum::<f64>()
+        / outcomes.len() as f64;
+    TrialMetrics::new()
+        .with("reliability", reliability)
+        .with("radio_on_ms", radio_on_ms)
+        .with("flood_ms", duration_ms)
+}
+
+/// The Fig. 6 forwarder-selection grid (`fig6`): Exp3 forwarder selection
+/// against the all-forwarders reference. `cache` may hold already-simulated
+/// runs (see [`CachedRun`]).
+pub fn fig6_grid(rounds: usize, cache: Option<CachedRun>) -> ScenarioGrid {
     let mut grid = ScenarioGrid::new("fig6");
     let period = testbed_period_ms();
     for (label, selection) in [("with_selection", true), ("without_selection", false)] {
-        let cache = if selection {
-            selection_cache.clone()
-        } else {
-            None
-        };
+        let cache = cache.clone();
         grid.push_cell(
             label,
             vec![("forwarder_selection".into(), selection.to_string())],
             move |seed| {
-                let reports = CachedRun::lookup(&cache, seed)
-                    .unwrap_or_else(|| Arc::new(fig6_single(rounds, seed, selection)));
+                let reports =
+                    CachedRun::reports_or(&cache, seed, || fig6_single(rounds, seed, selection));
                 summary_metrics(&summarize(&reports), period)
                     .with("mean_forwarders", mean_forwarders(&reports))
             },
@@ -756,7 +761,7 @@ pub fn fig6_grid(rounds: usize, selection_cache: Option<CachedRun>) -> ScenarioG
     grid
 }
 
-/// The Fig. 7 D-Cube grid (`exp_fig7`): every selected registry protocol
+/// The Fig. 7 D-Cube grid (`fig7`): every selected registry protocol
 /// under every interference scenario on the 48-node collection workload.
 pub fn fig7_grid(policy: AdaptivityPolicy, rounds: usize, protocols: &[String]) -> ScenarioGrid {
     let mut grid = ScenarioGrid::new("fig7");
@@ -785,8 +790,8 @@ pub fn fig7_grid(policy: AdaptivityPolicy, rounds: usize, protocols: &[String]) 
 }
 
 /// Runs one registry protocol through a dynamic-world scenario preset on
-/// the 18-node testbed (one `exp_dynamics` trial), returning the per-round
-/// reports.
+/// the 18-node testbed (one `dynamics:<preset>` trial), returning the
+/// per-round reports.
 ///
 /// # Panics
 ///
@@ -800,7 +805,7 @@ pub fn dynamics_run(
 ) -> Vec<DimmerRoundReport> {
     let topo = Topology::kiel_testbed_18(1);
     let sc = dynamic_scenario(scenario, rounds, &topo)
-        // lint: allow(P002) -- documented # Panics contract; exp_dynamics validates --scenario first
+        // lint: allow(P002) -- documented # Panics contract; the catalogue validates the preset first
         .unwrap_or_else(|| panic!("unknown dynamic scenario '{scenario}'"));
     let mut sim = SimulationBuilder::new(&topo)
         .interference(sc.interference.as_ref())
@@ -813,12 +818,11 @@ pub fn dynamics_run(
     sim.run_rounds(rounds)
 }
 
-/// The dynamic-world grid (`exp_dynamics`): every selected registry
+/// The dynamic-world grid (`dynamics:<preset>`): every selected registry
 /// protocol through one scenario preset, with overall metrics plus
 /// per-phase summary buckets (`rel@<phase>`, `radio@<phase>`,
-/// `alive@<phase>`). `first_cache` may hold an already-simulated run of
-/// the *first* protocol (see [`CachedRun`]; the binary's single-trial
-/// timeline reuses it).
+/// `alive@<phase>`). `cache` may hold already-simulated runs (see
+/// [`CachedRun`]; `exp`'s single-trial timeline reuses its run).
 ///
 /// # Panics
 ///
@@ -829,12 +833,12 @@ pub fn dynamics_grid(
     rounds: usize,
     scenario: &str,
     protocols: &[String],
-    first_cache: Option<CachedRun>,
+    cache: Option<CachedRun>,
 ) -> ScenarioGrid {
     let topo = Topology::kiel_testbed_18(1);
     let bounds: Vec<(&'static str, usize)> = dynamic_scenario(scenario, rounds, &topo)
         .unwrap_or_else(|| {
-            // lint: allow(P002) -- documented # Panics contract; the binary validates --scenario up front
+            // lint: allow(P002) -- documented # Panics contract; the catalogue validates the preset up front
             panic!(
                 "unknown dynamic scenario '{scenario}' (catalogue: {})",
                 DYNAMIC_SCENARIOS.join(", ")
@@ -843,12 +847,12 @@ pub fn dynamics_grid(
         .phase_bounds();
     let mut grid = ScenarioGrid::new("dynamics");
     let period = testbed_period_ms();
-    for (cell, protocol) in protocols.iter().enumerate() {
+    for protocol in protocols {
         let policy = policy.clone();
         let protocol = protocol.clone();
         let scenario = scenario.to_string();
         let bounds = bounds.clone();
-        let cache = if cell == 0 { first_cache.clone() } else { None };
+        let cache = cache.clone();
         grid.push_cell(
             format!("{protocol} @ {scenario}"),
             vec![
@@ -856,8 +860,8 @@ pub fn dynamics_grid(
                 ("scenario".into(), scenario.clone()),
             ],
             move |seed| {
-                let reports = CachedRun::lookup(&cache, seed).unwrap_or_else(|| {
-                    Arc::new(dynamics_run(&protocol, &scenario, &policy, rounds, seed))
+                let reports = CachedRun::reports_or(&cache, seed, || {
+                    dynamics_run(&protocol, &scenario, &policy, rounds, seed)
                 });
                 let overall = summarize(&reports);
                 let mut metrics =
@@ -897,16 +901,16 @@ mod tests {
         let policy = AdaptivityPolicy::rule_based();
         let testbed = protocol_list(&TESTBED_PROTOCOLS);
         let dcube = protocol_list(&DCUBE_PROTOCOLS);
-        let adaptive = protocol_list(&["dimmer-dqn", "pid"]);
+        let adaptive = protocol_list(&FIG4C_PROTOCOLS);
         assert_eq!(table1_grid(&DimmerConfig::default()).len(), 1);
+        assert_eq!(fig4b_grid(4, 10, 2, "both").len(), 11);
+        assert_eq!(fig4b_grid(4, 10, 2, "history").len(), 6);
+        assert_eq!(fig4c_grid(policy.clone(), 4, &adaptive, None).len(), 2);
         assert_eq!(
-            fig4c_grid(policy.clone(), 4, &adaptive, None, None).len(),
-            2
-        );
-        assert_eq!(
-            fig4c_grid(policy.clone(), 4, &protocol_list(&["pid"]), None, None).len(),
+            fig4c_grid(policy.clone(), 4, &protocol_list(&["pid"]), None).len(),
             1
         );
+        assert_eq!(grid10k_scale_grid(2, 1).len(), 1);
         assert_eq!(
             fig5_grid(policy.clone(), 4, &[0.0, 0.25], &testbed).len(),
             6
@@ -942,7 +946,6 @@ mod tests {
             AdaptivityPolicy::rule_based(),
             4,
             &protocol_list(&["crystal"]),
-            None,
             None,
         );
     }

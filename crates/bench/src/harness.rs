@@ -1,7 +1,7 @@
 //! The parallel multi-trial experiment engine.
 //!
 //! The paper's headline results are *distributions* over many seeds and
-//! interference scenarios, so every experiment binary drives its scenario
+//! interference scenarios, so every experiment grid drives its scenario
 //! through this engine instead of a hand-rolled single-trial loop:
 //!
 //! 1. Describe the scenario space as a [`ScenarioGrid`] — one [`GridCell`]
@@ -43,7 +43,7 @@
 //! assert_eq!(report.to_json(), serial.to_json());
 //! ```
 
-use crate::catalogue::{resolve_protocols, ProtocolAxis};
+use crate::catalogue::Grid;
 use crate::report::{Aggregate, CellReport, GridReport};
 use dimmer_sim::{workqueue, SimRng};
 
@@ -198,8 +198,8 @@ impl ScenarioGrid {
     }
 
     /// Runs `trials` trials of every cell across `threads` workers and
-    /// aggregates the metrics. The `exp_*` binaries and the `dimmerd`
-    /// daemon both run grids through here.
+    /// aggregates the metrics. The `exp` binary and the `dimmerd` daemon
+    /// both run grids through here.
     ///
     /// Job `cell * trials + trial` runs with the stateless seed
     /// `SimRng::derive_seed(seed, &[cell, trial])` on the shared worker pool
@@ -234,175 +234,146 @@ impl ScenarioGrid {
     }
 }
 
-/// The command-line options shared by every experiment binary — the **one
-/// CLI surface** of the `exp_*` family.
+/// The command line of the `exp <grid>` binary:
 ///
-/// All `exp_*` binaries accept `--protocols a,b,c`, `--trials N`,
-/// `--threads N`, `--seed S`, `--json PATH` and `--quick` in addition to
-/// their binary-specific flags. Protocol selections pass the same resolver
-/// as the `dimmerd` daemon's (see
-/// [`select_protocols`](Self::select_protocols)). Binary-specific flags go
-/// through the same parsed argument list via [`value`](Self::value) /
-/// [`has`](Self::has), so no binary touches `std::env::args` directly.
+/// ```text
+/// exp <grid> [--quick] [--trials N] [--threads N] [--seed S]
+///     [--protocols a,b,c] [--json PATH]
+/// ```
+///
+/// The grid name comes first and resolves through
+/// [`catalogue::lookup`](crate::catalogue::lookup); every flag after it
+/// belongs to the shared set above, and anything else is refused. Protocol
+/// selections pass the same resolver as the `dimmerd` daemon's (see
+/// [`select_protocols`](Self::select_protocols)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessCli {
+    /// The catalogue grid name (the first argument).
+    pub grid: String,
     /// Trials per cell (`--trials`); `None` if the flag was absent so the
-    /// binary can pick its grid's default.
+    /// grid's default applies.
     pub trials: Option<usize>,
     /// Worker threads (`--threads`); defaults to the host's available
     /// parallelism.
     pub threads: usize,
-    /// Base seed (`--seed`); `None` if the flag was absent so the binary
-    /// can pick its grid's default.
+    /// Base seed (`--seed`); `None` if the flag was absent so the grid's
+    /// default applies.
     pub seed: Option<u64>,
     /// Optional JSON report path (`--json`).
     pub json: Option<std::path::PathBuf>,
     /// Whether `--quick` was passed (roughly 10x shorter runs).
     pub quick: bool,
     /// Comma-separated registry protocol names (`--protocols`); `None` if
-    /// the flag was absent so the binary runs its default set.
+    /// the flag was absent so the grid runs its default set.
     pub protocols: Option<Vec<String>>,
-    /// The raw argument list (binary name excluded), backing
-    /// [`value`](Self::value) / [`has`](Self::has) lookups of
-    /// binary-specific flags.
-    args: Vec<String>,
 }
 
+/// The flags that take a value, in usage order.
+const VALUE_FLAGS: [&str; 5] = ["--trials", "--threads", "--seed", "--protocols", "--json"];
+
+/// The usage line printed with every command-line error.
+const USAGE: &str = "usage: exp <grid> [--quick] [--trials N] [--threads N] [--seed S] \
+                     [--protocols a,b] [--json PATH]";
+
 impl HarnessCli {
-    /// Parses the shared flags from `std::env::args`.
+    /// Parses `std::env::args`.
     ///
-    /// Exits the process with status 2 on malformed numeric flags or a
-    /// value flag with no value, matching the binaries' existing error
-    /// style.
+    /// Exits the process with status 2 on any input
+    /// [`parse_from_checked`](Self::parse_from_checked) refuses.
     pub fn parse() -> HarnessCli {
         // lint: allow(D003) -- the one sanctioned ambient read: the CLI entry point; every flag is threaded explicitly from here
-        Self::parse_from(std::env::args().skip(1).collect())
-    }
-
-    /// The one flag-value lookup both the constructor and
-    /// [`value`](Self::value) share: the argument following `--flag`.
-    ///
-    /// A successor that is itself a `--flag` does not count as a value, so
-    /// `--json --quick` reads as "`--json` missing its value", not as a
-    /// report written to a file literally named `--quick`.
-    fn lookup(args: &[String], flag: &str) -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-    }
-
-    /// [`parse`](Self::parse) over an explicit argument list (testable
-    /// form; `args` excludes the binary name). Exits the process with
-    /// status 2 on malformed input, like [`parse`](Self::parse).
-    pub fn parse_from(args: Vec<String>) -> HarnessCli {
+        let args = std::env::args().skip(1).collect();
         Self::parse_from_checked(args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2);
         })
     }
 
-    /// [`parse_from`](Self::parse_from) that reports malformed input as an
-    /// error instead of exiting — the form non-CLI callers (the `dimmerd`
-    /// daemon, tests) use so malformed requests fail loudly without
-    /// killing the host process.
+    /// Parses an explicit argument list (`args` excludes the binary name),
+    /// reporting malformed input as an error.
     ///
-    /// Rejects, among others, **duplicate occurrences of the same flag**:
-    /// `--seed 1 --seed 2` used to silently resolve to the first
-    /// occurrence, which hid client mistakes; now every repeated `--flag`
-    /// (shared or binary-specific) is an error.
+    /// Refuses a missing grid name, a flag outside the shared set (so a
+    /// typo such as `--trails` fails loudly instead of being ignored), a
+    /// flag passed more than once, a value flag without its value (a
+    /// following `--flag` does not count as one, so `--json --quick` is not
+    /// a report written to a file named `--quick`) and malformed numbers.
     pub fn parse_from_checked(args: Vec<String>) -> Result<HarnessCli, String> {
-        for (i, a) in args.iter().enumerate() {
-            if a.starts_with("--") && args[..i].contains(a) {
-                return Err(format!("{a} passed more than once"));
-            }
-        }
-        let value = |flag: &str| Self::lookup(&args, flag);
-        for flag in ["--trials", "--threads", "--seed", "--json", "--protocols"] {
-            if args.iter().any(|a| a == flag) && value(flag).is_none() {
-                return Err(format!("{flag} expects a value"));
-            }
-        }
-        let parse_num = |flag: &str| -> Result<Option<u64>, String> {
-            value(flag)
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| format!("{flag} expects a non-negative integer, got '{v}'"))
-                })
-                .transpose()
+        let mut args = args.into_iter();
+        let grid = match args.next() {
+            Some(grid) if !grid.starts_with("--") => grid,
+            Some(flag) => return Err(format!("expected a grid name before {flag}")),
+            None => return Err("missing grid name".to_string()),
         };
-        let trials = parse_num("--trials")?
-            .map(|t| {
-                if t == 0 {
-                    return Err("--trials must be at least 1".to_string());
+        let mut cli = HarnessCli {
+            grid,
+            trials: None,
+            threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            seed: None,
+            json: None,
+            quick: false,
+            protocols: None,
+        };
+        let mut seen: Vec<String> = Vec::new();
+        while let Some(flag) = args.next() {
+            if seen.contains(&flag) {
+                return Err(format!("{flag} passed more than once"));
+            }
+            seen.push(flag.clone());
+            if flag == "--quick" {
+                cli.quick = true;
+                continue;
+            }
+            if !VALUE_FLAGS.contains(&flag.as_str()) {
+                return Err(format!(
+                    "unknown option '{flag}' (options: --quick, {})",
+                    VALUE_FLAGS.join(", ")
+                ));
+            }
+            let value = args
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} expects a value"))?;
+            let number = || -> Result<u64, String> {
+                value
+                    .parse()
+                    .map_err(|_| format!("{flag} expects a non-negative integer, got '{value}'"))
+            };
+            match flag.as_str() {
+                "--trials" => match number()? {
+                    0 => return Err("--trials must be at least 1".to_string()),
+                    t => cli.trials = Some(t as usize),
+                },
+                "--threads" => cli.threads = (number()? as usize).max(1),
+                "--seed" => cli.seed = Some(number()?),
+                "--json" => cli.json = Some(value.into()),
+                _ => {
+                    let list: Vec<String> = value
+                        .split(',')
+                        .map(|p| p.trim().to_string())
+                        .filter(|p| !p.is_empty())
+                        .collect();
+                    if list.is_empty() {
+                        return Err(
+                            "--protocols expects a comma-separated list of names".to_string()
+                        );
+                    }
+                    cli.protocols = Some(list);
                 }
-                Ok(t as usize)
-            })
-            .transpose()?;
-        let threads = parse_num("--threads")?
-            .map(|t| (t as usize).max(1))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        let protocols = value("--protocols")
-            .map(|v| {
-                let list: Vec<String> = v
-                    .split(',')
-                    .map(|p| p.trim().to_string())
-                    .filter(|p| !p.is_empty())
-                    .collect();
-                if list.is_empty() {
-                    return Err("--protocols expects a comma-separated list of names".to_string());
-                }
-                Ok(list)
-            })
-            .transpose()?;
-        Ok(HarnessCli {
-            trials,
-            threads,
-            seed: parse_num("--seed")?,
-            json: value("--json").map(std::path::PathBuf::from),
-            quick: args.iter().any(|a| a == "--quick"),
-            protocols,
-            args,
-        })
-    }
-
-    /// The value following a binary-specific `--flag`, if present (e.g.
-    /// `--part` of `exp_fig4b`, `--scenario` of `exp_dynamics`).
-    pub fn value(&self, flag: &str) -> Option<String> {
-        Self::lookup(&self.args, flag)
-    }
-
-    /// Like [`value`](Self::value), but a `--flag` passed *without* a value
-    /// exits the process with status 2 instead of quietly reading as
-    /// absent; a flag not passed at all still yields `None` so the binary
-    /// can apply its default.
-    pub fn value_required(&self, flag: &str) -> Option<String> {
-        let v = self.value(flag);
-        if v.is_none() && self.has(flag) {
-            eprintln!("error: {flag} expects a value");
-            std::process::exit(2);
+            }
         }
-        v
+        Ok(cli)
     }
 
-    /// Whether a bare `--flag` was passed.
-    pub fn has(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
-    }
-
-    /// Resolves `--protocols` for grid `grid` with protocol axis `axis`
-    /// through [`resolve_protocols`], the rule `dimmerd` applies to
+    /// Resolves `--protocols` for `grid` through
+    /// [`Grid::resolve_protocols`], the rule `dimmerd` applies to
     /// `spec.protocols` too: the axis default when the flag is absent, and
     /// nothing on a grid without a protocol axis.
     ///
     /// Exits the process with status 2 on a selection the resolver refuses.
-    pub fn select_protocols(&self, grid: &str, axis: Option<ProtocolAxis>) -> Vec<String> {
-        resolve_protocols(grid, axis, self.protocols.as_deref())
+    pub fn select_protocols(&self, grid: &Grid) -> Vec<String> {
+        grid.resolve_protocols(self.protocols.as_deref())
             .unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(2);
@@ -550,13 +521,14 @@ mod tests {
         });
     }
 
-    fn cli(args: &[&str]) -> HarnessCli {
-        HarnessCli::parse_from(args.iter().map(|a| a.to_string()).collect())
+    fn cli(args: &[&str]) -> Result<HarnessCli, String> {
+        HarnessCli::parse_from_checked(args.iter().map(|a| a.to_string()).collect())
     }
 
     #[test]
-    fn parse_from_reads_shared_and_binary_specific_flags() {
+    fn the_grid_name_comes_first_and_the_shared_flags_follow() {
         let c = cli(&[
+            "dynamics:churn-storm",
             "--trials",
             "4",
             "--threads",
@@ -564,11 +536,11 @@ mod tests {
             "--quick",
             "--protocols",
             "static,pid",
-            "--scenario",
-            "churn-storm",
             "--json",
             "out.json",
-        ]);
+        ])
+        .unwrap();
+        assert_eq!(c.grid, "dynamics:churn-storm");
         assert_eq!(c.trials, Some(4));
         assert_eq!(c.threads, 2);
         assert_eq!(c.seed, None, "no --seed given");
@@ -577,48 +549,61 @@ mod tests {
             c.protocols,
             Some(vec!["static".to_string(), "pid".to_string()])
         );
-        assert_eq!(c.value("--scenario").as_deref(), Some("churn-storm"));
-        assert_eq!(c.value("--part"), None);
-        assert!(c.has("--quick"));
-        assert!(!c.has("--part"));
         assert_eq!(c.json.as_deref(), Some(std::path::Path::new("out.json")));
+    }
+
+    #[test]
+    fn a_missing_grid_name_is_refused() {
+        assert!(cli(&[]).unwrap_err().contains("missing grid name"));
+        let err = cli(&["--quick", "fig5"]).unwrap_err();
+        assert!(err.contains("expected a grid name before --quick"), "{err}");
+    }
+
+    #[test]
+    fn flags_outside_the_shared_set_are_refused() {
+        // The flags of the per-figure binaries `exp` replaced, and a typo.
+        for name in ["scenario", "family", "preset", "part", "envs", "trails"] {
+            let flag = format!("--{name}");
+            let err = cli(&["fig5", &flag, "x"]).unwrap_err();
+            assert!(err.contains(&format!("unknown option '{flag}'")), "{err}");
+        }
+        // A second positional argument is not a flag either.
+        assert!(cli(&["fig5", "fig6"])
+            .unwrap_err()
+            .contains("unknown option"));
     }
 
     #[test]
     fn flag_successor_is_not_a_value() {
         // `--json --quick` must not treat `--quick` as the report path.
-        let c = cli(&["--scenario", "--quick"]);
-        assert_eq!(c.value("--scenario"), None);
-        assert!(c.has("--quick"));
+        let err = cli(&["fig5", "--json", "--quick"]).unwrap_err();
+        assert!(err.contains("--json expects a value"), "{err}");
     }
 
     #[test]
     fn duplicate_flags_are_rejected() {
-        let checked = |args: &[&str]| {
-            HarnessCli::parse_from_checked(args.iter().map(|a| a.to_string()).collect())
-        };
         // Shared value flag repeated: used to silently resolve to the
         // first occurrence.
-        let err = checked(&["--seed", "1", "--seed", "2"]).unwrap_err();
+        let err = cli(&["fig5", "--seed", "1", "--seed", "2"]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
         assert!(err.contains("more than once"), "{err}");
-        // Binary-specific value flag repeated.
-        assert!(checked(&["--part", "nodes", "--part", "history"]).is_err());
         // Repeated bare flags are duplicates too.
-        assert!(checked(&["--quick", "--quick"]).is_err());
+        assert!(cli(&["fig5", "--quick", "--quick"]).is_err());
         // Distinct flags — including a value that is not a flag — are fine.
-        let ok = checked(&["--seed", "1", "--trials", "2", "--part", "nodes"]).unwrap();
+        let ok = cli(&["fig5", "--seed", "1", "--trials", "2"]).unwrap();
         assert_eq!(ok.seed, Some(1));
         assert_eq!(ok.trials, Some(2));
         // Malformed numerics surface as errors, not exits.
-        assert!(checked(&["--trials", "zero"]).is_err());
-        assert!(checked(&["--trials", "0"]).is_err());
-        assert!(checked(&["--json"]).is_err());
+        assert!(cli(&["fig5", "--trials", "zero"]).is_err());
+        assert!(cli(&["fig5", "--trials", "0"]).is_err());
+        assert!(cli(&["fig5", "--json"]).is_err());
+        assert!(cli(&["fig5", "--protocols", ","]).is_err());
     }
 
     #[test]
-    fn parse_from_defaults_without_flags() {
-        let c = cli(&[]);
+    fn parse_defaults_without_flags() {
+        let c = cli(&["fig5"]).unwrap();
+        assert_eq!(c.grid, "fig5");
         assert_eq!(c.trials, None);
         assert!(!c.quick);
         assert_eq!(c.protocols, None);
@@ -626,7 +611,8 @@ mod tests {
         assert!(c.threads >= 1);
         assert_eq!(c.run_options(3, 77).trials, 3);
         assert_eq!(c.run_options(3, 77).seed, 77);
-        assert_eq!(cli(&["--seed", "5"]).run_options(3, 77).seed, 5);
+        let seeded = cli(&["fig5", "--seed", "5"]).unwrap();
+        assert_eq!(seeded.run_options(3, 77).seed, 5);
     }
 
     #[test]

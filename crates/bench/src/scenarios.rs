@@ -1,9 +1,9 @@
 //! Shared interference / topology / dynamic-world scenario builders for the
-//! experiment binaries (report aggregation lives in [`crate::summary`];
+//! experiment grids (report aggregation lives in [`crate::summary`];
 //! CLI parsing lives in [`crate::harness::HarnessCli`]).
 //!
 //! Besides the paper's static-interference builders, this module holds the
-//! **dynamic-world scenario catalogue** of `exp_dynamics`: named presets
+//! **dynamic-world scenario catalogue** of `dynamics:<preset>`: named presets
 //! ([`DYNAMIC_SCENARIOS`]) that stress an adaptive controller with the
 //! changes the paper's figures never exercise — node churn, network-wide
 //! link fades, a roaming jammer and a flash-crowd join wave. Each preset is
@@ -68,7 +68,7 @@ pub fn dimmer_policy(quick: bool) -> AdaptivityPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic-world scenario catalogue (`exp_dynamics --scenario <name>`).
+// Dynamic-world scenario catalogue (`exp dynamics:<name>`).
 // ---------------------------------------------------------------------------
 
 /// One labelled phase of a dynamic scenario: rounds `start_round..` up to
@@ -84,9 +84,9 @@ pub struct ScenarioPhase {
 /// A named dynamic-world scenario: world-event script, interference model
 /// and labelled phase boundaries.
 pub struct DynamicScenario {
-    /// Preset name (the `--scenario` value).
+    /// Preset name (the `<preset>` of `dynamics:<preset>`).
     pub name: &'static str,
-    /// One-line description shown by `exp_dynamics`.
+    /// One-line description shown by `exp dynamics:<preset>`.
     pub summary: &'static str,
     /// The world-event script applied between rounds.
     pub script: ScenarioScript,

@@ -1,5 +1,5 @@
 //! Shared report-aggregation helpers: every figure runner, grid builder and
-//! binary summarizes round reports through this one module.
+//! `exp` timeline summarizes round reports through this one module.
 //!
 //! Three layers of aggregation recur across the experiments:
 //!
@@ -8,8 +8,7 @@
 //! * [`summary_metrics`] — convert a summary into the harness's
 //!   [`TrialMetrics`] (adding the derived per-packet latency),
 //! * [`bucketize`] — fold a run into fixed-size buckets of consecutive
-//!   rounds (the per-minute timelines the `exp_fig4c`/`exp_fig6` binaries
-//!   print).
+//!   rounds (the timelines `exp fig4c` and `exp fig6` print).
 
 use crate::harness::TrialMetrics;
 use dimmer_core::DimmerRoundReport;
@@ -101,7 +100,7 @@ pub fn summary_metrics(s: &ProtocolSummary, round_period_ms: f64) -> TrialMetric
 }
 
 /// Mean metrics of one bucket of consecutive rounds (a row of the timeline
-/// tables printed by `exp_fig4c` and `exp_fig6`).
+/// tables printed by `exp fig4c` and `exp fig6`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineBucket {
     /// Index of the bucket's first round.

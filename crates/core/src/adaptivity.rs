@@ -16,8 +16,6 @@ use dimmer_neural::{Mlp, QuantizedNetwork};
 pub enum AdaptivityPolicy {
     /// The paper's embedded DQN: fixed-point, integer-only inference.
     Quantized(QuantizedNetwork),
-    /// A floating-point DQN (used during training/evaluation on the host).
-    Float(Mlp),
     /// A hand-written rule: increase on any sign of losses, decrease after a
     /// sustained calm period, otherwise maintain.
     RuleBased,
@@ -32,11 +30,6 @@ impl AdaptivityPolicy {
     /// Quantizes a trained floating-point network into the embedded form.
     pub fn from_mlp(mlp: &Mlp) -> Self {
         AdaptivityPolicy::Quantized(QuantizedNetwork::from_mlp(mlp))
-    }
-
-    /// Uses a floating-point network directly (no quantization error).
-    pub fn from_mlp_float(mlp: Mlp) -> Self {
-        AdaptivityPolicy::Float(mlp)
     }
 
     /// Returns `true` for the neural policies.
@@ -84,7 +77,6 @@ impl AdaptivityController {
     pub fn flash_size_bytes(&self) -> usize {
         match &self.policy {
             AdaptivityPolicy::Quantized(q) => q.flash_size_bytes(),
-            AdaptivityPolicy::Float(m) => m.num_parameters() * 4,
             AdaptivityPolicy::RuleBased => 0,
         }
     }
@@ -103,7 +95,6 @@ impl AdaptivityController {
         );
         match &self.policy {
             AdaptivityPolicy::Quantized(q) => AdaptivityAction::from_index(q.argmax_f32(state)),
-            AdaptivityPolicy::Float(m) => AdaptivityAction::from_index(m.argmax(state)),
             AdaptivityPolicy::RuleBased => self.rule_based_decision(state),
         }
     }
@@ -183,13 +174,8 @@ mod tests {
         let cfg = DimmerConfig::default();
         let mlp = Mlp::new(&[cfg.state_dim(), 30, 3], 9);
         let state = StateBuilder::new(cfg.clone()).build(&perfect_view(18), 3);
-        let float =
-            AdaptivityController::new(AdaptivityPolicy::from_mlp_float(mlp.clone()), cfg.clone());
         let quant = AdaptivityController::new(AdaptivityPolicy::from_mlp(&mlp), cfg);
-        let a = float.decide(&state);
-        let b = quant.decide(&state);
-        assert!(AdaptivityAction::ALL.contains(&a));
-        assert!(AdaptivityAction::ALL.contains(&b));
+        assert!(AdaptivityAction::ALL.contains(&quant.decide(&state)));
     }
 
     #[test]

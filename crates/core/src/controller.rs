@@ -169,7 +169,6 @@ impl Controller for AdaptivityController {
     fn name(&self) -> &str {
         match self.policy() {
             AdaptivityPolicy::Quantized(_) => "dimmer-dqn",
-            AdaptivityPolicy::Float(_) => "dimmer-float",
             AdaptivityPolicy::RuleBased => "dimmer-rule",
         }
     }

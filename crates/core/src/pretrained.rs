@@ -57,7 +57,6 @@ mod tests {
             AdaptivityPolicy::RuleBased => {
                 assert!(!has_pretrained_weights());
             }
-            AdaptivityPolicy::Float(_) => panic!("pretrained policy should be quantized"),
         }
     }
 

@@ -4,7 +4,7 @@
 //! A single DQN trained under one interference regime generalizes only so
 //! far; the zoo attacks the problem from the other side. The in-sim
 //! training farm (`dimmer_rl::farm` + [`SimEnvironment`]) trains one policy
-//! per scenario *family* — the four `exp_dynamics` presets — and this
+//! per scenario *family* — the four `train:<family>` grids — and this
 //! module embeds the resulting weights (committed under
 //! `crates/core/data/zoo/`, regenerated by `examples/train_zoo.rs`):
 //!
@@ -50,7 +50,7 @@ use dimmer_neural::serialize::from_text;
 use dimmer_rl::Exp3;
 
 /// The scenario families the zoo is trained on, in arm order. These are the
-/// four `exp_dynamics` presets.
+/// four `train:<family>` grids.
 pub const ZOO_FAMILIES: [&str; 4] = ["calm", "jammed", "churn-storm", "roaming-jammer"];
 
 /// Default EXP3 exploration factor of the meta-controller. Small on

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `submit --wait` polls `status` until the job settles, then prints the
-//! *unescaped* report JSON to stdout — the exact bytes the matching
-//! `exp_*` binary writes through `--json`. Every other command prints the
+//! *unescaped* report JSON to stdout — the exact bytes `exp <grid>`
+//! writes through `--json`. Every other command prints the
 //! daemon's reply line verbatim.
 
 use std::io::{BufRead, BufReader, Write};

@@ -105,20 +105,24 @@ impl MemoCache {
         }
     }
 
-    /// Looks up a memoized report, marking the entry most-recently used.
+    /// Looks up a memoized report, marking the entry most-recently used
+    /// and counting a hit or a miss.
     pub fn get(&mut self, scenario_hash: u64, seed: u64) -> Option<Arc<String>> {
-        self.clock += 1;
-        match self.entries.get_mut(&(scenario_hash, seed)) {
-            Some(entry) => {
-                entry.last_used = self.clock;
-                self.hits += 1;
-                Some(entry.report.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let report = self.recheck(scenario_hash, seed);
+        match report {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        report
+    }
+
+    /// [`get`](Self::get) without counting: the executor's second look at
+    /// a job whose lookup `submit` already counted.
+    pub fn recheck(&mut self, scenario_hash: u64, seed: u64) -> Option<Arc<String>> {
+        self.clock += 1;
+        let entry = self.entries.get_mut(&(scenario_hash, seed))?;
+        entry.last_used = self.clock;
+        Some(entry.report.clone())
     }
 
     /// Stores a report, evicting least-recently-used entries until the
@@ -185,6 +189,10 @@ mod tests {
         assert!(memo.get(9, 2).is_none(), "scenario hash is part of the key");
         let s = memo.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.bytes), (1, 3, 1, 10));
+        // A re-check finds the same entries but counts nothing.
+        assert!(memo.recheck(1, 2).is_some());
+        assert!(memo.recheck(1, 3).is_none());
+        assert_eq!(memo.stats(), s);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! * **one grid runner** — submitted scenarios run through the same
 //!   `ScenarioGrid::run` (stateless per-trial seeding, order-independent
-//!   worker fan-out, deterministic report assembly) as the `exp_*`
-//!   binaries, so a served report is byte-identical to the same
+//!   worker fan-out, deterministic report assembly) as the `exp <grid>`
+//!   binary, so a served report is byte-identical to the same
 //!   scenario's offline `--json` output;
 //! * **a warm world cache** — compiled CSR topologies and their compiled
 //!   interference banks are built once and cloned per trial

@@ -2,11 +2,11 @@
 //! experiment grid and its hash.
 //!
 //! A [`ScenarioSpec`] names a grid of [`dimmer_bench::catalogue`] and
-//! carries the overrides the `exp_*` binaries take on the command line —
+//! carries the overrides `exp <grid>` takes on the command line —
 //! `--quick`, `--trials`, `--seed`, `--protocols`. Every default (trials,
 //! seed, round counts, protocol set) and the grid builder come from the
-//! catalogue entry the matching binary reads as well, so a daemon-served
-//! report is the report that binary writes through `--json`. Two specs
+//! catalogue entry `exp` reads as well, so a daemon-served report is the
+//! report `exp` writes through `--json`. Two specs
 //! that resolve to the same configuration (say, protocols left to default
 //! versus spelled out explicitly) canonicalize to the same string and
 //! therefore the same [`ScenarioSpec::hash`]; the memo cache is keyed by
@@ -287,6 +287,8 @@ mod tests {
         let mut worlds = WorldCache::new();
         for grid in [
             "table1",
+            "fig4b:nodes",
+            "fig4c",
             "fig5",
             "fig5-seeds",
             "fig6",
@@ -296,6 +298,7 @@ mod tests {
             "train:calm",
             "train:roaming-jammer",
             "city",
+            "grid10k",
         ] {
             let s = ScenarioSpec::quick(grid);
             assert!(

@@ -209,8 +209,9 @@ impl Daemon {
         let seed = spec.resolved_seed()?;
         let trials = spec.trials()?;
         // Re-check the memo: an identical job submitted earlier may have
-        // completed while this one sat in the queue.
-        if let Some(report) = self.lock().memo.get(hash, seed) {
+        // completed while this one sat in the queue. `submit` already
+        // counted this job's lookup, so the re-check counts nothing.
+        if let Some(report) = self.lock().memo.recheck(hash, seed) {
             return Ok(report);
         }
         // Resolve worlds under the lock (fast when warm); run the grid
@@ -419,6 +420,24 @@ mod tests {
         assert!(is_shutdown);
         executor.join().unwrap();
         assert!(d.is_stopped());
+    }
+
+    #[test]
+    fn a_cold_job_counts_one_memo_miss() {
+        let d = daemon(4);
+        let executor = d.spawn_executor();
+        let memo = |d: &Daemon| {
+            let stats = submit_line(d, r#"{"cmd":"stats"}"#);
+            let count = |key: &str| stats.get(key).and_then(Json::as_u64);
+            (count("memo_hits"), count("memo_misses"))
+        };
+        let reply = submit_line(&d, r#"{"cmd":"submit","spec":{"grid":"table1"}}"#);
+        d.wait_for_job(reply.get("job").and_then(Json::as_u64).unwrap());
+        assert_eq!(memo(&d), (Some(0), Some(1)), "one cold job, one miss");
+        submit_line(&d, r#"{"cmd":"submit","spec":{"grid":"table1"}}"#);
+        assert_eq!(memo(&d), (Some(1), Some(1)), "a resubmit is one hit");
+        d.handle_line(r#"{"cmd":"shutdown"}"#);
+        executor.join().unwrap();
     }
 
     #[test]

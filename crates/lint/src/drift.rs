@@ -4,10 +4,12 @@
 //! Unlike the token rules, these are *workspace-level* — each check reads
 //! several files and compares them:
 //!
-//! * **S001** — every `exp_*` binary under `crates/bench/src/bin/` must be
-//!   mentioned in `README.md` (the reproduction guide is the contract for
-//!   how results are regenerated; an undocumented binary is dead weight or
-//!   missing docs).
+//! * **S001** — every grid named in the non-test `CATALOGUE` of
+//!   `crates/bench/src/catalogue.rs` must be mentioned in `README.md` (the
+//!   reproduction guide is the contract for how results are regenerated
+//!   with `exp <grid>`; an undocumented grid is dead weight or missing
+//!   docs). A parameterised family such as `dynamics:<preset>` counts as
+//!   documented once its prefix `dynamics:` is.
 //! * **S002** — every protocol name registered in the non-test code of
 //!   `crates/baselines/src/registry.rs` must appear in both `README.md`
 //!   and `ARCHITECTURE.md` (the registry is the single source of protocol
@@ -55,31 +57,69 @@ fn file_finding(path: &str, rule: &'static str, message: String) -> Finding {
     }
 }
 
-/// S001: every `exp_*` binary appears in README.md.
+/// S001: every catalogue grid appears in README.md.
 fn check_readme_repro(root: &Path, findings: &mut Vec<Finding>) {
-    let bin_dir = root.join("crates/bench/src/bin");
-    let Ok(entries) = std::fs::read_dir(&bin_dir) else {
-        return; // no bin dir, nothing to check (fixture trees may omit it)
+    let catalogue_path = "crates/bench/src/catalogue.rs";
+    let Ok(src) = std::fs::read_to_string(root.join(catalogue_path)) else {
+        return; // no catalogue, nothing to check (fixture trees may omit it)
     };
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            name.strip_suffix(".rs").map(str::to_string)
-        })
-        .filter(|n| n.starts_with("exp_"))
-        .collect();
-    names.sort_unstable();
-    for name in names {
+    for (name, line) in catalogue_names(&src) {
         if !contains_word(&readme, &name) {
-            findings.push(file_finding(
-                &format!("crates/bench/src/bin/{name}.rs"),
-                "S001",
-                format!("binary `{name}` is not mentioned in README.md's reproduction docs"),
-            ));
+            findings.push(Finding {
+                path: catalogue_path.to_string(),
+                line,
+                col: 1,
+                rule: "S001",
+                message: format!("grid `{name}` is not mentioned in README.md's reproduction docs"),
+            });
         }
     }
+}
+
+/// Extracts `(name, line)` for every `name: "…"` field in the initializer
+/// of the non-test `CATALOGUE` of the catalogue source. A parameterised
+/// family (`dynamics:<preset>`) yields its prefix (`dynamics:`), the part
+/// every member's name starts with.
+pub fn catalogue_names(src: &str) -> Vec<(String, u32)> {
+    let tokens = tokenize(src);
+    let code: Vec<_> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    let gated = crate::rules::test_gated_lines(src);
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < code.len() {
+        if code[i].is_ident("CATALOGUE")
+            && i > 0
+            && (code[i - 1].is_ident("static") || code[i - 1].is_ident("const"))
+            && !gated.contains(&code[i].line)
+        {
+            // Walk the type and initializer up to the `;` that ends the
+            // item; the entries' builder closures hold `;`s of their own.
+            let mut depth = 0usize;
+            let mut j = i + 1;
+            while j < code.len() && !(depth == 0 && code[j].is_punct(";")) {
+                if ["(", "[", "{"].iter().any(|p| code[j].is_punct(p)) {
+                    depth += 1;
+                } else if [")", "]", "}"].iter().any(|p| code[j].is_punct(p)) {
+                    depth = depth.saturating_sub(1);
+                } else if code[j].is_ident("name")
+                    && code.get(j + 1).is_some_and(|t| t.is_punct(":"))
+                    && code.get(j + 2).is_some_and(|t| t.kind == TokenKind::Str)
+                {
+                    let name = code[j + 2].text.trim_matches('"');
+                    let name = match name.split_once(':') {
+                        Some((family, _)) => format!("{family}:"),
+                        None => name.to_string(),
+                    };
+                    out.push((name, code[j + 2].line));
+                }
+                j += 1;
+            }
+            i = j;
+        }
+        i += 1;
+    }
+    out
 }
 
 /// S002: registered protocol names appear in README.md and ARCHITECTURE.md.
@@ -190,16 +230,19 @@ pub fn protocol_commands(src: &str) -> Vec<(String, u32)> {
 }
 
 /// Word-ish containment: `needle` present and not embedded in a larger
-/// identifier (so `exp_fig5` is not satisfied by `exp_fig5b`).
+/// identifier (so `fig5` is not satisfied by `fig5-seeds`). A needle that
+/// ends in punctuation, such as the family prefix `dynamics:`, may run
+/// straight into what follows (`dynamics:churn-storm`).
 fn contains_word(haystack: &str, needle: &str) -> bool {
-    let boundary =
-        |c: Option<char>| c.is_none_or(|c| !(c.is_alphanumeric() || c == '_' || c == '-'));
+    let is_word = |c: char| c.is_alphanumeric() || c == '_' || c == '-';
+    let boundary = |c: Option<char>| c.is_none_or(|c| !is_word(c));
+    let open_end = !needle.ends_with(is_word);
     let mut from = 0;
     while let Some(idx) = haystack[from..].find(needle) {
         let at = from + idx;
         let before = haystack[..at].chars().next_back();
         let after = haystack[at + needle.len()..].chars().next();
-        if boundary(before) && boundary(after) {
+        if boundary(before) && (open_end || boundary(after)) {
             return true;
         }
         from = at + needle.len();
@@ -414,9 +457,32 @@ mod tests {
     }
 
     #[test]
+    fn catalogue_names_reads_the_catalogue_only() {
+        let src = r#"
+struct GridEntry { name: &'static str }
+static CATALOGUE: [GridEntry; 3] = [
+    GridEntry { name: "fig5", build: |b| { let g = fig5(b); g } },
+    // GridEntry { name: "commented-out" },
+    GridEntry { name: "dynamics:<preset>", build: |b| dynamics(b) },
+    GridEntry { name: "city", build: |_| city() },
+];
+fn other() -> Entry { Entry { name: "not-in-the-catalogue" } }
+#[cfg(test)]
+mod tests {
+    static CATALOGUE: [GridEntry; 1] = [GridEntry { name: "test-only" }];
+}
+"#;
+        let names: Vec<String> = catalogue_names(src).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["fig5", "dynamics:", "city"]);
+    }
+
+    #[test]
     fn contains_word_respects_boundaries() {
-        assert!(contains_word("run `exp_fig5` to reproduce", "exp_fig5"));
-        assert!(!contains_word("only exp_fig5b here", "exp_fig5"));
+        assert!(contains_word("run `exp fig5` to reproduce", "fig5"));
+        assert!(!contains_word("only fig5-seeds here", "fig5"));
+        assert!(!contains_word("only fig5b here", "fig5"));
+        assert!(contains_word("`exp dynamics:churn-storm`", "dynamics:"));
+        assert!(!contains_word("nodynamics:churn-storm", "dynamics:"));
         assert!(contains_word("protocols: static,dimmer-dqn", "static"));
         assert!(!contains_word("statics everywhere", "static"));
         assert!(!contains_word("dimmer-dqn2", "dimmer-dqn"));

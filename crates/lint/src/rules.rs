@@ -72,7 +72,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "S001",
         name: "readme-repro-drift",
-        summary: "every exp_* binary must appear in the README reproduction docs",
+        summary: "every catalogue grid must appear in the README reproduction docs",
     },
     Rule {
         id: "S002",

@@ -66,7 +66,7 @@ pub const P_CRATES: &[&str] = &[
 /// let sim = scope_for(Path::new("crates/sim/src/rng.rs")).expect("scanned");
 /// assert!(sim.determinism && sim.panic_hygiene);
 /// // CLI binaries keep D-rules but may panic:
-/// let bin = scope_for(Path::new("crates/bench/src/bin/exp_fig5.rs")).expect("scanned");
+/// let bin = scope_for(Path::new("crates/bench/src/bin/exp.rs")).expect("scanned");
 /// assert!(bin.determinism && !bin.panic_hygiene);
 /// assert!(scope_for(Path::new("vendor/rand/src/lib.rs")).is_none());
 /// ```
@@ -208,7 +208,7 @@ mod tests {
             assert!(!s.determinism && s.panic_hygiene, "{p}");
         }
         // Bench and daemon binaries: D without P.
-        let b = case("crates/bench/src/bin/exp_fig5.rs").expect("scanned");
+        let b = case("crates/bench/src/bin/exp.rs").expect("scanned");
         assert!(b.determinism && !b.panic_hygiene);
         let d = case("crates/dimmerd/src/bin/dimmer_cli.rs").expect("scanned");
         assert!(d.determinism && !d.panic_hygiene);

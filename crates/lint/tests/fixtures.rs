@@ -88,10 +88,12 @@ fn s_fail_tree_drifts_in_every_family() {
     let rules_for =
         |rule: &str| -> Vec<&Finding> { findings.iter().filter(|f| f.rule == rule).collect() };
 
-    // S001: exp_ghost exists but README.md never names it; exp_demo is fine.
+    // S001: the catalogue names `ghost` but README.md never does; `demo`
+    // and the `family:` members are fine.
     let s001 = rules_for("S001");
     assert_eq!(s001.len(), 1, "{findings:?}");
-    assert!(s001[0].path.ends_with("exp_ghost.rs"));
+    assert!(s001[0].path.ends_with("catalogue.rs"));
+    assert!(s001[0].message.contains("`ghost`"));
 
     // S002: `beta` is registered but absent from both documents.
     let s002 = rules_for("S002");

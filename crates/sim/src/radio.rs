@@ -6,7 +6,7 @@
 //! provides the bookkeeping for the second metric, plus the channel
 //! abstraction used by slot-based channel hopping.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use std::fmt;
 
 /// Nominal CC2420 current draw in receive/listen mode, in milliamperes.
@@ -175,65 +175,6 @@ impl RadioAccounting {
     }
 }
 
-/// A running tally of radio activity with explicit state switching, for code
-/// that thinks in terms of "switch state at time t" rather than intervals.
-///
-/// # Examples
-///
-/// ```
-/// use dimmer_sim::{SimTime, SimDuration, RadioState};
-/// use dimmer_sim::radio::RadioTimeline;
-/// let mut tl = RadioTimeline::new(SimTime::ZERO);
-/// tl.switch(RadioState::Rx, SimTime::ZERO);
-/// tl.switch(RadioState::Off, SimTime::from_millis(7));
-/// let acc = tl.finish(SimTime::from_millis(20));
-/// assert_eq!(acc.on_time(), SimDuration::from_millis(7));
-/// ```
-#[derive(Debug, Clone)]
-pub struct RadioTimeline {
-    state: RadioState,
-    since: SimTime,
-    accounting: RadioAccounting,
-}
-
-impl RadioTimeline {
-    /// Creates a timeline starting at `start` with the radio off.
-    pub fn new(start: SimTime) -> Self {
-        RadioTimeline {
-            state: RadioState::Off,
-            since: start,
-            accounting: RadioAccounting::new(),
-        }
-    }
-
-    /// Returns the current radio state.
-    pub fn state(&self) -> RadioState {
-        self.state
-    }
-
-    /// Switches the radio to `state` at time `now`, accounting the elapsed
-    /// interval under the previous state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous switch time.
-    pub fn switch(&mut self, state: RadioState, now: SimTime) {
-        assert!(
-            now >= self.since,
-            "radio timeline must move forward in time"
-        );
-        self.accounting.record(self.state, now - self.since);
-        self.state = state;
-        self.since = now;
-    }
-
-    /// Ends the timeline at `end`, returning the accumulated accounting.
-    pub fn finish(mut self, end: SimTime) -> RadioAccounting {
-        self.switch(RadioState::Off, end);
-        self.accounting
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,24 +241,6 @@ mod tests {
         b.record(RadioState::Tx, SimDuration::from_millis(2));
         a.merge(&b);
         assert_eq!(a.on_time(), SimDuration::from_millis(3));
-    }
-
-    #[test]
-    fn timeline_accounts_intervals() {
-        let mut tl = RadioTimeline::new(SimTime::ZERO);
-        tl.switch(RadioState::Rx, SimTime::from_millis(1)); // 0-1 off
-        tl.switch(RadioState::Tx, SimTime::from_millis(4)); // 1-4 rx
-        tl.switch(RadioState::Off, SimTime::from_millis(5)); // 4-5 tx
-        let acc = tl.finish(SimTime::from_millis(20));
-        assert_eq!(acc.rx_time(), SimDuration::from_millis(3));
-        assert_eq!(acc.tx_time(), SimDuration::from_millis(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "forward in time")]
-    fn timeline_rejects_time_travel() {
-        let mut tl = RadioTimeline::new(SimTime::from_millis(10));
-        tl.switch(RadioState::Rx, SimTime::from_millis(5));
     }
 
     proptest! {

@@ -1,7 +1,5 @@
 //! Trace datasets: what one recorded round looks like for every possible
-//! `N_TX`, plus a dependency-free text serialization.
-
-use std::fmt::Write as _;
+//! `N_TX`.
 
 /// The outcome one round would have had under a specific `N_TX`.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,9 +66,8 @@ impl TraceSample {
 ///     interference_ratio: 0.0,
 /// };
 /// let ds = TraceDataset::new(2, 8, vec![sample]);
-/// let text = ds.to_text();
-/// let back = TraceDataset::from_text(&text).unwrap();
-/// assert_eq!(ds, back);
+/// assert_eq!((ds.num_nodes(), ds.n_max(), ds.len()), (2, 8, 1));
+/// assert_eq!(ds.sample(0).outcome(3).worst_reliability(), 0.9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceDataset {
@@ -78,18 +75,6 @@ pub struct TraceDataset {
     n_max: u8,
     samples: Vec<TraceSample>,
 }
-
-/// Error returned when parsing a serialized trace dataset fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceError(String);
-
-impl std::fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid trace file: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
 
 impl TraceDataset {
     /// Assembles a dataset.
@@ -157,120 +142,11 @@ impl TraceDataset {
     pub fn sample(&self, index: usize) -> &TraceSample {
         &self.samples[index]
     }
-
-    /// Splits the dataset into a training and an evaluation part at the given
-    /// fraction (chronological split, no shuffling).
-    pub fn split(&self, train_fraction: f64) -> (TraceDataset, TraceDataset) {
-        let cut = ((self.samples.len() as f64) * train_fraction.clamp(0.0, 1.0)).round() as usize;
-        let (a, b) = self.samples.split_at(cut.min(self.samples.len()));
-        (
-            TraceDataset::new(self.num_nodes, self.n_max, a.to_vec()),
-            TraceDataset::new(self.num_nodes, self.n_max, b.to_vec()),
-        )
-    }
-
-    /// Serializes the dataset to the line-oriented text format.
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        writeln!(s, "dimmer-trace v1").expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
-        writeln!(
-            s,
-            "nodes {} nmax {} samples {}",
-            self.num_nodes,
-            self.n_max,
-            self.samples.len()
-        )
-        // lint: allow(P001) -- fmt::Write into a String cannot fail
-        .expect("infallible");
-        for sample in &self.samples {
-            writeln!(s, "sample {}", sample.interference_ratio).expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
-            for (ntx, o) in sample.outcomes.iter().enumerate() {
-                let rel: Vec<String> = o.reliabilities.iter().map(|r| format!("{r}")).collect();
-                let on: Vec<String> = o.radio_on_us.iter().map(|r| format!("{r}")).collect();
-                writeln!(s, "ntx {ntx} losses {}", o.losses).expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
-                writeln!(s, "rel {}", rel.join(" ")).expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
-                writeln!(s, "on {}", on.join(" ")).expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
-            }
-        }
-        s
-    }
-
-    /// Parses a dataset from the text format produced by
-    /// [`TraceDataset::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseTraceError`] on any structural or numeric problem.
-    pub fn from_text(text: &str) -> Result<TraceDataset, ParseTraceError> {
-        let err = |m: &str| ParseTraceError(m.to_string());
-        let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
-        if lines.next() != Some("dimmer-trace v1") {
-            return Err(err("missing header"));
-        }
-        let meta = lines.next().ok_or_else(|| err("missing metadata"))?;
-        let parts: Vec<&str> = meta.split_whitespace().collect();
-        if parts.len() != 6 || parts[0] != "nodes" || parts[2] != "nmax" || parts[4] != "samples" {
-            return Err(err("malformed metadata"));
-        }
-        let num_nodes: usize = parts[1].parse().map_err(|_| err("bad node count"))?;
-        let n_max: u8 = parts[3].parse().map_err(|_| err("bad n_max"))?;
-        let count: usize = parts[5].parse().map_err(|_| err("bad sample count"))?;
-
-        let mut samples = Vec::with_capacity(count);
-        for _ in 0..count {
-            let head = lines.next().ok_or_else(|| err("missing sample header"))?;
-            let ratio: f64 = head
-                .strip_prefix("sample ")
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| err("malformed sample header"))?;
-            let mut outcomes = Vec::with_capacity(n_max as usize + 1);
-            for expected_ntx in 0..=n_max {
-                let ntx_line = lines.next().ok_or_else(|| err("missing ntx line"))?;
-                let ntx_parts: Vec<&str> = ntx_line.split_whitespace().collect();
-                if ntx_parts.len() != 4 || ntx_parts[0] != "ntx" || ntx_parts[2] != "losses" {
-                    return Err(err("malformed ntx line"));
-                }
-                let ntx: u8 = ntx_parts[1].parse().map_err(|_| err("bad ntx"))?;
-                if ntx != expected_ntx {
-                    return Err(err("ntx entries out of order"));
-                }
-                let losses: usize = ntx_parts[3].parse().map_err(|_| err("bad loss count"))?;
-                let rel_line = lines.next().ok_or_else(|| err("missing rel line"))?;
-                let reliabilities: Vec<f64> = rel_line
-                    .strip_prefix("rel ")
-                    .ok_or_else(|| err("malformed rel line"))?
-                    .split_whitespace()
-                    .map(|v| v.parse().map_err(|_| err("bad reliability")))
-                    .collect::<Result<_, _>>()?;
-                let on_line = lines.next().ok_or_else(|| err("missing on line"))?;
-                let radio_on_us: Vec<u64> = on_line
-                    .strip_prefix("on ")
-                    .ok_or_else(|| err("malformed on line"))?
-                    .split_whitespace()
-                    .map(|v| v.parse().map_err(|_| err("bad radio-on value")))
-                    .collect::<Result<_, _>>()?;
-                if reliabilities.len() != num_nodes || radio_on_us.len() != num_nodes {
-                    return Err(err("row width mismatch"));
-                }
-                outcomes.push(NtxOutcome {
-                    reliabilities,
-                    radio_on_us,
-                    losses,
-                });
-            }
-            samples.push(TraceSample {
-                outcomes,
-                interference_ratio: ratio,
-            });
-        }
-        Ok(TraceDataset::new(num_nodes, n_max, samples))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn tiny_sample(nodes: usize, n_max: u8, losses: usize) -> TraceSample {
         TraceSample {
@@ -286,13 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_is_lossless_structurally() {
-        let ds = TraceDataset::new(3, 4, vec![tiny_sample(3, 4, 2), tiny_sample(3, 4, 0)]);
-        let back = TraceDataset::from_text(&ds.to_text()).unwrap();
-        assert_eq!(ds, back);
-    }
-
-    #[test]
     fn outcome_helpers() {
         let o = NtxOutcome {
             reliabilities: vec![1.0, 0.7, 0.95],
@@ -304,39 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn split_is_chronological() {
-        let ds = TraceDataset::new(2, 2, (0..10).map(|i| tiny_sample(2, 2, i)).collect());
-        let (train, eval) = ds.split(0.7);
-        assert_eq!(train.len(), 7);
-        assert_eq!(eval.len(), 3);
-        assert_eq!(eval.sample(0).outcomes[0].losses, 7);
-    }
-
-    #[test]
     #[should_panic(expected = "must cover 0..=N_max")]
     fn wrong_sample_shape_is_rejected() {
         TraceDataset::new(2, 8, vec![tiny_sample(2, 3, 0)]);
-    }
-
-    #[test]
-    fn malformed_text_is_rejected() {
-        assert!(TraceDataset::from_text("").is_err());
-        assert!(TraceDataset::from_text("dimmer-trace v1\nnodes x nmax 2 samples 0").is_err());
-        let good = TraceDataset::new(2, 1, vec![tiny_sample(2, 1, 0)]).to_text();
-        let broken = good.replace("rel ", "xx ");
-        assert!(TraceDataset::from_text(&broken).is_err());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-        #[test]
-        fn prop_roundtrip(nodes in 1usize..6, n_max in 1u8..6, count in 0usize..5, losses in 0usize..10) {
-            let ds = TraceDataset::new(
-                nodes,
-                n_max,
-                (0..count).map(|_| tiny_sample(nodes, n_max, losses)).collect(),
-            );
-            prop_assert_eq!(TraceDataset::from_text(&ds.to_text()).unwrap(), ds);
-        }
     }
 }

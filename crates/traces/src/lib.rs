@@ -12,8 +12,8 @@
 //!   under the same conditions. (The paper approximates this by executing
 //!   the actions back-to-back with minimal latency; the simulator can simply
 //!   evaluate all of them under identical conditions.)
-//! * [`TraceDataset`] stores the samples in a small text format so collected
-//!   traces can be committed and reused.
+//! * [`TraceDataset`] holds the samples in memory: per round, the
+//!   per-node outcome of every `N_TX`.
 //! * [`TraceEnvironment`] exposes the dataset through the
 //!   [`dimmer_rl::Environment`] trait: Table-I states, the
 //!   decrease/maintain/increase action space, and the Eq. 3 reward.

@@ -1,13 +1,11 @@
 //! The end-to-end offline training pipeline:
 //! collect traces → trace environment → DQN training → quantized policy.
 
-use crate::collector::TraceCollector;
 use crate::dataset::TraceDataset;
 use crate::env::TraceEnvironment;
 use dimmer_core::{AdaptivityPolicy, DimmerConfig};
 use dimmer_neural::Mlp;
 use dimmer_rl::{DqnConfig, DqnTrainer};
-use dimmer_sim::Topology;
 
 /// Summary of one training run.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,24 +65,12 @@ pub fn train_policy(
     }
 }
 
-/// Collects a fresh trace on `topology` and trains a policy on it — the
-/// one-call version of the paper's offline pipeline.
-pub fn collect_and_train(
-    topology: &Topology,
-    trace_rounds: usize,
-    dimmer: &DimmerConfig,
-    dqn: &DqnConfig,
-    seed: u64,
-) -> (TraceDataset, TrainingReport) {
-    let dataset = TraceCollector::new(topology, seed).collect(trace_rounds);
-    let report = train_policy(&dataset, dimmer, dqn, seed);
-    (dataset, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::TraceCollector;
     use dimmer_core::{AdaptivityController, GlobalView, StateBuilder};
+    use dimmer_sim::Topology;
 
     #[test]
     fn training_produces_a_table_1_compatible_policy() {
@@ -119,20 +105,5 @@ mod tests {
             long.tail_reward,
             short.tail_reward
         );
-    }
-
-    #[test]
-    fn collect_and_train_wires_everything_together() {
-        let topo = Topology::kiel_testbed_18(8);
-        let (dataset, report) = collect_and_train(
-            &topo,
-            12,
-            &DimmerConfig::default(),
-            &DqnConfig::quick().with_iterations(500),
-            3,
-        );
-        assert_eq!(dataset.len(), 12);
-        assert_eq!(report.training_samples, 12);
-        assert!(report.tail_reward >= 0.0);
     }
 }

@@ -143,7 +143,7 @@ fn dynamics_serves_the_opt_in_zoo_with_the_offline_bytes() {
     let executor = d.spawn_executor();
 
     // `dimmer-zoo` is opt-in on every dynamics grid, exactly as with
-    // `exp_dynamics --protocols dimmer-zoo`.
+    // `exp dynamics:<preset> --protocols dimmer-zoo`.
     let (_, served) = submit_and_wait(
         &d,
         r#"{"cmd":"submit","spec":{"grid":"dynamics:churn-storm","quick":true,"protocols":["dimmer-zoo"]}}"#,

@@ -1,12 +1,13 @@
-//! Smoke tests for the experiment harness: every `exp_*` scenario builder is
-//! exercised for a handful of rounds with a rule-based policy (no DQN
-//! training), guarding the rarely-run experiment binaries against build and
-//! behavior rot. Protocols are addressed by their registry names, exactly as
-//! the binaries' `--protocols` flags do.
+//! Smoke tests for the experiment harness: every catalogue grid's
+//! single-trial builder is exercised for a handful of rounds with a
+//! rule-based policy (no DQN training), guarding the rarely-run experiments
+//! against build and behavior rot. Protocols are addressed by their registry
+//! names, exactly as `exp`'s `--protocols` flag does.
 
 use dimmer_bench::experiments::{
-    dynamics_run, fig4b_trial, fig4c_dimmer, fig4c_pid, fig5_run, fig6_grid, fig6_single, fig7_run,
-    table1_summary, Fig7Scenario, DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS, TESTBED_PROTOCOLS,
+    dynamics_run, fig4b_trial, fig4c_run, fig5_run, fig6_grid, fig6_single, fig7_run,
+    table1_summary, Fig7Scenario, DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS, FIG4C_PROTOCOLS,
+    TESTBED_PROTOCOLS,
 };
 use dimmer_bench::scenarios::DYNAMIC_SCENARIOS;
 use dimmer_bench::{mean_forwarders, summarize, RunOptions};
@@ -26,7 +27,7 @@ fn assert_summary_sane(reliability: f64, label: &str) {
 }
 
 #[test]
-fn exp_table1_summary_is_complete() {
+fn table1_summary_is_complete() {
     let s = table1_summary(&DimmerConfig::default());
     assert_eq!(s.state_dim, 31);
     assert_eq!(s.example_state.len(), s.state_dim);
@@ -35,7 +36,7 @@ fn exp_table1_summary_is_complete() {
 }
 
 #[test]
-fn exp_fig4b_row_trains_and_evaluates() {
+fn fig4b_row_trains_and_evaluates() {
     let topo = Topology::kiel_testbed_18(1);
     let traces = TraceCollector::new(&topo, 21)
         .with_sweep(vec![0.0, 0.25], 3)
@@ -56,19 +57,20 @@ fn exp_fig4b_row_trains_and_evaluates() {
 }
 
 #[test]
-fn exp_fig4c_both_protocols_produce_reports() {
-    let dimmer = fig4c_dimmer(AdaptivityPolicy::rule_based(), 10, 7);
-    let pid = fig4c_pid(10, 7);
-    assert_eq!(dimmer.len(), 10);
-    assert_eq!(pid.len(), 10);
-    for r in dimmer.iter().chain(pid.iter()) {
-        assert_summary_sane(r.reliability, "fig4c");
-        assert!(r.mean_radio_on.as_millis_f64().is_finite());
+fn fig4c_both_protocols_produce_reports() {
+    let policy = AdaptivityPolicy::rule_based();
+    for protocol in FIG4C_PROTOCOLS {
+        let reports = fig4c_run(protocol, &policy, 10, 7);
+        assert_eq!(reports.len(), 10, "{protocol}");
+        for r in &reports {
+            assert_summary_sane(r.reliability, protocol);
+            assert!(r.mean_radio_on.as_millis_f64().is_finite());
+        }
     }
 }
 
 #[test]
-fn exp_fig5_covers_every_testbed_protocol() {
+fn fig5_covers_every_testbed_protocol() {
     let policy = AdaptivityPolicy::rule_based();
     assert_eq!(TESTBED_PROTOCOLS, ["static", "dimmer-dqn", "pid"]);
     for protocol in TESTBED_PROTOCOLS {
@@ -84,7 +86,7 @@ fn exp_fig5_covers_every_testbed_protocol() {
 }
 
 #[test]
-fn exp_fig5_static_protocol_never_adapts() {
+fn fig5_static_protocol_never_adapts() {
     let policy = AdaptivityPolicy::rule_based();
     let summary = fig5_run("static", 0.25, &policy, 6, 11);
     assert!(
@@ -94,7 +96,7 @@ fn exp_fig5_static_protocol_never_adapts() {
 }
 
 #[test]
-fn exp_fig6_run_tracks_forwarders() {
+fn fig6_run_tracks_forwarders() {
     let with_fs = fig6_single(30, 3, true);
     let without_fs = fig6_single(30, 3, false);
     assert_eq!(with_fs.len(), 30);
@@ -151,7 +153,7 @@ fn fig5_runs_are_deterministic_per_seed() {
 }
 
 #[test]
-fn exp_fig7_cells_cover_every_scenario_and_protocol() {
+fn fig7_cells_cover_every_scenario_and_protocol() {
     assert_eq!(DCUBE_PROTOCOLS, ["static", "dimmer-dqn", "crystal"]);
     for scenario in Fig7Scenario::ALL {
         for protocol in DCUBE_PROTOCOLS {
@@ -167,7 +169,7 @@ fn exp_fig7_cells_cover_every_scenario_and_protocol() {
 }
 
 #[test]
-fn exp_dynamics_covers_every_preset_and_protocol() {
+fn dynamics_covers_every_preset_and_protocol() {
     assert_eq!(
         DYNAMICS_PROTOCOLS,
         ["static", "dimmer-dqn", "dimmer-rule", "pid"]

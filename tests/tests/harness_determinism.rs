@@ -64,7 +64,7 @@ fn fig6_and_topology_grids_are_thread_count_invariant() {
 
 #[test]
 fn cached_runs_do_not_change_grid_results() {
-    use dimmer_bench::experiments::{fig6_single, CachedRun};
+    use dimmer_bench::experiments::{fig4c_grid, fig4c_run, fig6_single, CachedRun};
     let opts = RunOptions {
         trials: 1,
         threads: 1,
@@ -84,6 +84,111 @@ fn cached_runs_do_not_change_grid_results() {
     let stale = CachedRun::new(seed ^ 1, fig6_single(10, seed ^ 1, true));
     let ignored = fig6_grid(10, Some(stale)).run(&opts);
     assert_eq!(uncached.to_json(), ignored.to_json());
+
+    // One cache holds a run per cell: each fig4c cell picks the run under
+    // its own seed, and a third run under another seed is ignored.
+    let protocols = protocol_list(&["dimmer-dqn", "pid"]);
+    let policy = AdaptivityPolicy::rule_based();
+    let fig4c = |cache| fig4c_grid(policy.clone(), 8, &protocols, cache).run(&opts);
+    let uncached = fig4c(None);
+    let mut cache = CachedRun::default();
+    for (cell, protocol) in protocols.iter().enumerate() {
+        let seed = SimRng::derive_seed(opts.seed, &[cell as u64, 0]);
+        cache = cache.with(seed, fig4c_run(protocol, &policy, 8, seed));
+    }
+    assert_eq!(uncached.to_json(), fig4c(Some(cache.clone())).to_json());
+    let other = SimRng::derive_seed(opts.seed + 1, &[0, 0]);
+    let cache = cache.with(other, fig4c_run("pid", &policy, 8, other));
+    assert_eq!(uncached.to_json(), fig4c(Some(cache)).to_json());
+}
+
+#[test]
+fn each_cell_reads_the_cached_run_under_its_own_seed() {
+    use dimmer_bench::experiments::{
+        dynamics_grid, dynamics_run, fig4c_grid, fig4c_run, CachedRun,
+    };
+    use dimmer_bench::report::GridReport;
+    use dimmer_bench::summarize;
+    use dimmer_core::DimmerRoundReport;
+    let opts = RunOptions {
+        trials: 1,
+        threads: 2,
+        seed: 5,
+    };
+    let policy = AdaptivityPolicy::rule_based();
+    // Cell 1 is handed a run it would never simulate itself: cell 0's
+    // protocol under cell 1's seed. Reporting that run shows the cell read
+    // the cache instead of simulating, and that a cache serves every cell,
+    // not only the first.
+    let seed = SimRng::derive_seed(opts.seed, &[1, 0]);
+    let check =
+        |name: &str, uncached: GridReport, cached: GridReport, planted: &[DimmerRoundReport]| {
+            assert_ne!(
+                uncached.to_json(),
+                cached.to_json(),
+                "{name}: the planted run is visible"
+            );
+            assert_eq!(
+                uncached.cells[0], cached.cells[0],
+                "{name}: cell 0 has no cached run"
+            );
+            let s = summarize(planted);
+            for (metric, want) in [
+                ("reliability", s.reliability),
+                ("radio_on_ms", s.radio_on_ms),
+                ("mean_ntx", s.mean_ntx),
+            ] {
+                assert_eq!(
+                    cached.cells[1].metric(metric).unwrap().mean,
+                    want,
+                    "{name}: {metric}"
+                );
+            }
+        };
+
+    let protocols = protocol_list(&["static", "pid"]);
+    let dynamics =
+        |cache| dynamics_grid(policy.clone(), 12, "churn-storm", &protocols, cache).run(&opts);
+    let planted = dynamics_run("static", "churn-storm", &policy, 12, seed);
+    let cached = dynamics(Some(CachedRun::new(seed, planted.clone())));
+    check("dynamics", dynamics(None), cached, &planted);
+
+    let protocols = protocol_list(&["dimmer-dqn", "pid"]);
+    let fig4c = |cache| fig4c_grid(policy.clone(), 12, &protocols, cache).run(&opts);
+    let planted = fig4c_run("dimmer-dqn", &policy, 12, seed);
+    let cached = fig4c(Some(CachedRun::new(seed, planted.clone())));
+    check("fig4c", fig4c(None), cached, &planted);
+}
+
+#[test]
+fn lazily_shared_inputs_do_not_depend_on_which_trial_builds_them() {
+    use dimmer_bench::experiments::{fig4b_grid, grid10k_scale_grid};
+    // fig4b's trace and grid10k's world are built by whichever trial runs
+    // first and then shared; racing workers must all see the same value.
+    for (name, build) in [
+        (
+            "fig4b",
+            Box::new(|_| fig4b_grid(12, 20, 2, "both")) as Box<dyn Fn(usize) -> ScenarioGrid>,
+        ),
+        (
+            "grid10k",
+            Box::new(|threads| grid10k_scale_grid(2, threads)),
+        ),
+    ] {
+        let run = |threads| {
+            build(threads)
+                .run(&RunOptions {
+                    trials: 2,
+                    threads,
+                    seed: 500,
+                })
+                .to_json()
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            assert_eq!(serial, run(threads), "{name}: {threads} threads");
+        }
+    }
 }
 
 #[test]

@@ -1,15 +1,13 @@
 //! Scheduler-extraction pinning: byte-identical harness reports for every
-//! `exp_*` grid at fixed seeds.
+//! catalogue grid at fixed seeds.
 //!
 //! The worker pool, per-trial seeding and report assembly of
-//! `ScenarioGrid::run` (shared by the `exp_*` binaries and the `dimmerd`
+//! `ScenarioGrid::run` (shared by the `exp` binary and the `dimmerd`
 //! daemon) are pinned here. These goldens were captured from the harness
 //! before any of that code moved: every grid builder is run at a small fixed
 //! configuration and the FNV-1a digest of its serialized JSON report must
 //! never change. Any drift in seed derivation, job ordering, aggregation
 //! arithmetic or JSON formatting shows up as a digest mismatch.
-
-use std::sync::Arc;
 
 use dimmer_bench::experiments::{
     city_scale_grid, dynamics_grid, fig4b_grid, fig4c_grid, fig5_grid, fig5_seed_sweep_grid,
@@ -20,8 +18,6 @@ use dimmer_bench::harness::{RunOptions, ScenarioGrid};
 use dimmer_bench::scenarios::DYNAMIC_SCENARIOS;
 use dimmer_core::{AdaptivityPolicy, DimmerConfig};
 use dimmer_integration::equivalence::json_digest;
-use dimmer_sim::Topology;
-use dimmer_traces::TraceCollector;
 
 fn opts(trials: usize) -> RunOptions {
     RunOptions {
@@ -63,9 +59,9 @@ fn table1_grid_is_pinned() {
 
 #[test]
 fn fig4b_grid_is_pinned() {
-    let topo = Topology::kiel_testbed_18(1);
-    let traces = Arc::new(TraceCollector::new(&topo, 21).collect(12));
-    pin(fig4b_grid(traces, 40, 4, "nodes"), 1, GOLDEN_FIG4B);
+    // A 12-round trace from the testbed-seed-1 / collector-seed-21
+    // collector the golden was captured with.
+    pin(fig4b_grid(12, 40, 4, "nodes"), 1, GOLDEN_FIG4B);
 }
 
 #[test]
@@ -74,7 +70,6 @@ fn fig4c_grid_is_pinned() {
         AdaptivityPolicy::rule_based(),
         6,
         &protocol_list(&["dimmer-dqn", "pid"]),
-        None,
         None,
     );
     pin(grid, 2, GOLDEN_FIG4C);
