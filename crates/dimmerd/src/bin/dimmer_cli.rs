@@ -9,9 +9,10 @@
 //! dimmer-cli [--addr HOST:PORT] shutdown
 //! ```
 //!
-//! `submit --wait` polls `status` until the job settles, then prints the
-//! *unescaped* report JSON to stdout — the exact bytes `exp <grid>`
-//! writes through `--json`. Every other command prints the
+//! `submit --wait` polls `status` until the job leaves the queue, then
+//! prints the *unescaped* report JSON to stdout — the exact bytes
+//! `exp <grid>` writes through `--json`. A job that failed or has expired
+//! exits 1 with the daemon's error. Every other command prints the
 //! daemon's reply line verbatim.
 
 use std::io::{BufRead, BufReader, Write};
@@ -25,17 +26,14 @@ fn fail(message: &str) -> ! {
     std::process::exit(1);
 }
 
-/// One request/reply exchange on a fresh connection.
+/// One request/reply exchange on a fresh connection; the request and its
+/// newline go out in one write.
 fn exchange(addr: &str, request: &str) -> Json {
-    let stream = TcpStream::connect(addr)
+    let mut stream = TcpStream::connect(addr)
         .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-    let mut writer = stream
-        .try_clone()
-        .unwrap_or_else(|e| fail(&format!("connection failed: {e}")));
-    writer
-        .write_all(request.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
+    stream
+        .set_nodelay(true)
+        .and_then(|()| stream.write_all(format!("{request}\n").as_bytes()))
         .unwrap_or_else(|e| fail(&format!("cannot send request: {e}")));
     let mut line = String::new();
     BufReader::new(stream)
@@ -164,11 +162,11 @@ fn main() {
                 let status = exchange(&addr, &format!(r#"{{"cmd":"status","job":{job}}}"#));
                 require_ok(&status);
                 match reply_field(&status, "state").as_str() {
-                    Some("done") => break,
-                    Some("failed") => break,
-                    _ => std::thread::sleep(Duration::from_millis(100)),
+                    Some("queued" | "running") => std::thread::sleep(Duration::from_millis(100)),
+                    _ => break,
                 }
             }
+            // A failed or expired job answers `result` with the error.
             let result = exchange(&addr, &format!(r#"{{"cmd":"result","job":{job}}}"#));
             require_ok(&result);
             let report = reply_field(&result, "report")

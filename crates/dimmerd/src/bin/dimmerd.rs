@@ -9,6 +9,8 @@
 //! default 1 — the count never changes report bytes), prints
 //! `dimmerd listening on ADDR` (the readiness line scripts wait for) and
 //! serves until a `shutdown` request has drained the queue.
+//! `--memo-bytes N` (default 262144, 256 KiB) bounds every report byte
+//! the daemon retains; a report larger than it fails its job.
 
 use std::net::TcpListener;
 

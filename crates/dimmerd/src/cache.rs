@@ -56,7 +56,8 @@ impl WorldCache {
 }
 
 /// Result memoization keyed by `(scenario_hash, seed)`, bounded by a byte
-/// budget with least-recently-used eviction.
+/// budget with least-recently-used eviction. Finished jobs hold only their
+/// key, so the budget bounds every report byte the daemon retains.
 #[derive(Debug)]
 pub struct MemoCache {
     entries: BTreeMap<(u64, u64), MemoEntry>,
@@ -70,7 +71,7 @@ pub struct MemoCache {
 
 #[derive(Debug)]
 struct MemoEntry {
-    report: Arc<String>,
+    report: Arc<str>,
     last_used: u64,
 }
 
@@ -107,7 +108,7 @@ impl MemoCache {
 
     /// Looks up a memoized report, marking the entry most-recently used
     /// and counting a hit or a miss.
-    pub fn get(&mut self, scenario_hash: u64, seed: u64) -> Option<Arc<String>> {
+    pub fn get(&mut self, scenario_hash: u64, seed: u64) -> Option<Arc<str>> {
         let report = self.recheck(scenario_hash, seed);
         match report {
             Some(_) => self.hits += 1,
@@ -118,7 +119,7 @@ impl MemoCache {
 
     /// [`get`](Self::get) without counting: the executor's second look at
     /// a job whose lookup `submit` already counted.
-    pub fn recheck(&mut self, scenario_hash: u64, seed: u64) -> Option<Arc<String>> {
+    pub fn recheck(&mut self, scenario_hash: u64, seed: u64) -> Option<Arc<str>> {
         self.clock += 1;
         let entry = self.entries.get_mut(&(scenario_hash, seed))?;
         entry.last_used = self.clock;
@@ -126,10 +127,11 @@ impl MemoCache {
     }
 
     /// Stores a report, evicting least-recently-used entries until the
-    /// budget holds. A report larger than the whole budget is not stored.
-    pub fn insert(&mut self, scenario_hash: u64, seed: u64, report: Arc<String>) {
+    /// budget holds, and returns whether it was stored: a report larger
+    /// than the whole budget is not.
+    pub fn insert(&mut self, scenario_hash: u64, seed: u64, report: Arc<str>) -> bool {
         if report.len() > self.budget_bytes {
-            return;
+            return false;
         }
         self.clock += 1;
         if let Some(old) = self.entries.insert(
@@ -156,6 +158,7 @@ impl MemoCache {
                 self.evictions += 1;
             }
         }
+        true
     }
 
     /// Counter snapshot for the `stats` reply.
@@ -175,8 +178,8 @@ impl MemoCache {
 mod tests {
     use super::*;
 
-    fn report(tag: u8, len: usize) -> Arc<String> {
-        Arc::new(String::from_utf8(vec![b'a' + tag; len]).unwrap())
+    fn report(tag: u8, len: usize) -> Arc<str> {
+        Arc::from(String::from_utf8(vec![b'a' + tag; len]).unwrap())
     }
 
     #[test]
@@ -214,7 +217,7 @@ mod tests {
     #[test]
     fn oversized_reports_are_not_cached() {
         let mut memo = MemoCache::new(5);
-        memo.insert(1, 0, report(0, 10));
+        assert!(!memo.insert(1, 0, report(0, 10)));
         assert!(memo.get(1, 0).is_none());
         assert_eq!(memo.stats().bytes, 0);
     }

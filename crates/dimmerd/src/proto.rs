@@ -5,19 +5,23 @@
 //! `"ok"` boolean. The commands (the [`COMMANDS`] list is what the
 //! doc-drift lint checks README / ARCHITECTURE against):
 //!
-//! | command    | request fields                  | reply                               |
-//! |------------|---------------------------------|-------------------------------------|
-//! | `submit`   | `spec` (scenario object)        | `job`, `state` (`queued` \| `done`) |
-//! | `status`   | `job`                           | `state`                             |
-//! | `result`   | `job`                           | `report` (escaped report JSON)      |
-//! | `stats`    | —                               | counters (queue, memo, worlds)      |
-//! | `shutdown` | —                               | `state: "draining"`                 |
+//! | command    | request fields           | reply                                                         |
+//! |------------|--------------------------|---------------------------------------------------------------|
+//! | `submit`   | `spec` (scenario object) | `job`, `state` (`queued` \| `done`)                           |
+//! | `status`   | `job`                    | `state` (`queued`, `running`, `done`, `failed` or `expired`)  |
+//! | `result`   | `job`                    | `report` (escaped report JSON), or `error: "expired"`         |
+//! | `stats`    | —                        | counters (queue, jobs, memo, worlds)                          |
+//! | `shutdown` | —                        | `state: "draining"`                                           |
 //!
 //! A full queue answers `submit` with `{"ok":false,"error":"busy"}` —
-//! explicit load-shedding instead of unbounded buffering. Reports are
-//! multi-line pretty-printed JSON, so they travel as an *escaped JSON
-//! string*; unescaping yields bytes identical to what the same scenario
-//! writes through `--json` offline.
+//! explicit load-shedding instead of unbounded buffering. The daemon keeps
+//! a fixed window of finished jobs; an older id is `expired`, and an id
+//! never handed out is an `unknown job`. Reports are multi-line
+//! pretty-printed JSON, so they travel as an *escaped JSON string*;
+//! unescaping yields bytes identical to what the same scenario writes
+//! through `--json` offline.
+
+use std::fmt::Write;
 
 use crate::json::{self, Json};
 use crate::scenario::ScenarioSpec;
@@ -97,6 +101,21 @@ pub fn ok_reply(fields: Vec<(String, Json)>) -> String {
     Json::Obj(all).to_string()
 }
 
+/// Builds the `result` reply `{"ok":true,"job":N,"report":"…"}`: the bytes
+/// of [`ok_reply`] over a `Json::Str` of `report`, escaped straight into
+/// one buffer presized for the framing newline as well.
+pub fn result_reply(job: u64, report: &str) -> String {
+    let escapes = report
+        .bytes()
+        .filter(|b| matches!(b, b'"' | b'\\' | b'\n'))
+        .count();
+    let mut reply = String::with_capacity(report.len() + escapes + 64);
+    let _ = write!(reply, "{{\"ok\":true,\"job\":{job},\"report\":\"");
+    json::escape_into(report, &mut reply);
+    reply.push_str("\"}");
+    reply
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +148,24 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"submit"}"#).is_err());
         assert!(parse_request(r#"{"cmd":"status","job":-1}"#).is_err());
         assert!(parse_request(r#"{"cmd":"status"}"#).is_err());
+    }
+
+    #[test]
+    fn the_one_buffer_result_reply_equals_the_ok_reply_form() {
+        let pretty = "{\n  \"grid\": \"fig5\",\n  \"path\": \"a\\\\b\"\n}";
+        for (job, report) in [
+            (1, pretty),
+            (u64::MAX, "tab\there, return\r, bell\u{7}, é and \\\""),
+            (7, ""),
+        ] {
+            let want = ok_reply(vec![
+                ("job".to_string(), Json::Int(job)),
+                ("report".to_string(), Json::Str(report.to_string())),
+            ]);
+            assert_eq!(result_reply(job, report), want);
+        }
+        let reply = result_reply(1, pretty);
+        assert!(reply.capacity() > reply.len(), "no room for the newline");
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! `shutdown` stops intake, lets the pool drain what was accepted, then
 //! terminates it: a worker only flips the daemon to *stopped* once the
 //! queue is empty **and** no sibling still has a job in flight.
+//!
+//! Retention is bounded too. A queued job's spec lives in the queue, and a
+//! finished job keeps only its memo key, so the memo's byte budget bounds
+//! every report byte the daemon holds. The last `FINISHED_WINDOW`
+//! finished jobs stay answerable; an older id answers `expired`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -25,7 +30,7 @@ use dimmer_bench::harness::RunOptions;
 
 use crate::cache::{MemoCache, WorldCache};
 use crate::json::Json;
-use crate::proto::{error_reply, ok_reply, Request};
+use crate::proto::{error_reply, ok_reply, result_reply, Request};
 use crate::scenario::ScenarioSpec;
 
 /// Daemon tuning knobs.
@@ -39,7 +44,9 @@ pub struct DaemonConfig {
     /// Executor threads draining the job queue concurrently (does not
     /// affect report bytes either — see the module docs).
     pub workers: usize,
-    /// Byte budget of the result memo cache.
+    /// Byte budget of the result memo cache, the only owner of report
+    /// bytes (default 256 KiB, room for every catalogue grid's report at
+    /// both scales and default seeds).
     pub memo_budget_bytes: usize,
 }
 
@@ -49,17 +56,25 @@ impl Default for DaemonConfig {
             queue_limit: 32,
             threads: 2,
             workers: 1,
-            memo_budget_bytes: 64 * 1024 * 1024,
+            memo_budget_bytes: 256 * 1024,
         }
     }
 }
 
-/// Lifecycle of one submitted job.
-#[derive(Debug, Clone)]
+/// How many finished (done or failed) jobs stay answerable, in completion
+/// order; `status` and `result` of an older job answer `expired`. At the
+/// ~640 requests/s a 2-core host serves, 1 024 jobs last about 1.6 s,
+/// well past `dimmer-cli`'s 100 ms poll; a 64-job window used no less
+/// memory.
+const FINISHED_WINDOW: usize = 1024;
+
+/// Lifecycle of one submitted job. A done job names its report by memo
+/// key; the bytes live in the memo only.
+#[derive(Debug)]
 enum JobState {
-    Queued(ScenarioSpec),
+    Queued,
     Running,
-    Done(Arc<String>),
+    Done { hash: u64, seed: u64 },
     Failed(String),
 }
 
@@ -69,12 +84,16 @@ struct Counters {
     completed: u64,
     failed: u64,
     busy_rejections: u64,
+    expired: u64,
 }
 
 #[derive(Debug)]
 struct State {
-    queue: VecDeque<u64>,
+    /// Queued jobs in FIFO order, each with the spec it will run.
+    queue: VecDeque<(u64, ScenarioSpec)>,
     jobs: BTreeMap<u64, JobState>,
+    /// Finished job ids in completion order, at most `FINISHED_WINDOW`.
+    finished: VecDeque<u64>,
     next_job: u64,
     memo: MemoCache,
     worlds: WorldCache,
@@ -83,6 +102,45 @@ struct State {
     running: usize,
     draining: bool,
     stopped: bool,
+}
+
+impl State {
+    /// Hands out the next job id.
+    fn next_id(&mut self) -> u64 {
+        let job = self.next_job;
+        self.next_job += 1;
+        self.counters.submitted += 1;
+        job
+    }
+
+    /// Whether `job` was ever handed out; such an id missing from the
+    /// table has expired.
+    fn handed_out(&self, job: u64) -> bool {
+        (1..self.next_job).contains(&job)
+    }
+
+    /// Publishes a job's outcome — its report's memo key or its failure —
+    /// and expires the oldest finished job beyond the window.
+    fn finish(&mut self, job: u64, outcome: Result<(u64, u64), String>) {
+        let state = match outcome {
+            Ok((hash, seed)) => {
+                self.counters.completed += 1;
+                JobState::Done { hash, seed }
+            }
+            Err(message) => {
+                self.counters.failed += 1;
+                JobState::Failed(message)
+            }
+        };
+        self.jobs.insert(job, state);
+        self.finished.push_back(job);
+        if self.finished.len() > FINISHED_WINDOW {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+                self.counters.expired += 1;
+            }
+        }
+    }
 }
 
 /// The shared daemon service. Cloneable handle (`Arc` inside); spawn the
@@ -109,6 +167,7 @@ impl Daemon {
                 state: Mutex::new(State {
                     queue: VecDeque::new(),
                     jobs: BTreeMap::new(),
+                    finished: VecDeque::new(),
                     next_job: 1,
                     memo: MemoCache::new(config.memo_budget_bytes),
                     worlds: WorldCache::new(),
@@ -152,15 +211,10 @@ impl Daemon {
             let (job, spec) = {
                 let mut state = self.lock();
                 loop {
-                    if let Some(job) = state.queue.pop_front() {
-                        match state.jobs.get(&job).cloned() {
-                            Some(JobState::Queued(spec)) => {
-                                state.jobs.insert(job, JobState::Running);
-                                state.running += 1;
-                                break (job, spec);
-                            }
-                            _ => continue,
-                        }
+                    if let Some((job, spec)) = state.queue.pop_front() {
+                        state.jobs.insert(job, JobState::Running);
+                        state.running += 1;
+                        break (job, spec);
                     }
                     if state.draining {
                         // Drained only once no sibling worker still has a
@@ -189,30 +243,22 @@ impl Daemon {
     fn execute(&self, job: u64, spec: &ScenarioSpec) {
         let outcome = self.run_spec(spec);
         let mut state = self.lock();
-        match outcome {
-            Ok(report) => {
-                state.jobs.insert(job, JobState::Done(report));
-                state.counters.completed += 1;
-            }
-            Err(message) => {
-                state.jobs.insert(job, JobState::Failed(message));
-                state.counters.failed += 1;
-            }
-        }
+        state.finish(job, outcome);
         state.running -= 1;
         self.inner.job_done.notify_all();
     }
 
-    /// Runs a spec through memoization and, on a miss, the scheduler.
-    fn run_spec(&self, spec: &ScenarioSpec) -> Result<Arc<String>, String> {
+    /// Runs a spec through memoization and, on a miss, the scheduler;
+    /// returns the memo key its report is stored under.
+    fn run_spec(&self, spec: &ScenarioSpec) -> Result<(u64, u64), String> {
         let hash = spec.hash()?;
         let seed = spec.resolved_seed()?;
         let trials = spec.trials()?;
         // Re-check the memo: an identical job submitted earlier may have
         // completed while this one sat in the queue. `submit` already
         // counted this job's lookup, so the re-check counts nothing.
-        if let Some(report) = self.lock().memo.recheck(hash, seed) {
-            return Ok(report);
+        if self.lock().memo.recheck(hash, seed).is_some() {
+            return Ok((hash, seed));
         }
         // Resolve worlds under the lock (fast when warm); run the grid
         // outside it so status/stats stay responsive during simulation.
@@ -222,9 +268,19 @@ impl Daemon {
             threads: self.inner.config.threads,
             seed,
         });
-        let report = Arc::new(report.to_json());
-        self.lock().memo.insert(hash, seed, report.clone());
-        Ok(report)
+        // Stored as an exact-size copy, so the memo's byte count is the
+        // heap the report pins; `to_json`'s doubling buffer is freed with
+        // the run.
+        let report: Arc<str> = Arc::from(report.to_json());
+        let bytes = report.len();
+        if self.lock().memo.insert(hash, seed, report) {
+            Ok((hash, seed))
+        } else {
+            Err(format!(
+                "the {bytes}-byte report exceeds the {}-byte memo budget (--memo-bytes)",
+                self.inner.config.memo_budget_bytes
+            ))
+        }
     }
 
     /// Handles one parsed request, returning the reply line (without the
@@ -257,12 +313,9 @@ impl Daemon {
             return error_reply("shutting-down");
         }
         // Memo hit: answer with an already-done job, no queue round-trip.
-        if let Some(report) = state.memo.get(hash, seed) {
-            let job = state.next_job;
-            state.next_job += 1;
-            state.jobs.insert(job, JobState::Done(report));
-            state.counters.submitted += 1;
-            state.counters.completed += 1;
+        if state.memo.get(hash, seed).is_some() {
+            let job = state.next_id();
+            state.finish(job, Ok((hash, seed)));
             return ok_reply(vec![
                 ("job".to_string(), Json::Int(job)),
                 ("state".to_string(), Json::Str("done".to_string())),
@@ -272,11 +325,9 @@ impl Daemon {
             state.counters.busy_rejections += 1;
             return error_reply("busy");
         }
-        let job = state.next_job;
-        state.next_job += 1;
-        state.jobs.insert(job, JobState::Queued(spec.clone()));
-        state.queue.push_back(job);
-        state.counters.submitted += 1;
+        let job = state.next_id();
+        state.jobs.insert(job, JobState::Queued);
+        state.queue.push_back((job, spec.clone()));
         self.inner.work_ready.notify_one();
         ok_reply(vec![
             ("job".to_string(), Json::Int(job)),
@@ -287,11 +338,12 @@ impl Daemon {
     fn status(&self, job: u64) -> String {
         let state = self.lock();
         let label = match state.jobs.get(&job) {
-            None => return error_reply("unknown job"),
-            Some(JobState::Queued(_)) => "queued",
+            Some(JobState::Queued) => "queued",
             Some(JobState::Running) => "running",
-            Some(JobState::Done(_)) => "done",
+            Some(JobState::Done { .. }) => "done",
             Some(JobState::Failed(_)) => "failed",
+            None if state.handed_out(job) => "expired",
+            None => return error_reply("unknown job"),
         };
         ok_reply(vec![
             ("job".to_string(), Json::Int(job)),
@@ -300,15 +352,23 @@ impl Daemon {
     }
 
     fn result(&self, job: u64) -> String {
-        let state = self.lock();
-        match state.jobs.get(&job) {
-            None => error_reply("unknown job"),
-            Some(JobState::Queued(_)) | Some(JobState::Running) => error_reply("not-ready"),
-            Some(JobState::Failed(message)) => error_reply(&format!("job failed: {message}")),
-            Some(JobState::Done(report)) => ok_reply(vec![
-                ("job".to_string(), Json::Int(job)),
-                ("report".to_string(), Json::Str(report.as_str().to_string())),
-            ]),
+        // Escape the report outside the lock; the memo may evict it
+        // meanwhile, but this reply's `Arc` keeps the bytes alive.
+        let report = {
+            let mut state = self.lock();
+            match state.jobs.get(&job) {
+                Some(JobState::Queued | JobState::Running) => return error_reply("not-ready"),
+                Some(JobState::Failed(message)) => {
+                    return error_reply(&format!("job failed: {message}"))
+                }
+                Some(&JobState::Done { hash, seed }) => state.memo.recheck(hash, seed),
+                None if state.handed_out(job) => None,
+                None => return error_reply("unknown job"),
+            }
+        };
+        match report {
+            Some(report) => result_reply(job, &report),
+            None => error_reply("expired"),
         }
     }
 
@@ -325,6 +385,14 @@ impl Daemon {
                 Json::Int(state.counters.busy_rejections),
             ),
             ("queue_len".to_string(), Json::Int(state.queue.len() as u64)),
+            (
+                "jobs_retained".to_string(),
+                Json::Int(state.finished.len() as u64),
+            ),
+            (
+                "jobs_expired".to_string(),
+                Json::Int(state.counters.expired),
+            ),
             ("memo_hits".to_string(), Json::Int(memo.hits)),
             ("memo_misses".to_string(), Json::Int(memo.misses)),
             ("memo_evictions".to_string(), Json::Int(memo.evictions)),
@@ -358,13 +426,25 @@ impl Daemon {
         self.lock().stopped
     }
 
+    /// Blocks until the executors have drained the queue after
+    /// `shutdown` (the server's accept-loop waker waits here).
+    pub fn wait_until_stopped(&self) {
+        let mut state = self.lock();
+        while !state.stopped {
+            state = match self.inner.job_done.wait(state) {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+        }
+    }
+
     /// Blocks until job `job` leaves the queued/running states (used by
     /// in-process tests; network clients poll `status` instead).
     pub fn wait_for_job(&self, job: u64) {
         let mut state = self.lock();
         loop {
             match state.jobs.get(&job) {
-                Some(JobState::Queued(_)) | Some(JobState::Running) => {}
+                Some(JobState::Queued | JobState::Running) => {}
                 _ => return,
             }
             state = match self.inner.job_done.wait(state) {
@@ -381,17 +461,40 @@ mod tests {
     use crate::json;
 
     fn daemon(queue_limit: usize) -> Daemon {
+        daemon_with_budget(queue_limit, 16 * 1024 * 1024)
+    }
+
+    fn daemon_with_budget(queue_limit: usize, memo_budget_bytes: usize) -> Daemon {
         Daemon::new(DaemonConfig {
             queue_limit,
             threads: 2,
             workers: 1,
-            memo_budget_bytes: 16 * 1024 * 1024,
+            memo_budget_bytes,
         })
     }
 
     fn submit_line(d: &Daemon, line: &str) -> Json {
         let (reply, _) = d.handle_line(line);
         json::parse(&reply).unwrap()
+    }
+
+    fn submit_seed(d: &Daemon, seed: u64) -> u64 {
+        let line = format!(r#"{{"cmd":"submit","spec":{{"grid":"table1","seed":{seed}}}}}"#);
+        let reply = submit_line(d, &line);
+        let job = reply.get("job").and_then(Json::as_u64);
+        job.unwrap_or_else(|| panic!("submit refused: {reply:?}"))
+    }
+
+    fn status_of(d: &Daemon, job: u64) -> Json {
+        submit_line(d, &format!(r#"{{"cmd":"status","job":{job}}}"#))
+    }
+
+    fn result_of(d: &Daemon, job: u64) -> Json {
+        submit_line(d, &format!(r#"{{"cmd":"result","job":{job}}}"#))
+    }
+
+    fn error_of(reply: &Json) -> Option<&str> {
+        reply.get("error").and_then(Json::as_str)
     }
 
     #[test]
@@ -513,6 +616,100 @@ mod tests {
         let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
         assert_eq!(stats.get("completed").and_then(Json::as_u64), Some(2));
         assert_eq!(stats.get("queue_len").and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn finished_jobs_beyond_the_window_expire() {
+        let d = daemon(4);
+        let executor = d.spawn_executor();
+        d.wait_for_job(submit_seed(&d, 1));
+        // Job 1 ran cold; every resubmission is a memo hit, done at once.
+        for _ in 0..=FINISHED_WINDOW {
+            submit_seed(&d, 1);
+        }
+        let last = FINISHED_WINDOW as u64 + 2;
+        for job in [1, 2] {
+            let status = status_of(&d, job);
+            assert_eq!(status.get("state").and_then(Json::as_str), Some("expired"));
+            assert_eq!(error_of(&result_of(&d, job)), Some("expired"));
+        }
+        for job in [3, last] {
+            let status = status_of(&d, job);
+            assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+            assert_eq!(result_of(&d, job).get("ok"), Some(&Json::Bool(true)));
+        }
+        for unknown in [0, last + 1] {
+            assert_eq!(error_of(&status_of(&d, unknown)), Some("unknown job"));
+            assert_eq!(error_of(&result_of(&d, unknown)), Some("unknown job"));
+        }
+        let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
+        let count = |key: &str| stats.get(key).and_then(Json::as_u64);
+        assert_eq!(count("jobs_retained"), Some(FINISHED_WINDOW as u64));
+        assert_eq!(count("jobs_expired"), Some(2));
+        assert_eq!(count("completed"), Some(last));
+        d.handle_line(r#"{"cmd":"shutdown"}"#);
+        executor.join().unwrap();
+    }
+
+    #[test]
+    fn the_memo_budget_bounds_every_retained_report_byte() {
+        // Size the budget from the reports themselves: two fit, three do not.
+        let sizer = daemon(4);
+        let executor = sizer.spawn_executor();
+        let mut largest = 0;
+        for seed in 1..=3 {
+            let job = submit_seed(&sizer, seed);
+            sizer.wait_for_job(job);
+            let result = result_of(&sizer, job);
+            let report = result.get("report").and_then(Json::as_str).unwrap();
+            largest = largest.max(report.len());
+        }
+        sizer.handle_line(r#"{"cmd":"shutdown"}"#);
+        executor.join().unwrap();
+
+        let budget = 2 * largest;
+        let d = daemon_with_budget(4, budget);
+        let executor = d.spawn_executor();
+        let jobs: Vec<u64> = (1..=3).map(|seed| submit_seed(&d, seed)).collect();
+        for &job in &jobs {
+            d.wait_for_job(job);
+        }
+        let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
+        let count = |key: &str| stats.get(key).and_then(Json::as_u64).unwrap();
+        assert_eq!(count("memo_budget_bytes"), budget as u64);
+        assert!(
+            count("memo_bytes") <= count("memo_budget_bytes"),
+            "{stats:?}"
+        );
+        assert_eq!(count("memo_evictions"), 1);
+        // The first report was evicted: its job is done, its bytes gone.
+        let status = status_of(&d, jobs[0]);
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+        assert_eq!(error_of(&result_of(&d, jobs[0])), Some("expired"));
+        assert_eq!(result_of(&d, jobs[2]).get("ok"), Some(&Json::Bool(true)));
+        d.handle_line(r#"{"cmd":"shutdown"}"#);
+        executor.join().unwrap();
+    }
+
+    #[test]
+    fn a_report_larger_than_the_budget_fails_its_job_and_the_daemon_keeps_serving() {
+        let d = daemon_with_budget(4, 64);
+        let executor = d.spawn_executor();
+        let job = submit_seed(&d, 1);
+        d.wait_for_job(job);
+        let status = status_of(&d, job);
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
+        let error = result_of(&d, job);
+        let error = error_of(&error).unwrap();
+        assert!(error.contains("exceeds the 64-byte memo budget"), "{error}");
+        // The next submission is accepted and runs, and stats still answer.
+        let next = submit_seed(&d, 2);
+        d.wait_for_job(next);
+        let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
+        let count = |key: &str| stats.get(key).and_then(Json::as_u64);
+        assert_eq!((count("failed"), count("memo_bytes")), (Some(2), Some(0)));
+        d.handle_line(r#"{"cmd":"shutdown"}"#);
+        executor.join().unwrap();
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! End-to-end checks of the `dimmerd` serving path: memoized results are
 //! byte-identical to fresh runs, scenario hashes are stable across
 //! equivalent spec constructions, the warm world cache serves the city
-//! grid with the exact offline bytes, and concurrent TCP clients each get
-//! their deterministic report.
+//! grid with the exact offline bytes, concurrent TCP clients each get
+//! their deterministic report, and a round trip costs no TCP timer.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use dimmer_bench::experiments::{city_scale_grid, dynamics_grid, protocol_list};
 use dimmer_bench::harness::RunOptions;
@@ -259,80 +261,169 @@ fn scenario_hashes_are_stable_across_equivalent_constructions() {
     }
 }
 
-/// One TCP request/reply round trip against a live daemon socket.
-fn tcp_ask(addr: std::net::SocketAddr, line: &str) -> Json {
-    let stream = TcpStream::connect(addr).expect("connect to test daemon");
-    let mut writer = stream.try_clone().expect("clone stream");
-    writer.write_all(line.as_bytes()).unwrap();
-    writer.write_all(b"\n").unwrap();
-    writer.flush().unwrap();
+/// One TCP request/reply round trip on a fresh connection, the request
+/// and its newline sent in one write.
+fn tcp_ask(addr: SocketAddr, line: &str) -> Json {
+    let mut stream = TcpStream::connect(addr).expect("connect to test daemon");
+    stream.set_nodelay(true).unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     let mut reply = String::new();
     BufReader::new(stream).read_line(&mut reply).unwrap();
     json::parse(reply.trim()).expect("daemon replies are valid JSON")
 }
 
-#[test]
-fn an_over_long_request_line_is_refused_and_the_connection_keeps_serving() {
-    use dimmerd::server::MAX_REQUEST_BYTES;
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
-    let d = daemon();
-    let executor = d.spawn_executor();
-    let server = {
-        let d = d.clone();
-        std::thread::spawn(move || dimmerd::server::serve(&d, listener))
-    };
+/// A daemon with one executor, served on `bind` by a `serve` thread.
+struct Served {
+    /// Where clients connect: loopback at the bound port.
+    addr: SocketAddr,
+    executor: JoinHandle<()>,
+    server: JoinHandle<std::io::Result<()>>,
+}
 
-    let stream = TcpStream::connect(addr).expect("connect to test daemon");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .unwrap();
-    let mut writer = stream.try_clone().expect("clone stream");
-    let mut reader = BufReader::new(stream);
-    let mut read_reply = || {
+impl Served {
+    fn start(bind: &str) -> Served {
+        let listener = TcpListener::bind(bind).expect("bind ephemeral port");
+        let port = listener.local_addr().unwrap().port();
+        let d = daemon();
+        let executor = d.spawn_executor();
+        let server = std::thread::spawn(move || dimmerd::server::serve(&d, listener));
+        Served {
+            addr: SocketAddr::from((Ipv4Addr::LOCALHOST, port)),
+            executor,
+            server,
+        }
+    }
+
+    /// Sends `shutdown`, then joins the executor and the `serve` thread.
+    fn stop(self) {
+        let bye = tcp_ask(self.addr, r#"{"cmd":"shutdown"}"#);
+        assert_eq!(bye.get("state").and_then(Json::as_str), Some("draining"));
+        self.executor.join().unwrap();
+        self.server.join().unwrap().expect("server exits cleanly");
+    }
+}
+
+/// One connection that sends raw bytes and reads reply lines, each read
+/// bounded by a timeout so a missing reply fails instead of hanging.
+struct Connection {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Connection {
+    fn open(addr: SocketAddr) -> Connection {
+        let stream = TcpStream::connect(addr).expect("connect to test daemon");
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        Connection {
+            writer: stream.try_clone().expect("clone stream"),
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.writer.write_all(bytes).unwrap();
+    }
+
+    fn reply(&mut self) -> Json {
         let mut reply = String::new();
-        reader
+        self.reader
             .read_line(&mut reply)
             .expect("a reply before the read timeout");
         json::parse(reply.trim()).expect("daemon replies are valid JSON")
-    };
+    }
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_the_connection_keeps_serving() {
+    use dimmerd::server::MAX_REQUEST_BYTES;
+    let served = Served::start("127.0.0.1:0");
+    let mut conn = Connection::open(served.addr);
     // A line of exactly the cap (newline excluded) is still served.
     let mut at_cap = br#"{"cmd":"stats"}"#.to_vec();
     at_cap.resize(MAX_REQUEST_BYTES as usize, b' ');
     at_cap.push(b'\n');
-    writer.write_all(&at_cap).unwrap();
-    writer.flush().unwrap();
-    let served = read_reply();
-    assert_eq!(served.get("ok"), Some(&Json::Bool(true)), "{served:?}");
+    conn.send(&at_cap);
+    let at_cap = conn.reply();
+    assert_eq!(at_cap.get("ok"), Some(&Json::Bool(true)), "{at_cap:?}");
     // One byte past the cap and no newline: the reply must not wait for one.
-    writer
-        .write_all(&vec![b'a'; MAX_REQUEST_BYTES as usize + 1])
-        .unwrap();
-    writer.flush().unwrap();
-    let refused = read_reply();
+    conn.send(&vec![b'a'; MAX_REQUEST_BYTES as usize + 1]);
+    let refused = conn.reply();
     assert_eq!(refused.get("ok"), Some(&Json::Bool(false)), "{refused:?}");
     // The rest of the long line is skipped; the next line is served.
-    writer.write_all(b"aaaa\n{\"cmd\":\"stats\"}\n").unwrap();
-    writer.flush().unwrap();
-    let stats = read_reply();
+    conn.send(b"aaaa\n{\"cmd\":\"stats\"}\n");
+    let stats = conn.reply();
     assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats:?}");
 
-    let bye = tcp_ask(addr, r#"{"cmd":"shutdown"}"#);
-    assert_eq!(bye.get("state").and_then(Json::as_str), Some("draining"));
-    executor.join().unwrap();
-    server.join().unwrap().expect("server exits cleanly");
+    served.stop();
+}
+
+#[test]
+fn a_request_line_that_is_not_utf8_gets_an_error_reply_and_the_connection_keeps_serving() {
+    let served = Served::start("127.0.0.1:0");
+    let mut conn = Connection::open(served.addr);
+    conn.send(b"{\"cmd\":\"st\xffats\"}\n{\"cmd\":\"stats\"}\n");
+    let refused = conn.reply();
+    assert_eq!(
+        refused.get("error").and_then(Json::as_str),
+        Some("request line is not UTF-8"),
+        "{refused:?}"
+    );
+    let stats = conn.reply();
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats:?}");
+    served.stop();
+}
+
+#[test]
+fn round_trips_on_one_connection_pay_no_nagle_stall() {
+    // A reply written in two pieces without TCP_NODELAY waits out the
+    // client's delayed ACK, about 40 ms per round trip.
+    let served = Served::start("127.0.0.1:0");
+    let mut conn = Connection::open(served.addr);
+    let start = Instant::now();
+    for _ in 0..100 {
+        conn.send(b"{\"cmd\":\"stats\"}\n");
+        assert_eq!(conn.reply().get("ok"), Some(&Json::Bool(true)));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "100 round trips took {elapsed:?}"
+    );
+    served.stop();
+}
+
+#[test]
+fn requests_on_fresh_connections_pay_no_accept_sleep() {
+    // A polled accept loop adds its sleep to every fresh connection.
+    let served = Served::start("127.0.0.1:0");
+    let start = Instant::now();
+    for _ in 0..20 {
+        let stats = tcp_ask(served.addr, r#"{"cmd":"stats"}"#);
+        assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "20 fresh-connection requests took {elapsed:?}"
+    );
+    served.stop();
+}
+
+#[test]
+fn a_daemon_bound_to_every_interface_shuts_down_and_its_serve_thread_joins() {
+    let served = Served::start("0.0.0.0:0");
+    let stats = tcp_ask(served.addr, r#"{"cmd":"stats"}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+    served.stop();
 }
 
 #[test]
 fn concurrent_tcp_clients_each_get_their_deterministic_report() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
-    let d = daemon();
-    let executor = d.spawn_executor();
-    let server = {
-        let d = d.clone();
-        std::thread::spawn(move || dimmerd::server::serve(&d, listener))
-    };
+    let served = Served::start("127.0.0.1:0");
+    let addr = served.addr;
 
     // Several clients submit the same grid at different seeds in
     // parallel; each must receive the report its seed determines.
@@ -351,7 +442,7 @@ fn concurrent_tcp_clients_each_get_their_deterministic_report() {
                     let status = tcp_ask(addr, &format!(r#"{{"cmd":"status","job":{job}}}"#));
                     match status.get("state").and_then(Json::as_str) {
                         Some("done") | Some("failed") => break,
-                        _ => std::thread::sleep(std::time::Duration::from_millis(20)),
+                        _ => std::thread::sleep(Duration::from_millis(20)),
                     }
                 }
                 let result = tcp_ask(addr, &format!(r#"{{"cmd":"result","job":{job}}}"#));
@@ -389,8 +480,5 @@ fn concurrent_tcp_clients_each_get_their_deterministic_report() {
     let stats = tcp_ask(addr, r#"{"cmd":"stats"}"#);
     assert_eq!(stats.get("completed").and_then(Json::as_u64), Some(4));
 
-    let bye = tcp_ask(addr, r#"{"cmd":"shutdown"}"#);
-    assert_eq!(bye.get("state").and_then(Json::as_str), Some("draining"));
-    executor.join().unwrap();
-    server.join().unwrap().expect("server exits cleanly");
+    served.stop();
 }
