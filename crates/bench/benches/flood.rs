@@ -17,7 +17,7 @@ use criterion::Criterion;
 use dimmer_bench::experiments::fig5_run;
 use dimmer_core::AdaptivityPolicy;
 use dimmer_glossy::{FloodJob, FloodSimulator, GlossyConfig, ReferenceFloodSimulator};
-use dimmer_lwb::{LwbConfig, LwbScheduler, RoundExecutor};
+use dimmer_lwb::{LwbConfig, RoundExecutor, Schedule};
 use dimmer_sim::{
     topogen, CompositeInterference, InterferenceModel, NoInterference, NodeId, PeriodicJammer,
     SimRng, SimTime, Topology, WifiInterference, WifiLevel,
@@ -153,10 +153,9 @@ fn main() {
     // Full LWB round (control slot + 18 data slots) on the optimized path.
     {
         let lwb = LwbConfig::testbed_default();
-        let mut exec = RoundExecutor::new(&kiel, &NoInterference, lwb.clone());
-        let mut scheduler = LwbScheduler::new(lwb);
+        let mut exec = RoundExecutor::new(&kiel, &NoInterference, lwb);
         let sources: Vec<NodeId> = kiel.node_ids().collect();
-        let schedule = scheduler.next_schedule(&sources, dimmer_glossy::NtxAssignment::Uniform(3));
+        let schedule = Schedule::new(0, sources, dimmer_glossy::NtxAssignment::Uniform(3));
         let mut rng = SimRng::seed_from(2);
         c.bench_function("round/kiel18_18slots_ntx3", |b| {
             b.iter(|| exec.run_round(&schedule, SimTime::ZERO, &mut rng))

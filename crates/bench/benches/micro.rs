@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dimmer_core::{DimmerConfig, GlobalView, StateBuilder};
 use dimmer_glossy::{FloodSimulator, GlossyConfig};
-use dimmer_lwb::{LwbConfig, LwbScheduler, RoundExecutor};
+use dimmer_lwb::{LwbConfig, RoundExecutor, Schedule};
 use dimmer_neural::{Mlp, QuantizedNetwork};
 use dimmer_rl::{DqnConfig, DqnTrainer, Environment, Exp3, Transition};
 use dimmer_sim::{NoInterference, NodeId, SimRng, SimTime, Topology};
@@ -27,10 +27,9 @@ fn bench_glossy_flood(c: &mut Criterion) {
 fn bench_lwb_round(c: &mut Criterion) {
     let topo = Topology::kiel_testbed_18(1);
     let lwb = LwbConfig::testbed_default();
-    let mut exec = RoundExecutor::new(&topo, &NoInterference, lwb.clone());
-    let mut scheduler = LwbScheduler::new(lwb);
+    let mut exec = RoundExecutor::new(&topo, &NoInterference, lwb);
     let sources: Vec<NodeId> = topo.node_ids().collect();
-    let schedule = scheduler.next_schedule(&sources, dimmer_glossy::NtxAssignment::Uniform(3));
+    let schedule = Schedule::new(0, sources, dimmer_glossy::NtxAssignment::Uniform(3));
     let mut rng = SimRng::seed_from(2);
     c.bench_function("lwb_round_18_slots", |b| {
         b.iter(|| exec.run_round(&schedule, SimTime::ZERO, &mut rng))

@@ -11,7 +11,7 @@
 
 use criterion::{black_box, Criterion};
 use dimmer_glossy::NtxAssignment;
-use dimmer_lwb::{LwbConfig, LwbScheduler, RoundExecutor};
+use dimmer_lwb::{LwbConfig, RoundExecutor, Schedule};
 use dimmer_sim::{CompiledTopology, NoInterference, NodeId, SimRng, SimTime, Topology, WorldEvent};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -94,15 +94,14 @@ fn main() {
     {
         let kiel = Topology::kiel_testbed_18(1);
         let lwb = LwbConfig::testbed_default();
-        let mut exec = RoundExecutor::new(&kiel, &NoInterference, lwb.clone());
+        let mut exec = RoundExecutor::new(&kiel, &NoInterference, lwb);
         let mut alive = vec![true; kiel.num_nodes()];
         for dead in [3usize, 7, 11, 5, 9, 13] {
             alive[dead] = false;
         }
         exec.set_alive(&alive);
-        let mut scheduler = LwbScheduler::new(lwb);
         let sources: Vec<NodeId> = kiel.node_ids().filter(|s| alive[s.index()]).collect();
-        let schedule = scheduler.next_schedule(&sources, NtxAssignment::Uniform(3));
+        let schedule = Schedule::new(0, sources, NtxAssignment::Uniform(3));
         let mut rng = SimRng::seed_from(2);
         c.bench_function("round/kiel18_churn_storm_6dead", |b| {
             b.iter(|| exec.run_round(&schedule, SimTime::ZERO, &mut rng))

@@ -26,7 +26,7 @@ use dimmer_bench::catalogue::{self, Extras, Grid};
 use dimmer_bench::experiments::{dynamics_run, fig4c_run, fig6_single, table1_summary, CachedRun};
 use dimmer_bench::harness::{HarnessCli, RunOptions};
 use dimmer_bench::scenarios::{dimmer_policy, dynamic_scenario};
-use dimmer_bench::summary::{bucketize, phase_summaries, summarize};
+use dimmer_bench::summary::{phase_summaries, summarize};
 use dimmer_core::{DimmerConfig, DimmerRoundReport};
 use dimmer_sim::{SimRng, Topology};
 
@@ -156,10 +156,10 @@ fn print_minutes(protocol: &str, reports: &[DimmerRoundReport]) {
         "minute", "reliability", "mean NTX", "radio-on [ms]"
     );
     // 15 four-second rounds per simulated minute.
-    for (minute, bucket) in bucketize(reports, 15).iter().enumerate() {
+    for (minute, row) in reports.chunks(15).map(summarize).enumerate() {
         println!(
             "{minute:>6} {:>12.4} {:>10.2} {:>14.2}",
-            bucket.reliability, bucket.mean_ntx, bucket.radio_on_ms
+            row.reliability, row.mean_ntx, row.radio_on_ms
         );
     }
     let overall = summarize(reports);
@@ -178,13 +178,13 @@ fn print_half_hours(reports: &[DimmerRoundReport]) {
         "minute", "forwarders", "reliability", "radio-on [ms]"
     );
     // 450 four-second rounds = 30 simulated minutes per row.
-    for (i, bucket) in bucketize(reports, 450).iter().enumerate() {
+    for (i, row) in reports.chunks(450).map(summarize).enumerate() {
         println!(
             "{:>8} {:>12.1} {:>12.4} {:>14.2}",
             i * 30,
-            bucket.mean_forwarders,
-            bucket.reliability,
-            bucket.radio_on_ms
+            row.mean_forwarders,
+            row.reliability,
+            row.radio_on_ms
         );
     }
 }

@@ -139,7 +139,7 @@ pub fn fig4c_run(
     seed: u64,
 ) -> Vec<DimmerRoundReport> {
     let topo = Topology::kiel_testbed_18(1);
-    let interference = dynamic_interference_scenario(rounds as u64 * 4);
+    let interference = dynamic_interference_scenario();
     let mut sim = SimulationBuilder::new(&topo)
         .interference(&interference)
         .policy(policy.clone())

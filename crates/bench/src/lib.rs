@@ -34,7 +34,7 @@
 //! * [`scenarios`] — interference/topology and dynamic-world scenario
 //!   builders,
 //! * [`summary`] — the report-aggregation helpers every figure runner and
-//!   grid shares (run summaries, harness metrics, timeline buckets),
+//!   grid shares (run, phase and timeline-row summaries, harness metrics),
 //! * [`experiments`] — the testable per-figure experiment cores and their
 //!   [`ScenarioGrid`] builders, all running protocols through the generic
 //!   `RoundEngine` via the protocol registry,
@@ -62,4 +62,4 @@ pub mod training;
 pub use harness::{HarnessCli, RunOptions, ScenarioGrid, TrialMetrics};
 pub use report::{Aggregate, CellReport, GridReport};
 pub use scenarios::{dimmer_policy, dynamic_interference_scenario, kiel_jamming};
-pub use summary::{bucketize, mean_forwarders, summarize, summary_metrics, ProtocolSummary};
+pub use summary::{mean_forwarders, summarize, summary_metrics, ProtocolSummary};

@@ -33,8 +33,9 @@ pub fn kiel_jamming(duty_cycle: f64) -> CompositeInterference {
 }
 
 /// The Fig. 4c dynamic-interference scenario: 7 min calm, 5 min of 30 %
-/// jamming, 5 min calm, 5 min of 5 % jamming, then calm until `total_secs`.
-pub fn dynamic_interference_scenario(total_secs: u64) -> dimmer_sim::ScheduledInterference {
+/// jamming, 5 min calm, 5 min of 5 % jamming, then calm for as long as the
+/// run lasts.
+pub fn dynamic_interference_scenario() -> dimmer_sim::ScheduledInterference {
     let mut schedule = dimmer_sim::ScheduledInterference::new();
     let m = |min: u64| SimTime::from_secs(min * 60);
     for j in PeriodicJammer::kiel_pair(0.30) {
@@ -43,9 +44,6 @@ pub fn dynamic_interference_scenario(total_secs: u64) -> dimmer_sim::ScheduledIn
     for j in PeriodicJammer::kiel_pair(0.05) {
         schedule.add_window(m(17), m(22), Box::new(j));
     }
-    // Keep the schedule covering the whole experiment even if total_secs is
-    // longer than the scripted 27 minutes (remaining time is calm).
-    let _ = total_secs;
     schedule
 }
 
@@ -311,7 +309,7 @@ mod tests {
 
     #[test]
     fn dynamic_scenario_has_two_interference_phases() {
-        let s = dynamic_interference_scenario(27 * 60);
+        let s = dynamic_interference_scenario();
         assert_eq!(s.len(), 4);
         let probe = |secs: u64| {
             s.busy_fraction(
@@ -329,6 +327,7 @@ mod tests {
             light > 0.01 && light < 0.15,
             "minute 19 sits in the 5% phase, got {light}"
         );
+        assert!(probe(40 * 60) < 0.01, "calm after the scripted 27 minutes");
     }
 
     #[test]

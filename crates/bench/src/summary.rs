@@ -1,14 +1,14 @@
 //! Shared report-aggregation helpers: every figure runner, grid builder and
 //! `exp` timeline summarizes round reports through this one module.
 //!
-//! Three layers of aggregation recur across the experiments:
+//! Two layers of aggregation recur across the experiments:
 //!
-//! * [`summarize`] — collapse a whole run into a [`ProtocolSummary`]
-//!   (mean reliability / radio-on / `N_TX`),
+//! * [`summarize`] — collapse a run (or a phase of it, or the fixed-size
+//!   chunks of consecutive rounds the timelines of `exp fig4c` and
+//!   `exp fig6` print) into a [`ProtocolSummary`] (mean reliability /
+//!   radio-on / `N_TX` / forwarders),
 //! * [`summary_metrics`] — convert a summary into the harness's
-//!   [`TrialMetrics`] (adding the derived per-packet latency),
-//! * [`bucketize`] — fold a run into fixed-size buckets of consecutive
-//!   rounds (the timelines `exp fig4c` and `exp fig6` print).
+//!   [`TrialMetrics`] (adding the derived per-packet latency).
 
 use crate::harness::TrialMetrics;
 use dimmer_core::DimmerRoundReport;
@@ -25,6 +25,8 @@ pub struct ProtocolSummary {
     /// Mean number of alive nodes over the run (equals the network size in
     /// a static world).
     pub mean_alive: f64,
+    /// Mean number of active forwarders over the run.
+    pub mean_forwarders: f64,
     /// Number of rounds aggregated.
     pub rounds: usize,
 }
@@ -37,6 +39,7 @@ pub fn summarize(reports: &[DimmerRoundReport]) -> ProtocolSummary {
             radio_on_ms: 0.0,
             mean_ntx: 0.0,
             mean_alive: 0.0,
+            mean_forwarders: 0.0,
             rounds: 0,
         };
     }
@@ -50,6 +53,11 @@ pub fn summarize(reports: &[DimmerRoundReport]) -> ProtocolSummary {
             / n,
         mean_ntx: reports.iter().map(|r| r.ntx as f64).sum::<f64>() / n,
         mean_alive: reports.iter().map(|r| r.alive_nodes as f64).sum::<f64>() / n,
+        mean_forwarders: reports
+            .iter()
+            .map(|r| r.active_forwarders as f64)
+            .sum::<f64>()
+            / n,
         rounds: reports.len(),
     }
 }
@@ -99,67 +107,10 @@ pub fn summary_metrics(s: &ProtocolSummary, round_period_ms: f64) -> TrialMetric
         .with("mean_ntx", s.mean_ntx)
 }
 
-/// Mean metrics of one bucket of consecutive rounds (a row of the timeline
-/// tables printed by `exp fig4c` and `exp fig6`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineBucket {
-    /// Index of the bucket's first round.
-    pub start_round: usize,
-    /// Number of rounds folded into the bucket.
-    pub rounds: usize,
-    /// Mean reliability over the bucket.
-    pub reliability: f64,
-    /// Mean per-slot radio-on time, in milliseconds.
-    pub radio_on_ms: f64,
-    /// Mean `N_TX` over the bucket.
-    pub mean_ntx: f64,
-    /// Mean number of active forwarders over the bucket.
-    pub mean_forwarders: f64,
-}
-
-/// Folds `reports` into buckets of `bucket` consecutive rounds (the last
-/// bucket may be shorter).
-///
-/// # Panics
-///
-/// Panics if `bucket` is zero.
-pub fn bucketize(reports: &[DimmerRoundReport], bucket: usize) -> Vec<TimelineBucket> {
-    assert!(bucket > 0, "bucket size must be positive");
-    reports
-        .chunks(bucket)
-        .enumerate()
-        .map(|(i, chunk)| {
-            let n = chunk.len() as f64;
-            TimelineBucket {
-                start_round: i * bucket,
-                rounds: chunk.len(),
-                reliability: chunk.iter().map(|r| r.reliability).sum::<f64>() / n,
-                radio_on_ms: chunk
-                    .iter()
-                    .map(|r| r.mean_radio_on.as_millis_f64())
-                    .sum::<f64>()
-                    / n,
-                mean_ntx: chunk.iter().map(|r| r.ntx as f64).sum::<f64>() / n,
-                mean_forwarders: chunk
-                    .iter()
-                    .map(|r| r.active_forwarders as f64)
-                    .sum::<f64>()
-                    / n,
-            }
-        })
-        .collect()
-}
-
-/// Mean number of active forwarders over a run (Fig. 6's headline metric).
+/// Mean number of active forwarders over a run (Fig. 6's headline metric;
+/// 0 for an empty run).
 pub fn mean_forwarders(reports: &[DimmerRoundReport]) -> f64 {
-    if reports.is_empty() {
-        return 0.0;
-    }
-    reports
-        .iter()
-        .map(|r| r.active_forwarders as f64)
-        .sum::<f64>()
-        / reports.len() as f64
+    summarize(reports).mean_forwarders
 }
 
 #[cfg(test)]
@@ -243,29 +194,21 @@ mod tests {
     }
 
     #[test]
-    fn bucketize_folds_consecutive_rounds() {
-        let reports = vec![
+    fn chunk_summaries_fold_consecutive_rounds() {
+        let reports = [
             make(1.0, 2, 18),
             make(0.5, 4, 18),
             make(0.0, 6, 14),
             make(1.0, 8, 10),
             make(0.8, 1, 12),
         ];
-        let buckets = bucketize(&reports, 2);
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(buckets[0].start_round, 0);
-        assert_eq!(buckets[0].rounds, 2);
-        assert!((buckets[0].reliability - 0.75).abs() < 1e-9);
-        assert!((buckets[1].mean_ntx - 7.0).abs() < 1e-9);
-        assert!((buckets[1].mean_forwarders - 12.0).abs() < 1e-9);
-        assert_eq!(buckets[2].rounds, 1);
-        assert_eq!(buckets[2].start_round, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket size")]
-    fn zero_bucket_is_rejected() {
-        bucketize(&[], 0);
+        let rows: Vec<ProtocolSummary> = reports.chunks(2).map(summarize).collect();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0].rounds, 2);
+        assert!((rows[0].reliability - 0.75).abs() < 1e-9);
+        assert!((rows[1].mean_ntx - 7.0).abs() < 1e-9);
+        assert!((rows[1].mean_forwarders - 12.0).abs() < 1e-9);
+        assert_eq!(rows[2].rounds, 1);
     }
 
     #[test]

@@ -76,22 +76,21 @@ fn table1_prints_its_layout_and_writes_the_catalogue_report() {
 
 #[test]
 fn a_timeline_run_handed_to_the_grid_keeps_the_report_bytes() {
-    let (stdout, report) = exp_json(
-        &[
+    for (grid, timeline, file) in [
+        (
             "dynamics:flash-crowd",
-            "--quick",
-            "--protocols",
-            "dimmer-dqn",
-        ],
-        "exp_dynamics.json",
-    );
-    assert!(
-        stdout.contains("== dimmer-dqn @ flash-crowd: per-phase timeline"),
-        "{stdout}"
-    );
-    let protocols = vec!["dimmer-dqn".to_string()];
-    assert_eq!(
-        report,
-        catalogue_report("dynamics:flash-crowd", true, &protocols)
-    );
+            "== dimmer-dqn @ flash-crowd: per-phase timeline",
+            "exp_dynamics.json",
+        ),
+        (
+            "fig4c",
+            "== dimmer-dqn: per-minute timeline ==\nminute  reliability   mean NTX  radio-on [ms]\n     0 ",
+            "exp_fig4c.json",
+        ),
+    ] {
+        let (stdout, report) = exp_json(&[grid, "--quick", "--protocols", "dimmer-dqn"], file);
+        assert!(stdout.contains(timeline), "{stdout}");
+        let protocols = vec!["dimmer-dqn".to_string()];
+        assert_eq!(report, catalogue_report(grid, true, &protocols));
+    }
 }

@@ -20,8 +20,9 @@
 //!    nodes,
 //! 3. lets the backend execute the round: an LWB round (mode selection
 //!    between *adaptivity* and *forwarder selection*, schedule, execution,
-//!    statistics and the 2-byte feedback headers that reached the
-//!    coordinator's [`GlobalView`]) or one epoch of an [`EpochDriver`],
+//!    and the [`Coordinator`]'s observation of it: the statistics windows
+//!    and the 2-byte feedback headers that reached the coordinator) or one
+//!    epoch of an [`EpochDriver`],
 //! 4. hands a [`RoundObservation`] to the controller and applies its
 //!    [`ControlDecision`] to the next LWB round, and
 //! 5. reports the round as a [`DimmerRoundReport`].
@@ -37,10 +38,9 @@ use crate::config::DimmerConfig;
 use crate::controller::{ControlDecision, Controller, RoundObservation};
 use crate::forwarder::ForwarderSelection;
 use crate::reward::reward;
-use crate::state::StateBuilder;
-use crate::stats::{GlobalView, StatisticsCollector};
+use crate::stats::Coordinator;
 use dimmer_glossy::NtxAssignment;
-use dimmer_lwb::{LwbConfig, LwbScheduler, RoundExecutor, RoundOutcome, TrafficPattern};
+use dimmer_lwb::{LwbConfig, RoundExecutor, RoundOutcome, Schedule, TrafficPattern};
 use dimmer_sim::{
     InterferenceModel, NodeId, ScenarioScript, SimDuration, SimRng, SimTime, Topology, World,
     WorldEvent,
@@ -136,7 +136,6 @@ struct PendingPacket {
 /// What one round of either backend produced; the engine builds the
 /// controller's observation and the round report from it.
 struct RoundSummary {
-    round_index: u64,
     mode: RoundMode,
     /// The global `N_TX` the round ran with.
     ntx: u8,
@@ -149,15 +148,13 @@ struct RoundSummary {
     active_forwarders: usize,
 }
 
-/// The LWB-round execution state (schedule, substrate, feedback pipeline)
-/// and the controller-steered global `N_TX`.
+/// The LWB-round execution state (substrate, coordinator, forwarder
+/// selection) and the controller-steered global `N_TX`. The coordinator
+/// also holds the Dimmer configuration the backend runs under.
 struct LwbBackend<'a> {
     topology: &'a Topology,
     executor: RoundExecutor<'a>,
-    scheduler: LwbScheduler,
-    stats: StatisticsCollector,
-    view: GlobalView,
-    state_builder: StateBuilder,
+    coordinator: Coordinator,
     forwarder: ForwarderSelection,
     ntx: u8,
     calm_rounds: usize,
@@ -165,22 +162,23 @@ struct LwbBackend<'a> {
 }
 
 impl LwbBackend<'_> {
-    /// Runs one LWB round starting at `start` for the fresh `sources` (plus,
-    /// with ACKs, the pending retransmissions of alive nodes) and updates
-    /// the feedback pipeline, the calm-round count, the forwarder selection
-    /// and the state history.
+    /// Runs LWB round `index`, starting at `start`, for the fresh `sources`
+    /// (plus, with ACKs, the pending retransmissions of alive nodes), lets
+    /// the coordinator observe it and updates the calm-round count and the
+    /// forwarder selection.
     fn run_round(
         &mut self,
-        config: &DimmerConfig,
         traffic: &TrafficPattern,
         world: &World,
         fresh_sources: &[NodeId],
+        index: u64,
         start: SimTime,
         rng: &mut SimRng,
     ) -> RoundSummary {
         // Mode selection: calm networks hand control to the forwarder
         // selection; any recent loss keeps (or puts back) every device in
         // forwarding mode under the central adaptivity.
+        let config = self.coordinator.config();
         let mode = if config.forwarder.enabled
             && self.calm_rounds >= config.forwarder.calm_rounds_threshold
         {
@@ -207,34 +205,29 @@ impl LwbBackend<'_> {
             }
             RoundMode::Adaptivity => NtxAssignment::Uniform(self.ntx),
         };
-        let feedback_before = self.stats.feedback();
-        let schedule = self.scheduler.next_schedule(&sources, assignment);
+        let schedule = Schedule::new(index, sources, assignment);
         let round = self.executor.run_round(&schedule, start, rng);
-
-        // Statistics and feedback propagation. A node's feedback reaches
-        // the coordinator only if its data-slot flood did.
-        self.stats.ingest_round(&round);
-        let coordinator = self.topology.coordinator();
-        for slot in round.data_slots() {
-            if slot.flood.received(coordinator) {
-                self.view
-                    .update(slot.source, feedback_before[slot.source.index()]);
-            }
-        }
-        self.view.mark_round();
-
-        let (reliability, losses) = match traffic.sink() {
-            Some(sink) => {
-                let missed = round
-                    .data_slots()
-                    .iter()
-                    .filter(|s| s.source != sink && !s.flood.received(sink))
-                    .count();
-                (round.sink_reliability(sink), missed)
-            }
-            None => (round.broadcast_reliability(), round.losses()),
-        };
+        let (reliability, losses) = round.reliability_and_losses(traffic.sink());
         let had_losses = losses > 0;
+
+        // A node's feedback reaches the coordinator only if its data-slot
+        // flood did.
+        let coordinator = self.topology.coordinator();
+        self.coordinator.observe_round(
+            round
+                .data_slots()
+                .iter()
+                .filter(|s| s.flood.received(coordinator))
+                .map(|s| s.source),
+            |n| {
+                (
+                    round.node_reception_ratio(n),
+                    round.node_radio_on_per_slot(n),
+                )
+            },
+            had_losses,
+        );
+
         // Interference detection: a round counts as calm if essentially every
         // destination was served; isolated transient misses do not push the
         // network back into all-forwarders mode.
@@ -242,7 +235,7 @@ impl LwbBackend<'_> {
         self.calm_rounds = if calm { self.calm_rounds + 1 } else { 0 };
 
         let (generated, delivered) =
-            self.track_delivery(config, traffic.sink(), world.alive(), &round, fresh_sources);
+            self.track_delivery(traffic.sink(), world.alive(), &round, fresh_sources);
 
         let active_forwarders = match mode {
             RoundMode::ForwarderSelection => {
@@ -257,10 +250,8 @@ impl LwbBackend<'_> {
             }
             RoundMode::Adaptivity => world.alive_count(),
         };
-        self.state_builder.record_history(had_losses);
 
         RoundSummary {
-            round_index: round.round_index(),
             mode,
             ntx: self.ntx,
             reliability,
@@ -282,7 +273,6 @@ impl LwbBackend<'_> {
     /// retires retransmissions.
     fn track_delivery(
         &mut self,
-        config: &DimmerConfig,
         sink: Option<NodeId>,
         alive: &[bool],
         round: &RoundOutcome,
@@ -307,6 +297,7 @@ impl LwbBackend<'_> {
             return (generated, delivered);
         };
 
+        let config = self.coordinator.config();
         let pending = &mut self.pending;
         for slot in round.data_slots() {
             let ok = slot.source == sink || slot.flood.received(sink);
@@ -400,10 +391,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
         let backend = Backend::Lwb(Box::new(LwbBackend {
             topology,
             executor: RoundExecutor::new(topology, interference, lwb_config.clone()),
-            scheduler: LwbScheduler::new(lwb_config.clone()),
-            stats: StatisticsCollector::new(num_nodes, crate::stats::DEFAULT_STATS_WINDOW),
-            view: GlobalView::new(num_nodes),
-            state_builder: StateBuilder::new(config.clone()),
+            coordinator: Coordinator::new(num_nodes, config.clone()),
             forwarder: ForwarderSelection::new(
                 num_nodes,
                 topology.coordinator(),
@@ -574,7 +562,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     /// epoch-driven protocols).
     pub fn current_state(&self) -> Vec<f32> {
         match &self.backend {
-            Backend::Lwb(lwb) => lwb.state_builder.build(&lwb.view, lwb.ntx),
+            Backend::Lwb(lwb) => lwb.coordinator.state(lwb.ntx),
             Backend::Epoch(_) => Vec::new(),
         }
     }
@@ -613,17 +601,16 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
 
         let summary = match &mut self.backend {
             Backend::Lwb(lwb) => lwb.run_round(
-                &self.config,
                 &self.traffic,
                 &self.world,
                 &sources,
+                self.rounds_run,
                 self.now,
                 &mut self.rng,
             ),
             Backend::Epoch(driver) => {
                 let outcome = driver.run_epoch(&sources, self.lwb_config.round_period);
                 RoundSummary {
-                    round_index: self.rounds_run,
                     mode: RoundMode::Adaptivity,
                     ntx: driver.ntx(),
                     reliability: if outcome.offered == 0 {
@@ -653,7 +640,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
             Vec::new()
         };
         let observation = RoundObservation {
-            round_index: summary.round_index,
+            round_index: self.rounds_run,
             mode: summary.mode,
             ntx: summary.ntx,
             reliability: summary.reliability,
@@ -675,7 +662,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
         }
 
         let report = DimmerRoundReport {
-            round_index: summary.round_index,
+            round_index: self.rounds_run,
             time: self.now,
             mode: summary.mode,
             // A forwarder-selection round ran with a per-node assignment and
@@ -1057,6 +1044,40 @@ mod tests {
             );
             assert_eq!(r.alive_nodes, 18, "drift does not change membership");
         }
+    }
+
+    #[test]
+    fn a_source_whose_flood_never_reaches_the_coordinator_decays_to_pessimistic() {
+        // Cut every link of node 17 before round 2: its data floods, and the
+        // feedback they carry, never reach the coordinator again. Its view
+        // entry survives the two-round staleness limit, then becomes the
+        // pessimistic header (0 % reliability, 20 ms radio-on), which the
+        // state encodes as -1 in its reliability row and 1 in its radio-on
+        // row, worst node first.
+        let topo = Topology::kiel_testbed_18(1);
+        let mut script = ScenarioScript::new();
+        for other in 0..17u16 {
+            script = script.drift_link(
+                SimTime::from_secs(8),
+                dimmer_sim::NodeId(17),
+                dimmer_sim::NodeId(other),
+                0.0,
+            );
+        }
+        let mut runner = calm_runner(&topo, &NoInterference, 5).with_world_script(script);
+        let k = runner.config().k_input_nodes;
+        for round in 0..4 {
+            runner.run_round();
+            let state = runner.current_state();
+            assert!(
+                state[k..2 * k].iter().all(|&r| r > -1.0),
+                "after round {round}: {state:?}"
+            );
+        }
+        runner.run_round();
+        let state = runner.current_state();
+        assert_eq!((state[0], state[k]), (1.0, -1.0), "{state:?}");
+        assert!(state[k + 1] > -1.0, "only node 17 went stale: {state:?}");
     }
 
     #[test]

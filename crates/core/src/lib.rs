@@ -8,8 +8,8 @@
 //!   its packet-reception rate and radio-on time and shares them in a 2-byte
 //!   header ([`feedback`]) piggybacked on its data packets;
 //! * **central adaptivity control** ([`adaptivity`], [`state`], [`mod@reward`]) —
-//!   at the end of each round the coordinator aggregates the collected
-//!   feedback into the DQN input vector of Table I, executes its embedded
+//!   at the end of each round the [`Coordinator`] folds the feedback that
+//!   reached it into the DQN input vector of Table I, executes its embedded
 //!   quantized deep Q-network and chooses to *decrease / maintain / increase*
 //!   the global retransmission parameter `N_TX`, which is disseminated with
 //!   the next schedule;
@@ -19,8 +19,10 @@
 //!   (`N_TX = 0`) and save energy without harming dissemination.
 //!
 //! The generic [`RoundEngine`] ([`engine`]) ties the pieces together: it owns
-//! the LWB round loop, feedback pipeline and energy/reliability accounting,
-//! and is driven by any [`Controller`] ([`controller`]) — Dimmer's
+//! the LWB round loop, the [`Coordinator`] that turns each round into the
+//! Table-I state (the trace-driven training environment observes through
+//! the same type) and the energy/reliability accounting, and is driven by
+//! any [`Controller`] ([`controller`]) — Dimmer's
 //! [`AdaptivityController`], the fixed [`StaticNtxController`], or external
 //! controllers such as the PID and Crystal baselines in `dimmer-baselines`.
 //! Dimmer itself is the engine driven by the adaptivity controller.
@@ -76,5 +78,5 @@ pub use forwarder::{ForwarderSelection, Role};
 pub use reward::reward;
 pub use sim_env::SimEnvironment;
 pub use state::StateBuilder;
-pub use stats::{GlobalView, NodeStats, StatisticsCollector, DEFAULT_STATS_WINDOW};
+pub use stats::{Coordinator, GlobalView, NodeStats, DEFAULT_STATS_WINDOW};
 pub use zoo::{ZooController, ZOO_FAMILIES};

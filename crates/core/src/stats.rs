@@ -1,14 +1,18 @@
-//! Statistics collection: per-node performance tracking and the
-//! coordinator's global view of the network.
+//! The coordinator's observation pipeline: per-node statistics, the
+//! global view of the network and the loss history (§IV-B, §IV-D).
 //!
 //! Each device continuously monitors its own packet reception rate and
-//! average radio-on time over a sliding window of recent slots. The values
-//! are shared through the [`crate::FeedbackHeader`]; the coordinator (and, in
-//! fact, every node) aggregates whatever feedback it actually received into a
-//! [`GlobalView`], filling missing entries with pessimistic values.
+//! average radio-on time over a sliding window of recent rounds. The values
+//! are shared through the [`crate::FeedbackHeader`] piggybacked on the
+//! node's data packet; the coordinator aggregates whatever feedback it
+//! actually received into a [`GlobalView`], filling missing entries with
+//! pessimistic values. The [`Coordinator`] runs that pipeline once per round
+//! and turns it into the Table-I state, for the deployed protocol and the
+//! trace-driven training environment alike.
 
+use crate::config::DimmerConfig;
 use crate::feedback::FeedbackHeader;
-use dimmer_lwb::RoundOutcome;
+use crate::state::StateBuilder;
 use dimmer_sim::{NodeId, SimDuration};
 use std::collections::VecDeque;
 
@@ -103,62 +107,88 @@ impl Default for NodeStats {
     }
 }
 
-/// Tracks the local statistics of every node in the network (each node in
-/// the real system runs its own instance; the simulation keeps them together
-/// for convenience).
+/// The coordinator's side of every round: the per-node statistics windows
+/// (each device keeps its own; the simulation keeps them together), the
+/// [`GlobalView`] built from the feedback that reached the coordinator, and
+/// the loss history of the Table-I state.
+///
+/// [`observe_round`](Self::observe_round) is the only code that advances
+/// them, and [`state`](Self::state) the only code that reads them.
+///
+/// # Examples
+///
+/// ```
+/// use dimmer_core::{Coordinator, DimmerConfig};
+/// use dimmer_sim::{NodeId, SimDuration};
+/// let config = DimmerConfig::default().with_k_input_nodes(2);
+/// let mut coordinator = Coordinator::new(2, config);
+/// let observed = |_| (0.6, SimDuration::from_millis(10));
+/// // Node 1's flood reaches the coordinator, carrying the (empty, hence
+/// // optimistic) statistics it had before the round; node 0's is lost.
+/// coordinator.observe_round([NodeId(1)], observed, true);
+/// let state = coordinator.state(3);
+/// assert_eq!(&state[2..4], &[-1.0, 1.0]); // reliability rows, worst first
+/// // Next round node 1 shares the 60 % it observed in the first one.
+/// coordinator.observe_round([NodeId(1)], observed, false);
+/// assert!((coordinator.state(3)[3] - -0.6).abs() < 1e-6);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct StatisticsCollector {
+pub struct Coordinator {
     per_node: Vec<NodeStats>,
+    view: GlobalView,
+    state_builder: StateBuilder,
 }
 
-impl StatisticsCollector {
-    /// Creates a collector for `num_nodes` nodes with the given averaging
-    /// window.
-    pub fn new(num_nodes: usize, window: usize) -> Self {
-        StatisticsCollector {
-            per_node: (0..num_nodes).map(|_| NodeStats::new(window)).collect(),
+impl Coordinator {
+    /// Creates the pipeline of a freshly started network of `num_nodes`
+    /// nodes: empty [`DEFAULT_STATS_WINDOW`] windows, an all-pessimistic
+    /// view and a loss-free history.
+    pub fn new(num_nodes: usize, config: DimmerConfig) -> Self {
+        Coordinator {
+            per_node: vec![NodeStats::default(); num_nodes],
+            view: GlobalView::new(num_nodes),
+            state_builder: StateBuilder::new(config),
         }
     }
 
-    /// Number of tracked nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.per_node.len()
+    /// The configuration the state vector is laid out for.
+    pub fn config(&self) -> &DimmerConfig {
+        self.state_builder.config()
     }
 
-    /// The statistics of one node.
+    /// Observes one round.
     ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn node(&self, node: NodeId) -> &NodeStats {
-        &self.per_node[node.index()]
-    }
-
-    /// Mutable access to one node's statistics (used by replayed/trace-driven
-    /// rounds that record observations without a [`RoundOutcome`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn node_mut(&mut self, node: NodeId) -> &mut NodeStats {
-        &mut self.per_node[node.index()]
-    }
-
-    /// Ingests one executed round: every node records the fraction of other
-    /// sources' packets it received and its per-slot radio-on time.
-    pub fn ingest_round(&mut self, round: &RoundOutcome) {
+    /// * Every `delivered` node (its data flood reached the coordinator)
+    ///   shares the feedback it computed *before* this round.
+    /// * Every node then records its own view of the round: `observed`
+    ///   maps a node to its reception ratio and per-slot radio-on time.
+    /// * Entries nobody refreshed age towards pessimistic values, and the
+    ///   history records whether the round had losses.
+    pub fn observe_round(
+        &mut self,
+        delivered: impl IntoIterator<Item = NodeId>,
+        observed: impl Fn(NodeId) -> (f64, SimDuration),
+        had_losses: bool,
+    ) {
+        for node in delivered {
+            self.view
+                .update(node, self.per_node[node.index()].to_feedback());
+        }
         for (i, stats) in self.per_node.iter_mut().enumerate() {
-            let node = NodeId(i as u16);
-            stats.record_round(
-                round.node_reception_ratio(node),
-                round.node_radio_on_per_slot(node),
-            );
+            let (reliability, radio_on) = observed(NodeId(i as u16));
+            stats.record_round(reliability, radio_on);
         }
+        self.view.mark_round();
+        self.state_builder.record_history(had_losses);
     }
 
-    /// The current feedback header of every node.
-    pub fn feedback(&self) -> Vec<FeedbackHeader> {
-        self.per_node.iter().map(NodeStats::to_feedback).collect()
+    /// The Table-I state vector for the current view, history and `ntx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ntx` exceeds the configured `N_max`.
+    pub fn state(&self, ntx: u8) -> Vec<f32> {
+        self.state_builder.build(&self.view, ntx)
     }
 }
 
@@ -282,13 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn collector_tracks_every_node() {
-        let c = StatisticsCollector::new(5, 4);
-        assert_eq!(c.num_nodes(), 5);
-        assert_eq!(c.feedback().len(), 5);
-    }
-
-    #[test]
     fn global_view_starts_pessimistic_and_updates() {
         let mut v = GlobalView::new(2);
         assert_eq!(v.feedback(NodeId(0)).reliability(), 0.0);
@@ -358,6 +381,45 @@ mod tests {
             let mut order: Vec<usize> = v.worst_nodes().iter().map(|n| n.index()).collect();
             order.sort_unstable();
             prop_assert_eq!(order, (0..rels.len()).collect::<Vec<_>>());
+        }
+
+        /// The coordinator is the hand-run pipeline: delivered nodes share
+        /// the feedback they had *before* the round, every node then records
+        /// the round, the view ages and the history records the losses.
+        #[test]
+        fn prop_coordinator_matches_the_hand_run_pipeline(
+            rounds in proptest::collection::vec(
+                (proptest::collection::vec((0.0f64..=1.0, 0u64..=25_000, 0u8..2), 6), 0u8..2),
+                1..30,
+            ),
+            ntx in 0u8..=8,
+        ) {
+            // Six nodes under K = 4: the state selects among them.
+            let config = DimmerConfig::default().with_k_input_nodes(4);
+            let mut coordinator = Coordinator::new(6, config.clone());
+            let mut stats = vec![NodeStats::new(DEFAULT_STATS_WINDOW); 6];
+            let mut view = GlobalView::new(6);
+            let mut builder = StateBuilder::new(config);
+            for (nodes, losses) in rounds {
+                for (i, &(_, _, delivered)) in nodes.iter().enumerate() {
+                    if delivered == 1 {
+                        view.update(NodeId(i as u16), stats[i].to_feedback());
+                    }
+                }
+                for (s, &(rel, on, _)) in stats.iter_mut().zip(&nodes) {
+                    s.record_round(rel, SimDuration::from_micros(on));
+                }
+                view.mark_round();
+                builder.record_history(losses == 1);
+
+                let delivered = (0..6u16).filter(|&i| nodes[usize::from(i)].2 == 1).map(NodeId);
+                let observed = |n: NodeId| {
+                    let (rel, on, _) = nodes[n.index()];
+                    (rel, SimDuration::from_micros(on))
+                };
+                coordinator.observe_round(delivered, observed, losses == 1);
+                prop_assert_eq!(coordinator.state(ntx), builder.build(&view, ntx));
+            }
         }
     }
 }

@@ -9,7 +9,8 @@
 //! This crate implements the round structure Dimmer builds on (the paper uses
 //! the 2019 EWSN-competition reimplementation of LWB):
 //!
-//! * [`Schedule`] / [`LwbScheduler`] — per-round slot assignment,
+//! * [`Schedule`] — per-round slot assignment (one data slot per source, in
+//!   node-id order),
 //! * [`RoundExecutor`] — executes a full round (control slot + data slots)
 //!   on top of [`dimmer_glossy`] and the [`dimmer_sim`] substrate, including
 //!   missed-schedule semantics (a node that does not receive the control
@@ -23,18 +24,17 @@
 //! ## Example
 //!
 //! ```
-//! use dimmer_lwb::{LwbConfig, LwbScheduler, RoundExecutor};
+//! use dimmer_lwb::{LwbConfig, RoundExecutor, Schedule};
 //! use dimmer_glossy::NtxAssignment;
 //! use dimmer_sim::{Topology, NoInterference, SimRng, SimTime};
 //!
 //! let topo = Topology::kiel_testbed_18(1);
 //! let cfg = LwbConfig::testbed_default();
-//! let mut scheduler = LwbScheduler::new(cfg.clone());
-//! let sources: Vec<_> = topo.node_ids().collect();
-//! let schedule = scheduler.next_schedule(&sources, NtxAssignment::Uniform(3));
+//! let schedule = Schedule::new(0, topo.node_ids().collect(), NtxAssignment::Uniform(3));
 //! let mut exec = RoundExecutor::new(&topo, &NoInterference, cfg);
 //! let round = exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(3));
-//! assert!(round.broadcast_reliability() > 0.9);
+//! let (reliability, _losses) = round.reliability_and_losses(None);
+//! assert!(reliability > 0.9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,5 +49,5 @@ pub mod traffic;
 pub use config::LwbConfig;
 pub use hopping::HoppingSequence;
 pub use round::{RoundExecutor, RoundOutcome, SlotOutcome};
-pub use schedule::{LwbScheduler, Schedule};
+pub use schedule::Schedule;
 pub use traffic::TrafficPattern;

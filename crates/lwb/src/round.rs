@@ -30,9 +30,6 @@ pub struct SlotOutcome {
 /// Everything that happened during one LWB round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundOutcome {
-    round_index: u64,
-    start: SimTime,
-    schedule: Schedule,
     control: FloodOutcome,
     synced: Vec<bool>,
     /// Dynamic-world membership during the round (all `true` in a static
@@ -44,26 +41,6 @@ pub struct RoundOutcome {
 }
 
 impl RoundOutcome {
-    /// Index of the round.
-    pub fn round_index(&self) -> u64 {
-        self.round_index
-    }
-
-    /// Start time of the round.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
-    /// The schedule that was executed.
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
-    }
-
-    /// The control-slot flood outcome.
-    pub fn control(&self) -> &FloodOutcome {
-        &self.control
-    }
-
     /// Which nodes received the schedule and therefore participated in the
     /// data slots.
     pub fn synced(&self) -> &[bool] {
@@ -97,76 +74,50 @@ impl RoundOutcome {
         destination == s.source || s.flood.received(destination)
     }
 
-    /// Broadcast reliability of the round: the fraction of
-    /// (data slot, destination) pairs that were delivered, where the
-    /// destinations of a slot are all *alive* nodes except the source.
-    /// Returns 1.0 for a round without data slots (or without
-    /// destinations).
-    pub fn broadcast_reliability(&self) -> f64 {
-        let n = self.num_nodes();
-        if self.data.is_empty() || n <= 1 {
-            return 1.0;
-        }
+    /// The round's reliability and losses over its (data slot, destination)
+    /// pairs: the fraction of pairs delivered (1.0 without pairs) and the
+    /// number missed.
+    ///
+    /// With a `sink` (collection traffic) every slot has the sink as its one
+    /// destination. Without one (broadcast) the destinations of a slot are
+    /// all *alive* nodes except its source.
+    pub fn reliability_and_losses(&self, sink: Option<NodeId>) -> (f64, usize) {
+        let mut pairs = 0usize;
         let mut delivered = 0usize;
-        let mut total = 0usize;
-        for slot in &self.data {
-            for node in 0..n {
-                let node = NodeId(node as u16);
-                if node == slot.source || !self.alive[node.index()] {
-                    continue;
-                }
-                total += 1;
-                if slot.flood.received(node) {
-                    delivered += 1;
-                }
+        for (slot, s) in self.data.iter().enumerate() {
+            let destinations = (0..self.num_nodes())
+                .map(|i| NodeId(i as u16))
+                .filter(|&n| match sink {
+                    Some(sink) => n == sink,
+                    None => n != s.source && self.alive[n.index()],
+                });
+            for node in destinations {
+                pairs += 1;
+                delivered += usize::from(self.delivered(slot, node));
             }
         }
-        if total == 0 {
-            return 1.0;
-        }
-        delivered as f64 / total as f64
-    }
-
-    /// Collection reliability: the fraction of data slots whose packet
-    /// reached `sink`. Returns 1.0 for a round without data slots.
-    pub fn sink_reliability(&self, sink: NodeId) -> f64 {
-        if self.data.is_empty() {
-            return 1.0;
-        }
-        let got = self
-            .data
-            .iter()
-            .filter(|s| s.source == sink || s.flood.received(sink))
-            .count();
-        got as f64 / self.data.len() as f64
-    }
-
-    /// Number of missed (data slot, destination) pairs under broadcast
-    /// semantics; dead nodes are not destinations.
-    pub fn losses(&self) -> usize {
-        let n = self.num_nodes();
-        let mut missed = 0usize;
-        for slot in &self.data {
-            for node in 0..n {
-                let node = NodeId(node as u16);
-                if node != slot.source && self.alive[node.index()] && !slot.flood.received(node) {
-                    missed += 1;
-                }
-            }
-        }
-        missed
+        let reliability = if pairs == 0 {
+            1.0
+        } else {
+            delivered as f64 / pairs as f64
+        };
+        (reliability, pairs - delivered)
     }
 
     /// The fraction of data slots sourced by *other* nodes that `node`
     /// received (its local packet-reception rate for this round). Returns
     /// 1.0 if there were no such slots.
     pub fn node_reception_ratio(&self, node: NodeId) -> f64 {
-        let relevant: Vec<_> = self.data.iter().filter(|s| s.source != node).collect();
-        if relevant.is_empty() {
+        let mut relevant = 0usize;
+        let mut got = 0usize;
+        for s in self.data.iter().filter(|s| s.source != node) {
+            relevant += 1;
+            got += usize::from(s.flood.received(node));
+        }
+        if relevant == 0 {
             return 1.0;
         }
-        let got = relevant.iter().filter(|s| s.flood.received(node)).count();
-        got as f64 / relevant.len() as f64
+        got as f64 / relevant as f64
     }
 
     /// The radio-on time of `node`, averaged over the round's data slots
@@ -367,9 +318,6 @@ impl<'a> RoundExecutor<'a> {
         }
 
         RoundOutcome {
-            round_index: schedule.round_index(),
-            start,
-            schedule: schedule.clone(), // lint: allow(H001) -- the outcome owns its schedule; once per round
             control,
             synced,
             alive,
@@ -383,7 +331,6 @@ impl<'a> RoundExecutor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::LwbScheduler;
     use dimmer_glossy::NtxAssignment;
     use dimmer_sim::{NoInterference, PeriodicJammer, Position};
     use proptest::prelude::*;
@@ -396,9 +343,8 @@ mod tests {
     ) -> RoundOutcome {
         let topo = Topology::kiel_testbed_18(1);
         let cfg = LwbConfig::testbed_default().with_channel_hopping(hopping);
-        let mut scheduler = LwbScheduler::new(cfg.clone());
         let sources: Vec<NodeId> = topo.node_ids().collect();
-        let schedule = scheduler.next_schedule(&sources, NtxAssignment::Uniform(ntx));
+        let schedule = Schedule::new(0, sources, NtxAssignment::Uniform(ntx));
         let mut exec = RoundExecutor::new(&topo, interference, cfg);
         exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(seed))
     }
@@ -411,9 +357,9 @@ mod tests {
             "everyone hears the schedule when calm"
         );
         assert!(
-            round.broadcast_reliability() > 0.98,
+            round.reliability_and_losses(None).0 > 0.98,
             "got {}",
-            round.broadcast_reliability()
+            round.reliability_and_losses(None).0
         );
         assert_eq!(round.data_slots().len(), 18);
         // Calm radio-on time is well below the 20 ms slot budget (paper: ~8-11 ms).
@@ -429,8 +375,9 @@ mod tests {
         let round = run_testbed_round(&NoInterference, 3, 9, false);
         let n = round.num_nodes();
         let total_pairs = round.data_slots().len() * (n - 1);
-        let expected = 1.0 - round.losses() as f64 / total_pairs as f64;
-        assert!((round.broadcast_reliability() - expected).abs() < 1e-9);
+        let (reliability, losses) = round.reliability_and_losses(None);
+        let expected = 1.0 - losses as f64 / total_pairs as f64;
+        assert!((reliability - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -439,7 +386,7 @@ mod tests {
             PeriodicJammer::with_duty_cycle(Position::new(11.0, 11.0), 0.95).with_jam_radius(60.0);
         let jammed = run_testbed_round(&jammer, 3, 5, false);
         let calm = run_testbed_round(&NoInterference, 3, 5, false);
-        assert!(jammed.broadcast_reliability() < calm.broadcast_reliability());
+        assert!(jammed.reliability_and_losses(None).0 < calm.reliability_and_losses(None).0);
         assert!(jammed.mean_radio_on_per_slot() > calm.mean_radio_on_per_slot());
         assert!(
             jammed.synced().iter().filter(|&&s| !s).count() > 0,
@@ -456,9 +403,8 @@ mod tests {
         // invariant on its slot.
         let jammer =
             PeriodicJammer::with_duty_cycle(Position::new(11.0, 11.0), 0.97).with_jam_radius(60.0);
-        let mut scheduler = LwbScheduler::new(cfg.clone());
         let sources: Vec<NodeId> = topo.node_ids().collect();
-        let schedule = scheduler.next_schedule(&sources, NtxAssignment::Uniform(3));
+        let schedule = Schedule::new(0, sources, NtxAssignment::Uniform(3));
         let mut exec = RoundExecutor::new(&topo, &jammer, cfg);
         let round = exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(17));
         let mut saw_unsynced_source = false;
@@ -507,12 +453,11 @@ mod tests {
     fn sink_reliability_for_collection_round() {
         let topo = Topology::dcube_48(2);
         let cfg = LwbConfig::dcube_default();
-        let mut scheduler = LwbScheduler::new(cfg.clone());
         let sources = vec![NodeId(40), NodeId(45), NodeId(47)];
-        let schedule = scheduler.next_schedule(&sources, NtxAssignment::Uniform(3));
+        let schedule = Schedule::new(0, sources, NtxAssignment::Uniform(3));
         let mut exec = RoundExecutor::new(&topo, &NoInterference, cfg);
         let round = exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(8));
-        assert!(round.sink_reliability(NodeId(0)) > 0.6);
+        assert!(round.reliability_and_losses(Some(NodeId(0))).0 > 0.6);
         assert_eq!(round.data_slots().len(), 3);
     }
 
@@ -530,16 +475,15 @@ mod tests {
         let schedule = Schedule::new(0, vec![], NtxAssignment::Uniform(3));
         let mut exec = RoundExecutor::new(&topo, &NoInterference, cfg);
         let round = exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(1));
-        assert_eq!(round.broadcast_reliability(), 1.0);
+        assert_eq!(round.reliability_and_losses(None), (1.0, 0));
+        assert_eq!(round.reliability_and_losses(Some(NodeId(0))), (1.0, 0));
         assert_eq!(round.mean_radio_on_per_slot(), SimDuration::ZERO);
-        assert_eq!(round.losses(), 0);
     }
 
     #[test]
     fn dead_nodes_are_skipped_by_schedule_and_accounting() {
         let topo = Topology::kiel_testbed_18(1);
         let cfg = LwbConfig::testbed_default();
-        let mut scheduler = LwbScheduler::new(cfg.clone());
         let mut exec = RoundExecutor::new(&topo, &NoInterference, cfg);
         let mut alive = vec![true; topo.num_nodes()];
         alive[7] = false;
@@ -547,7 +491,7 @@ mod tests {
         exec.set_alive(&alive);
         // The engine filters dead sources out of the schedule; mirror that.
         let sources: Vec<NodeId> = topo.node_ids().filter(|n| alive[n.index()]).collect();
-        let schedule = scheduler.next_schedule(&sources, NtxAssignment::Uniform(3));
+        let schedule = Schedule::new(0, sources, NtxAssignment::Uniform(3));
         let round = exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(5));
         assert_eq!(round.alive_count(), 16);
         assert_eq!(round.data_slots().len(), 16);
@@ -563,9 +507,9 @@ mod tests {
         // Dead nodes are not destinations: a calm round stays near-perfect
         // even though two nodes are gone.
         assert!(
-            round.broadcast_reliability() > 0.98,
+            round.reliability_and_losses(None).0 > 0.98,
             "got {}",
-            round.broadcast_reliability()
+            round.reliability_and_losses(None).0
         );
     }
 
@@ -574,7 +518,6 @@ mod tests {
         // Cutting every link of node 17 leaves it alive but unreachable.
         let topo = Topology::kiel_testbed_18(1);
         let cfg = LwbConfig::testbed_default();
-        let mut scheduler = LwbScheduler::new(cfg.clone());
         let mut exec = RoundExecutor::new(&topo, &NoInterference, cfg);
         for other in 0..17u16 {
             assert!(exec.apply_world_event(&WorldEvent::LinkDrift {
@@ -587,7 +530,7 @@ mod tests {
         assert!(!exec.apply_world_event(&WorldEvent::NodeFail(NodeId(17))));
         assert_eq!(exec.compiled().out_degree(NodeId(17)), 0);
         let sources: Vec<NodeId> = topo.node_ids().collect();
-        let schedule = scheduler.next_schedule(&sources, NtxAssignment::Uniform(3));
+        let schedule = Schedule::new(0, sources, NtxAssignment::Uniform(3));
         let round = exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(5));
         assert!(!round.synced()[17], "an unreachable node never syncs");
         assert_eq!(round.alive_count(), 18, "drift does not change membership");
@@ -597,14 +540,13 @@ mod tests {
     fn dead_source_slot_behaves_like_an_unsynced_source() {
         let topo = Topology::kiel_testbed_18(1);
         let cfg = LwbConfig::testbed_default();
-        let mut scheduler = LwbScheduler::new(cfg.clone());
         let mut exec = RoundExecutor::new(&topo, &NoInterference, cfg);
         let mut alive = vec![true; topo.num_nodes()];
         alive[3] = false;
         exec.set_alive(&alive);
         // Belt and suspenders: even if a dead node *is* scheduled, its slot
         // delivers nothing (it cannot have synced).
-        let schedule = scheduler.next_schedule(&[NodeId(3), NodeId(5)], NtxAssignment::Uniform(3));
+        let schedule = Schedule::new(0, vec![NodeId(3), NodeId(5)], NtxAssignment::Uniform(3));
         let round = exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(2));
         let slot = &round.data_slots()[0];
         assert_eq!(slot.source, NodeId(3));
@@ -614,11 +556,60 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// `reliability_and_losses` against brute-force pair counting, on
+        /// random small worlds with random dead nodes and random sources
+        /// (dead ones included), for broadcast and for every possible sink.
+        #[test]
+        fn prop_reliability_and_losses_count_every_pair(
+            n in 2usize..10,
+            seed in 0u64..1_000,
+            nodes in proptest::collection::vec((0u8..4, 0u8..2), 10),
+            ntx in 1u8..=4,
+        ) {
+            let topo = Topology::random(n, 60.0, 60.0, seed);
+            let alive: Vec<bool> = (0..n)
+                .map(|i| i == topo.coordinator().index() || nodes[i].0 != 0)
+                .collect();
+            let sources = topo.node_ids().filter(|s| nodes[s.index()].1 == 1).collect();
+            let mut exec = RoundExecutor::new(&topo, &NoInterference, LwbConfig::testbed_default());
+            exec.set_alive(&alive);
+            let schedule = Schedule::new(0, sources, NtxAssignment::Uniform(ntx));
+            let round = exec.run_round(&schedule, SimTime::ZERO, &mut SimRng::seed_from(seed));
+            let expected = |got: usize, pairs: usize| {
+                let reliability = if pairs == 0 { 1.0 } else { got as f64 / pairs as f64 };
+                (reliability, pairs - got)
+            };
+
+            let (mut pairs, mut got) = (0, 0);
+            for slot in round.data_slots() {
+                for node in topo.node_ids() {
+                    if node != slot.source && alive[node.index()] {
+                        pairs += 1;
+                        got += usize::from(slot.flood.received(node));
+                    }
+                }
+            }
+            prop_assert_eq!(round.reliability_and_losses(None), expected(got, pairs));
+
+            for sink in topo.node_ids() {
+                let got = round
+                    .data_slots()
+                    .iter()
+                    .filter(|s| s.source == sink || s.flood.received(sink))
+                    .count();
+                let pairs = round.data_slots().len();
+                prop_assert_eq!(round.reliability_and_losses(Some(sink)), expected(got, pairs));
+            }
+        }
+    }
+
+    proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
         #[test]
         fn prop_round_metrics_are_well_formed(seed in 0u64..200, ntx in 1u8..=8) {
             let round = run_testbed_round(&NoInterference, ntx, seed, seed % 2 == 0);
-            let r = round.broadcast_reliability();
+            let r = round.reliability_and_losses(None).0;
             prop_assert!((0.0..=1.0).contains(&r));
             for node in 0..round.num_nodes() {
                 let node = NodeId(node as u16);

@@ -1,11 +1,16 @@
-//! Round schedules and the central LWB scheduler.
+//! Round schedules.
 
-use crate::config::LwbConfig;
 use dimmer_glossy::NtxAssignment;
 use dimmer_sim::NodeId;
 
 /// The communication schedule of one LWB round, as computed by the host and
 /// disseminated in the control slot.
+///
+/// The real LWB scheduler also manages stream requests and adapts the round
+/// period; for the paper's experiments the demand is fixed (every node one
+/// slot per round on the testbed, the active sources on D-Cube), so a
+/// schedule simply assigns one data slot per requesting source, in node-id
+/// order.
 ///
 /// Beyond the slot→source assignment, Dimmer piggybacks the adaptivity
 /// command on the schedule: either a new global retransmission parameter
@@ -18,8 +23,8 @@ use dimmer_sim::NodeId;
 /// use dimmer_lwb::Schedule;
 /// use dimmer_glossy::NtxAssignment;
 /// use dimmer_sim::NodeId;
-/// let s = Schedule::new(3, vec![NodeId(1), NodeId(2)], NtxAssignment::Uniform(4));
-/// assert_eq!(s.num_data_slots(), 2);
+/// let s = Schedule::new(3, vec![NodeId(2), NodeId(1), NodeId(2)], NtxAssignment::Uniform(4));
+/// assert_eq!(s.slots(), &[NodeId(1), NodeId(2)]); // sorted, one slot each
 /// assert_eq!(s.round_index(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -30,17 +35,20 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Creates a schedule for round `round_index` with one data slot per
-    /// entry of `slots`.
-    pub fn new(round_index: u64, slots: Vec<NodeId>, ntx: NtxAssignment) -> Self {
+    /// Creates the schedule of round `round_index`: one data slot per
+    /// distinct entry of `sources`, sorted by node id.
+    pub fn new(round_index: u64, mut sources: Vec<NodeId>, ntx: NtxAssignment) -> Self {
+        sources.sort_unstable();
+        sources.dedup();
         Schedule {
             round_index,
-            slots,
+            slots: sources,
             ntx,
         }
     }
 
-    /// The index of the round this schedule belongs to.
+    /// The index of the round this schedule belongs to (drives channel
+    /// hopping).
     pub fn round_index(&self) -> u64 {
         self.round_index
     }
@@ -59,86 +67,6 @@ impl Schedule {
     pub fn ntx(&self) -> &NtxAssignment {
         &self.ntx
     }
-
-    /// Replaces the retransmission assignment (used by the Dimmer controller
-    /// between scheduling and execution).
-    pub fn set_ntx(&mut self, ntx: NtxAssignment) {
-        self.ntx = ntx;
-    }
-
-    /// Returns the data-slot index assigned to `source`, if any.
-    pub fn slot_of(&self, source: NodeId) -> Option<usize> {
-        self.slots.iter().position(|&s| s == source)
-    }
-}
-
-/// The central LWB scheduler (runs on the host/coordinator).
-///
-/// The real LWB scheduler also manages stream requests and adapts the round
-/// period; for the paper's experiments the demand is fixed (every node one
-/// slot per round on the testbed, the active sources on D-Cube), so this
-/// scheduler simply assigns one data slot per requesting source, in node-id
-/// order, and tracks the absolute round and slot counters needed for channel
-/// hopping.
-///
-/// # Examples
-///
-/// ```
-/// use dimmer_lwb::{LwbConfig, LwbScheduler};
-/// use dimmer_glossy::NtxAssignment;
-/// use dimmer_sim::NodeId;
-/// let mut sched = LwbScheduler::new(LwbConfig::testbed_default());
-/// let s0 = sched.next_schedule(&[NodeId(2), NodeId(0)], NtxAssignment::Uniform(3));
-/// let s1 = sched.next_schedule(&[NodeId(1)], NtxAssignment::Uniform(3));
-/// assert_eq!(s0.round_index(), 0);
-/// assert_eq!(s1.round_index(), 1);
-/// assert_eq!(s0.slots(), &[NodeId(0), NodeId(2)]); // sorted by node id
-/// ```
-#[derive(Debug, Clone)]
-pub struct LwbScheduler {
-    config: LwbConfig,
-    next_round: u64,
-    absolute_data_slots: u64,
-}
-
-impl LwbScheduler {
-    /// Creates a scheduler with the given configuration.
-    pub fn new(config: LwbConfig) -> Self {
-        LwbScheduler {
-            config,
-            next_round: 0,
-            absolute_data_slots: 0,
-        }
-    }
-
-    /// The scheduler's configuration.
-    pub fn config(&self) -> &LwbConfig {
-        &self.config
-    }
-
-    /// The index of the round the next call to
-    /// [`LwbScheduler::next_schedule`] will produce.
-    pub fn next_round_index(&self) -> u64 {
-        self.next_round
-    }
-
-    /// The absolute number of data slots scheduled so far (drives channel
-    /// hopping).
-    pub fn absolute_data_slots(&self) -> u64 {
-        self.absolute_data_slots
-    }
-
-    /// Produces the schedule for the next round, assigning one data slot to
-    /// each source (sorted by node id for determinism).
-    pub fn next_schedule(&mut self, sources: &[NodeId], ntx: NtxAssignment) -> Schedule {
-        let mut slots: Vec<NodeId> = sources.to_vec();
-        slots.sort_unstable();
-        slots.dedup();
-        let schedule = Schedule::new(self.next_round, slots, ntx);
-        self.next_round += 1;
-        self.absolute_data_slots += schedule.num_data_slots() as u64;
-        schedule
-    }
 }
 
 #[cfg(test)]
@@ -151,36 +79,15 @@ mod tests {
         let s = Schedule::new(7, vec![NodeId(3), NodeId(5)], NtxAssignment::Uniform(2));
         assert_eq!(s.round_index(), 7);
         assert_eq!(s.num_data_slots(), 2);
-        assert_eq!(s.slot_of(NodeId(5)), Some(1));
-        assert_eq!(s.slot_of(NodeId(9)), None);
+        assert_eq!(s.slots(), &[NodeId(3), NodeId(5)]);
         assert_eq!(s.ntx(), &NtxAssignment::Uniform(2));
     }
 
     #[test]
-    fn set_ntx_overrides_assignment() {
-        let mut s = Schedule::new(0, vec![NodeId(0)], NtxAssignment::Uniform(3));
-        s.set_ntx(NtxAssignment::Uniform(8));
-        assert_eq!(s.ntx(), &NtxAssignment::Uniform(8));
-    }
-
-    #[test]
-    fn scheduler_counts_rounds_and_slots() {
-        let mut sched = LwbScheduler::new(LwbConfig::testbed_default());
-        assert_eq!(sched.next_round_index(), 0);
-        sched.next_schedule(
-            &[NodeId(0), NodeId(1), NodeId(2)],
-            NtxAssignment::Uniform(3),
-        );
-        sched.next_schedule(&[NodeId(0)], NtxAssignment::Uniform(3));
-        assert_eq!(sched.next_round_index(), 2);
-        assert_eq!(sched.absolute_data_slots(), 4);
-    }
-
-    #[test]
-    fn scheduler_deduplicates_and_sorts_sources() {
-        let mut sched = LwbScheduler::new(LwbConfig::testbed_default());
-        let s = sched.next_schedule(
-            &[NodeId(4), NodeId(1), NodeId(4), NodeId(0)],
+    fn new_sorts_and_deduplicates_sources() {
+        let s = Schedule::new(
+            0,
+            vec![NodeId(4), NodeId(1), NodeId(4), NodeId(0)],
             NtxAssignment::Uniform(3),
         );
         assert_eq!(s.slots(), &[NodeId(0), NodeId(1), NodeId(4)]);
@@ -189,11 +96,10 @@ mod tests {
     proptest! {
         #[test]
         fn prop_every_source_gets_exactly_one_slot(ids in proptest::collection::vec(0u16..64, 0..40)) {
-            let mut sched = LwbScheduler::new(LwbConfig::testbed_default());
             let sources: Vec<NodeId> = ids.iter().copied().map(NodeId).collect();
-            let s = sched.next_schedule(&sources, NtxAssignment::Uniform(3));
-            // Each distinct source appears exactly once.
-            let mut expected: Vec<NodeId> = sources.clone();
+            let s = Schedule::new(0, sources.clone(), NtxAssignment::Uniform(3));
+            // Each distinct source appears exactly once, in node-id order.
+            let mut expected = sources;
             expected.sort_unstable();
             expected.dedup();
             prop_assert_eq!(s.slots().to_vec(), expected);

@@ -362,55 +362,14 @@ impl InterferenceModel for PeriodicJammer {
     }
 
     fn compile_for(&self, positions: &[Position]) -> Option<Box<dyn SlotInterference>> {
-        Some(Box::new(CompiledJammer {
-            jammer: self.clone(),
-            // Hoist the distance roll-off (sqrt + powi per receiver) out of
-            // the slot loop; `strength_at` is time-independent.
-            strengths: positions.iter().map(|&p| self.strength_at(p)).collect(),
-        }))
+        // A jammer that never moves: the mobile evaluator with no waypoints
+        // caches the same roll-off once and evaluates the same per-slot
+        // expression.
+        MobileJammer::new(self.clone(), Vec::new()).compile_for(positions)
     }
 
     fn as_periodic_jammer(&self) -> Option<&PeriodicJammer> {
         Some(self)
-    }
-}
-
-/// Compiled form of [`PeriodicJammer`]: per-node strengths precomputed, one
-/// burst-overlap evaluation per slot.
-#[derive(Debug, Clone)]
-struct CompiledJammer {
-    jammer: PeriodicJammer,
-    strengths: Vec<f64>,
-}
-
-impl SlotInterference for CompiledJammer {
-    fn busy_for_slot(
-        &mut self,
-        start: SimTime,
-        duration_us: u64,
-        channel: Channel,
-        out: &mut [f64],
-    ) {
-        let n = self.strengths.len();
-        if !self.jammer.affects_channel(channel) {
-            out[..n].fill(0.0);
-            return;
-        }
-        let overlap = self.jammer.burst_overlap_fraction(start, duration_us);
-        if overlap == 0.0 {
-            // Slot entirely in the silent part of the period:
-            // `(0.0 * s).clamp(0.0, 1.0)` is exactly 0 for every node.
-            out[..n].fill(0.0);
-            return;
-        }
-        for (o, &s) in out[..n].iter_mut().zip(&self.strengths) {
-            // Same expression as `busy_fraction`, with `strength_at`
-            // replaced by its cached (identical) value.
-            *o = (overlap * s).clamp(0.0, 1.0);
-        }
-    }
-    fn box_clone(&self) -> Box<dyn SlotInterference> {
-        Box::new(self.clone())
     }
 }
 

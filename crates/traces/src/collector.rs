@@ -123,7 +123,7 @@ impl<'a> TraceCollector<'a> {
                     outcomes.push(NtxOutcome {
                         reliabilities,
                         radio_on_us,
-                        losses: round.losses(),
+                        losses: round.reliability_and_losses(None).1,
                     });
                 }
                 samples.push(TraceSample {

@@ -10,18 +10,15 @@
 //! directly. The deployed coordinator sees sliding-window
 //! [`dimmer_core::NodeStats`] averages, delivered only when a node's data
 //! flood actually reaches it and decaying to pessimistic values when stale
-//! ([`GlobalView`]). Training must
-//! therefore route the recorded outcomes through the very same
-//! stats-collector → lossy-delivery → global-view pipeline; otherwise the
-//! DQN is trained on instantaneous, fully observed states it will never
-//! encounter in the protocol loop and behaves erratically under sustained
-//! interference.
+//! ([`dimmer_core::GlobalView`]). Training therefore observes through the
+//! deployed engine's own [`Coordinator`]; otherwise the DQN is trained on
+//! instantaneous, fully observed states it will never encounter in the
+//! protocol loop and behaves erratically under sustained interference. All
+//! the environment adds is what traces lack: which data floods reached the
+//! coordinator.
 
 use crate::dataset::TraceDataset;
-use dimmer_core::{
-    reward, AdaptivityAction, DimmerConfig, GlobalView, StateBuilder, StatisticsCollector,
-    DEFAULT_STATS_WINDOW,
-};
+use dimmer_core::{reward, AdaptivityAction, Coordinator, DimmerConfig};
 use dimmer_rl::{Environment, Step};
 use dimmer_sim::{NodeId, SimDuration};
 use rand::rngs::StdRng;
@@ -55,16 +52,14 @@ pub struct TraceEnvironment {
     position: usize,
     steps_in_episode: usize,
     ntx: u8,
-    state_builder: StateBuilder,
-    /// Per-node sliding-window statistics, exactly as each device keeps them.
-    stats: StatisticsCollector,
-    /// The coordinator's (possibly stale) aggregate of received feedback.
-    view: GlobalView,
-    /// Index of the coordinator node within the recorded deployment (node 0
-    /// in both testbed topologies).
-    coordinator: usize,
+    /// The deployed coordinator's observation pipeline.
+    coordinator: Coordinator,
     rng: StdRng,
 }
+
+/// The coordinator node of the recorded deployment (node 0 in both testbed
+/// topologies).
+const COORDINATOR_NODE: usize = 0;
 
 impl TraceEnvironment {
     /// Creates an environment over `dataset`.
@@ -80,16 +75,12 @@ impl TraceEnvironment {
             config.n_max,
             "dataset and config disagree on N_max"
         );
-        let num_nodes = dataset.num_nodes();
         TraceEnvironment {
             episode_length: 100,
             position: 0,
             steps_in_episode: 0,
             ntx: config.initial_ntx,
-            state_builder: StateBuilder::new(config.clone()),
-            stats: StatisticsCollector::new(num_nodes, DEFAULT_STATS_WINDOW),
-            view: GlobalView::new(num_nodes),
-            coordinator: 0,
+            coordinator: Coordinator::new(dataset.num_nodes(), config.clone()),
             rng: StdRng::seed_from_u64(seed),
             dataset,
             config,
@@ -113,40 +104,29 @@ impl TraceEnvironment {
         &self.dataset
     }
 
-    /// Routes the recorded outcome at `position` (under the current `N_TX`)
-    /// through the coordinator's observation pipeline, mirroring
-    /// `RoundEngine::run_round` step by step: nodes share the feedback they
-    /// computed *before* this round, a node's feedback only reaches the
-    /// coordinator if its data flood did, and undelivered entries age towards
-    /// pessimistic values.
+    /// Lets the coordinator observe the recorded outcome at `position` under
+    /// the current `N_TX`.
+    ///
+    /// A node's feedback reaches the coordinator only if its data-slot flood
+    /// did. The trace does not keep per-slot reception, so delivery is
+    /// Bernoulli with the coordinator's recorded reception ratio for this
+    /// round: one draw per other node, in ascending id order. The
+    /// coordinator always hears itself.
     fn ingest_round(&mut self) {
-        let sample = self.dataset.sample(self.position % self.dataset.len());
-        let outcome = sample.outcome(self.ntx);
-        let feedback_before = self.stats.feedback();
-
-        // Every node records its own view of the round.
-        for i in 0..self.dataset.num_nodes() {
-            self.stats.node_mut(NodeId(i as u16)).record_round(
-                outcome.reliabilities[i],
-                SimDuration::from_micros(outcome.radio_on_us[i]),
-            );
-        }
-
-        // A node's piggybacked feedback reaches the coordinator only if its
-        // data-slot flood did. The trace does not keep per-slot reception, so
-        // delivery is Bernoulli with the coordinator's recorded reception
-        // ratio for this round; the coordinator always hears itself.
-        let delivery_prob = outcome.reliabilities[self.coordinator].clamp(0.0, 1.0);
-        for (i, fb) in feedback_before.iter().enumerate() {
-            if i == self.coordinator || self.rng.gen::<f64>() < delivery_prob {
-                self.view.update(NodeId(i as u16), *fb);
-            }
-        }
-        self.view.mark_round();
-    }
-
-    fn observe(&self) -> Vec<f32> {
-        self.state_builder.build(&self.view, self.ntx)
+        let outcome = self.dataset.sample(self.position).outcome(self.ntx);
+        let delivery_prob = outcome.reliabilities[COORDINATOR_NODE].clamp(0.0, 1.0);
+        let rng = &mut self.rng;
+        self.coordinator.observe_round(
+            (0..self.dataset.num_nodes())
+                .filter(|&i| i == COORDINATOR_NODE || rng.gen::<f64>() < delivery_prob)
+                .map(|i| NodeId(i as u16)),
+            |n| {
+                let i = n.index();
+                let radio_on = SimDuration::from_micros(outcome.radio_on_us[i]);
+                (outcome.reliabilities[i], radio_on)
+            },
+            !outcome.loss_free(),
+        );
     }
 }
 
@@ -163,20 +143,10 @@ impl Environment for TraceEnvironment {
         self.position = rng.gen_range(0..self.dataset.len());
         self.steps_in_episode = 0;
         self.ntx = rng.gen_range(self.config.n_min..=self.config.n_max);
-        self.state_builder = StateBuilder::new(self.config.clone());
-        // Fresh deployment state: empty statistics windows and an
-        // all-pessimistic view, exactly like a freshly started coordinator.
-        self.stats = StatisticsCollector::new(self.dataset.num_nodes(), DEFAULT_STATS_WINDOW);
-        self.view = GlobalView::new(self.dataset.num_nodes());
-        // Seed the history and the view with the current sample's outcome.
-        let had_losses = !self
-            .dataset
-            .sample(self.position)
-            .outcome(self.ntx)
-            .loss_free();
-        self.state_builder.record_history(had_losses);
+        // A freshly started coordinator, seeded with the current sample.
+        self.coordinator = Coordinator::new(self.dataset.num_nodes(), self.config.clone());
         self.ingest_round();
-        self.observe()
+        self.coordinator.state(self.ntx)
     }
 
     fn step(&mut self, action: usize, _rng: &mut StdRng) -> Step {
@@ -192,12 +162,9 @@ impl Environment for TraceEnvironment {
             self.config.n_max,
             self.config.reward_c,
         );
-        let loss_free = outcome.loss_free();
         self.ingest_round();
-        self.state_builder.record_history(!loss_free);
-        let next_state = self.observe();
         Step {
-            next_state,
+            next_state: self.coordinator.state(self.ntx),
             reward: r as f32,
             done: self.steps_in_episode >= self.episode_length,
         }
@@ -325,11 +292,10 @@ mod tests {
         let mut env = TraceEnvironment::new(ds, cfg, 1).with_episode_length(50);
         let mut rng = StdRng::seed_from_u64(0);
         env.reset(&mut rng);
-        // Restart deterministically on the calm sample with fresh stats (the
-        // reset above may have landed anywhere in the trace).
+        // Restart deterministically on the calm sample with a fresh
+        // coordinator (the reset above may have landed anywhere in the trace).
         env.position = 0;
-        env.stats = StatisticsCollector::new(nodes, DEFAULT_STATS_WINDOW);
-        env.view = GlobalView::new(nodes);
+        env.coordinator = Coordinator::new(nodes, env.config.clone());
 
         // A calm step populates the view with healthy feedback.
         let calm = env.step(1, &mut rng);
