@@ -16,7 +16,7 @@
 //! | Family | Rules | What they protect |
 //! |--------|-------|-------------------|
 //! | **D** (determinism) | `D001`–`D004` | no `HashMap`/`HashSet`, no wall-clock, no `std::env`, no entropy RNGs in the simulation crates |
-//! | **H** (hot path) | `H001`–`H002` | no allocation-shaped calls inside `// lint: hot-begin` … `// lint: hot-end` regions (the flood slot loop, `CompiledTopology::apply_event`, `RoundExecutor::run_round`) |
+//! | **H** (hot path) | `H001`–`H002` | no allocation-shaped calls inside `// lint: hot-begin` … `// lint: hot-end` regions (the flood slot loop, `CompiledTopology::apply_event`, `RoundExecutor::run_round`, the MLP kernels and the DQN's per-sample loop) |
 //! | **P** (panic hygiene) | `P001`–`P002` | no `unwrap`/`expect`/`panic!` in library crates outside tests |
 //! | **S** (drift) | `S001`–`S005` | docs, `BENCH_*.json` reports, headline speedup claims and the daemon protocol track the code they describe |
 //! | **L** (directive hygiene) | `L001`–`L002` | `// lint:` directives parse, and every `allow` earns its keep |

@@ -41,5 +41,5 @@ pub mod quantized;
 pub mod serialize;
 
 pub use fixed::{from_fixed, to_fixed, SCALE};
-pub use mlp::{Activation, Mlp};
+pub use mlp::{Activation, Mlp, MlpWorkspace};
 pub use quantized::QuantizedNetwork;

@@ -4,9 +4,23 @@
 //! This is the *offline* half of the paper's DQN: training happens in
 //! floating point on an unconstrained machine; the result is then quantized
 //! ([`crate::QuantizedNetwork`]) for execution on the coordinator.
+//!
+//! Each [`Layer`] stores its weights **input-major** (`w[i * outputs + o]`),
+//! so the forward pass adds one input's contribution to a block of up to
+//! eight outputs at once, which the compiler turns into SIMD lanes. Every
+//! output is still its bias plus `w * x` for the inputs in ascending order,
+//! the exact sequence of roundings of a row-major dot product: no add is
+//! reassociated, Rust never fuses a multiply and an add, and a SIMD lane
+//! rounds exactly like the scalar instruction. Only this module knows the
+//! layout; the text format and the quantized table read rows through
+//! [`Layer::row`] and build layers through [`Layer::from_rows`]. Training
+//! reuses a caller-owned [`MlpWorkspace`], so a warm step allocates nothing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[cfg(test)]
+mod reference;
 
 /// Activation function applied by a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +39,8 @@ impl Activation {
         }
     }
 
+    /// The derivative at a pre-activation. ReLU's output is positive exactly
+    /// where its input is, so the output gives the same value.
     fn derivative(self, pre_activation: f32) -> f32 {
         match self {
             Activation::Relu => {
@@ -40,50 +56,239 @@ impl Activation {
 }
 
 /// One fully-connected layer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Layer {
-    /// Row-major weights: `weights[o * inputs + i]`.
-    pub weights: Vec<f32>,
+    /// Input-major weights: `weights[i * outputs + o]` connects input `i`
+    /// to output `o`, so each input's fan-out is contiguous.
+    weights: Vec<f32>,
     /// One bias per output neuron.
-    pub biases: Vec<f32>,
-    /// Number of inputs.
-    pub inputs: usize,
-    /// Number of outputs.
-    pub outputs: usize,
-    /// Activation applied to this layer's outputs.
-    pub activation: Activation,
+    biases: Vec<f32>,
+    inputs: usize,
+    outputs: usize,
+    activation: Activation,
+}
+
+impl Clone for Layer {
+    fn clone(&self) -> Self {
+        Layer {
+            weights: self.weights.clone(),
+            biases: self.biases.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s buffers, so syncing a same-shaped network allocates
+    /// nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.weights.clone_from(&source.weights);
+        self.biases.clone_from(&source.biases);
+        self.inputs = source.inputs;
+        self.outputs = source.outputs;
+        self.activation = source.activation;
+    }
 }
 
 impl Layer {
     fn new(inputs: usize, outputs: usize, activation: Activation, rng: &mut StdRng) -> Self {
-        // He initialization, appropriate for ReLU networks.
+        // He initialization, appropriate for ReLU networks, drawn row by row.
         let std = (2.0 / inputs as f32).sqrt();
-        let weights = (0..inputs * outputs)
+        let rows: Vec<f32> = (0..inputs * outputs)
             .map(|_| rng.gen_range(-std..std))
             .collect();
-        let biases = vec![0.0; outputs];
-        Layer {
+        Layer::from_rows(inputs, outputs, activation, &rows, vec![0.0; outputs])
+            // lint: allow(P001) -- Mlp::new asserts positive sizes, and He-init draws are finite
+            .expect("a He-initialized layer is valid")
+    }
+
+    /// Builds a layer from row-major weights: `rows[o * inputs + i]`, one
+    /// row per output, the order of the text format and the quantized table.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason if a size is zero, the weight or bias count does
+    /// not match the shape, or a value is not finite.
+    pub fn from_rows(
+        inputs: usize,
+        outputs: usize,
+        activation: Activation,
+        rows: &[f32],
+        biases: Vec<f32>,
+    ) -> Result<Layer, &'static str> {
+        if inputs == 0 || outputs == 0 {
+            return Err("layer sizes must be positive");
+        }
+        if inputs.checked_mul(outputs) != Some(rows.len()) {
+            return Err("weight count does not match the layer shape");
+        }
+        if biases.len() != outputs {
+            return Err("bias count does not match the layer shape");
+        }
+        if !rows.iter().chain(&biases).all(|v| v.is_finite()) {
+            return Err("weights and biases must be finite");
+        }
+        let mut weights = vec![0.0; rows.len()];
+        for (o, row) in rows.chunks_exact(inputs).enumerate() {
+            for (i, &w) in row.iter().enumerate() {
+                weights[i * outputs + o] = w;
+            }
+        }
+        Ok(Layer {
             weights,
             biases,
             inputs,
             outputs,
             activation,
+        })
+    }
+
+    /// Number of inputs.
+    pub fn inputs(&self) -> usize {
+        self.inputs
+    }
+
+    /// Number of outputs.
+    pub fn outputs(&self) -> usize {
+        self.outputs
+    }
+
+    /// Activation applied to this layer's outputs.
+    pub fn activation(&self) -> Activation {
+        self.activation
+    }
+
+    /// One bias per output neuron.
+    pub fn biases(&self) -> &[f32] {
+        &self.biases
+    }
+
+    /// The weights into output `o`, in input order: row `o` of the
+    /// row-major weight matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `o` is not below [`Layer::outputs`].
+    pub fn row(&self, o: usize) -> impl Iterator<Item = f32> + '_ {
+        assert!(o < self.outputs, "output index out of range");
+        self.weights[o..].iter().step_by(self.outputs).copied()
+    }
+
+    // lint: hot-begin
+    /// `out[o] = activation(biases[o] + Σ weights[i][o] * x[i])` in blocks of
+    /// 8, then 4, then single outputs.
+    fn forward_into(&self, x: &[f32], out: &mut [f32]) {
+        let mut o = 0;
+        while o + 8 <= self.outputs {
+            self.forward_block::<8>(x, o, out);
+            o += 8;
+        }
+        if o + 4 <= self.outputs {
+            self.forward_block::<4>(x, o, out);
+            o += 4;
+        }
+        while o < self.outputs {
+            self.forward_block::<1>(x, o, out);
+            o += 1;
         }
     }
 
-    fn forward(&self, input: &[f32], pre: &mut Vec<f32>, out: &mut Vec<f32>) {
-        pre.clear();
-        out.clear();
-        for o in 0..self.outputs {
-            let mut acc = self.biases[o];
-            let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
-            for (w, x) in row.iter().zip(input) {
-                acc += w * x;
+    /// Outputs `o..o + N`: each accumulator starts at its bias and adds
+    /// `w * x` for the inputs in ascending order.
+    fn forward_block<const N: usize>(&self, x: &[f32], o: usize, out: &mut [f32]) {
+        let mut acc = [0.0f32; N];
+        acc.copy_from_slice(&self.biases[o..o + N]);
+        for (fan_out, &xi) in self.weights.chunks_exact(self.outputs).zip(x) {
+            for (a, &w) in acc.iter_mut().zip(&fan_out[o..o + N]) {
+                *a += w * xi;
             }
-            pre.push(acc);
-            out.push(self.activation.apply(acc));
+        }
+        for (y, a) in out[o..o + N].iter_mut().zip(acc) {
+            *y = self.activation.apply(a);
         }
     }
+
+    /// Writes into `below` the delta this layer's `delta` propagates to its
+    /// inputs `x`, the outputs of a layer activated by `below_activation`.
+    /// Each entry sums `w * d` over the non-zero deltas in ascending output
+    /// order, starting from 0.0, and is then scaled by the derivative.
+    fn backpropagate(
+        &self,
+        delta: &[f32],
+        x: &[f32],
+        below_activation: Activation,
+        below: &mut [f32],
+    ) {
+        let fan_outs = self.weights.chunks_exact(self.outputs);
+        for ((p, fan_out), &xi) in below.iter_mut().zip(fan_outs).zip(x) {
+            let mut acc = 0.0f32;
+            for (&w, &d) in fan_out.iter().zip(delta) {
+                if d != 0.0 {
+                    acc += w * d;
+                }
+            }
+            *p = acc * below_activation.derivative(xi);
+        }
+    }
+
+    /// The gradient step `w -= (learning_rate * d) * x` and
+    /// `b -= learning_rate * d` for every output whose delta `d` is non-zero,
+    /// over the same blocks of outputs as the forward pass.
+    fn step(&mut self, delta: &[f32], x: &[f32], learning_rate: f32) {
+        let mut o = 0;
+        while o + 8 <= self.outputs {
+            self.step_block::<8>(delta, x, learning_rate, o);
+            o += 8;
+        }
+        if o + 4 <= self.outputs {
+            self.step_block::<4>(delta, x, learning_rate, o);
+            o += 4;
+        }
+        while o < self.outputs {
+            self.step_block::<1>(delta, x, learning_rate, o);
+            o += 1;
+        }
+    }
+
+    /// The step on outputs `o..o + N`. Skipping a zero delta is a per-lane
+    /// select, not a zero step, which would turn a `-0.0` weight into
+    /// `+0.0`; a block whose deltas are all zero is skipped whole.
+    fn step_block<const N: usize>(
+        &mut self,
+        delta: &[f32],
+        x: &[f32],
+        learning_rate: f32,
+        o: usize,
+    ) {
+        let mut d = [0.0f32; N];
+        d.copy_from_slice(&delta[o..o + N]);
+        if d.iter().all(|&d| d == 0.0) {
+            return;
+        }
+        let s = d.map(|d| learning_rate * d);
+        for (fan_out, &xi) in self.weights.chunks_exact_mut(self.outputs).zip(x) {
+            for ((w, &d), &s) in fan_out[o..o + N].iter_mut().zip(&d).zip(&s) {
+                *w = if d != 0.0 { *w - s * xi } else { *w };
+            }
+        }
+        for ((b, &d), &s) in self.biases[o..o + N].iter_mut().zip(&d).zip(&s) {
+            *b = if d != 0.0 { *b - s } else { *b };
+        }
+    }
+    // lint: hot-end
+}
+
+/// Reusable scratch for [`Mlp::forward_in`] and
+/// [`Mlp::train_single_output`].
+///
+/// It grows to the largest network it serves on first use and then only
+/// reuses its buffers, so a warm workspace makes both calls allocation-free.
+#[derive(Debug, Clone, Default)]
+pub struct MlpWorkspace {
+    /// Every layer's outputs, back to back.
+    acts: Vec<f32>,
+    /// The delta of the layer being stepped.
+    delta: Vec<f32>,
+    /// The delta it propagates to the layer below.
+    below: Vec<f32>,
 }
 
 /// A multi-layer perceptron with ReLU hidden layers and a linear output
@@ -99,9 +304,22 @@ impl Layer {
 /// let q = net.forward(&vec![0.0; 31]);
 /// assert_eq!(q.len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Mlp {
     layers: Vec<Layer>,
+}
+
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Mlp {
+            layers: self.layers.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers: the DQN's target sync allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+    }
 }
 
 impl Mlp {
@@ -167,27 +385,47 @@ impl Mlp {
             .sum()
     }
 
-    /// Forward pass.
+    /// Forward pass. Allocates; [`Mlp::forward_in`] is the same pass over a
+    /// reused workspace.
     ///
     /// # Panics
     ///
     /// Panics if `input` does not match [`Mlp::num_inputs`].
     pub fn forward(&self, input: &[f32]) -> Vec<f32> {
+        self.forward_in(input, &mut MlpWorkspace::default())
+            .to_vec()
+    }
+
+    /// Forward pass into `ws`; returns the outputs, borrowed from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not match [`Mlp::num_inputs`].
+    pub fn forward_in<'w>(&self, input: &[f32], ws: &'w mut MlpWorkspace) -> &'w [f32] {
         assert_eq!(input.len(), self.num_inputs(), "input size mismatch");
-        let mut current = input.to_vec();
-        let mut pre = Vec::new();
-        let mut out = Vec::new();
-        for layer in &self.layers {
-            layer.forward(&current, &mut pre, &mut out);
-            current.clone_from(&out);
+        let total = self.layers.iter().map(|l| l.outputs).sum();
+        if ws.acts.len() < total {
+            ws.acts.resize(total, 0.0);
         }
-        current
+        // lint: hot-begin
+        // Layer `l` reads `acts[start..end]` (or the input) and writes the
+        // next `outputs` entries.
+        let (mut start, mut end) = (0, 0);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = ws.acts.split_at_mut(end);
+            let x = if l == 0 { input } else { &done[start..] };
+            layer.forward_into(x, &mut rest[..layer.outputs]);
+            start = end;
+            end += layer.outputs;
+        }
+        // lint: hot-end
+        &ws.acts[start..end]
     }
 
     /// The index of the largest output (greedy action).
     pub fn argmax(&self, input: &[f32]) -> usize {
-        let out = self.forward(input);
-        out.iter()
+        self.forward_in(input, &mut MlpWorkspace::default())
+            .iter()
             .enumerate()
             // lint: allow(P001) -- finite weights x finite inputs: forward() cannot produce NaN
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite outputs"))
@@ -197,7 +435,8 @@ impl Mlp {
 
     /// One SGD step on the squared error of a *single output*
     /// (`output_index`), as used by Q-learning: only the chosen action's
-    /// Q-value is regressed towards `target`.
+    /// Q-value is regressed towards `target`. `ws` holds the activations and
+    /// deltas; once warm, the step allocates nothing.
     ///
     /// Returns the squared error before the update.
     ///
@@ -210,85 +449,51 @@ impl Mlp {
         output_index: usize,
         target: f32,
         learning_rate: f32,
+        ws: &mut MlpWorkspace,
     ) -> f32 {
-        assert_eq!(input.len(), self.num_inputs(), "input size mismatch");
         assert!(
             output_index < self.num_outputs(),
             "output index out of range"
         );
-
-        // Forward pass, keeping pre-activations and activations per layer.
-        let mut activations: Vec<Vec<f32>> = vec![input.to_vec()];
-        let mut pre_activations: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let mut pre = Vec::new();
-            let mut out = Vec::new();
-            // lint: allow(P001) -- `activations` is seeded with the input row before the loop
-            layer.forward(activations.last().expect("non-empty"), &mut pre, &mut out);
-            pre_activations.push(pre);
-            activations.push(out);
+        let output = self.forward_in(input, ws)[output_index];
+        let widest = self.layers.iter().map(|l| l.outputs).max().unwrap_or(0);
+        if ws.delta.len() < widest {
+            ws.delta.resize(widest, 0.0);
+            ws.below.resize(widest, 0.0);
         }
-
-        // lint: allow(P001) -- `activations` is seeded with the input row before the loop
-        let output = activations.last().expect("non-empty");
-        let error = output[output_index] - target;
+        let error = output - target;
         let loss = error * error;
 
-        // Backward pass: delta on the output layer is non-zero only at
-        // `output_index`.
-        let mut delta: Vec<f32> = vec![0.0; self.num_outputs()];
-        delta[output_index] = 2.0
-            * error
-            * self
-                .layers
-                .last()
-                // lint: allow(P001) -- Mlp::new rejects empty layer lists
-                .expect("non-empty")
-                .activation
-                // lint: allow(P001) -- the forward pass above pushed one entry per layer
-                .derivative(pre_activations.last().expect("non-empty")[output_index]);
-
+        // lint: hot-begin
+        // The output layer's delta is non-zero only at `output_index`.
+        let mut end: usize = self.layers.iter().map(|l| l.outputs).sum();
+        let last = self.layers.len() - 1;
+        let outputs = self.layers[last].outputs;
+        ws.delta[..outputs].fill(0.0);
+        ws.delta[output_index] = 2.0 * error * self.layers[last].activation.derivative(output);
         for l in (0..self.layers.len()).rev() {
-            let input_act = activations[l].clone();
-            // Compute the delta to propagate before mutating the layer.
-            let mut prev_delta = vec![0.0f32; self.layers[l].inputs];
-            {
-                let layer = &self.layers[l];
-                for (o, &d) in delta.iter().enumerate() {
-                    if d == 0.0 {
-                        continue;
-                    }
-                    let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
-                    for (p, &w) in prev_delta.iter_mut().zip(row) {
-                        *p += w * d;
-                    }
-                }
-            }
-            // Gradient step.
-            {
-                let layer = &mut self.layers[l];
-                let inputs = layer.inputs;
-                for (o, &d) in delta.iter().enumerate() {
-                    if d == 0.0 {
-                        continue;
-                    }
-                    let row = &mut layer.weights[o * inputs..(o + 1) * inputs];
-                    for (w, &a) in row.iter_mut().zip(&input_act) {
-                        *w -= learning_rate * d * a;
-                    }
-                    layer.biases[o] -= learning_rate * d;
-                }
-            }
+            // Layer `l`'s outputs end at `end`; its inputs sit just before.
+            let start = end - self.layers[l].outputs;
+            let x = if l == 0 {
+                input
+            } else {
+                &ws.acts[start - self.layers[l].inputs..start]
+            };
+            let delta = &ws.delta[..self.layers[l].outputs];
             if l > 0 {
-                // Apply the activation derivative of the previous layer.
-                for (i, d) in prev_delta.iter_mut().enumerate() {
-                    *d *= self.layers[l - 1]
-                        .activation
-                        .derivative(pre_activations[l - 1][i]);
-                }
+                let below_activation = self.layers[l - 1].activation;
+                self.layers[l].backpropagate(
+                    delta,
+                    x,
+                    below_activation,
+                    &mut ws.below[..self.layers[l].inputs],
+                );
             }
-            delta = prev_delta;
+            self.layers[l].step(delta, x, learning_rate);
+            std::mem::swap(&mut ws.delta, &mut ws.below);
+            end = start;
         }
+        // lint: hot-end
         loss
     }
 }
@@ -335,8 +540,9 @@ mod tests {
         let input = [0.5, -0.5, 1.0];
         let target = 2.0;
         let before = net.forward(&input);
+        let mut ws = MlpWorkspace::default();
         for _ in 0..500 {
-            net.train_single_output(&input, 1, target, 0.01);
+            net.train_single_output(&input, 1, target, 0.01, &mut ws);
         }
         let after = net.forward(&input);
         assert!(
@@ -360,13 +566,14 @@ mod tests {
         ];
         let targets = [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]];
         let mut net = Mlp::new(&[2, 24, 2], 11);
+        let mut ws = MlpWorkspace::default();
         let mut first_loss = 0.0;
         let mut last_loss = 0.0;
         for epoch in 0..3000 {
             let mut loss = 0.0;
             for (s, t) in states.iter().zip(&targets) {
-                loss += net.train_single_output(s, 0, t[0], 0.02);
-                loss += net.train_single_output(s, 1, t[1], 0.02);
+                loss += net.train_single_output(s, 0, t[0], 0.02, &mut ws);
+                loss += net.train_single_output(s, 1, t[1], 0.02, &mut ws);
             }
             if epoch == 0 {
                 first_loss = loss;
@@ -408,6 +615,66 @@ mod tests {
         let a = Mlp::new(&[3, 4, 2], 1);
         let b = Mlp::new(&[5, 7, 2], 1);
         Mlp::from_layers(vec![a.layers()[0].clone(), b.layers()[1].clone()]);
+    }
+
+    #[test]
+    fn new_draws_he_init_row_by_row() {
+        let net = Mlp::new(&[3, 2], 4);
+        let std = (2.0f32 / 3.0).sqrt();
+        let mut rng = StdRng::seed_from_u64(4);
+        let layer = &net.layers()[0];
+        for o in 0..2 {
+            let drawn: Vec<f32> = (0..3).map(|_| rng.gen_range(-std..std)).collect();
+            assert_eq!(layer.row(o).collect::<Vec<_>>(), drawn, "row {o}");
+        }
+    }
+
+    #[test]
+    fn from_rows_reads_back_through_row() {
+        let rows = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let layer = Layer::from_rows(3, 2, Activation::Linear, &rows, vec![0.5, -0.5]).unwrap();
+        assert_eq!(layer.row(0).collect::<Vec<_>>(), [1.0, 2.0, 3.0]);
+        assert_eq!(layer.row(1).collect::<Vec<_>>(), [4.0, 5.0, 6.0]);
+        assert_eq!(layer.biases(), [0.5, -0.5]);
+        let out = Mlp::from_layers(vec![layer]).forward(&[1.0, 0.0, -1.0]);
+        assert_eq!(out, [-1.5, -2.5]);
+    }
+
+    #[test]
+    fn from_rows_rejects_bad_shapes_and_non_finite_values() {
+        let bias = |n| vec![0.0; n];
+        let relu = Activation::Relu;
+        assert!(Layer::from_rows(0, 2, relu, &[], bias(2)).is_err());
+        assert!(Layer::from_rows(2, 2, relu, &[0.0; 3], bias(2)).is_err());
+        assert!(Layer::from_rows(2, 2, relu, &[0.0; 4], bias(1)).is_err());
+        assert!(Layer::from_rows(usize::MAX, 2, relu, &[0.0; 2], bias(2)).is_err());
+        assert!(Layer::from_rows(1, 1, relu, &[f32::NAN], bias(1)).is_err());
+        assert!(Layer::from_rows(1, 1, relu, &[0.0], vec![f32::INFINITY]).is_err());
+        assert!(Layer::from_rows(1, 1, relu, &[0.0], bias(1)).is_ok());
+    }
+
+    #[test]
+    fn clone_from_copies_a_network_into_reused_buffers() {
+        let source = Mlp::new(&[4, 6, 3], 1);
+        let mut target = Mlp::new(&[4, 6, 3], 2);
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        let mut other_shape = Mlp::new(&[2, 3], 3);
+        other_shape.clone_from(&source);
+        assert_eq!(other_shape, source);
+    }
+
+    #[test]
+    fn one_workspace_serves_networks_of_different_shapes() {
+        let small = Mlp::new(&[2, 3, 2], 5);
+        let large = Mlp::new(&[5, 12, 9, 4], 6);
+        let mut ws = MlpWorkspace::default();
+        let small_out = small.forward_in(&[0.3, -0.1], &mut ws).to_vec();
+        let large_out = large
+            .forward_in(&[0.1, 0.2, -0.3, 0.4, 0.0], &mut ws)
+            .to_vec();
+        assert_eq!(small.forward_in(&[0.3, -0.1], &mut ws), small_out);
+        assert_eq!(large.forward(&[0.1, 0.2, -0.3, 0.4, 0.0]), large_out);
     }
 
     proptest! {

@@ -45,11 +45,15 @@ impl QuantizedNetwork {
             .layers()
             .iter()
             .map(|l| QuantizedLayer {
-                weights: l.weights.iter().map(|&w| to_fixed(w)).collect(),
-                biases: l.biases.iter().map(|&b| to_fixed(b)).collect(),
-                inputs: l.inputs,
-                outputs: l.outputs,
-                relu: l.activation == Activation::Relu,
+                // Row-major, as the coordinator's table stores them.
+                weights: (0..l.outputs())
+                    .flat_map(|o| l.row(o))
+                    .map(to_fixed)
+                    .collect(),
+                biases: l.biases().iter().map(|&b| to_fixed(b)).collect(),
+                inputs: l.inputs(),
+                outputs: l.outputs(),
+                relu: l.activation() == Activation::Relu,
             })
             .collect();
         QuantizedNetwork { layers }

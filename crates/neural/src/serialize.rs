@@ -55,17 +55,16 @@ pub fn to_text(mlp: &Mlp) -> String {
     writeln!(s, "mlp v1").expect("writing to a String cannot fail");
     writeln!(s, "layers {}", mlp.layers().len()).expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
     for layer in mlp.layers() {
-        let act = match layer.activation {
+        let act = match layer.activation() {
             Activation::Relu => "relu",
             Activation::Linear => "linear",
         };
-        writeln!(s, "layer {} {} {}", layer.inputs, layer.outputs, act).expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
-        for o in 0..layer.outputs {
-            let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
-            let joined: Vec<String> = row.iter().map(|w| format!("{w}")).collect();
+        writeln!(s, "layer {} {} {}", layer.inputs(), layer.outputs(), act).expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
+        for o in 0..layer.outputs() {
+            let joined: Vec<String> = layer.row(o).map(|w| format!("{w}")).collect();
             writeln!(s, "w {}", joined.join(" ")).expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
         }
-        let joined: Vec<String> = layer.biases.iter().map(|b| format!("{b}")).collect();
+        let joined: Vec<String> = layer.biases().iter().map(|b| format!("{b}")).collect();
         writeln!(s, "b {}", joined.join(" ")).expect("infallible"); // lint: allow(P001) -- fmt::Write into a String cannot fail
     }
     s
@@ -98,7 +97,9 @@ pub fn from_text(text: &str) -> Result<Mlp, ParseNetworkError> {
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| ParseNetworkError::new("malformed layer count"))?;
 
-    let mut layers = Vec::with_capacity(count);
+    // Nothing is reserved on the strength of a header count: every vector
+    // grows only with the rows the text actually holds.
+    let mut layers = Vec::new();
     for _ in 0..count {
         let decl = lines
             .next()
@@ -124,7 +125,7 @@ pub fn from_text(text: &str) -> Result<Mlp, ParseNetworkError> {
                 return Err(ParseNetworkError::new(format!("bad activation {other:?}")));
             }
         };
-        let mut weights = Vec::with_capacity(inputs * outputs);
+        let mut rows = Vec::new();
         for _ in 0..outputs {
             let row = lines
                 .next()
@@ -132,12 +133,16 @@ pub fn from_text(text: &str) -> Result<Mlp, ParseNetworkError> {
             let rest = row
                 .strip_prefix("w ")
                 .ok_or_else(|| ParseNetworkError::new("weight row must start with `w `"))?;
-            let values: Result<Vec<f32>, _> = rest.split_whitespace().map(str::parse).collect();
-            let values = values.map_err(|_| ParseNetworkError::new("non-numeric weight"))?;
-            if values.len() != inputs {
+            let start = rows.len();
+            for v in rest.split_whitespace() {
+                rows.push(
+                    v.parse()
+                        .map_err(|_| ParseNetworkError::new("non-numeric weight"))?,
+                );
+            }
+            if rows.len() - start != inputs {
                 return Err(ParseNetworkError::new("weight row length mismatch"));
             }
-            weights.extend(values);
         }
         let bias_line = lines
             .next()
@@ -147,19 +152,13 @@ pub fn from_text(text: &str) -> Result<Mlp, ParseNetworkError> {
             .ok_or_else(|| ParseNetworkError::new("bias row must start with `b `"))?;
         let biases: Result<Vec<f32>, _> = rest.split_whitespace().map(str::parse).collect();
         let biases = biases.map_err(|_| ParseNetworkError::new("non-numeric bias"))?;
-        if biases.len() != outputs {
-            return Err(ParseNetworkError::new("bias row length mismatch"));
-        }
-        layers.push(Layer {
-            weights,
-            biases,
-            inputs,
-            outputs,
-            activation,
-        });
+        layers.push(
+            Layer::from_rows(inputs, outputs, activation, &rows, biases)
+                .map_err(ParseNetworkError::new)?,
+        );
     }
     for pair in layers.windows(2) {
-        if pair[0].outputs != pair[1].inputs {
+        if pair[0].outputs() != pair[1].inputs() {
             return Err(ParseNetworkError::new("layer shapes do not chain"));
         }
     }
@@ -207,6 +206,26 @@ mod tests {
     }
 
     #[test]
+    fn huge_header_counts_are_errors_not_aborts() {
+        // A layer count whose reservation alone would exhaust memory.
+        assert!(from_text("mlp v1\nlayers 4000000000000000\n").is_err());
+        // A weight count whose reservation overflows the capacity.
+        let wide = "mlp v1\nlayers 1\nlayer 4000000000 4000000000 relu\n";
+        assert!(from_text(wide).is_err());
+    }
+
+    #[test]
+    fn non_finite_weights_and_biases_are_rejected() {
+        for bad in ["NaN", "inf", "-inf"] {
+            let weight = format!("mlp v1\nlayers 1\nlayer 1 1 linear\nw {bad}\nb 0\n");
+            assert!(from_text(&weight).is_err(), "weight {bad}");
+            let bias = format!("mlp v1\nlayers 1\nlayer 1 1 linear\nw 0.5\nb {bad}\n");
+            assert!(from_text(&bias).is_err(), "bias {bad}");
+        }
+        assert!(from_text("mlp v1\nlayers 1\nlayer 1 1 linear\nw 0.5\nb 0\n").is_ok());
+    }
+
+    #[test]
     fn error_display_mentions_problem() {
         let err = from_text("nonsense").unwrap_err();
         assert!(format!("{err}").contains("unsupported header"));
@@ -220,6 +239,25 @@ mod tests {
             let back = from_text(&to_text(&net)).unwrap();
             let input = vec![0.5f32; 7];
             prop_assert_eq!(net.forward(&input), back.forward(&input));
+        }
+
+        #[test]
+        fn prop_arbitrary_header_numbers_never_panic(
+            count in (0u64..4, 0u32..62),
+            inputs in (0u64..4, 0u32..62),
+            outputs in (0u64..4, 0u32..62),
+            rows in 0usize..4,
+        ) {
+            // `m << e`: zero, small counts and counts far past any memory.
+            let [count, inputs, outputs] = [count, inputs, outputs].map(|(m, e)| m << e);
+            let mut text = format!("mlp v1\nlayers {count}\nlayer {inputs} {outputs} relu\n");
+            for _ in 0..rows {
+                text.push_str("w 0.5 -0.25\n");
+            }
+            text.push_str("b 0 0\n");
+            let parsed = from_text(&text);
+            let fits = count == 1 && inputs == 2 && outputs == 2 && rows == 2;
+            prop_assert_eq!(parsed.is_ok(), fits);
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::env::Environment;
 use crate::replay::{ReplayBuffer, Transition};
-use dimmer_neural::Mlp;
+use dimmer_neural::{Mlp, MlpWorkspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -129,6 +129,8 @@ pub struct DqnTrainer {
     config: DqnConfig,
     rng: StdRng,
     steps: usize,
+    /// Scratch shared by both networks' passes, so a step allocates nothing.
+    ws: MlpWorkspace,
 }
 
 impl DqnTrainer {
@@ -153,6 +155,7 @@ impl DqnTrainer {
             config,
             rng: StdRng::seed_from_u64(seed ^ 0xD9),
             steps: 0,
+            ws: MlpWorkspace::default(),
         }
     }
 
@@ -221,34 +224,32 @@ impl DqnTrainer {
         self.replay.push(transition);
         self.steps = global_transitions;
         if self.steps.is_multiple_of(self.config.target_sync_interval) {
-            self.target = self.online.clone();
+            self.target.clone_from(&self.online);
         }
         if self.replay.len() < self.config.warmup_transitions {
             return None;
         }
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(self.config.batch_size, &mut self.rng)
-            .into_iter()
-            .cloned()
-            .collect();
+        let cfg = &self.config;
         let mut loss = 0.0;
-        for t in &batch {
+        // lint: hot-begin
+        for t in self.replay.sample(cfg.batch_size, &mut self.rng) {
             let target_value = if t.done {
                 t.reward
             } else {
-                let next_q = self.target.forward(&t.next_state);
+                let next_q = self.target.forward_in(&t.next_state, &mut self.ws);
                 let max_next = next_q.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                t.reward + self.config.discount * max_next
+                t.reward + cfg.discount * max_next
             };
             loss += self.online.train_single_output(
                 &t.state,
                 t.action,
                 target_value,
-                self.config.learning_rate,
+                cfg.learning_rate,
+                &mut self.ws,
             );
         }
-        Some(loss / batch.len() as f32)
+        // lint: hot-end
+        Some(loss / cfg.batch_size as f32)
     }
 
     /// Runs the full training loop against `env` for

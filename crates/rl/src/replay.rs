@@ -38,7 +38,7 @@ pub struct Transition {
 ///     });
 /// }
 /// let mut rng = StdRng::seed_from_u64(0);
-/// assert_eq!(buf.sample(4, &mut rng).len(), 4);
+/// assert_eq!(buf.sample(4, &mut rng).count(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
@@ -87,16 +87,18 @@ impl ReplayBuffer {
         self.write_index = (self.write_index + 1) % self.capacity;
     }
 
-    /// Samples `count` transitions uniformly at random (with replacement).
+    /// Samples `count` transitions uniformly at random (with replacement),
+    /// borrowing them from the buffer. Each item draws one index from `rng`
+    /// as the iterator advances.
     ///
-    /// Returns fewer than `count` items only when the buffer is empty.
-    pub fn sample<'a>(&'a self, count: usize, rng: &mut StdRng) -> Vec<&'a Transition> {
-        if self.entries.is_empty() {
-            return Vec::new();
-        }
-        (0..count)
-            .map(|_| &self.entries[rng.gen_range(0..self.entries.len())])
-            .collect()
+    /// Yields fewer than `count` items only when the buffer is empty.
+    pub fn sample<'a>(
+        &'a self,
+        count: usize,
+        rng: &'a mut StdRng,
+    ) -> impl Iterator<Item = &'a Transition> + 'a {
+        let count = if self.entries.is_empty() { 0 } else { count };
+        (0..count).map(move |_| &self.entries[rng.gen_range(0..self.entries.len())])
     }
 }
 
@@ -132,7 +134,7 @@ mod tests {
     fn sample_is_empty_for_empty_buffer() {
         let buf = ReplayBuffer::new(4);
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(buf.sample(8, &mut rng).is_empty());
+        assert_eq!(buf.sample(8, &mut rng).count(), 0);
         assert!(buf.is_empty());
     }
 
@@ -142,7 +144,7 @@ mod tests {
         buf.push(t(1.0));
         buf.push(t(2.0));
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(buf.sample(16, &mut rng).len(), 16);
+        assert_eq!(buf.sample(16, &mut rng).count(), 16);
     }
 
     #[test]
@@ -215,7 +217,7 @@ mod tests {
                 }
                 let mut rng = StdRng::seed_from_u64(seed);
                 let batch: Vec<Transition> =
-                    buf.sample(samples, &mut rng).into_iter().cloned().collect();
+                    buf.sample(samples, &mut rng).cloned().collect();
                 batch
             };
             prop_assert_eq!(run(), run());

@@ -9,15 +9,17 @@
 //! 2. **Golden report bytes** — the `exp train:calm --quick` JSON
 //!    digest is pinned, so any drift in the farm, the environment
 //!    adapter, the engine or the report assembly shows up here.
-//! 3. **Zoo round-trip** — weights survive serialize → parse → decide, and
-//!    the committed zoo beats every one of its own arms run as a fixed
+//! 3. **Zoo round-trip** — weights survive serialize → parse → decide, the
+//!    committed weight files print back byte for byte, and the committed
+//!    zoo beats every one of its own arms run as a fixed
 //!    policy on mean reliability across the dynamic-world presets.
 
 use dimmer_baselines::SimulationBuilder;
 use dimmer_bench::harness::RunOptions;
 use dimmer_bench::scenarios::dynamic_scenario;
 use dimmer_bench::training::{train_family, train_grid, TRAIN_FAMILIES};
-use dimmer_core::zoo::{has_full_zoo, zoo_policy};
+use dimmer_core::pretrained::PRETRAINED_DQN_TEXT;
+use dimmer_core::zoo::{has_full_zoo, zoo_policy, zoo_text};
 use dimmer_core::{DimmerConfig, SimEnvironment};
 use dimmer_integration::equivalence::json_digest;
 use dimmer_neural::serialize::{from_text, to_text};
@@ -105,6 +107,23 @@ fn committed_zoo_weights_match_the_embedded_state_layout() {
         assert!(
             zoo_policy(family, &cfg).is_learned(),
             "{family}: committed weights must load as a learned policy"
+        );
+    }
+}
+
+#[test]
+fn committed_weight_files_round_trip_byte_for_byte() {
+    // Parsing transposes each row into the input-major layout and printing
+    // reads it back row by row; a wrong index on either side moves a weight.
+    let files = TRAIN_FAMILIES
+        .iter()
+        .map(|&family| (family, zoo_text(family).expect("committed zoo file")))
+        .chain([("pretrained", PRETRAINED_DQN_TEXT)]);
+    for (name, text) in files {
+        let net = from_text(text).expect("committed weights parse");
+        assert!(
+            to_text(&net) == text,
+            "{name}: to_text(from_text(file)) differs from the file"
         );
     }
 }
