@@ -23,6 +23,7 @@
 //! finished jobs stay answerable; an older id answers `expired`.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
@@ -193,7 +194,7 @@ impl Daemon {
     /// Starts one executor thread draining the queue; returns its handle.
     pub fn spawn_executor(&self) -> thread::JoinHandle<()> {
         let daemon = self.clone();
-        thread::spawn(move || daemon.run_executor())
+        thread::spawn(move || daemon.run_executor(|spec| daemon.run_spec(spec)))
     }
 
     /// Starts a pool of `workers.max(1)` executor threads sharing the
@@ -206,7 +207,9 @@ impl Daemon {
         (0..workers.max(1)).map(|_| self.spawn_executor()).collect()
     }
 
-    fn run_executor(&self) {
+    /// The executor loop; `run` runs each job's spec (tests substitute a
+    /// failing one).
+    fn run_executor(&self, run: impl Fn(&ScenarioSpec) -> Result<(u64, u64), String>) {
         loop {
             let (job, spec) = {
                 let mut state = self.lock();
@@ -235,13 +238,22 @@ impl Daemon {
                     };
                 }
             };
-            self.execute(job, &spec);
+            self.execute(job, || run(&spec));
         }
     }
 
-    /// Runs one job to completion and publishes its result.
-    fn execute(&self, job: u64, spec: &ScenarioSpec) {
-        let outcome = self.run_spec(spec);
+    /// Runs one job to completion and publishes its result. A panic fails
+    /// the job instead of the executor, so the job still finishes and the
+    /// `running` count still drops.
+    fn execute(&self, job: u64, run: impl FnOnce() -> Result<(u64, u64), String>) {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a non-text payload");
+            Err(format!("job panicked: {message}"))
+        });
         let mut state = self.lock();
         state.finish(job, outcome);
         state.running -= 1;
@@ -736,5 +748,33 @@ mod tests {
         let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
         assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(stats.get("queue_len").and_then(Json::as_u64), Some(0));
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_the_same_executor_serves_the_next_and_drains() {
+        let d = daemon(4);
+        let doomed = submit_seed(&d, 13);
+        let next = submit_seed(&d, 14);
+        d.handle_line(r#"{"cmd":"shutdown"}"#);
+        // Drain on this thread: if the panic escaped the job, it would
+        // escape this call and fail the test.
+        d.run_executor(|spec| {
+            if spec.resolved_seed() == Ok(13) {
+                panic!("grid exploded");
+            }
+            d.run_spec(spec)
+        });
+        let status = status_of(&d, doomed);
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
+        assert_eq!(
+            error_of(&result_of(&d, doomed)),
+            Some("job failed: job panicked: grid exploded")
+        );
+        assert_eq!(result_of(&d, next).get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(d.lock().running, 0);
+        assert!(d.is_stopped(), "the executor drained after the panic");
+        let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
+        let count = |key: &str| stats.get(key).and_then(Json::as_u64);
+        assert_eq!((count("completed"), count("failed")), (Some(1), Some(1)));
     }
 }

@@ -1,5 +1,6 @@
-//! The vectorized in-sim training farm: N environments rolled out in
-//! lockstep, one learner, byte-reproducible for any environment count.
+//! The in-sim training farm: episodes rolled out on a pool of workers
+//! while one learner trains on them, byte-reproducible for any worker
+//! count.
 //!
 //! The farm turns the repo from "replays a checkpoint" into "manufactures
 //! policies": it trains a [`DqnTrainer`] against any [`Environment`]
@@ -9,16 +10,23 @@
 //! rebuilt from the factory, reset from the episode's private RNG, and
 //! driven by an *off-policy uniform-random behaviour policy* drawn from the
 //! same RNG. Because no episode depends on the learner's evolving network,
-//! batches of `envs` episodes can roll out concurrently on the shared
-//! [`dimmer_sim::workqueue`] pool, yet the learner consumes their
-//! transitions in strict episode order through one shared global
-//! transition counter ([`DqnTrainer::observe_at`]).
+//! one pool of `envs` rollout workers, spawned once per run, streams
+//! episodes to the learner through
+//! [`dimmer_sim::workqueue::stream_indexed_jobs`]. The learner stays on the
+//! calling thread and consumes their transitions in strict episode order
+//! through one shared global transition counter
+//! ([`DqnTrainer::observe_at`]), so it learns on episode `e` while the
+//! workers roll out the episodes after it. The workers run at most
+//! `2 * envs` episodes ahead of the learner (one in flight and one finished
+//! per worker), and stop claiming episodes once the ones already rolled out
+//! cover the run's transition budget.
 //!
 //! The result is the same determinism contract the experiment harness
 //! guarantees (`ScenarioGrid::run` in `dimmer-bench`): the trained weights
 //! and the training curve are a pure function of `(factory, DqnConfig,
-//! FarmConfig minus `envs`, seed)` — **independent of the environment
-//! count and of OS scheduling**. `envs` is purely a rollout prefetch width.
+//! FarmConfig minus `envs`, seed)` — **independent of the worker count and
+//! of OS scheduling**. `envs` sets the number of rollout workers and the
+//! lookahead, and never changes a result.
 //!
 //! The seed derivation tree:
 //!
@@ -30,13 +38,14 @@
 //! ```
 //!
 //! Training-curve points are periodic *greedy* evaluations of the current
-//! network on separately derived probe episodes; they never feed the replay
-//! buffer, so observing the curve does not perturb training.
+//! network on separately derived probe episodes, run by the learner on the
+//! calling thread while the workers keep rolling ahead; they never feed the
+//! replay buffer, so observing the curve does not perturb training.
 
 use crate::dqn::{DqnConfig, DqnTrainer};
 use crate::env::Environment;
 use crate::replay::Transition;
-use dimmer_sim::workqueue::run_indexed_jobs;
+use dimmer_sim::workqueue::stream_indexed_jobs;
 use dimmer_sim::SimRng;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,8 +64,9 @@ const EVAL_STREAM: u64 = 2;
 /// are byte-identical for any value — see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FarmConfig {
-    /// Number of environments rolled out in lockstep (the worker count of
-    /// each rollout batch). Result-invariant.
+    /// Number of rollout workers, each with its own environment. The
+    /// workers run at most `2 * envs` episodes ahead of the learner.
+    /// Result-invariant.
     pub envs: usize,
     /// Number of training-curve checkpoints, spread evenly over the run.
     pub curve_points: usize,
@@ -118,8 +128,8 @@ impl FarmRun {
 }
 
 /// Trains a DQN against environments built by `factory`, rolling out
-/// `farm.envs` episodes in lockstep, and returns the trained agent with its
-/// training curve.
+/// episodes on `farm.envs` workers while the calling thread learns, and
+/// returns the trained agent with its training curve.
 ///
 /// The output is byte-identical for any `farm.envs` and any OS scheduling
 /// of the rollout workers (see the module docs for why).
@@ -127,7 +137,8 @@ impl FarmRun {
 /// # Panics
 ///
 /// Panics if `dqn.training_iterations` is zero or any `FarmConfig` knob is
-/// zero.
+/// zero, and re-raises a panic of the factory or an environment, whichever
+/// thread it happened on.
 pub fn train_farm<E, F>(factory: &F, dqn: DqnConfig, farm: &FarmConfig, seed: u64) -> FarmRun
 where
     E: Environment,
@@ -164,28 +175,23 @@ where
     let mut next_point = 0usize;
     let mut global = 0usize;
     let mut episodes = 0usize;
-    let mut next_episode = 0u64;
     let mut loss_sum = 0.0f64;
     let mut loss_count = 0usize;
+    // Transitions not yet covered by an episode; the episode that covers
+    // the last one ends the stream.
+    let mut uncovered = total;
 
-    'training: while global < total {
-        // Roll out the next `envs` episodes concurrently; slot-ordered
-        // collection keeps the result independent of worker scheduling.
-        let first = next_episode;
-        let batch = run_indexed_jobs(farm.envs, farm.envs, |i| {
-            rollout_episode(factory, seed, first + i as u64, farm.max_episode_steps)
-        });
-        next_episode += farm.envs as u64;
-
-        for episode in batch {
-            if global >= total {
-                break 'training;
-            }
+    stream_indexed_jobs(
+        farm.envs,
+        2 * farm.envs,
+        |e| rollout_episode(factory, seed, e as u64, farm.max_episode_steps),
+        move |episode: &Vec<Transition>| {
+            uncovered = uncovered.saturating_sub(episode.len());
+            uncovered > 0
+        },
+        |episode| {
             episodes += 1;
-            for transition in episode {
-                if global >= total {
-                    break 'training;
-                }
+            for transition in episode.into_iter().take(total - global) {
                 global += 1;
                 if let Some(loss) = trainer.observe_at(transition, global) {
                     loss_sum += loss as f64;
@@ -216,8 +222,8 @@ where
                     next_point += 1;
                 }
             }
-        }
-    }
+        },
+    );
 
     FarmRun {
         trainer,
@@ -401,5 +407,62 @@ mod tests {
             .all(|w| w[0].transitions < w[1].transitions));
         assert_eq!(run.transitions, 500);
         assert!(run.episodes > 0);
+    }
+
+    /// A bandit whose `step` panics in rollout episode 7, which it
+    /// recognises by the RNG state the farm resets it with.
+    struct FailsInEpisode7 {
+        bandit: ContextualBandit,
+        root: u64,
+        doomed: bool,
+    }
+
+    impl Environment for FailsInEpisode7 {
+        fn state_dim(&self) -> usize {
+            self.bandit.state_dim()
+        }
+        fn num_actions(&self) -> usize {
+            self.bandit.num_actions()
+        }
+        fn reset(&mut self, rng: &mut StdRng) -> Vec<f32> {
+            let seventh = SimRng::derive_seed(self.root, &[EPISODE_STREAM, 7]);
+            self.doomed = *rng == StdRng::seed_from_u64(seventh);
+            self.bandit.reset(rng)
+        }
+        fn step(&mut self, action: usize, rng: &mut StdRng) -> crate::env::Step {
+            assert!(!self.doomed, "episode 7 failed");
+            self.bandit.step(action, rng)
+        }
+    }
+
+    #[test]
+    fn an_environment_panic_reraises_on_the_caller_without_hanging() {
+        for envs in [1, 3] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(|| {
+                    let factory = || FailsInEpisode7 {
+                        bandit: ContextualBandit::new(3),
+                        root: 42,
+                        doomed: false,
+                    };
+                    let farm = FarmConfig {
+                        envs,
+                        curve_points: 2,
+                        eval_episodes: 1,
+                        max_episode_steps: 4,
+                    };
+                    train_farm(&factory, quick_cfg(100), &farm, 42);
+                });
+                let message = outcome
+                    .err()
+                    .and_then(|panic| panic.downcast_ref::<&str>().map(|s| s.to_string()));
+                let _ = tx.send(message);
+            });
+            let message = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the farm hung instead of re-raising the panic");
+            assert_eq!(message.as_deref(), Some("episode 7 failed"), "envs {envs}");
+        }
     }
 }

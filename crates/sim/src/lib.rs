@@ -65,5 +65,5 @@ pub use radio::{Channel, RadioAccounting, RadioState};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use topology::{NodeId, Position, Topology, TopologyKind};
-pub use workqueue::{run_indexed_jobs, run_indexed_jobs_with};
+pub use workqueue::{run_indexed_jobs, run_indexed_jobs_with, stream_indexed_jobs};
 pub use world::{ScenarioScript, World, WorldEvent, WorldUpdate};

@@ -21,7 +21,7 @@ fn main() {
 
     for family in TRAIN_FAMILIES {
         println!(
-            "training '{family}' in-sim ({} mode, {envs} lockstep environments) ...",
+            "training '{family}' in-sim ({} mode, {envs} rollout workers) ...",
             if quick { "quick" } else { "full" }
         );
         let Some(run) = train_family(family, quick, envs, seed) else {

@@ -13,20 +13,28 @@
 //!    committed weight files print back byte for byte, and the committed
 //!    zoo beats every one of its own arms run as a fixed
 //!    policy on mean reliability across the dynamic-world presets.
+//! 4. **Exact work** — the farm steps and resets the environment exactly
+//!    as often as the consumed and evaluation episodes need with one
+//!    rollout worker, and wastes at most its lookahead with more.
 
 use dimmer_baselines::SimulationBuilder;
 use dimmer_bench::harness::RunOptions;
 use dimmer_bench::scenarios::dynamic_scenario;
-use dimmer_bench::training::{train_family, train_grid, TRAIN_FAMILIES};
+use dimmer_bench::training::{
+    family_setup, train_dqn_config, train_family, train_grid, TRAIN_FAMILIES,
+};
 use dimmer_core::pretrained::PRETRAINED_DQN_TEXT;
+use dimmer_core::sim_env::DEFAULT_EPISODE_ROUNDS;
 use dimmer_core::zoo::{has_full_zoo, zoo_policy, zoo_text};
 use dimmer_core::{DimmerConfig, SimEnvironment};
 use dimmer_integration::equivalence::json_digest;
+use dimmer_lwb::LwbConfig;
 use dimmer_neural::serialize::{from_text, to_text};
-use dimmer_rl::Environment;
+use dimmer_rl::{train_farm, Environment, FarmConfig, Step};
 use dimmer_sim::{NoInterference, SimRng, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `exp train:calm --quick --seed 42 --trials 1` report digest.
 /// Re-derive with:
@@ -169,5 +177,83 @@ fn zoo_beats_every_fixed_arm_across_the_dynamic_presets() {
             "dimmer-zoo ({zoo:.4}) must beat the fixed '{family}' policy ({fixed:.4}) \
              on mean reliability across the dynamic presets"
         );
+    }
+}
+
+/// Counts every `reset` and `step` of the wrapped environment.
+struct Counted<'a, E> {
+    env: E,
+    resets: &'a AtomicUsize,
+    steps: &'a AtomicUsize,
+}
+
+impl<E: Environment> Environment for Counted<'_, E> {
+    fn state_dim(&self) -> usize {
+        self.env.state_dim()
+    }
+
+    fn num_actions(&self) -> usize {
+        self.env.num_actions()
+    }
+
+    fn reset(&mut self, rng: &mut StdRng) -> Vec<f32> {
+        self.resets.fetch_add(1, Ordering::Relaxed);
+        self.env.reset(rng)
+    }
+
+    fn step(&mut self, action: usize, rng: &mut StdRng) -> Step {
+        self.steps.fetch_add(1, Ordering::Relaxed);
+        self.env.step(action, rng)
+    }
+}
+
+#[test]
+fn the_farm_steps_the_environment_exactly_as_often_as_it_learns_and_evaluates() {
+    // `train_family("jammed", quick, envs, 42)` with a counting factory:
+    // 50 episodes of 60 rounds cover the 3 000 transitions, and 8 curve
+    // points evaluate 2 greedy episodes each.
+    const EPISODE: usize = DEFAULT_EPISODE_ROUNDS;
+    const EXACT_RESETS: usize = 50 + 8 * 2;
+    let topo = Topology::kiel_testbed_18(1);
+    let setup = family_setup("jammed", EPISODE, &topo).expect("jammed is a known family");
+    let reference = train_family("jammed", true, 1, 42).expect("jammed is a known family");
+    for envs in [1usize, 3, 8] {
+        let (resets, steps) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let factory = || Counted {
+            env: SimEnvironment::with_configs(
+                &topo,
+                setup.interference.as_ref(),
+                LwbConfig::testbed_default(),
+                SimEnvironment::training_config(&topo),
+            )
+            .with_script(setup.script.clone())
+            .with_episode_rounds(EPISODE),
+            resets: &resets,
+            steps: &steps,
+        };
+        let farm = FarmConfig {
+            envs,
+            curve_points: 8,
+            eval_episodes: 2,
+            max_episode_steps: EPISODE,
+        };
+        let run = train_farm(&factory, train_dqn_config(true), &farm, 42);
+        assert_eq!((run.episodes, run.transitions), (50, 3_000), "envs {envs}");
+        assert_eq!(
+            to_text(run.trainer.policy()),
+            to_text(reference.trainer.policy()),
+            "envs {envs}: the counting factory must train what train_family trains"
+        );
+        let (resets, steps) = (resets.into_inner(), steps.into_inner());
+        // Every jammed episode runs its full 60 rounds.
+        assert_eq!(steps, resets * EPISODE, "envs {envs}");
+        if envs == 1 {
+            assert_eq!((steps, resets), (3_960, EXACT_RESETS));
+        } else {
+            // The workers run at most `2 * envs` episodes ahead of the
+            // learner, so at most `2 * envs - 1` of them go unused.
+            let wasted = resets - EXACT_RESETS;
+            assert!(wasted < 2 * envs, "envs {envs}: {wasted} unused episodes");
+        }
     }
 }
