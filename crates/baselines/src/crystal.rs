@@ -348,7 +348,7 @@ impl EpochDriver for CrystalRunner<'_> {
 /// Crystal has no global `N_TX` to steer between rounds — its adaptation
 /// (retransmit-until-ACK, noise detection, per-pair channel hopping) lives
 /// *inside* each epoch — so the controller only contributes the protocol's
-/// registry name.
+/// name in [`PROTOCOLS`](crate::PROTOCOLS).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CrystalControl;
 

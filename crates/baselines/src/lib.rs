@@ -3,7 +3,7 @@
 //! Three baselines appear in the evaluation (§V):
 //!
 //! * **static LWB** — plain LWB with a fixed `N_TX = 3` and a single channel
-//!   (the registry's `"static"` protocol: the engine driven by
+//!   (the `"static"` protocol of [`PROTOCOLS`]: the engine driven by
 //!   [`StaticNtxController`](dimmer_core::StaticNtxController)); the
 //!   non-adaptive reference that collapses to ~27 % reliability under
 //!   strong WiFi interference,
@@ -23,10 +23,10 @@
 //! fixed-`N_TX` rule) or through the engine's epoch adapter (Crystal), so
 //! the four systems are compared on exactly the same substrate with
 //! identical accounting. The [`registry`] module exposes them — and Dimmer
-//! itself — behind a fluent [`SimulationBuilder`] and a string-keyed
-//! [`ProtocolRegistry`] (`"dimmer-dqn"`, `"dimmer-rule"`, `"pid"`,
-//! `"static"`, `"crystal"`), which is what the experiment binaries'
-//! `--protocols` flags resolve against.
+//! itself — behind a fluent [`SimulationBuilder`] and the closed
+//! [`PROTOCOLS`] table (`"dimmer-dqn"`, `"dimmer-rule"`, `"pid"`,
+//! `"static"`, `"crystal"`, `"dimmer-zoo"`), which is what `exp`'s
+//! `--protocols` flag and the daemon's `spec.protocols` resolve against.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -37,6 +37,4 @@ pub mod registry;
 
 pub use crystal::{CrystalConfig, CrystalControl, CrystalEpochReport, CrystalRunner};
 pub use pid::PidController;
-pub use registry::{
-    ProtocolBuildFn, ProtocolEntry, ProtocolRegistry, SimulationBuilder, UnknownProtocolError,
-};
+pub use registry::{SimulationBuilder, UnknownProtocolError, PROTOCOLS};

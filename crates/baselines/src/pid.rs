@@ -76,18 +76,6 @@ impl PidController {
         }
     }
 
-    /// Resets the controller's internal state.
-    pub fn reset(&mut self) {
-        self.integral = 0.0;
-        self.last_error = 0.0;
-    }
-
-    /// The current value of the integral accumulator (useful for tests and
-    /// plots).
-    pub fn integral(&self) -> f64 {
-        self.integral
-    }
-
     /// Consumes one reliability observation (in `[0, 1]`) and returns the
     /// `N_TX` to apply in the next round.
     pub fn update(&mut self, reliability: f64) -> u8 {
@@ -114,7 +102,7 @@ impl Default for PidController {
 
 /// The PI(D) baseline as a [`Controller`]: it feeds the observed round
 /// reliability into [`PidController::update`] and pins the next round's
-/// `N_TX` to the controller output (the registry's `"pid"` protocol).
+/// `N_TX` to the controller output (the `"pid"` protocol).
 impl Controller for PidController {
     fn name(&self) -> &str {
         "pid"
@@ -122,10 +110,6 @@ impl Controller for PidController {
 
     fn observe(&mut self, obs: &RoundObservation<'_>) -> ControlDecision {
         ControlDecision::SetNtx(self.update(obs.reliability))
-    }
-
-    fn reset(&mut self) {
-        PidController::reset(self);
     }
 }
 
@@ -171,18 +155,6 @@ mod tests {
             last <= 2,
             "after a long calm stretch the controller relaxes, got {last}"
         );
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut pid = PidController::paper_pi();
-        for _ in 0..10 {
-            pid.update(0.2);
-        }
-        assert!(pid.integral() > 0.0);
-        pid.reset();
-        assert_eq!(pid.integral(), 0.0);
-        assert_eq!(pid.update(1.0), 1);
     }
 
     proptest! {

@@ -1,13 +1,12 @@
-//! The fluent [`SimulationBuilder`] and the string-keyed protocol registry.
+//! The fluent [`SimulationBuilder`] and the closed set of named protocols.
 //!
-//! Every protocol of the paper's evaluation — and any future baseline — is
-//! reachable through one door: describe the scenario with a
-//! [`SimulationBuilder`] (topology, interference, traffic, seed, configs),
-//! then either plug in a concrete [`Controller`] with
-//! [`SimulationBuilder::build`] or ask the registry for a protocol by name
-//! with [`SimulationBuilder::build_protocol`]:
+//! Every protocol of the paper's evaluation is reachable through one door:
+//! describe the scenario with a [`SimulationBuilder`] (topology,
+//! interference, traffic, seed, configs), then either plug in a concrete
+//! [`Controller`] with [`SimulationBuilder::build`] or build one of the
+//! [`PROTOCOLS`] by name with [`SimulationBuilder::build_protocol`]:
 //!
-//! | Key           | Protocol                                              |
+//! | Name          | Protocol                                              |
 //! |---------------|-------------------------------------------------------|
 //! | `dimmer-dqn`  | Dimmer with the builder's policy (pretrained DQN by default) |
 //! | `dimmer-rule` | Dimmer with the hand-written rule-based policy        |
@@ -16,9 +15,9 @@
 //! | `crystal`     | The Crystal epoch protocol via the engine's epoch adapter |
 //! | `dimmer-zoo`  | Per-family DQN zoo selected online by an EXP3 meta-controller |
 //!
-//! The registry is the single source of protocol names for the experiment
-//! binaries' `--protocols` flag, and [`ProtocolRegistry::register`] lets
-//! downstream code add its own controllers without touching this crate.
+//! [`PROTOCOLS`] is the single source of protocol names for `exp`'s
+//! `--protocols` flag and the daemon's `spec.protocols`; a controller of
+//! one's own enters through [`SimulationBuilder::build`].
 //!
 //! # Examples
 //!
@@ -40,10 +39,21 @@ use crate::crystal::{CrystalConfig, CrystalControl, CrystalRunner};
 use crate::pid::PidController;
 use dimmer_core::{
     AdaptivityController, AdaptivityPolicy, Controller, DimmerConfig, RoundEngine, Simulation,
-    StaticNtxController,
+    StaticNtxController, ZooController,
 };
 use dimmer_lwb::{LwbConfig, TrafficPattern};
-use dimmer_sim::{InterferenceModel, NoInterference, ScenarioScript, Topology};
+use dimmer_sim::{InterferenceModel, NoInterference, ScenarioScript, Topology, WorldEvent};
+
+/// Every protocol name [`SimulationBuilder::build_protocol`] accepts, in
+/// documentation order.
+pub const PROTOCOLS: [&str; 6] = [
+    "dimmer-dqn",
+    "dimmer-rule",
+    "pid",
+    "static",
+    "crystal",
+    "dimmer-zoo",
+];
 
 /// The fixed `N_TX` of the `"static"` protocol (the paper's static LWB).
 const STATIC_NTX: u8 = 3;
@@ -51,7 +61,7 @@ const STATIC_NTX: u8 = 3;
 /// Fluent description of one simulation: the substrate (topology,
 /// interference), the workload (traffic), the protocol configurations and
 /// the seed. Finish with [`build`](Self::build) (explicit controller) or
-/// [`build_protocol`](Self::build_protocol) (registry name).
+/// [`build_protocol`](Self::build_protocol) (one of [`PROTOCOLS`]).
 #[derive(Clone)]
 pub struct SimulationBuilder<'a> {
     topology: &'a Topology,
@@ -155,7 +165,7 @@ impl<'a> SimulationBuilder<'a> {
     }
 
     /// The one LWB engine constructor behind [`build`](Self::build) and
-    /// every LWB registry protocol (Crystal is built with
+    /// every LWB protocol of [`PROTOCOLS`] (Crystal is built with
     /// [`RoundEngine::with_epoch_driver`]): `config` and `controller` over
     /// the builder's substrate, traffic, script and seed.
     fn engine<C: Controller>(self, config: DimmerConfig, controller: C) -> RoundEngine<'a, C> {
@@ -171,22 +181,97 @@ impl<'a> SimulationBuilder<'a> {
         .with_world_script(self.script)
     }
 
-    /// Builds the protocol registered under `name` in the
-    /// [standard registry](ProtocolRegistry::standard).
+    /// Builds the protocol named `name`, one of [`PROTOCOLS`]; any other
+    /// name is an [`UnknownProtocolError`].
     pub fn build_protocol(
         self,
         name: &str,
     ) -> Result<Box<dyn Simulation + 'a>, UnknownProtocolError> {
-        ProtocolRegistry::standard().build(name, self)
+        let sim: Box<dyn Simulation + 'a> = match name {
+            "dimmer-dqn" => {
+                let policy = self
+                    .policy
+                    .clone()
+                    .unwrap_or_else(dimmer_core::pretrained::pretrained_policy);
+                let controller = AdaptivityController::new(policy, self.normalized_config());
+                Box::new(self.build(controller))
+            }
+            "dimmer-rule" => {
+                let policy = AdaptivityPolicy::rule_based();
+                let controller = AdaptivityController::new(policy, self.normalized_config());
+                Box::new(self.build(controller))
+            }
+            "pid" => {
+                let cfg = self.baseline_config();
+                Box::new(self.engine(cfg, PidController::paper_pi()))
+            }
+            "static" => {
+                let mut cfg = self.baseline_config();
+                cfg.initial_ntx = STATIC_NTX.clamp(cfg.n_min, cfg.n_max);
+                Box::new(self.engine(cfg, StaticNtxController::new(STATIC_NTX)))
+            }
+            "crystal" => {
+                let sink = self
+                    .traffic
+                    .sink()
+                    .unwrap_or_else(|| self.topology.coordinator());
+                // World validation only protects the topology coordinator;
+                // Crystal's sink may be a different node, so reject
+                // sink-killing scripts here, at construction time, instead
+                // of panicking rounds into the run.
+                assert!(
+                    !self
+                        .script
+                        .events()
+                        .iter()
+                        .any(|(_, e)| matches!(e, WorldEvent::NodeFail(n) if *n == sink)),
+                    "the Crystal sink cannot fail (scripted NodeFail({sink}))"
+                );
+                let driver = Box::new(CrystalRunner::new(
+                    self.topology,
+                    self.interference,
+                    CrystalConfig::ewsn2019(),
+                    sink,
+                    self.seed,
+                ));
+                let cfg = self.normalized_config();
+                Box::new(
+                    RoundEngine::with_epoch_driver(
+                        self.topology,
+                        self.lwb_config,
+                        cfg,
+                        CrystalControl,
+                        driver,
+                        self.seed,
+                    )
+                    .with_traffic(self.traffic)
+                    .with_world_script(self.script),
+                )
+            }
+            // The zoo brings its own per-family policies; the builder's
+            // single `policy` override (which every harness passes for
+            // `dimmer-dqn`) is deliberately ignored.
+            "dimmer-zoo" => {
+                let controller = ZooController::standard(self.normalized_config());
+                Box::new(self.build(controller))
+            }
+            _ => {
+                return Err(UnknownProtocolError {
+                    requested: name.to_string(),
+                    known: PROTOCOLS.to_vec(),
+                })
+            }
+        };
+        Ok(sim)
     }
 }
 
-/// Error returned when a protocol name is not in the registry.
+/// Error returned when a protocol name is not one of [`PROTOCOLS`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownProtocolError {
     /// The name that was requested.
     pub requested: String,
-    /// Every name the registry knows.
+    /// Every protocol name, in [`PROTOCOLS`] order.
     pub known: Vec<&'static str>,
 }
 
@@ -203,215 +288,10 @@ impl std::fmt::Display for UnknownProtocolError {
 
 impl std::error::Error for UnknownProtocolError {}
 
-/// Constructor of one registered protocol.
-pub type ProtocolBuildFn = for<'a> fn(SimulationBuilder<'a>) -> Box<dyn Simulation + 'a>;
-
-/// One entry of the [`ProtocolRegistry`].
-pub struct ProtocolEntry {
-    /// Registry key (the value of the binaries' `--protocols` flag).
-    pub name: &'static str,
-    /// One-line description shown by help text and docs.
-    pub summary: &'static str,
-    build: ProtocolBuildFn,
-}
-
-/// String-keyed catalogue of every protocol the engine can run.
-pub struct ProtocolRegistry {
-    entries: Vec<ProtocolEntry>,
-}
-
-impl ProtocolRegistry {
-    /// An empty registry (extend it with [`register`](Self::register)).
-    pub fn new() -> Self {
-        ProtocolRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The standard registry holding the paper's four protocols (with the
-    /// Dimmer adaptivity in both its DQN and rule-based form).
-    pub fn standard() -> Self {
-        let mut reg = Self::new();
-        reg.register(
-            "dimmer-dqn",
-            "Dimmer with the builder's adaptivity policy (pretrained DQN by default)",
-            build_dimmer_dqn,
-        );
-        reg.register(
-            "dimmer-rule",
-            "Dimmer with the hand-written rule-based adaptivity policy",
-            build_dimmer_rule,
-        );
-        reg.register(
-            "pid",
-            "LWB driven by the tuned PI(D) controller baseline",
-            build_pid,
-        );
-        reg.register(
-            "static",
-            "Plain LWB at a fixed N_TX (no adaptation)",
-            build_static,
-        );
-        reg.register(
-            "crystal",
-            "Crystal's TA-pair epochs via the engine's epoch adapter",
-            build_crystal,
-        );
-        reg.register(
-            "dimmer-zoo",
-            "Per-family DQN zoo selected online by an EXP3 meta-controller",
-            build_dimmer_zoo,
-        );
-        reg
-    }
-
-    /// Adds (or replaces) a protocol under `name`.
-    pub fn register(&mut self, name: &'static str, summary: &'static str, build: ProtocolBuildFn) {
-        self.entries.retain(|e| e.name != name);
-        self.entries.push(ProtocolEntry {
-            name,
-            summary,
-            build,
-        });
-    }
-
-    /// The registered names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|e| e.name).collect()
-    }
-
-    /// The registered entries, in registration order.
-    pub fn entries(&self) -> &[ProtocolEntry] {
-        &self.entries
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.iter().any(|e| e.name == name)
-    }
-
-    /// Builds the protocol registered under `name` from `builder`.
-    pub fn build<'a>(
-        &self,
-        name: &str,
-        builder: SimulationBuilder<'a>,
-    ) -> Result<Box<dyn Simulation + 'a>, UnknownProtocolError> {
-        match self.entries.iter().find(|e| e.name == name) {
-            Some(entry) => Ok((entry.build)(builder)),
-            None => Err(UnknownProtocolError {
-                requested: name.to_string(),
-                known: self.names(),
-            }),
-        }
-    }
-}
-
-impl Default for ProtocolRegistry {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
-fn build_adaptivity<'a>(
-    builder: SimulationBuilder<'a>,
-    policy: AdaptivityPolicy,
-) -> Box<dyn Simulation + 'a> {
-    let controller = AdaptivityController::new(policy, builder.normalized_config());
-    Box::new(builder.build(controller))
-}
-
-fn build_dimmer_dqn<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
-    let policy = builder
-        .policy
-        .clone()
-        .unwrap_or_else(dimmer_core::pretrained::pretrained_policy);
-    build_adaptivity(builder, policy)
-}
-
-fn build_dimmer_rule<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
-    build_adaptivity(builder, AdaptivityPolicy::rule_based())
-}
-
-fn build_pid<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
-    let cfg = builder.baseline_config();
-    Box::new(builder.engine(cfg, PidController::paper_pi()))
-}
-
-fn build_static<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
-    let mut cfg = builder.baseline_config();
-    cfg.initial_ntx = STATIC_NTX.clamp(cfg.n_min, cfg.n_max);
-    Box::new(builder.engine(cfg, StaticNtxController::new(STATIC_NTX)))
-}
-
-fn build_dimmer_zoo<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
-    // The zoo brings its own per-family policies; the builder's single
-    // `policy` override (which every harness passes for `dimmer-dqn`) is
-    // deliberately ignored.
-    let controller = dimmer_core::ZooController::standard(builder.normalized_config());
-    Box::new(builder.build(controller))
-}
-
-fn build_crystal<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
-    let sink = builder
-        .traffic
-        .sink()
-        .unwrap_or_else(|| builder.topology.coordinator());
-    // World validation only protects the topology coordinator; Crystal's
-    // sink may be a different node, so reject sink-killing scripts here,
-    // at construction time, instead of panicking rounds into the run.
-    assert!(
-        !builder
-            .script
-            .events()
-            .iter()
-            .any(|(_, e)| matches!(e, dimmer_sim::WorldEvent::NodeFail(n) if *n == sink)),
-        "the Crystal sink cannot fail (scripted NodeFail({sink}))"
-    );
-    let driver = Box::new(CrystalRunner::new(
-        builder.topology,
-        builder.interference,
-        CrystalConfig::ewsn2019(),
-        sink,
-        builder.seed,
-    ));
-    let cfg = builder.normalized_config();
-    Box::new(
-        RoundEngine::with_epoch_driver(
-            builder.topology,
-            builder.lwb_config,
-            cfg,
-            CrystalControl,
-            driver,
-            builder.seed,
-        )
-        .with_traffic(builder.traffic)
-        .with_world_script(builder.script),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dimmer_sim::SimDuration;
-
-    #[test]
-    fn standard_registry_lists_the_paper_protocols() {
-        let reg = ProtocolRegistry::standard();
-        assert_eq!(
-            reg.names(),
-            vec![
-                "dimmer-dqn",
-                "dimmer-rule",
-                "pid",
-                "static",
-                "crystal",
-                "dimmer-zoo"
-            ]
-        );
-        assert!(reg.contains("pid"));
-        assert!(!reg.contains("lwb"));
-        assert!(reg.entries().iter().all(|e| !e.summary.is_empty()));
-    }
+    use dimmer_sim::{kiel_jamming, SimDuration};
 
     #[test]
     fn unknown_protocol_reports_the_known_names() {
@@ -421,14 +301,31 @@ mod tests {
             .err()
             .expect("unknown name must fail");
         assert_eq!(err.requested, "carrier-pigeon");
-        assert!(err.known.contains(&"crystal"));
-        assert!(err.to_string().contains("carrier-pigeon"));
+        assert_eq!(err.known, PROTOCOLS);
+        // The text pins the six names and their documentation order.
+        assert_eq!(
+            err.to_string(),
+            "unknown protocol 'carrier-pigeon' (known: dimmer-dqn, dimmer-rule, pid, \
+             static, crystal, dimmer-zoo)"
+        );
     }
 
     #[test]
-    fn every_registered_protocol_constructs_and_runs() {
+    fn protocol_names_match_exactly() {
         let topo = Topology::kiel_testbed_18(1);
-        for name in ProtocolRegistry::standard().names() {
+        for name in ["PID", " pid", "pid ", "Static", "dimmer", "dimmer-", ""] {
+            let err = SimulationBuilder::new(&topo)
+                .build_protocol(name)
+                .err()
+                .unwrap_or_else(|| panic!("{name:?} must not name a protocol"));
+            assert_eq!(err.requested, name);
+        }
+    }
+
+    #[test]
+    fn every_protocol_constructs_and_runs() {
+        let topo = Topology::kiel_testbed_18(1);
+        for name in PROTOCOLS {
             let mut sim = SimulationBuilder::new(&topo)
                 .policy(AdaptivityPolicy::rule_based())
                 .seed(3)
@@ -458,29 +355,79 @@ mod tests {
     }
 
     #[test]
-    fn registry_can_be_extended_with_custom_protocols() {
-        fn build_fixed<'a>(builder: SimulationBuilder<'a>) -> Box<dyn Simulation + 'a> {
-            let cfg = builder.baseline_config();
-            Box::new(
-                RoundEngine::with_controller(
-                    builder.topology,
-                    builder.interference,
-                    builder.lwb_config,
-                    cfg,
-                    StaticNtxController::new(5),
-                    builder.seed,
-                )
-                .with_traffic(builder.traffic),
-            )
-        }
-        let mut reg = ProtocolRegistry::standard();
-        reg.register("static-5", "LWB pinned at N_TX = 5", build_fixed);
+    fn custom_controllers_enter_through_build() {
         let topo = Topology::kiel_testbed_18(1);
-        let mut sim = reg
-            .build("static-5", SimulationBuilder::new(&topo))
-            .unwrap();
+        let mut sim = SimulationBuilder::new(&topo).build(StaticNtxController::new(5));
         assert_eq!(sim.run_rounds(2).len(), 2);
         assert_eq!(sim.ntx(), 5);
+    }
+
+    /// The first `rounds` reports of `name` built from `builder` under the
+    /// testbed jammers at 30 % duty, where every adaptive arm has to act.
+    fn jammed_stream(
+        builder: SimulationBuilder<'_>,
+        name: &str,
+        rounds: usize,
+    ) -> Vec<dimmer_core::DimmerRoundReport> {
+        let interference = kiel_jamming(0.30);
+        let mut sim = builder
+            .interference(&interference)
+            .build_protocol(name)
+            .unwrap();
+        sim.run_rounds(rounds)
+    }
+
+    #[test]
+    fn every_protocol_follows_the_builder_seed_and_interference() {
+        let topo = Topology::kiel_testbed_18(1);
+        for name in PROTOCOLS {
+            let builder = SimulationBuilder::new(&topo).policy(AdaptivityPolicy::rule_based());
+            let jammed = jammed_stream(builder.clone(), name, 12);
+            let reseeded = jammed_stream(builder.clone().seed(5), name, 12);
+            let calm = builder.build_protocol(name).unwrap().run_rounds(12);
+            assert_ne!(jammed, reseeded, "{name} ignores the seed");
+            assert_ne!(jammed, calm, "{name} ignores the interference");
+        }
+    }
+
+    #[test]
+    fn dimmer_dqn_with_the_rule_policy_matches_dimmer_rule() {
+        // The two Dimmer arms differ only in where the policy comes from.
+        let topo = Topology::kiel_testbed_18(1);
+        let builder = SimulationBuilder::new(&topo);
+        assert_eq!(
+            jammed_stream(
+                builder.clone().policy(AdaptivityPolicy::rule_based()),
+                "dimmer-dqn",
+                20
+            ),
+            jammed_stream(builder, "dimmer-rule", 20)
+        );
+    }
+
+    #[test]
+    fn dimmer_dqn_defaults_to_the_pretrained_policy() {
+        let topo = Topology::kiel_testbed_18(1);
+        let builder = SimulationBuilder::new(&topo);
+        let pretrained = dimmer_core::pretrained::pretrained_policy();
+        assert_eq!(
+            jammed_stream(builder.clone(), "dimmer-dqn", 20),
+            jammed_stream(builder.policy(pretrained), "dimmer-dqn", 20)
+        );
+    }
+
+    #[test]
+    fn dimmer_zoo_ignores_the_builder_policy() {
+        let topo = Topology::kiel_testbed_18(1);
+        let builder = SimulationBuilder::new(&topo);
+        assert_eq!(
+            jammed_stream(builder.clone(), "dimmer-zoo", 20),
+            jammed_stream(
+                builder.policy(AdaptivityPolicy::rule_based()),
+                "dimmer-zoo",
+                20
+            )
+        );
     }
 
     #[test]
@@ -493,7 +440,7 @@ mod tests {
             .fail_node(SimTime::from_secs(4), NodeId(6))
             .fail_node(SimTime::from_secs(4), NodeId(11))
             .rejoin_node(SimTime::from_secs(12), NodeId(6));
-        for name in ProtocolRegistry::standard().names() {
+        for name in PROTOCOLS {
             let mut sim = SimulationBuilder::new(&topo)
                 .policy(AdaptivityPolicy::rule_based())
                 .script(script.clone())
@@ -562,15 +509,6 @@ mod tests {
             .all(|r| r.mean_radio_on <= SimDuration::from_millis(20)));
     }
 
-    /// The testbed's two-jammer pair at `duty`.
-    fn jammers(duty: f64) -> dimmer_sim::CompositeInterference {
-        let mut interference = dimmer_sim::CompositeInterference::new();
-        for j in dimmer_sim::PeriodicJammer::kiel_pair(duty) {
-            interference.push(Box::new(j));
-        }
-        interference
-    }
-
     /// Mean reliability of `rounds` rounds of `protocol`.
     fn mean_reliability(
         topo: &Topology,
@@ -591,7 +529,7 @@ mod tests {
     #[test]
     fn static_ntx_never_changes() {
         let topo = Topology::kiel_testbed_18(1);
-        let interference = jammers(0.30);
+        let interference = kiel_jamming(0.30);
         let mut lwb = SimulationBuilder::new(&topo)
             .interference(&interference)
             .seed(2)
@@ -631,7 +569,7 @@ mod tests {
     fn static_lwb_degrades_under_jamming() {
         let topo = Topology::kiel_testbed_18(2);
         let calm_rel = mean_reliability(&topo, &NoInterference, "static", 5, 8);
-        let jam_rel = mean_reliability(&topo, &jammers(0.35), "static", 5, 8);
+        let jam_rel = mean_reliability(&topo, &kiel_jamming(0.35), "static", 5, 8);
         assert!(
             jam_rel < calm_rel - 0.05,
             "jamming must visibly hurt LWB ({calm_rel} vs {jam_rel})"
@@ -641,7 +579,7 @@ mod tests {
     #[test]
     fn pid_reacts_to_jamming() {
         let topo = Topology::kiel_testbed_18(1);
-        let interference = jammers(0.35);
+        let interference = kiel_jamming(0.35);
         let mut jammed = SimulationBuilder::new(&topo)
             .interference(&interference)
             .seed(3)

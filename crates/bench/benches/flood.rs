@@ -19,8 +19,8 @@ use dimmer_core::AdaptivityPolicy;
 use dimmer_glossy::{FloodJob, FloodSimulator, GlossyConfig, ReferenceFloodSimulator};
 use dimmer_lwb::{LwbConfig, RoundExecutor, Schedule};
 use dimmer_sim::{
-    topogen, CompositeInterference, InterferenceModel, NoInterference, NodeId, PeriodicJammer,
-    SimRng, SimTime, Topology, WifiInterference, WifiLevel,
+    kiel_jamming, topogen, InterferenceModel, NoInterference, NodeId, SimRng, SimTime, Topology,
+    WifiInterference, WifiLevel,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -51,14 +51,6 @@ fn bench_flood_pair(
     });
 
     (opt_id, ref_id)
-}
-
-fn kiel_jamming(duty: f64) -> CompositeInterference {
-    let mut comp = CompositeInterference::new();
-    for j in PeriodicJammer::kiel_pair(duty) {
-        comp.push(Box::new(j));
-    }
-    comp
 }
 
 /// Where `BENCH_flood.json` goes: the repository root by default.

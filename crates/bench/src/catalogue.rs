@@ -11,7 +11,8 @@
 //! `dynamics:churn-storm`, `train:calm`, …) into a [`Grid`].
 //! [`Grid::resolve_protocols`] is the one rule every protocol selection
 //! passes, whether it arrives as `--protocols` or as the daemon's
-//! `spec.protocols`.
+//! `spec.protocols`: names of [`PROTOCOLS`] within the grid's axis. Every
+//! axis lies inside [`PROTOCOLS`], which a unit test checks.
 //!
 //! # Examples
 //!
@@ -29,7 +30,7 @@
 
 use std::sync::Arc;
 
-use dimmer_baselines::ProtocolRegistry;
+use dimmer_baselines::PROTOCOLS;
 use dimmer_core::DimmerConfig;
 
 use crate::experiments::{
@@ -418,8 +419,8 @@ impl Grid {
     }
 
     /// Resolves a protocol selection for this grid: `None` picks the axis
-    /// default. A selection must be non-empty and name only registry
-    /// protocols the grid supports, each once. A grid without a protocol
+    /// default. A selection must be non-empty and name only protocols of
+    /// [`PROTOCOLS`] the grid supports, each once. A grid without a protocol
     /// axis accepts no selection and resolves to `None`.
     pub fn resolve_protocols(
         &self,
@@ -441,12 +442,11 @@ impl Grid {
         if requested.is_empty() {
             return Err(format!("grid '{grid}' needs at least one protocol"));
         }
-        let registry = ProtocolRegistry::standard();
         for (i, name) in requested.iter().enumerate() {
-            if !registry.contains(name) {
+            if !PROTOCOLS.contains(&name.as_str()) {
                 return Err(format!(
                     "unknown protocol '{name}' (registry: {})",
-                    registry.names().join(", ")
+                    PROTOCOLS.join(", ")
                 ));
             }
             if !axis.supported.contains(&name.as_str()) {
@@ -603,6 +603,46 @@ mod tests {
             fig5.resolve_protocols(Some(&picked)),
             Ok(Some(picked.clone()))
         );
+    }
+
+    #[test]
+    fn unknown_protocols_are_refused_with_the_whole_list() {
+        // `exp` and `dimmerd` pass this text on unchanged; it names every
+        // entry of `PROTOCOLS` in order.
+        let grid = lookup("dynamics:churn-storm").unwrap();
+        assert_eq!(
+            grid.resolve_protocols(Some(&names(&["pid", "Dimmer-Zoo"]))),
+            Err(
+                "unknown protocol 'Dimmer-Zoo' (registry: dimmer-dqn, dimmer-rule, pid, \
+                 static, crystal, dimmer-zoo)"
+                    .to_string()
+            )
+        );
+    }
+
+    #[test]
+    fn every_protocol_axis_lies_inside_protocols() {
+        let no_repeats = |list: &[&str]| (0..list.len()).all(|i| !list[..i].contains(&list[i]));
+        for entry in &CATALOGUE {
+            let Some(axis) = entry.protocols else {
+                continue;
+            };
+            let name = entry.name;
+            assert!(!axis.default.is_empty(), "{name}: empty default");
+            assert!(
+                axis.default.iter().all(|p| axis.supported.contains(p)),
+                "{name}: default {:?} outside supported {:?}",
+                axis.default,
+                axis.supported
+            );
+            assert!(
+                axis.supported.iter().all(|p| PROTOCOLS.contains(p)),
+                "{name}: supported {:?} outside PROTOCOLS",
+                axis.supported
+            );
+            assert!(no_repeats(axis.default), "{name}: repeated default");
+            assert!(no_repeats(axis.supported), "{name}: repeated supported");
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The experiment stack has three layers. At the bottom sit the
 //! **single-trial builders** (`table1_summary`, `fig5_run`, `fig7_run`,
 //! ...): plain functions taking explicit sizes, a seed, an
-//! [`AdaptivityPolicy`] and — where protocols are compared — a **registry
-//! protocol name** (`"dimmer-dqn"`, `"pid"`, `"static"`, `"crystal"`, see
-//! [`dimmer_baselines::ProtocolRegistry`]), so the smoke tests in
+//! [`AdaptivityPolicy`] and — where protocols are compared — a **protocol
+//! name** (`"dimmer-dqn"`, `"pid"`, `"static"`, `"crystal"`, see
+//! [`dimmer_baselines::PROTOCOLS`]), so the smoke tests in
 //! `tests/tests/exp_smoke.rs` can exercise every scenario with a handful of
 //! rounds and a rule-based policy without paying for DQN training. Every
 //! protocol runs through the same generic
@@ -45,15 +45,15 @@ use dimmer_sim::{
 };
 use dimmer_traces::{train_policy, TraceCollector, TraceDataset};
 
-/// The registry protocols of the 18-node testbed comparison (Figs. 4c/5),
+/// The protocols of the 18-node testbed comparison (Figs. 4c/5),
 /// in presentation order.
 pub const TESTBED_PROTOCOLS: [&str; 3] = ["static", "dimmer-dqn", "pid"];
 
-/// The registry protocols of the Fig. 7 D-Cube comparison, in presentation
+/// The protocols of the Fig. 7 D-Cube comparison, in presentation
 /// order.
 pub const DCUBE_PROTOCOLS: [&str; 3] = ["static", "dimmer-dqn", "crystal"];
 
-/// The registry protocols the dynamic-world scenarios compare
+/// The protocols the dynamic-world scenarios compare
 /// (`dynamics:<preset>`): the testbed LWB protocols — Crystal is
 /// collection-only — in presentation order.
 pub const DYNAMICS_PROTOCOLS: [&str; 4] = ["static", "dimmer-dqn", "dimmer-rule", "pid"];
@@ -125,7 +125,7 @@ fn fig4b_phase(
     summarize(&engine.run_rounds(rounds))
 }
 
-/// Runs one registry protocol through the Fig. 4c dynamic-interference
+/// Runs one protocol through the Fig. 4c dynamic-interference
 /// timeline on the 18-node testbed for `rounds` rounds (one `fig4c`
 /// trial), returning the per-round reports.
 ///
@@ -145,12 +145,12 @@ pub fn fig4c_run(
         .policy(policy.clone())
         .seed(seed)
         .build_protocol(protocol)
-        // lint: allow(P002) -- documented # Panics contract; callers pass vetted registry names
+        // lint: allow(P002) -- documented # Panics contract; callers pass names vetted against PROTOCOLS
         .unwrap_or_else(|e| panic!("{e}"));
     sim.run_rounds(rounds)
 }
 
-/// Runs one registry protocol on `topo` under `interference` with the
+/// Runs one protocol on `topo` under `interference` with the
 /// testbed LWB configuration and summarizes the rounds.
 pub fn run_protocol(
     protocol: &str,
@@ -165,7 +165,7 @@ pub fn run_protocol(
         .policy(policy.clone())
         .seed(seed)
         .build_protocol(protocol)
-        // lint: allow(P002) -- callers pass registry names vetted by HarnessCli::select_protocols
+        // lint: allow(P002) -- callers pass names vetted by catalogue::Grid::resolve_protocols
         .unwrap_or_else(|e| panic!("{e}"));
     summarize(&sim.run_rounds(rounds))
 }
@@ -200,8 +200,8 @@ pub fn fig6_single(rounds: usize, seed: u64, selection: bool) -> Vec<DimmerRound
         .policy(AdaptivityPolicy::rule_based())
         .seed(seed)
         .build_protocol("dimmer-rule")
-        // lint: allow(P001) -- "dimmer-rule" ships in the standard registry
-        .expect("dimmer-rule is registered");
+        // lint: allow(P001) -- "dimmer-rule" is one of PROTOCOLS
+        .expect("dimmer-rule is one of PROTOCOLS");
     sim.run_rounds(rounds)
 }
 
@@ -251,7 +251,7 @@ impl Fig7Scenario {
     }
 }
 
-/// Runs one registry protocol on the 48-node aperiodic-collection workload
+/// Runs one protocol on the 48-node aperiodic-collection workload
 /// under `scenario` (one Fig. 7 trial).
 ///
 /// Per-protocol configuration mirrors the paper: `"static"` runs without
@@ -283,7 +283,7 @@ pub fn fig7_run(
         .traffic(traffic)
         .seed(seed)
         .build_protocol(protocol)
-        // lint: allow(P002) -- callers pass registry names vetted by HarnessCli::select_protocols
+        // lint: allow(P002) -- callers pass names vetted by catalogue::Grid::resolve_protocols
         .unwrap_or_else(|e| panic!("{e}"));
     sim.run_rounds(rounds);
     AppOutcome {
@@ -476,7 +476,7 @@ pub fn fig4c_grid(
 }
 
 /// The Fig. 5 static-interference grid (`fig5`): every selected
-/// registry protocol at every jamming duty cycle in `levels`.
+/// protocol at every jamming duty cycle in `levels`.
 pub fn fig5_grid(
     policy: AdaptivityPolicy,
     rounds: usize,
@@ -761,7 +761,7 @@ pub fn fig6_grid(rounds: usize, cache: Option<CachedRun>) -> ScenarioGrid {
     grid
 }
 
-/// The Fig. 7 D-Cube grid (`fig7`): every selected registry protocol
+/// The Fig. 7 D-Cube grid (`fig7`): every selected protocol
 /// under every interference scenario on the 48-node collection workload.
 pub fn fig7_grid(policy: AdaptivityPolicy, rounds: usize, protocols: &[String]) -> ScenarioGrid {
     let mut grid = ScenarioGrid::new("fig7");
@@ -789,7 +789,7 @@ pub fn fig7_grid(policy: AdaptivityPolicy, rounds: usize, protocols: &[String]) 
     grid
 }
 
-/// Runs one registry protocol through a dynamic-world scenario preset on
+/// Runs one protocol through a dynamic-world scenario preset on
 /// the 18-node testbed (one `dynamics:<preset>` trial), returning the
 /// per-round reports.
 ///
@@ -813,13 +813,13 @@ pub fn dynamics_run(
         .policy(policy.clone())
         .seed(seed)
         .build_protocol(protocol)
-        // lint: allow(P002) -- documented # Panics contract; callers pass vetted registry names
+        // lint: allow(P002) -- documented # Panics contract; callers pass names vetted against PROTOCOLS
         .unwrap_or_else(|e| panic!("{e}"));
     sim.run_rounds(rounds)
 }
 
-/// The dynamic-world grid (`dynamics:<preset>`): every selected registry
-/// protocol through one scenario preset, with overall metrics plus
+/// The dynamic-world grid (`dynamics:<preset>`): every selected protocol
+/// through one scenario preset, with overall metrics plus
 /// per-phase summary buckets (`rel@<phase>`, `radio@<phase>`,
 /// `alive@<phase>`). `cache` may hold already-simulated runs (see
 /// [`CachedRun`]; `exp`'s single-trial timeline reuses its run).

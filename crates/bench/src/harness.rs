@@ -263,7 +263,7 @@ pub struct HarnessCli {
     pub json: Option<std::path::PathBuf>,
     /// Whether `--quick` was passed (roughly 10x shorter runs).
     pub quick: bool,
-    /// Comma-separated registry protocol names (`--protocols`); `None` if
+    /// Comma-separated `PROTOCOLS` names (`--protocols`); `None` if
     /// the flag was absent so the grid runs its default set.
     pub protocols: Option<Vec<String>>,
 }

@@ -21,7 +21,7 @@
 //!
 //! `exp` accepts `--protocols a,b,c --trials N --threads N --seed S
 //! --json PATH` and `--quick` after the grid name: protocol names resolve
-//! against the registry in `dimmer-baselines` (`"dimmer-dqn"`,
+//! against `dimmer_baselines::PROTOCOLS` (`"dimmer-dqn"`,
 //! `"dimmer-rule"`, `"pid"`, `"static"`, `"crystal"`, `"dimmer-zoo"`),
 //! trials of each scenario cell are fanned out across worker threads by the
 //! [`harness`] module, per-trial seeds are derived deterministically
@@ -37,7 +37,7 @@
 //!   grid shares (run, phase and timeline-row summaries, harness metrics),
 //! * [`experiments`] — the testable per-figure experiment cores and their
 //!   [`ScenarioGrid`] builders, all running protocols through the generic
-//!   `RoundEngine` via the protocol registry,
+//!   `RoundEngine` via `SimulationBuilder::build_protocol`,
 //! * [`catalogue`] — the one table of served grid families: each grid's
 //!   defaults, its protocol axis and the builder call, shared by `exp`
 //!   and `dimmerd`, plus the one protocol resolver,

@@ -15,22 +15,14 @@ use dimmer_core::{AdaptivityPolicy, DimmerConfig};
 use dimmer_lwb::LwbConfig;
 use dimmer_rl::DqnConfig;
 use dimmer_sim::{
-    Channel, CompositeInterference, InterferenceModel, MobileJammer, NoInterference, NodeId,
-    PeriodicJammer, Position, ScenarioScript, SimTime, Topology,
+    Channel, InterferenceModel, MobileJammer, NoInterference, NodeId, PeriodicJammer, Position,
+    ScenarioScript, SimTime, Topology,
 };
 use dimmer_traces::{train_policy, TraceCollector};
 
-/// The two-jammer 802.15.4 interference used on the 18-node testbed, at the
-/// given duty cycle (0 disables jamming and returns an empty composite).
-pub fn kiel_jamming(duty_cycle: f64) -> CompositeInterference {
-    let mut comp = CompositeInterference::new();
-    if duty_cycle > 0.0 {
-        for j in PeriodicJammer::kiel_pair(duty_cycle) {
-            comp.push(Box::new(j));
-        }
-    }
-    comp
-}
+// The testbed's two-jammer interference, re-exported where the grids
+// import it.
+pub use dimmer_sim::kiel_jamming;
 
 /// The Fig. 4c dynamic-interference scenario: 7 min calm, 5 min of 30 %
 /// jamming, 5 min calm, 5 min of 5 % jamming, then calm for as long as the
@@ -300,12 +292,6 @@ fn flash_crowd(rounds: usize) -> DynamicScenario {
 mod tests {
     use super::*;
     use dimmer_sim::{InterferenceModel, Position, World};
-
-    #[test]
-    fn kiel_jamming_zero_is_empty() {
-        assert!(kiel_jamming(0.0).is_empty());
-        assert_eq!(kiel_jamming(0.3).len(), 2);
-    }
 
     #[test]
     fn dynamic_scenario_has_two_interference_phases() {

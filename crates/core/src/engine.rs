@@ -351,7 +351,7 @@ impl std::fmt::Debug for Backend<'_> {
 ///
 /// Construct it directly with [`RoundEngine::with_controller`] (or
 /// [`RoundEngine::with_epoch_driver`] for epoch protocols), or through the
-/// `SimulationBuilder`/protocol registry in `dimmer-baselines`.
+/// `SimulationBuilder` and its `PROTOCOLS` table in `dimmer-baselines`.
 #[derive(Debug)]
 pub struct RoundEngine<'a, C: Controller> {
     topology: &'a Topology,
@@ -694,7 +694,7 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
 }
 
 /// Object-safe facade over [`RoundEngine`]: what every protocol looks like
-/// to a registry or experiment grid, independent of its controller type.
+/// to a builder or experiment grid, independent of its controller type.
 pub trait Simulation {
     /// Executes one round (or epoch) and reports it.
     fn run_round(&mut self) -> DimmerRoundReport;
@@ -704,7 +704,7 @@ pub trait Simulation {
         (0..count).map(|_| self.run_round()).collect()
     }
 
-    /// The registry-style name of the protocol's controller.
+    /// The protocol name of the controller (as in `PROTOCOLS`).
     fn protocol(&self) -> &str;
 
     /// The current global retransmission parameter.
@@ -751,7 +751,7 @@ mod tests {
     use super::*;
     use crate::adaptivity::{AdaptivityController, AdaptivityPolicy};
     use crate::controller::StaticNtxController;
-    use dimmer_sim::{NoInterference, PeriodicJammer, ScheduledInterference};
+    use dimmer_sim::{kiel_jamming, NoInterference, PeriodicJammer, ScheduledInterference};
 
     /// Rule-based Dimmer under `config` and `lwb`.
     fn dimmer<'a>(
@@ -788,10 +788,7 @@ mod tests {
     #[test]
     fn interference_raises_ntx() {
         let topo = Topology::kiel_testbed_18(1);
-        let mut interference = dimmer_sim::CompositeInterference::new();
-        for j in PeriodicJammer::kiel_pair(0.35) {
-            interference.push(Box::new(j));
-        }
+        let interference = kiel_jamming(0.35);
         let mut runner = calm_runner(&topo, &interference, 3);
         runner.run_rounds(10);
         assert!(
@@ -954,10 +951,7 @@ mod tests {
     #[test]
     fn static_controller_engine_never_adapts() {
         let topo = Topology::kiel_testbed_18(1);
-        let mut interference = dimmer_sim::CompositeInterference::new();
-        for j in PeriodicJammer::kiel_pair(0.30) {
-            interference.push(Box::new(j));
-        }
+        let interference = kiel_jamming(0.30);
         let mut engine = RoundEngine::with_controller(
             &topo,
             &interference,
@@ -976,10 +970,7 @@ mod tests {
     #[test]
     fn empty_world_script_is_byte_identical_to_no_script() {
         let topo = Topology::kiel_testbed_18(4);
-        let mut interference = dimmer_sim::CompositeInterference::new();
-        for j in PeriodicJammer::kiel_pair(0.25) {
-            interference.push(Box::new(j));
-        }
+        let interference = kiel_jamming(0.25);
         let mut plain = calm_runner(&topo, &interference, 31);
         let mut scripted =
             calm_runner(&topo, &interference, 31).with_world_script(ScenarioScript::new());

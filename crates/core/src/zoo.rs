@@ -212,11 +212,6 @@ impl ZooController {
     pub fn active_arm(&self) -> usize {
         self.active
     }
-
-    /// The meta-controller's current arm probabilities.
-    pub fn arm_probabilities(&self) -> Vec<f64> {
-        self.exp3.probabilities()
-    }
 }
 
 impl Controller for ZooController {
@@ -285,16 +280,6 @@ impl Controller for ZooController {
             }
         }
         decision
-    }
-
-    fn reset(&mut self) {
-        self.exp3.reset();
-        self.rounds_in_window = 0;
-        self.reward_sum = 0.0;
-        self.window_losses = 0;
-        self.shield_rounds = 0;
-        self.shield_hold = self.window;
-        self.rounds_since_loss = usize::MAX;
     }
 
     fn wants_state(&self) -> bool {
@@ -401,5 +386,21 @@ mod tests {
     #[should_panic(expected = "at least one policy")]
     fn empty_zoo_is_rejected() {
         ZooController::new(Vec::new(), DimmerConfig::default(), 8, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "stats window must be positive")]
+    fn zero_window_zoo_is_rejected() {
+        let policies = vec![AdaptivityPolicy::rule_based()];
+        ZooController::new(policies, DimmerConfig::default(), 0, 0.1);
+    }
+
+    #[test]
+    fn a_fresh_zoo_opens_on_the_defensive_prior() {
+        // The standard arms run calm → roaming-jammer; the last one is the
+        // most defensive, so a new zoo starts there.
+        let zoo = ZooController::standard(DimmerConfig::default());
+        assert_eq!(zoo.num_arms(), ZOO_FAMILIES.len());
+        assert_eq!(ZOO_FAMILIES[zoo.active_arm()], "roaming-jammer");
     }
 }

@@ -808,11 +808,7 @@ mod tests {
     #[test]
     fn higher_ntx_improves_reliability_under_interference() {
         let topo = Topology::kiel_testbed_18(6);
-        let jammers = PeriodicJammer::kiel_pair(0.30);
-        let mut comp = dimmer_sim::CompositeInterference::new();
-        for j in jammers {
-            comp.push(Box::new(j));
-        }
+        let comp = dimmer_sim::kiel_jamming(0.30);
         let mut sim = FloodSimulator::new(&topo, &comp);
         let mut rel = [0.0f64; 2];
         for (idx, ntx) in [1u8, 8u8].into_iter().enumerate() {

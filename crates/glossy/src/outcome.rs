@@ -113,27 +113,6 @@ impl FloodOutcome {
         self.reach_count() as f64 / self.per_node.len() as f64
     }
 
-    /// Fraction of *participating, non-initiator* nodes that received the
-    /// packet; `1.0` if there were none.
-    pub fn receiver_reliability(&self) -> f64 {
-        let mut total = 0usize;
-        let mut got = 0usize;
-        for (i, o) in self.per_node.iter().enumerate() {
-            if i == self.initiator.index() || !o.participated {
-                continue;
-            }
-            total += 1;
-            if o.received {
-                got += 1;
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            got as f64 / total as f64
-        }
-    }
-
     /// Wall-clock duration of the flood (bounded by the configured slot
     /// budget).
     pub fn duration(&self) -> SimDuration {
@@ -179,25 +158,6 @@ mod tests {
         assert!(out.received(NodeId(0)));
         assert_eq!(out.reach_count(), 1);
         assert!((out.reliability() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn receiver_reliability_excludes_initiator() {
-        let out = outcome_with(&[false, true, false, true]);
-        assert!((out.receiver_reliability() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn receiver_reliability_is_one_without_receivers() {
-        let out = FloodOutcome::new(
-            NodeId(0),
-            vec![NodeFloodOutcome {
-                participated: true,
-                ..Default::default()
-            }],
-            SimDuration::ZERO,
-        );
-        assert_eq!(out.receiver_reliability(), 1.0);
     }
 
     #[test]

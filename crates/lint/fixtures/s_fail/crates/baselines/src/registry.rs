@@ -1,4 +1,3 @@
-fn defaults(reg: &mut Registry) {
-    reg.register("alpha", "the documented protocol", build_alpha);
-    reg.register("beta", "missing from both docs", build_beta);
-}
+// Fixture protocol list: `beta` is documented nowhere, so S002 fires once
+// per document.
+pub const PROTOCOLS: [&str; 2] = ["alpha", "beta"];

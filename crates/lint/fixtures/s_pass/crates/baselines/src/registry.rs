@@ -1,11 +1,7 @@
-fn defaults(reg: &mut Registry) {
-    reg.register("alpha", "the documented protocol", build_alpha);
-}
+pub const PROTOCOLS: [&str; 1] = ["alpha"];
 
 #[cfg(test)]
 mod tests {
-    fn fixture_registry(reg: &mut Registry) {
-        // Test-only registrations need no documentation.
-        reg.register("throwaway", "undocumented on purpose", build_alpha);
-    }
+    // Test-only lists need no documentation.
+    const PROTOCOLS: [&str; 2] = ["alpha", "throwaway"];
 }

@@ -10,9 +10,9 @@
 //!   with `exp <grid>`; an undocumented grid is dead weight or missing
 //!   docs). A parameterised family such as `dynamics:<preset>` counts as
 //!   documented once its prefix `dynamics:` is.
-//! * **S002** — every protocol name registered in the non-test code of
+//! * **S002** — every protocol name in the non-test `PROTOCOLS` list of
 //!   `crates/baselines/src/registry.rs` must appear in both `README.md`
-//!   and `ARCHITECTURE.md` (the registry is the single source of protocol
+//!   and `ARCHITECTURE.md` (the list is the single source of protocol
 //!   names for `--protocols`; docs must track it).
 //! * **S003** — every `BENCH_*.json` at the workspace root must parse and
 //!   match its declared schema (`suite` matching the filename, a non-empty
@@ -32,7 +32,7 @@
 //!   truth.
 
 use crate::diag::Finding;
-use crate::tokenizer::{tokenize, TokenKind};
+use crate::tokenizer::{tokenize, Token, TokenKind};
 use dimmer_json::Json;
 use std::path::Path;
 
@@ -40,9 +40,23 @@ use std::path::Path;
 pub fn lint_drift(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     check_readme_repro(root, &mut findings);
-    check_registry_docs(root, &mut findings);
+    check_list_docs(
+        root,
+        "crates/baselines/src/registry.rs",
+        "PROTOCOLS",
+        "S002",
+        "protocol",
+        &mut findings,
+    );
     check_bench_schemas(root, &mut findings);
-    check_daemon_protocol_docs(root, &mut findings);
+    check_list_docs(
+        root,
+        "crates/dimmerd/src/proto.rs",
+        "COMMANDS",
+        "S004",
+        "daemon protocol command",
+        &mut findings,
+    );
     check_headline_claims(root, &mut findings);
     findings
 }
@@ -82,147 +96,94 @@ fn check_readme_repro(root: &Path, findings: &mut Vec<Finding>) {
 /// family (`dynamics:<preset>`) yields its prefix (`dynamics:`), the part
 /// every member's name starts with.
 pub fn catalogue_names(src: &str) -> Vec<(String, u32)> {
-    let tokens = tokenize(src);
-    let code: Vec<_> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    item_tokens(src, "CATALOGUE")
+        .windows(3)
+        .filter(|w| w[0].is_ident("name") && w[1].is_punct(":") && w[2].kind == TokenKind::Str)
+        .map(|w| {
+            let name = w[2].text.trim_matches('"');
+            let name = match name.split_once(':') {
+                Some((family, _)) => format!("{family}:"),
+                None => name.to_string(),
+            };
+            (name, w[2].line)
+        })
+        .collect()
+}
+
+/// S002 and S004: every entry of the non-test `const` list `list` in the
+/// source at `path` (a `what`, for the message) appears in README.md and
+/// ARCHITECTURE.md.
+fn check_list_docs(
+    root: &Path,
+    path: &str,
+    list: &str,
+    rule: &'static str,
+    what: &str,
+    findings: &mut Vec<Finding>,
+) {
+    let Ok(src) = std::fs::read_to_string(root.join(path)) else {
+        return; // fixture trees may omit the crate
+    };
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
+    let arch = std::fs::read_to_string(root.join("ARCHITECTURE.md")).unwrap_or_default();
+
+    for (name, line) in const_list(&src, list) {
+        for (doc, text) in [("README.md", &readme), ("ARCHITECTURE.md", &arch)] {
+            if !contains_word(text, &name) {
+                findings.push(Finding {
+                    path: path.to_string(),
+                    line,
+                    col: 1,
+                    rule,
+                    message: format!("{what} `{name}` is not documented in {doc}"),
+                });
+            }
+        }
+    }
+}
+
+/// Extracts `(entry, line)` for every string literal in the initializer of
+/// the non-test `const` list `name` (`PROTOCOLS`, `COMMANDS`).
+///
+/// A test-gated list (fixtures listing throwaway names) deliberately
+/// doesn't count — only shipped names need documentation — and neither do
+/// later uses of the name (error messages, dispatch loops).
+pub fn const_list(src: &str, name: &str) -> Vec<(String, u32)> {
+    item_tokens(src, name)
+        .iter()
+        .filter(|t| t.kind == TokenKind::Str)
+        .map(|t| (t.text.trim_matches('"').to_string(), t.line))
+        .collect()
+}
+
+/// The code tokens of every non-test `const` or `static` item called
+/// `name` in `src`, from its name up to the `;` that ends it. The walk
+/// tracks bracket depth: a type such as `[&str; 6]` and the catalogue
+/// entries' builder closures hold `;`s of their own.
+fn item_tokens<'s>(src: &'s str, name: &str) -> Vec<Token<'s>> {
+    let code: Vec<_> = tokenize(src)
+        .into_iter()
+        .filter(|t| !t.is_comment())
+        .collect();
     let gated = crate::rules::test_gated_lines(src);
     let mut out = Vec::new();
     let mut i = 0;
     while i < code.len() {
-        if code[i].is_ident("CATALOGUE")
+        if code[i].is_ident(name)
             && i > 0
             && (code[i - 1].is_ident("static") || code[i - 1].is_ident("const"))
             && !gated.contains(&code[i].line)
         {
-            // Walk the type and initializer up to the `;` that ends the
-            // item; the entries' builder closures hold `;`s of their own.
             let mut depth = 0usize;
-            let mut j = i + 1;
-            while j < code.len() && !(depth == 0 && code[j].is_punct(";")) {
-                if ["(", "[", "{"].iter().any(|p| code[j].is_punct(p)) {
+            while i < code.len() && !(depth == 0 && code[i].is_punct(";")) {
+                if ["(", "[", "{"].iter().any(|p| code[i].is_punct(p)) {
                     depth += 1;
-                } else if [")", "]", "}"].iter().any(|p| code[j].is_punct(p)) {
+                } else if [")", "]", "}"].iter().any(|p| code[i].is_punct(p)) {
                     depth = depth.saturating_sub(1);
-                } else if code[j].is_ident("name")
-                    && code.get(j + 1).is_some_and(|t| t.is_punct(":"))
-                    && code.get(j + 2).is_some_and(|t| t.kind == TokenKind::Str)
-                {
-                    let name = code[j + 2].text.trim_matches('"');
-                    let name = match name.split_once(':') {
-                        Some((family, _)) => format!("{family}:"),
-                        None => name.to_string(),
-                    };
-                    out.push((name, code[j + 2].line));
                 }
-                j += 1;
+                out.push(code[i]);
+                i += 1;
             }
-            i = j;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// S002: registered protocol names appear in README.md and ARCHITECTURE.md.
-fn check_registry_docs(root: &Path, findings: &mut Vec<Finding>) {
-    let reg_path = "crates/baselines/src/registry.rs";
-    let Ok(src) = std::fs::read_to_string(root.join(reg_path)) else {
-        return;
-    };
-    let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    let arch = std::fs::read_to_string(root.join("ARCHITECTURE.md")).unwrap_or_default();
-
-    for (name, line) in registered_names(&src) {
-        for (doc, text) in [("README.md", &readme), ("ARCHITECTURE.md", &arch)] {
-            if !contains_word(text, &name) {
-                findings.push(Finding {
-                    path: reg_path.to_string(),
-                    line,
-                    col: 1,
-                    rule: "S002",
-                    message: format!("registry protocol `{name}` is not documented in {doc}"),
-                });
-            }
-        }
-    }
-}
-
-/// Extracts `(name, line)` for every `register("name", …)` call in the
-/// non-test code of the registry source.
-///
-/// Test-gated registrations (fixtures registering throwaway protocols)
-/// deliberately don't count — only shipped names need documentation.
-pub fn registered_names(src: &str) -> Vec<(String, u32)> {
-    let tokens = tokenize(src);
-    let code: Vec<_> = tokens.iter().filter(|t| !t.is_comment()).collect();
-    // Reuse the same test-gating logic as the code rules by line spans:
-    // a simple rebuild here avoids exposing engine internals.
-    let gated = crate::rules::test_gated_lines(src);
-    let mut out = Vec::new();
-    for i in 0..code.len() {
-        if code[i].is_ident("register")
-            && code.get(i + 1).is_some_and(|t| t.is_punct("("))
-            && code.get(i + 2).is_some_and(|t| t.kind == TokenKind::Str)
-            && !gated.contains(&code[i].line)
-        {
-            let quoted = code[i + 2].text;
-            let name = quoted.trim_matches('"').to_string();
-            out.push((name, code[i].line));
-        }
-    }
-    out
-}
-
-/// S004: the daemon's wire-protocol commands appear in README.md and
-/// ARCHITECTURE.md.
-fn check_daemon_protocol_docs(root: &Path, findings: &mut Vec<Finding>) {
-    let proto_path = "crates/dimmerd/src/proto.rs";
-    let Ok(src) = std::fs::read_to_string(root.join(proto_path)) else {
-        return; // no daemon crate (fixture trees may omit it)
-    };
-    let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    let arch = std::fs::read_to_string(root.join("ARCHITECTURE.md")).unwrap_or_default();
-
-    for (name, line) in protocol_commands(&src) {
-        for (doc, text) in [("README.md", &readme), ("ARCHITECTURE.md", &arch)] {
-            if !contains_word(text, &name) {
-                findings.push(Finding {
-                    path: proto_path.to_string(),
-                    line,
-                    col: 1,
-                    rule: "S004",
-                    message: format!("daemon protocol command `{name}` is not documented in {doc}"),
-                });
-            }
-        }
-    }
-}
-
-/// Extracts `(command, line)` for every string literal in the `COMMANDS`
-/// array of the daemon's protocol source (non-test code only).
-pub fn protocol_commands(src: &str) -> Vec<(String, u32)> {
-    let tokens = tokenize(src);
-    let code: Vec<_> = tokens.iter().filter(|t| !t.is_comment()).collect();
-    let gated = crate::rules::test_gated_lines(src);
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < code.len() {
-        // Only the `const COMMANDS` definition counts — later uses of the
-        // ident (error messages, dispatch loops) are not the catalogue.
-        if code[i].is_ident("COMMANDS")
-            && i > 0
-            && code[i - 1].is_ident("const")
-            && !gated.contains(&code[i].line)
-        {
-            // Collect the string literals of the initializer, up to `;`.
-            let mut j = i + 1;
-            while j < code.len() && !code[j].is_punct(";") {
-                if code[j].kind == TokenKind::Str {
-                    let name = code[j].text.trim_matches('"').to_string();
-                    out.push((name, code[j].line));
-                }
-                j += 1;
-            }
-            i = j;
         }
         i += 1;
     }
@@ -418,24 +379,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registered_names_skips_tests_and_comments() {
+    fn const_list_reads_the_named_list_only() {
         let src = r#"
-fn defaults() {
-    reg.register("dimmer-dqn", "x", build);
-    reg.register(
-        "pid",
-        "y",
-        build,
-    );
+pub const COMMANDS: &[&str] = &["submit", "status", "result"];
+pub const PROTOCOLS: [&str; 2] = [
+    "dimmer-dqn",
+    // "commented-out",
+    "pid",
+];
+pub fn parse(line: &str) -> Result<Request, String> {
+    let other = ["not-a-command"];
+    let listed = COMMANDS.join(", ");
+    Err("unknown".to_string())
 }
-// reg.register("commented-out", "x", build);
 #[cfg(test)]
 mod tests {
-    fn t() { reg.register("static-5", "z", build); }
+    const COMMANDS: &[&str] = &["test-only"];
+    const PROTOCOLS: [&str; 1] = ["static-5"];
 }
 "#;
-        let names: Vec<String> = registered_names(src).into_iter().map(|(n, _)| n).collect();
+        let names: Vec<String> = const_list(src, "PROTOCOLS")
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
         assert_eq!(names, vec!["dimmer-dqn", "pid"]);
+        assert_eq!(const_list(src, "PROTOCOLS")[1], ("pid".to_string(), 6));
     }
 
     #[test]
@@ -452,7 +420,10 @@ mod tests {
     const COMMANDS: &[&str] = &["test-only"];
 }
 "#;
-        let names: Vec<String> = protocol_commands(src).into_iter().map(|(n, _)| n).collect();
+        let names: Vec<String> = const_list(src, "COMMANDS")
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
         assert_eq!(names, vec!["submit", "status", "result"]);
     }
 

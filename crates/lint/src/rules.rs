@@ -77,7 +77,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "S002",
         name: "registry-doc-drift",
-        summary: "registry protocol names must appear in README.md and ARCHITECTURE.md",
+        summary: "every `PROTOCOLS` name must appear in README.md and ARCHITECTURE.md",
     },
     Rule {
         id: "S003",

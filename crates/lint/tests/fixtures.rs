@@ -95,10 +95,12 @@ fn s_fail_tree_drifts_in_every_family() {
     assert!(s001[0].path.ends_with("catalogue.rs"));
     assert!(s001[0].message.contains("`ghost`"));
 
-    // S002: `beta` is registered but absent from both documents.
+    // S002: `beta` is in the PROTOCOLS list but absent from both
+    // documents; `alpha` is fine.
     let s002 = rules_for("S002");
     assert_eq!(s002.len(), 2, "{findings:?}");
     assert!(s002.iter().all(|f| f.message.contains("`beta`")));
+    assert!(s002.iter().all(|f| f.path.ends_with("registry.rs")));
 
     // S003: BENCH_flood.json declares the wrong suite, has an empty
     // benchmark list, and lacks a positive headline; BENCH_mystery.json

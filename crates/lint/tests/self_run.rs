@@ -3,7 +3,7 @@
 //! This is the same check CI runs via `cargo run -p dimmer-lint -- --deny
 //! --workspace`, wired in as a test so `cargo test` alone catches a
 //! regression (a fresh unwrap, an allocation creeping into a hot region, a
-//! doc drifting from the registry).
+//! doc drifting from the `PROTOCOLS` list).
 
 use dimmer_lint::lint_workspace;
 use std::path::Path;

@@ -64,17 +64,6 @@ impl TrafficPattern {
         }
     }
 
-    /// The destinations that must receive a packet from `source` for it to
-    /// count as delivered.
-    pub fn destinations_of(&self, source: NodeId, all_nodes: &[NodeId]) -> Vec<NodeId> {
-        match self {
-            TrafficPattern::AllToAll => {
-                all_nodes.iter().copied().filter(|&n| n != source).collect()
-            }
-            TrafficPattern::Collection { sink, .. } => vec![*sink],
-        }
-    }
-
     /// The sink node for collection traffic, `None` for broadcast traffic.
     pub fn sink(&self) -> Option<NodeId> {
         match self {
@@ -103,18 +92,8 @@ mod tests {
     }
 
     #[test]
-    fn all_to_all_destinations_exclude_the_source() {
-        let all = nodes(5);
-        let dests = TrafficPattern::AllToAll.destinations_of(NodeId(2), &all);
-        assert_eq!(dests.len(), 4);
-        assert!(!dests.contains(&NodeId(2)));
-    }
-
-    #[test]
     fn collection_targets_only_the_sink() {
         let pattern = TrafficPattern::dcube_collection(48, 5, NodeId(0));
-        let all = nodes(48);
-        assert_eq!(pattern.destinations_of(NodeId(40), &all), vec![NodeId(0)]);
         assert_eq!(pattern.sink(), Some(NodeId(0)));
         assert_eq!(TrafficPattern::AllToAll.sink(), None);
     }

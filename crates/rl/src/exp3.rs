@@ -114,13 +114,6 @@ impl Exp3 {
         self.weights[arm] = self.initial_weight;
     }
 
-    /// Resets every arm.
-    pub fn reset(&mut self) {
-        for w in &mut self.weights {
-            *w = self.initial_weight;
-        }
-    }
-
     /// The arm with the largest weight (the current greedy choice).
     pub fn best_arm(&self) -> usize {
         self.weights

@@ -340,6 +340,31 @@ impl PeriodicJammer {
     }
 }
 
+/// The testbed's [`PeriodicJammer::kiel_pair`] as one composite at the
+/// given duty cycle. A duty cycle of 0 gives the empty composite, which is
+/// always idle, exactly like [`NoInterference`].
+///
+/// # Examples
+///
+/// ```
+/// use dimmer_sim::{kiel_jamming, Channel, InterferenceModel, Position, SimTime};
+/// let jammed = kiel_jamming(0.30);
+/// assert_eq!(jammed.len(), 2);
+/// // Next to the first jammer, its first 13 ms burst corrupts channel 26.
+/// let near = Position::new(5.0, 9.0);
+/// assert!(jammed.busy_fraction(SimTime::ZERO, 1_000, Channel::CONTROL, near) > 0.9);
+/// assert!(kiel_jamming(0.0).is_always_idle());
+/// ```
+pub fn kiel_jamming(duty_cycle: f64) -> CompositeInterference {
+    let mut comp = CompositeInterference::new();
+    if duty_cycle > 0.0 {
+        for j in PeriodicJammer::kiel_pair(duty_cycle) {
+            comp.push(Box::new(j));
+        }
+    }
+    comp
+}
+
 impl InterferenceModel for PeriodicJammer {
     fn busy_fraction(
         &self,
@@ -1147,6 +1172,37 @@ mod tests {
         let off = j.busy_fraction(SimTime::ZERO, 100_000, Channel::new(15).unwrap(), here());
         assert!(on > 0.3);
         assert_eq!(off, 0.0);
+    }
+
+    #[test]
+    fn kiel_jamming_zero_is_empty() {
+        assert!(kiel_jamming(0.0).is_empty());
+        assert!(kiel_jamming(0.0).is_always_idle());
+        assert_eq!(kiel_jamming(0.3).len(), 2);
+    }
+
+    #[test]
+    fn kiel_jamming_combines_the_kiel_pair() {
+        let jamming = kiel_jamming(0.25);
+        let pair = PeriodicJammer::kiel_pair(0.25);
+        let mut jammed = 0;
+        for at in [Position::new(5.0, 9.0), Position::new(12.0, 12.0)] {
+            for start_ms in [0, 3, 9, 40] {
+                let start = SimTime::from_millis(start_ms);
+                let clear: f64 = pair
+                    .iter()
+                    .map(|j| 1.0 - j.busy_fraction(start, 5_000, Channel::CONTROL, at))
+                    .product();
+                let busy = jamming.busy_fraction(start, 5_000, Channel::CONTROL, at);
+                assert!(
+                    (busy - (1.0 - clear)).abs() < 1e-12,
+                    "{at:?} at {start_ms} ms"
+                );
+                jammed += usize::from(busy > 0.0);
+            }
+        }
+        assert!(jammed > 0, "the samples must catch a burst");
+        assert!(!jamming.is_always_idle());
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub mod world;
 
 pub use compiled::{CompiledTopology, DENSE_NODE_LIMIT};
 pub use interference::{
-    CompositeInterference, InterferenceModel, MobileJammer, NoInterference, PeriodicJammer,
-    ScheduledInterference, SlotInterference, WifiInterference, WifiLevel,
+    kiel_jamming, CompositeInterference, InterferenceModel, MobileJammer, NoInterference,
+    PeriodicJammer, ScheduledInterference, SlotInterference, WifiInterference, WifiLevel,
 };
 pub use link::{LinkQuality, PathLossModel};
 pub use radio::{Channel, RadioAccounting, RadioState};

@@ -153,32 +153,6 @@ impl SimRng {
             slice.swap(i, j);
         }
     }
-
-    /// Samples an index according to the (unnormalized, non-negative) weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or if every weight is zero/negative.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(
-            !weights.is_empty(),
-            "weighted_index requires at least one weight"
-        );
-        let total: f64 = weights.iter().map(|w| w.max(0.0)).sum();
-        assert!(
-            total > 0.0,
-            "weighted_index requires a positive total weight"
-        );
-        let mut target = self.inner.gen::<f64>() * total;
-        for (i, w) in weights.iter().enumerate() {
-            let w = w.max(0.0);
-            if target < w {
-                return i;
-            }
-            target -= w;
-        }
-        weights.len() - 1
-    }
 }
 
 impl RngCore for SimRng {
@@ -298,22 +272,6 @@ mod tests {
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn weighted_index_prefers_heavy_arm() {
-        let mut rng = SimRng::seed_from(21);
-        let weights = [0.05, 0.9, 0.05];
-        let n = 10_000;
-        let hits = (0..n).filter(|_| rng.weighted_index(&weights) == 1).count();
-        assert!(hits as f64 / n as f64 > 0.8);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive total weight")]
-    fn weighted_index_rejects_all_zero() {
-        let mut rng = SimRng::seed_from(0);
-        rng.weighted_index(&[0.0, 0.0]);
-    }
-
     proptest! {
         #[test]
         fn prop_uniform_stays_in_range(seed in 0u64..1000, low in -100.0f64..0.0, span in 0.001f64..100.0) {
@@ -327,13 +285,6 @@ mod tests {
         fn prop_index_in_bounds(seed in 0u64..1000, n in 1usize..500) {
             let mut rng = SimRng::seed_from(seed);
             prop_assert!(rng.index(n) < n);
-        }
-
-        #[test]
-        fn prop_weighted_index_in_bounds(seed in 0u64..500, weights in proptest::collection::vec(0.01f64..10.0, 1..20)) {
-            let mut rng = SimRng::seed_from(seed);
-            let i = rng.weighted_index(&weights);
-            prop_assert!(i < weights.len());
         }
     }
 }

@@ -72,12 +72,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// Returns the duration elapsed since `earlier`, saturating at zero if
-    /// `earlier` is in the future.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -249,14 +243,6 @@ mod tests {
             SimDuration::from_secs(1),
             SimDuration::from_micros(1_000_000)
         );
-    }
-
-    #[test]
-    fn saturating_since_clamps_to_zero() {
-        let a = SimTime::from_millis(1);
-        let b = SimTime::from_millis(2);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_since(a), SimDuration::from_millis(1));
     }
 
     #[test]

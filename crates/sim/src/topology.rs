@@ -305,19 +305,6 @@ impl Topology {
         self.coordinator
     }
 
-    /// Changes the coordinator node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not part of the topology.
-    pub fn set_coordinator(&mut self, node: NodeId) {
-        assert!(
-            node.index() < self.num_nodes(),
-            "coordinator must be one of the nodes"
-        );
-        self.coordinator = node;
-    }
-
     /// Position of a node.
     ///
     /// # Panics
@@ -453,20 +440,6 @@ mod tests {
     fn grid_and_random_builders_produce_requested_sizes() {
         assert_eq!(Topology::grid(3, 4, 10.0, 5).num_nodes(), 12);
         assert_eq!(Topology::random(20, 40.0, 40.0, 5).num_nodes(), 20);
-    }
-
-    #[test]
-    fn set_coordinator_moves_the_host() {
-        let mut t = Topology::line(4, 5.0, 0);
-        t.set_coordinator(NodeId(2));
-        assert_eq!(t.coordinator(), NodeId(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "coordinator must be one of the nodes")]
-    fn set_coordinator_rejects_unknown_node() {
-        let mut t = Topology::line(4, 5.0, 0);
-        t.set_coordinator(NodeId(9));
     }
 
     #[test]

@@ -10,9 +10,7 @@ use crate::dataset::{NtxOutcome, TraceDataset, TraceSample};
 use dimmer_glossy::config::N_TX_MAX;
 use dimmer_glossy::NtxAssignment;
 use dimmer_lwb::{LwbConfig, RoundExecutor, Schedule};
-use dimmer_sim::{
-    CompositeInterference, InterferenceModel, NodeId, PeriodicJammer, SimRng, SimTime, Topology,
-};
+use dimmer_sim::{kiel_jamming, NodeId, SimRng, SimTime, Topology};
 
 /// Collects training/evaluation traces from a topology.
 ///
@@ -58,26 +56,12 @@ impl<'a> TraceCollector<'a> {
         self
     }
 
-    /// The interference source active during a window with the given duty
-    /// cycle (`None` for calm windows).
-    fn interference_for(duty: f64) -> Option<CompositeInterference> {
-        if duty <= 0.0 {
-            return None;
-        }
-        let mut comp = CompositeInterference::new();
-        for j in PeriodicJammer::kiel_pair(duty) {
-            comp.push(Box::new(j));
-        }
-        Some(comp)
-    }
-
     /// Records `rounds` samples. Each sample evaluates all
     /// `N_TX ∈ {0..N_max}` under identical interference conditions and
     /// identical link randomness.
     pub fn collect(&self, rounds: usize) -> TraceDataset {
         let n = self.topology.num_nodes();
         let sources: Vec<NodeId> = self.topology.node_ids().collect();
-        let calm = dimmer_sim::NoInterference;
         let mut samples = Vec::with_capacity(rounds);
         let mut master_rng = SimRng::seed_from(self.seed);
 
@@ -91,13 +75,10 @@ impl<'a> TraceCollector<'a> {
         while round_idx < rounds {
             let window = window_of(round_idx);
             let duty = self.duty_cycle_sweep[window];
-            let interference = Self::interference_for(duty);
-            let interference_ref: &dyn InterferenceModel = match &interference {
-                Some(c) => c,
-                None => &calm,
-            };
-            let mut executor =
-                RoundExecutor::new(self.topology, interference_ref, self.lwb.clone());
+            // A calm window's empty composite is always idle, like
+            // `NoInterference`.
+            let interference = kiel_jamming(duty);
+            let mut executor = RoundExecutor::new(self.topology, &interference, self.lwb.clone());
 
             while round_idx < rounds && window_of(round_idx) == window {
                 let start = SimTime::from_secs(round_idx as u64 * 4);

@@ -2,8 +2,8 @@
 //! WiFi interference — the paper's §V-E scenario, without retraining the DQN.
 //!
 //! All three protocols — including Crystal's epoch loop — run through the
-//! same [`SimulationBuilder`]/registry door, so the comparison is a loop
-//! over protocol names.
+//! same [`SimulationBuilder::build_protocol`] door, so the comparison is a
+//! loop over protocol names.
 //!
 //! ```text
 //! cargo run --release --example dcube_collection

@@ -1,6 +1,6 @@
 //! Dimmer versus a PID controller under dynamic interference — a compact
 //! version of the paper's Fig. 4c/4d experiment, with both protocols built
-//! through the [`SimulationBuilder`]/registry API.
+//! through [`SimulationBuilder::build_protocol`].
 //!
 //! ```text
 //! cargo run --release --example dynamic_interference

@@ -2,7 +2,7 @@
 //! network (the paper's Fig. 6 experiment, shortened).
 //!
 //! This example plugs a custom configuration into the
-//! [`SimulationBuilder`]'s generic `build` entry point: the registry names
+//! [`SimulationBuilder`]'s generic `build` entry point: the `PROTOCOLS` names
 //! cover the paper's protocols, but any `Controller` + `DimmerConfig`
 //! combination runs through the same engine.
 //!

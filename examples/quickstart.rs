@@ -3,8 +3,9 @@
 //! and watch the retransmission parameter adapt.
 //!
 //! Every protocol is constructed the same way: describe the scenario with a
-//! [`SimulationBuilder`], then pick a protocol from the registry by name
-//! (`"dimmer-dqn"`, `"dimmer-rule"`, `"pid"`, `"static"`, `"crystal"`).
+//! [`SimulationBuilder`], then pick a protocol of `PROTOCOLS` by name
+//! (`"dimmer-dqn"`, `"dimmer-rule"`, `"pid"`, `"static"`, `"crystal"`,
+//! `"dimmer-zoo"`).
 //!
 //! ```text
 //! cargo run --release --example quickstart

@@ -6,16 +6,3 @@
 #![forbid(unsafe_code)]
 
 pub mod equivalence;
-
-use dimmer_sim::{CompositeInterference, PeriodicJammer};
-
-/// The two-jammer testbed interference at a given duty cycle.
-pub fn jamming(duty_cycle: f64) -> CompositeInterference {
-    let mut comp = CompositeInterference::new();
-    if duty_cycle > 0.0 {
-        for j in PeriodicJammer::kiel_pair(duty_cycle) {
-            comp.push(Box::new(j));
-        }
-    }
-    comp
-}

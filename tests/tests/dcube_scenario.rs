@@ -16,8 +16,8 @@ fn collection(topo: &Topology) -> TrafficPattern {
     TrafficPattern::dcube_collection(topo.num_nodes(), 5, topo.coordinator())
 }
 
-/// The collection workload on `topo` under `interference`, ready for a
-/// registry protocol.
+/// The collection workload on `topo` under `interference`, ready for any
+/// of `PROTOCOLS`.
 fn workload<'a>(
     topo: &'a Topology,
     interference: &'a dyn InterferenceModel,

@@ -5,11 +5,10 @@ use dimmer_baselines::{PidController, SimulationBuilder};
 use dimmer_core::{
     AdaptivityController, AdaptivityPolicy, DimmerConfig, RoundEngine, RoundMode, Simulation,
 };
-use dimmer_integration::jamming;
 use dimmer_lwb::LwbConfig;
-use dimmer_sim::{InterferenceModel, NoInterference, SimDuration, Topology};
+use dimmer_sim::{kiel_jamming, InterferenceModel, NoInterference, SimDuration, Topology};
 
-/// The registry protocol `name` on the testbed defaults.
+/// The protocol `name` (one of `PROTOCOLS`) on the testbed defaults.
 fn protocol<'a>(
     topo: &'a Topology,
     interference: &'a dyn InterferenceModel,
@@ -44,7 +43,7 @@ fn rule_based<'a>(
 #[test]
 fn dimmer_beats_static_lwb_under_heavy_jamming() {
     let topo = Topology::kiel_testbed_18(1);
-    let interference = jamming(0.35);
+    let interference = kiel_jamming(0.35);
     let rounds = 40;
 
     let mut lwb = protocol(&topo, &interference, "static", 7);
@@ -120,7 +119,7 @@ fn adaptive_protocols_track_a_dynamic_interference_scenario() {
     let mut pid_config = DimmerConfig::default().without_adaptivity();
     pid_config.forwarder.enabled = false;
     for (duty, len) in phases {
-        let interference = jamming(duty);
+        let interference = kiel_jamming(duty);
         let mut d = rule_based(&topo, &interference, DimmerConfig::default(), 11);
         d.force_ntx(dimmer_ntx);
         let mut p = RoundEngine::with_controller(
@@ -211,7 +210,7 @@ fn forwarder_selection_saves_energy_without_hurting_reliability() {
 #[test]
 fn the_whole_stack_is_deterministic() {
     let topo = Topology::kiel_testbed_18(6);
-    let interference = jamming(0.15);
+    let interference = kiel_jamming(0.15);
     let run = || protocol(&topo, &interference, "dimmer-rule", 1234).run_rounds(15);
     assert_eq!(run(), run());
 }
@@ -220,7 +219,7 @@ fn the_whole_stack_is_deterministic() {
 fn radio_on_time_is_always_within_the_slot_budget() {
     let topo = Topology::kiel_testbed_18(8);
     for duty in [0.0, 0.10, 0.35] {
-        let interference = jamming(duty);
+        let interference = kiel_jamming(duty);
         let mut runner = protocol(&topo, &interference, "dimmer-rule", 2);
         for report in runner.run_rounds(12) {
             assert!(report.mean_radio_on <= SimDuration::from_millis(20));

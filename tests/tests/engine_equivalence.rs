@@ -1,4 +1,4 @@
-//! Equivalence suite for the `RoundEngine`: registry-built, builder-built
+//! Equivalence suite for the `RoundEngine`: name-built, controller-built
 //! and hand-built engines must agree **byte-for-byte** at fixed seeds.
 //!
 //! The Crystal comparison pins the engine's epoch adapter (traffic
@@ -7,21 +7,13 @@
 //! `pid` and `static` report streams are pinned by the golden digests in
 //! `world_dynamics.rs`.
 
-use dimmer_baselines::{CrystalConfig, CrystalRunner, ProtocolRegistry, SimulationBuilder};
+use dimmer_baselines::{CrystalConfig, CrystalRunner, PidController, SimulationBuilder, PROTOCOLS};
 use dimmer_core::{AdaptivityPolicy, DimmerConfig, RoundEngine, StaticNtxController};
 use dimmer_lwb::{LwbConfig, TrafficPattern};
 use dimmer_sim::{
-    CompositeInterference, NodeId, PeriodicJammer, SimDuration, SimRng, Topology, WifiInterference,
-    WifiLevel,
+    kiel_jamming, InterferenceModel, NoInterference, NodeId, SimDuration, SimRng, Topology,
+    WifiInterference, WifiLevel,
 };
-
-fn kiel_jamming(duty: f64) -> CompositeInterference {
-    let mut comp = CompositeInterference::new();
-    for j in PeriodicJammer::kiel_pair(duty) {
-        comp.push(Box::new(j));
-    }
-    comp
-}
 
 const ROUNDS: usize = 40;
 const SEEDS: [u64; 3] = [1, 7, 99];
@@ -117,13 +109,55 @@ fn direct_engine_construction_matches_the_builder() {
 }
 
 #[test]
+fn direct_pid_engine_matches_the_builder() {
+    // `pid` runs on the same substrate as `static`: no central adaptivity,
+    // no forwarder selection, the paper's PI gains.
+    let topo = Topology::kiel_testbed_18(1);
+    let interference = kiel_jamming(0.30);
+    let mut cfg = DimmerConfig::default().without_adaptivity();
+    cfg.forwarder.enabled = false;
+    let mut direct = RoundEngine::with_controller(
+        &topo,
+        &interference,
+        LwbConfig::testbed_default(),
+        cfg,
+        PidController::paper_pi(),
+        11,
+    );
+    let mut built = SimulationBuilder::new(&topo)
+        .interference(&interference)
+        .seed(11)
+        .build_protocol("pid")
+        .unwrap();
+    assert_eq!(direct.run_rounds(ROUNDS), built.run_rounds(ROUNDS));
+}
+
+#[test]
+fn silent_kiel_jamming_matches_no_interference_for_every_protocol() {
+    // `kiel_jamming(0.0)` is the empty composite. It must be always idle,
+    // like `NoInterference`: no flood draws a burst and no stream moves.
+    let topo = Topology::kiel_testbed_18(2);
+    let silent = kiel_jamming(0.0);
+    for name in PROTOCOLS {
+        let run = |interference: &dyn InterferenceModel| {
+            SimulationBuilder::new(&topo)
+                .interference(interference)
+                .policy(AdaptivityPolicy::rule_based())
+                .seed(29)
+                .build_protocol(name)
+                .unwrap()
+                .run_rounds(12)
+        };
+        assert_eq!(run(&silent), run(&NoInterference), "{name}");
+    }
+}
+
+#[test]
 fn registry_round_trip_constructs_and_runs_every_protocol() {
     let topo = Topology::kiel_testbed_18(2);
-    let registry = ProtocolRegistry::standard();
-    let names = registry.names();
     assert_eq!(
-        names,
-        vec![
+        PROTOCOLS,
+        [
             "dimmer-dqn",
             "dimmer-rule",
             "pid",
@@ -132,12 +166,11 @@ fn registry_round_trip_constructs_and_runs_every_protocol() {
             "dimmer-zoo"
         ]
     );
-    for name in names {
-        let builder = SimulationBuilder::new(&topo)
+    for name in PROTOCOLS {
+        let mut sim = SimulationBuilder::new(&topo)
             .policy(AdaptivityPolicy::rule_based())
-            .seed(17);
-        let mut sim = registry
-            .build(name, builder)
+            .seed(17)
+            .build_protocol(name)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(sim.protocol(), name.replace("dimmer-dqn", "dimmer-rule"));
         let reports = sim.run_rounds(4);
@@ -219,7 +252,7 @@ fn zoo_runs_are_deterministic_under_stress() {
 fn engine_runs_are_deterministic_per_seed_for_every_protocol() {
     let topo = Topology::kiel_testbed_18(3);
     let interference = kiel_jamming(0.10);
-    for name in ProtocolRegistry::standard().names() {
+    for name in PROTOCOLS {
         let build = || {
             SimulationBuilder::new(&topo)
                 .interference(&interference)

@@ -1,8 +1,8 @@
 //! Smoke tests for the experiment harness: every catalogue grid's
 //! single-trial builder is exercised for a handful of rounds with a
 //! rule-based policy (no DQN training), guarding the rarely-run experiments
-//! against build and behavior rot. Protocols are addressed by their registry
-//! names, exactly as `exp`'s `--protocols` flag does.
+//! against build and behavior rot. Protocols are addressed by their
+//! `PROTOCOLS` names, exactly as `exp`'s `--protocols` flag does.
 
 use dimmer_bench::experiments::{
     dynamics_run, fig4b_trial, fig4c_run, fig5_run, fig6_grid, fig6_single, fig7_run,

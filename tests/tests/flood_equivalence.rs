@@ -17,7 +17,7 @@ use dimmer_integration::equivalence::{
     assert_flood_equivalent as assert_equivalent, random_topology,
 };
 use dimmer_sim::{
-    CompositeInterference, InterferenceModel, NoInterference, NodeId, PeriodicJammer, Position,
+    kiel_jamming, InterferenceModel, NoInterference, NodeId, PeriodicJammer, Position,
     ScheduledInterference, SimDuration, SimRng, SimTime, Topology, WifiInterference, WifiLevel,
 };
 use proptest::prelude::*;
@@ -52,10 +52,7 @@ fn kernels_agree_under_every_interference_model() {
     let cfg = GlossyConfig::default();
     let jam = PeriodicJammer::with_duty_cycle(Position::new(10.0, 10.0), 0.35);
     let wifi = WifiInterference::new(WifiLevel::Level2, 9);
-    let mut comp = CompositeInterference::new();
-    for j in PeriodicJammer::kiel_pair(0.30) {
-        comp.push(Box::new(j));
-    }
+    let comp = kiel_jamming(0.30);
     let mut sched = ScheduledInterference::new();
     sched.add_window(
         SimTime::from_millis(5),

@@ -16,10 +16,10 @@ use dimmer_glossy::{FloodSimulator, GlossyConfig};
 use dimmer_integration::equivalence::{
     assert_sparse_equals_dense, dense_and_sparse, one_way_twins, random_topology,
 };
-use dimmer_integration::jamming;
 use dimmer_sim::{
-    topogen, CompiledTopology, InterferenceModel, NoInterference, NodeId, PeriodicJammer, Position,
-    ScenarioScript, SimRng, SimTime, Topology, WifiInterference, WifiLevel, World, WorldEvent,
+    kiel_jamming, topogen, CompiledTopology, InterferenceModel, NoInterference, NodeId,
+    PeriodicJammer, Position, ScenarioScript, SimRng, SimTime, Topology, WifiInterference,
+    WifiLevel, World, WorldEvent,
 };
 use proptest::prelude::*;
 
@@ -27,7 +27,7 @@ use proptest::prelude::*;
 #[test]
 fn sparse_matches_dense_on_grid100() {
     let topo = Topology::grid(10, 10, 8.0, 2);
-    let jam = jamming(0.30);
+    let jam = kiel_jamming(0.30);
     let cfg = GlossyConfig::default();
     for seed in 0..10u64 {
         let initiator = NodeId(((seed * 37) % 100) as u16);

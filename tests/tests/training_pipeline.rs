@@ -3,9 +3,8 @@
 
 use dimmer_baselines::SimulationBuilder;
 use dimmer_core::{AdaptivityController, DimmerConfig, GlobalView, StateBuilder};
-use dimmer_integration::jamming;
 use dimmer_rl::DqnConfig;
-use dimmer_sim::{NoInterference, Topology};
+use dimmer_sim::{kiel_jamming, NoInterference, Topology};
 use dimmer_traces::{train_policy, TraceCollector};
 
 #[test]
@@ -30,7 +29,7 @@ fn trained_policy_drives_the_protocol_sensibly() {
 
     // Protocol-in-the-loop: under jamming the learned policy must end up with
     // at least as many retransmissions as it uses when calm.
-    let interference = jamming(0.35);
+    let interference = kiel_jamming(0.35);
     let dimmer = |interference: &dyn dimmer_sim::InterferenceModel| {
         let mut sim = SimulationBuilder::new(&topo)
             .interference(interference)

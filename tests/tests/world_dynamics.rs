@@ -10,9 +10,8 @@
 
 use dimmer_baselines::SimulationBuilder;
 use dimmer_integration::equivalence::report_stream_hash;
-use dimmer_integration::jamming as kiel_jamming;
 use dimmer_lwb::{LwbConfig, TrafficPattern};
-use dimmer_sim::{Topology, WifiInterference, WifiLevel};
+use dimmer_sim::{kiel_jamming, Topology, WifiInterference, WifiLevel};
 
 /// Runs `protocol` on the jammed 18-node testbed and digests 16 rounds.
 fn testbed_hash(protocol: &str, seed: u64) -> u64 {
