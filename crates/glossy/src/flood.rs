@@ -28,19 +28,28 @@
 //! * node state is structure-of-arrays scratch in a reusable
 //!   [`FloodWorkspace`] — zero heap allocation per flood except the returned
 //!   [`FloodOutcome`],
+//! * the node sets a slot works on are bitsets of one `u64` per 64 nodes,
+//!   walked in ascending bit order: the listeners, and a ring of three
+//!   transmitter sets for slots `s`, `s + 1` and `s + 2` (a receiver first
+//!   transmits in the slot after its reception, a transmitter again two
+//!   slots later). So no per-slot step visits a node that neither
+//!   transmits nor can receive, and a count per set makes the end-of-flood
+//!   check `O(1)`: the flood ends once no listener is left and no
+//!   transmission is due in this slot or the next, which is exactly when
+//!   the reference finds no participating node with its radio on,
 //! * each listener's miss product comes from the [`CompiledTopology`]
 //!   (compiled once per simulator) in one of two ways, picked by what the
 //!   world stores. Dense worlds multiply the listener's miss-factor row
 //!   ([`CompiledTopology::miss_rows`]) over the slot's ascending
-//!   transmitter list. Sparse (CSR-only) worlds scatter instead: each
-//!   transmitter, in ascending order, multiplies `1.0 - prr` into the
-//!   per-node miss accumulator of every listening out-neighbour, so the
-//!   work follows the wavefront rather than the listener count. One draw
-//!   pass over the listeners then follows for both,
-//! * a sorted active-node list replaces the per-slot full scans,
+//!   transmitter list, and the draw pass visits every listener. Sparse
+//!   (CSR-only) worlds scatter instead: each transmitter, in ascending
+//!   order, multiplies `1.0 - prr` into the per-node miss accumulator of
+//!   every listening out-neighbour and marks it touched, and the draw pass
+//!   visits only the touched listeners, so the work follows the wavefront
+//!   rather than the listener count,
 //! * interference is evaluated through a precompiled per-node mask
-//!   ([`InterferenceModel::compile_for`]) at most **once per slot** instead
-//!   of once per receiver, and calm scenarios
+//!   ([`InterferenceModel::compile_for`]) exactly **once per slot with a
+//!   transmitter** instead of once per receiver, and calm scenarios
 //!   ([`InterferenceModel::is_always_idle`]) skip it entirely.
 //!
 //! Bit-for-bit equivalence with the reference holds because (a) the RNG is
@@ -49,8 +58,12 @@
 //! receiver the kernel skips), (b) each receiver's miss product multiplies
 //! the same factors in the same (ascending-transmitter) order on both paths
 //! — the CSR only omits links whose factor `1.0 - prr` rounds to exactly
-//! `1.0`, a bitwise no-op — and (c) compiled interference masks are
-//! contractually bit-identical to per-receiver `busy_fraction` calls.
+//! `1.0`, a bitwise no-op — (c) compiled interference masks are
+//! contractually bit-identical to per-receiver `busy_fraction` calls, and
+//! (d) ascending bit order is ascending node order, so the bitsets hand out
+//! transmitters and receivers in the reference's scan order. A listener the
+//! sparse scatter did not touch has a miss product of exactly `1.0`, one of
+//! the receivers (a) lets the kernel skip without a draw.
 //!
 //! The kernel itself is a private free function. [`FloodSimulator`] is
 //! its one driver: it runs single floods and batches of independent
@@ -65,30 +78,36 @@ use dimmer_sim::{
     SlotInterference, WorldEvent,
 };
 
-/// Sentinel for "no scheduled transmission" / "never switched off".
+/// Sentinel for "never switched off".
 const NONE_U32: u32 = u32::MAX;
 
 /// Reusable per-flood scratch buffers (structure-of-arrays node state).
 ///
 /// One workspace serves any number of floods over topologies up to its
 /// capacity; it grows on demand and never shrinks. [`FloodSimulator`] embeds
-/// one, which is what makes a long simulation allocation-free per slot: the
-/// only allocation left in the hot path is the returned [`FloodOutcome`].
+/// one, which is what makes a long simulation allocation-free per flood:
+/// once the workspace is sized, the only allocation left in the hot path is
+/// the returned [`FloodOutcome`].
+///
+/// Node sets are bitsets: bit `i % 64` of word `i / 64` stands for node `i`.
 #[derive(Debug, Default)]
 pub struct FloodWorkspace {
     participating: Vec<bool>,
     has_packet: Vec<bool>,
     first_rx_slot: Vec<u8>,
     tx_remaining: Vec<u8>,
-    next_tx_slot: Vec<u32>,
     relays: Vec<u8>,
     off_after_slot: Vec<u32>,
-    /// Participating, still-on nodes, ascending by id.
-    active: Vec<u16>,
-    /// Participating nodes still waiting for the packet, ascending by id —
-    /// exactly the eligible receivers of each slot (a node holding the
-    /// packet is never eligible, and every transmitter holds the packet).
-    listening: Vec<u16>,
+    /// Participating nodes still waiting for the packet — exactly the
+    /// eligible receivers of each slot (a node holding the packet is never
+    /// eligible, and every transmitter holds the packet).
+    listen: Vec<u64>,
+    /// The transmitters of slots `s`, `s + 1` and `s + 2`, at index
+    /// `slot % 3`. Reading a slot's set clears it for slot `s + 3`.
+    ring: [Vec<u64>; 3],
+    /// Listeners whose miss accumulator the sparse scatter multiplied into
+    /// this slot; empty between slots.
+    touched: Vec<u64>,
     /// This slot's transmitters, ascending by id.
     transmitters: Vec<u16>,
     /// Per-node miss-product accumulators of the sparse scatter; every
@@ -122,19 +141,36 @@ impl FloodWorkspace {
         self.first_rx_slot.resize(n, 0);
         self.tx_remaining.clear();
         self.tx_remaining.resize(n, 0);
-        self.next_tx_slot.clear();
-        self.next_tx_slot.resize(n, NONE_U32);
         self.relays.clear();
         self.relays.resize(n, 0);
         self.off_after_slot.clear();
         self.off_after_slot.resize(n, NONE_U32);
-        self.active.clear();
-        self.listening.clear();
+        let words = n.div_ceil(64);
+        for bits in [&mut self.listen, &mut self.touched]
+            .into_iter()
+            .chain(&mut self.ring)
+        {
+            bits.clear();
+            bits.resize(words, 0);
+        }
+        // A slot has at most `n` transmitters, so the list never grows
+        // during a flood.
         self.transmitters.clear();
+        self.transmitters.reserve(n);
         self.miss.clear();
         self.miss.resize(n, 1.0);
         self.busy.resize(n, 0.0);
     }
+}
+
+/// Adds node `i` to the bitset `bits`.
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Whether node `i` is in the bitset `bits`.
+fn has_bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 == 1
 }
 
 /// Simulates Glossy floods over one owned compiled world and an
@@ -497,15 +533,15 @@ fn run_flood(
     // Hoisted: dense worlds gather rows, sparse worlds scatter out-links.
     let miss_rows = compiled.miss_rows();
     ws.reset(n);
+    let words = n.div_ceil(64);
 
+    let mut listeners = 0usize;
     for i in 0..n {
         let part = alive.is_none_or(|a| a[i]) && participants.is_none_or(|p| p[i]);
         ws.participating[i] = part;
-        if part {
-            ws.active.push(i as u16);
-            if i != initiator.index() {
-                ws.listening.push(i as u16);
-            }
+        if part && i != initiator.index() {
+            set_bit(&mut ws.listen, i);
+            listeners += 1;
         }
     }
 
@@ -516,150 +552,160 @@ fn run_flood(
         ws.has_packet[i] = true;
         ws.first_rx_slot[i] = 0;
         ws.tx_remaining[i] = cfg.ntx.for_node(initiator).max(1);
-        ws.next_tx_slot[i] = 0;
+        set_bit(&mut ws.ring[0], i);
     }
+    // How many transmissions each ring set holds.
+    let mut pending = [1usize, 0, 0];
 
     // lint: hot-begin
     let mut last_active_slot = 0usize;
     for slot in 0..max_slots {
-        if ws.active.is_empty() {
+        let (now, next, after) = (slot % 3, (slot + 1) % 3, (slot + 2) % 3);
+        // Every node with its radio on is a listener or due to transmit in
+        // this slot or the next.
+        if listeners == 0 && pending[now] == 0 && pending[next] == 0 {
             break;
         }
         last_active_slot = slot;
         let slot_u32 = slot as u32;
         let slot_start = start + slot_dur * slot as u64;
 
-        // Who transmits in this slot? (`active` is ascending, so the
-        // transmitter list is too — matching the reference scan order.)
+        // Who transmits in this slot? Ascending bit order is ascending id
+        // order, matching the reference scan; taking the words clears the
+        // set for slot `s + 3`.
         ws.transmitters.clear();
-        for &i in &ws.active {
-            let iu = i as usize;
-            if ws.next_tx_slot[iu] == slot_u32 && ws.tx_remaining[iu] > 0 {
-                ws.transmitters.push(i);
+        if pending[now] > 0 {
+            for w in 0..words {
+                let mut word = std::mem::take(&mut ws.ring[now][w]);
+                while word != 0 {
+                    ws.transmitters
+                        .push((w * 64 + word.trailing_zeros() as usize) as u16);
+                    word &= word - 1;
+                }
             }
+            pending[now] = 0;
         }
 
-        let mut turned_off = false;
-
+        if ws.transmitters.is_empty() {
+            continue;
+        }
         // Receptions: every participating node that does not yet have the
         // packet and is not transmitting listens in this slot.
-        if !ws.transmitters.is_empty() {
-            let t_count = ws.transmitters.len();
-            let concurrency_factor = if t_count > 1 {
-                (1.0 - cfg.concurrency_penalty * (t_count as f64 - 1.0)).max(0.5)
-            } else {
-                1.0
-            };
-            // The compiled interference mask is evaluated once per slot,
-            // outside the receiver loop; only models without a compiled
-            // mask fall back to per-receiver virtual calls.
-            let masked = if idle {
-                false
-            } else if let Some(mask) = slot_interference.as_mut() {
-                mask.busy_for_slot(slot_start, airtime_us, cfg.channel, &mut ws.busy);
-                true
-            } else {
-                false
-            };
+        let t_count = ws.transmitters.len();
+        let concurrency_factor = if t_count > 1 {
+            (1.0 - cfg.concurrency_penalty * (t_count as f64 - 1.0)).max(0.5)
+        } else {
+            1.0
+        };
+        // The compiled interference mask is evaluated once per slot,
+        // outside the receiver loop; only models without a compiled
+        // mask fall back to per-receiver virtual calls.
+        let masked = if idle {
+            false
+        } else if let Some(mask) = slot_interference.as_mut() {
+            mask.busy_for_slot(slot_start, airtime_us, cfg.channel, &mut ws.busy);
+            true
+        } else {
+            false
+        };
 
-            // Sparse worlds scatter: each transmitter, ascending, folds its
-            // factor into every listening out-neighbour's accumulator, so
-            // each product multiplies the same factors in the same order
-            // as the dense row below. Transmitters hold the packet, so
-            // `!has_packet` also keeps them out.
-            if miss_rows.is_none() && !ws.listening.is_empty() {
+        if listeners > 0 {
+            // Sparse worlds scatter: each transmitter, ascending, folds
+            // its factor into every listening out-neighbour's
+            // accumulator, so each product multiplies the same factors in
+            // the same order as the dense row below.
+            if miss_rows.is_none() {
                 for &t in &ws.transmitters {
                     let (dests, prrs) = compiled.neighbor_slices(t as usize);
                     for (&r, &prr) in dests.iter().zip(prrs) {
                         let ru = r as usize;
-                        if ws.participating[ru] && !ws.has_packet[ru] {
+                        if has_bit(&ws.listen, ru) {
                             ws.miss[ru] *= 1.0 - prr;
+                            set_bit(&mut ws.touched, ru);
                         }
                     }
                 }
             }
 
-            // Draw pass over the eligible receivers, ascending by id.
-            // `listening` excludes every packet holder, so no transmitter
-            // or done node needs filtering out here.
-            let mut received_any = false;
-            for idx in 0..ws.listening.len() {
-                let r = ws.listening[idx];
-                let ru = r as usize;
-                // Dense worlds multiply the listener's factor row over the
-                // ascending transmitter list (immaterial links contribute
-                // exactly 1.0); sparse worlds take the scattered product
-                // and reset the accumulator for the next slot.
-                let miss_all = match miss_rows {
-                    Some(rows) => {
-                        let row = &rows[ru * n..(ru + 1) * n];
-                        let mut miss = 1.0;
-                        for &t in &ws.transmitters {
-                            miss *= row[t as usize];
+            // Draw pass, ascending by id: over every listener in a dense
+            // world, over the touched listeners in a sparse one (an
+            // untouched accumulator is exactly 1.0, which the pass would
+            // skip anyway).
+            for w in 0..words {
+                let mut word = match miss_rows {
+                    Some(_) => ws.listen[w],
+                    None => std::mem::take(&mut ws.touched[w]),
+                };
+                while word != 0 {
+                    let ru = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    // Dense worlds multiply the listener's factor row
+                    // over the ascending transmitter list (immaterial
+                    // links contribute exactly 1.0); sparse worlds take
+                    // the scattered product and reset the accumulator for
+                    // the next slot.
+                    let miss_all = match miss_rows {
+                        Some(rows) => {
+                            let row = &rows[ru * n..(ru + 1) * n];
+                            let mut miss = 1.0;
+                            for &t in &ws.transmitters {
+                                miss *= row[t as usize];
+                            }
+                            miss
                         }
-                        miss
+                        None => std::mem::replace(&mut ws.miss[ru], 1.0),
+                    };
+                    if miss_all == 1.0 {
+                        // No transmitter can reach this receiver: the
+                        // reference computes p = 0.0 here and
+                        // `SimRng::chance(0.0)` consumes no state, so
+                        // skipping both calls is bit-identical.
+                        continue;
                     }
-                    None => std::mem::replace(&mut ws.miss[ru], 1.0),
-                };
-                if miss_all == 1.0 {
-                    // No transmitter can reach this receiver: the
-                    // reference computes p = 0.0 here and
-                    // `SimRng::chance(0.0)` consumes no state, so
-                    // skipping both calls is bit-identical.
-                    continue;
-                }
-                let busy = if idle {
-                    0.0
-                } else if masked {
-                    ws.busy[ru]
-                } else {
-                    interference.busy_fraction(
-                        slot_start,
-                        airtime_us,
-                        cfg.channel,
-                        compiled.positions()[ru],
-                    )
-                };
-                let p = (1.0 - miss_all) * concurrency_factor * (1.0 - busy);
-                if rng.chance(p) {
-                    let ntx = cfg.ntx.for_node(NodeId(r));
-                    ws.has_packet[ru] = true;
-                    ws.first_rx_slot[ru] = slot.min(u8::MAX as usize) as u8;
-                    ws.tx_remaining[ru] = ntx;
-                    received_any = true;
-                    if ntx > 0 {
-                        ws.next_tx_slot[ru] = slot_u32 + 1;
+                    let busy = if idle {
+                        0.0
+                    } else if masked {
+                        ws.busy[ru]
                     } else {
-                        // Passive receiver: radio off right after this slot.
-                        ws.off_after_slot[ru] = slot_u32;
-                        turned_off = true;
+                        interference.busy_fraction(
+                            slot_start,
+                            airtime_us,
+                            cfg.channel,
+                            compiled.positions()[ru],
+                        )
+                    };
+                    let p = (1.0 - miss_all) * concurrency_factor * (1.0 - busy);
+                    if rng.chance(p) {
+                        let ntx = cfg.ntx.for_node(NodeId(ru as u16));
+                        ws.has_packet[ru] = true;
+                        ws.first_rx_slot[ru] = slot.min(u8::MAX as usize) as u8;
+                        ws.tx_remaining[ru] = ntx;
+                        ws.listen[w] &= !(1 << (ru % 64));
+                        listeners -= 1;
+                        if ntx > 0 {
+                            set_bit(&mut ws.ring[next], ru);
+                            pending[next] += 1;
+                        } else {
+                            // Passive receiver: radio off right after
+                            // this slot.
+                            ws.off_after_slot[ru] = slot_u32;
+                        }
                     }
                 }
-            }
-            if received_any {
-                let has_packet = &ws.has_packet;
-                ws.listening.retain(|&r| !has_packet[r as usize]);
             }
         }
 
         // Advance the transmitters' schedules.
-        for k in 0..ws.transmitters.len() {
-            let tu = ws.transmitters[k] as usize;
+        for &t in &ws.transmitters {
+            let tu = t as usize;
             ws.relays[tu] += 1;
             ws.tx_remaining[tu] -= 1;
             if ws.tx_remaining[tu] > 0 {
-                ws.next_tx_slot[tu] = slot_u32 + 2;
+                set_bit(&mut ws.ring[after], tu);
+                pending[after] += 1;
             } else {
-                ws.next_tx_slot[tu] = NONE_U32;
                 ws.off_after_slot[tu] = slot_u32;
-                turned_off = true;
             }
-        }
-        // Compact the active list (order-preserving) once anyone — a
-        // finished transmitter or a passive receiver — switched off.
-        if turned_off {
-            let off = &ws.off_after_slot;
-            ws.active.retain(|&i| off[i as usize] == NONE_U32);
         }
     }
     // lint: hot-end

@@ -10,8 +10,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dimmer_glossy::{FloodSimulator, GlossyConfig, NtxAssignment};
 use dimmer_neural::{Mlp, MlpWorkspace};
 use dimmer_rl::{DqnConfig, DqnTrainer, Transition};
+use dimmer_sim::{kiel_jamming, topogen, CompiledTopology, SimRng, SimTime, Topology};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -123,5 +125,57 @@ fn observe_at_allocates_nothing_after_warm_up() {
     assert_eq!(
         n, 0,
         "DqnTrainer::observe_at at the paper's shape, batch 16"
+    );
+}
+
+/// The allocations of `floods` floods over `world` under the Fig. 5
+/// two-jammer 30 % interference, counted after one warm-up flood. The
+/// floods alternate uniform and per-node `N_TX` (passive receivers
+/// included) and every third one runs under a participation mask.
+fn warm_flood_allocations(world: CompiledTopology, floods: u64) -> u64 {
+    let jam = kiel_jamming(0.30);
+    let n = world.num_nodes();
+    let initiator = world.coordinator();
+    let mut sim = FloodSimulator::new(world, &jam);
+    let per_node = NtxAssignment::PerNode((0..n).map(|i| (i % 4) as u8).collect());
+    let cfgs = [
+        GlossyConfig::with_uniform_ntx(3),
+        GlossyConfig::default().with_ntx(per_node),
+    ];
+    let mask: Vec<bool> = (0..n)
+        .map(|i| i == initiator.index() || i % 5 != 2)
+        .collect();
+    let mut rng = SimRng::seed_from(7);
+    let mut flood = |k: u64| {
+        let cfg = &cfgs[(k % 2) as usize];
+        let start = SimTime::from_millis(k * 37);
+        let out = if k.is_multiple_of(3) {
+            sim.flood_with_participants(cfg, initiator, start, &mut rng, &mask)
+        } else {
+            sim.flood(cfg, initiator, start, &mut rng)
+        };
+        std::hint::black_box(out);
+    };
+    flood(0);
+    allocations_in(|| (1..=floods).for_each(&mut flood))
+}
+
+#[test]
+fn warm_dense_floods_allocate_only_their_outcome() {
+    let world = CompiledTopology::compile(&Topology::kiel_testbed_18(1));
+    assert_eq!(
+        warm_flood_allocations(world, 50),
+        50,
+        "FloodSimulator on the 18-node testbed: one FloodOutcome per flood"
+    );
+}
+
+#[test]
+fn warm_sparse_floods_allocate_only_their_outcome() {
+    let world = topogen::sparse_grid(100, 100, 8.0, 1);
+    assert_eq!(
+        warm_flood_allocations(world, 50),
+        50,
+        "FloodSimulator on the sparse 100 x 100 grid: one FloodOutcome per flood"
     );
 }

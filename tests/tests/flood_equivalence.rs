@@ -10,15 +10,23 @@
 //! radio accounting and durations — with `assert_eq!`, i.e. exact equality
 //! of every `f64`/`u64` field, across topologies, interference models,
 //! `N_TX` assignments and participation masks, plus a property test over
-//! random topologies and seeds.
+//! random topologies and seeds. One more test pins what no outcome shows:
+//! how often the kernel evaluates the compiled interference mask.
 
-use dimmer_glossy::{FloodSimulator, GlossyConfig, NtxAssignment, ReferenceFloodSimulator};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use dimmer_glossy::{
+    FloodOutcome, FloodSimulator, GlossyConfig, NtxAssignment, ReferenceFloodSimulator,
+};
 use dimmer_integration::equivalence::{
     assert_flood_equivalent as assert_equivalent, random_topology,
 };
 use dimmer_sim::{
-    kiel_jamming, InterferenceModel, NoInterference, NodeId, PeriodicJammer, Position,
-    ScheduledInterference, SimDuration, SimRng, SimTime, Topology, WifiInterference, WifiLevel,
+    kiel_jamming, topogen, Channel, CompiledTopology, InterferenceModel, NoInterference, NodeId,
+    PeriodicJammer, Position, ScheduledInterference, SimDuration, SimRng, SimTime,
+    SlotInterference, Topology, WifiInterference, WifiLevel,
 };
 use proptest::prelude::*;
 
@@ -31,6 +39,13 @@ fn kernels_agree_on_every_topology_builder() {
         Topology::random(25, 35.0, 35.0, 5),
         Topology::kiel_testbed_18(6),
         Topology::dcube_48(7),
+        // Multi-hop grids on both sides of the kernel's 64-node bitset
+        // words: 63, 64, 65, 128 and 129 nodes.
+        Topology::grid(7, 9, 8.0, 8),
+        Topology::grid(8, 8, 8.0, 9),
+        Topology::grid(5, 13, 8.0, 10),
+        Topology::grid(8, 16, 8.0, 11),
+        Topology::grid(3, 43, 8.0, 12),
     ];
     for (k, topo) in topos.iter().enumerate() {
         for seed in 0..10u64 {
@@ -188,24 +203,161 @@ fn flood_duration_and_outcome_shape_are_preserved() {
     assert!(out.duration() > SimDuration::ZERO);
 }
 
+/// Forwards every query to `inner` and counts the evaluations of the
+/// compiled mask, in the manner of perfbench's timing decorator.
+#[derive(Debug)]
+struct CountingInterference<'a> {
+    inner: &'a dyn InterferenceModel,
+    calls: Arc<AtomicU64>,
+}
+
+/// The counted mask [`CountingInterference::compile_for`] hands out.
+#[derive(Debug)]
+struct CountingMask {
+    inner: Box<dyn SlotInterference>,
+    calls: Arc<AtomicU64>,
+}
+
+impl InterferenceModel for CountingInterference<'_> {
+    fn busy_fraction(
+        &self,
+        start: SimTime,
+        duration_us: u64,
+        channel: Channel,
+        at: Position,
+    ) -> f64 {
+        self.inner.busy_fraction(start, duration_us, channel, at)
+    }
+
+    fn is_always_idle(&self) -> bool {
+        self.inner.is_always_idle()
+    }
+
+    fn compile_for(&self, positions: &[Position]) -> Option<Box<dyn SlotInterference>> {
+        let calls = Arc::clone(&self.calls);
+        self.inner
+            .compile_for(positions)
+            .map(|inner| Box::new(CountingMask { inner, calls }) as Box<dyn SlotInterference>)
+    }
+}
+
+impl SlotInterference for CountingMask {
+    fn busy_for_slot(
+        &mut self,
+        start: SimTime,
+        duration_us: u64,
+        channel: Channel,
+        out: &mut [f64],
+    ) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.busy_for_slot(start, duration_us, channel, out);
+    }
+
+    fn box_clone(&self) -> Box<dyn SlotInterference> {
+        Box::new(CountingMask {
+            inner: self.inner.box_clone(),
+            calls: Arc::clone(&self.calls),
+        })
+    }
+}
+
+/// How many slots of `out` had a transmitter, read off the outcome alone:
+/// the initiator transmits in slots 0, 2, … and a receiver in
+/// `first_rx_slot + 1`, `+ 3`, …, each `relays` times.
+fn transmitting_slots(out: &FloodOutcome) -> u64 {
+    let mut slots = BTreeSet::new();
+    for (i, node) in out.per_node().iter().enumerate() {
+        let first = match node.first_rx_slot {
+            _ if i == out.initiator().index() => 0,
+            Some(rx) => u32::from(rx) + 1,
+            None => continue,
+        };
+        slots.extend((0..u32::from(node.relays)).map(|k| first + 2 * k));
+    }
+    slots.len() as u64
+}
+
+/// The mask contract: a kernel under a non-idle model evaluates the
+/// compiled mask exactly once in every slot in which some node transmits,
+/// and in no other slot. A kernel that evaluated it lazily would keep every
+/// outcome and digest, so only this count (and perfbench's traced
+/// `slot_calls`) can tell. Dense and sparse worlds, uniform and per-node
+/// `N_TX` with passive receivers, full and masked participation.
+#[test]
+fn kernel_evaluates_the_mask_once_per_transmitting_slot() {
+    let jam = kiel_jamming(0.30);
+    let calls = Arc::new(AtomicU64::new(0));
+    let counting = CountingInterference {
+        inner: &jam,
+        calls: Arc::clone(&calls),
+    };
+    let worlds = [
+        CompiledTopology::compile(&Topology::kiel_testbed_18(1)),
+        CompiledTopology::compile(&Topology::dcube_48(1)),
+        topogen::sparse_grid(12, 12, 8.0, 1),
+    ];
+    for world in worlds {
+        let n = world.num_nodes();
+        let initiator = world.coordinator();
+        let mut sim = FloodSimulator::new(world, &counting);
+        let per_node = NtxAssignment::PerNode((0..n).map(|i| (i * 7 % 5) as u8).collect());
+        let cfgs = [
+            GlossyConfig::with_uniform_ntx(1),
+            GlossyConfig::with_uniform_ntx(3),
+            GlossyConfig::with_uniform_ntx(6),
+            GlossyConfig::default().with_ntx(per_node),
+        ];
+        for (c, cfg) in cfgs.iter().enumerate() {
+            for seed in 0..100u64 {
+                let start = SimTime::from_millis(seed * 11);
+                let mut rng = SimRng::seed_from(seed);
+                calls.store(0, Ordering::Relaxed);
+                let out = if seed.is_multiple_of(2) {
+                    sim.flood(cfg, initiator, start, &mut rng)
+                } else {
+                    let mask: Vec<bool> = (0..n)
+                        .map(|i| {
+                            i == initiator.index()
+                                || (seed.wrapping_mul(0x9E37_79B9) >> (i % 60)) & 3 != 0
+                        })
+                        .collect();
+                    sim.flood_with_participants(cfg, initiator, start, &mut rng, &mask)
+                };
+                assert_eq!(
+                    calls.load(Ordering::Relaxed),
+                    transmitting_slots(&out),
+                    "{n}-node world, config {c}, seed {seed}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The headline property: on random topologies, random seeds, random
-    /// initiators and random N_TX, the optimized kernel and the reference
-    /// produce identical outcomes.
+    /// The headline property: on random topologies of up to four bitset
+    /// words, random seeds, random initiators and random N_TX — uniform, or
+    /// per node with passive receivers — the optimized kernel and the
+    /// reference produce identical outcomes.
     #[test]
     fn prop_kernels_agree_on_random_topologies(
         topo_seed in 0u64..500,
         flood_seed in 0u64..10_000,
-        n in 2usize..30,
+        n in 2usize..200,
         ntx in 0u8..=8,
-        initiator_pick in 0usize..30,
+        initiator_pick in 0usize..200,
         duty_pct in 0u32..=50,
+        per_node: bool,
+        ntx_by_node in proptest::collection::vec(0u8..=8, 200),
     ) {
         let topo = random_topology(n, topo_seed);
         let initiator = NodeId((initiator_pick % n) as u16);
-        let cfg = GlossyConfig::with_uniform_ntx(ntx);
+        let cfg = if per_node {
+            GlossyConfig::default().with_ntx(NtxAssignment::PerNode(ntx_by_node[..n].to_vec()))
+        } else {
+            GlossyConfig::with_uniform_ntx(ntx)
+        };
         let jam;
         let interference: &dyn InterferenceModel = if duty_pct == 0 {
             &NoInterference

@@ -11,8 +11,8 @@
 
 use dimmer_bench::experiments::{
     city_scale_grid, dynamics_grid, fig4b_grid, fig4c_grid, fig5_grid, fig5_seed_sweep_grid,
-    fig6_grid, fig7_grid, protocol_list, table1_grid, topology_size_grid, DCUBE_PROTOCOLS,
-    DYNAMICS_PROTOCOLS, TESTBED_PROTOCOLS,
+    fig6_grid, fig7_grid, grid10k_scale_grid, protocol_list, table1_grid, topology_size_grid,
+    DCUBE_PROTOCOLS, DYNAMICS_PROTOCOLS, TESTBED_PROTOCOLS,
 };
 use dimmer_bench::harness::{RunOptions, ScenarioGrid};
 use dimmer_bench::scenarios::DYNAMIC_SCENARIOS;
@@ -136,6 +136,13 @@ fn city_grid_is_pinned() {
     pin(city_scale_grid(2), 1, GOLDEN_CITY);
 }
 
+#[test]
+fn grid10k_scale_grid_is_pinned() {
+    // The `--quick` shape: six floods per trial over the 10 000-node grid,
+    // fanned across two batch workers.
+    pin(grid10k_scale_grid(6, 2), 2, GOLDEN_GRID10K);
+}
+
 // Golden digests captured from the pre-extraction harness (PR 7 state) at
 // the exact grid configurations above. Do not regenerate casually: a new
 // value here means the scheduler no longer reproduces historical reports.
@@ -158,3 +165,5 @@ const GOLDEN_DYNAMICS: [u64; 4] = [
     0x7f9582e98bda3f0f,
 ];
 const GOLDEN_CITY: u64 = 0x04b516781a5be214;
+/// Captured before the flood kernel's bitset rewrite.
+const GOLDEN_GRID10K: u64 = 0x0e873db94c518f54;

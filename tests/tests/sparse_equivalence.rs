@@ -12,7 +12,7 @@
 //! exactly `1.0`, a bitwise no-op), and `SimRng::chance` consumes no state
 //! for receivers both paths skip.
 
-use dimmer_glossy::{FloodSimulator, GlossyConfig};
+use dimmer_glossy::{FloodSimulator, GlossyConfig, NtxAssignment};
 use dimmer_integration::equivalence::{
     assert_sparse_equals_dense, dense_and_sparse, one_way_twins, random_topology,
 };
@@ -23,24 +23,29 @@ use dimmer_sim::{
 };
 use proptest::prelude::*;
 
-/// The acceptance rung: the 100-node jammed grid, many seeds/initiators.
+/// The acceptance rung: the 100-node jammed grid, many seeds/initiators,
+/// plus multi-hop grids on both sides of the kernel's 64-node bitset words
+/// (63, 64, 65, 128 and 129 nodes).
 #[test]
 fn sparse_matches_dense_on_grid100() {
-    let topo = Topology::grid(10, 10, 8.0, 2);
     let jam = kiel_jamming(0.30);
     let cfg = GlossyConfig::default();
-    for seed in 0..10u64 {
-        let initiator = NodeId(((seed * 37) % 100) as u16);
-        let start = SimTime::from_millis(seed * 13);
-        assert_sparse_equals_dense(
-            dense_and_sparse(&topo),
-            &jam,
-            &cfg,
-            initiator,
-            start,
-            seed,
-            None,
-        );
+    for (rows, cols) in [(10, 10), (7, 9), (8, 8), (5, 13), (8, 16), (3, 43)] {
+        let topo = Topology::grid(rows, cols, 8.0, 2);
+        let n = (rows * cols) as u64;
+        for seed in 0..10u64 {
+            let initiator = NodeId(((seed * 37) % n) as u16);
+            let start = SimTime::from_millis(seed * 13);
+            assert_sparse_equals_dense(
+                dense_and_sparse(&topo),
+                &jam,
+                &cfg,
+                initiator,
+                start,
+                seed,
+                None,
+            );
+        }
     }
 }
 
@@ -74,7 +79,7 @@ fn sparse_matches_dense_with_masks_and_per_node_ntx() {
     let mut per_node = vec![3u8; topo.num_nodes()];
     per_node[5] = 0;
     per_node[14] = 8;
-    let cfg = GlossyConfig::default().with_ntx(dimmer_glossy::NtxAssignment::PerNode(per_node));
+    let cfg = GlossyConfig::default().with_ntx(NtxAssignment::PerNode(per_node));
     for seed in 0..8u64 {
         let mut mask: Vec<bool> = (0..topo.num_nodes())
             .map(|i| (seed.wrapping_mul(0x9E37_79B9) >> (i % 60)) & 1 == 0)
@@ -254,22 +259,25 @@ fn grid10k_single_flood_completes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline property: on random topologies — symmetric, or with
-    /// one-way links — and random seeds, initiators, N_TX, interference
-    /// levels and participation masks, the sparse CSR-only flood is
-    /// byte-identical to the dense path (outcome and RNG stream position —
-    /// the latter asserted inside the runner). Only the one-way worlds
-    /// tell a scatter over `prr(t → r)` from one over `prr(r → t)`.
+    /// The headline property: on random topologies of up to four bitset
+    /// words — symmetric, or with one-way links — and random seeds,
+    /// initiators, N_TX (uniform, or per node with passive receivers),
+    /// interference levels and participation masks, the sparse CSR-only
+    /// flood is byte-identical to the dense path (outcome and RNG stream
+    /// position — the latter asserted inside the runner). Only the one-way
+    /// worlds tell a scatter over `prr(t → r)` from one over `prr(r → t)`.
     #[test]
     fn prop_sparse_equals_dense_on_random_topologies(
         topo_seed in 0u64..300,
         flood_seed in 0u64..10_000,
-        n in 2usize..40,
+        n in 2usize..200,
         ntx in 0u8..=8,
-        initiator_pick in 0usize..40,
+        initiator_pick in 0usize..200,
         duty_pct in 0u32..=50,
         one_way: bool,
         mask_bits: u64,
+        per_node: bool,
+        ntx_by_node in proptest::collection::vec(0u8..=8, 200),
     ) {
         let worlds = if one_way {
             one_way_twins(n, topo_seed)
@@ -277,7 +285,11 @@ proptest! {
             dense_and_sparse(&random_topology(n, topo_seed))
         };
         let initiator = NodeId((initiator_pick % n) as u16);
-        let cfg = GlossyConfig::with_uniform_ntx(ntx);
+        let cfg = if per_node {
+            GlossyConfig::default().with_ntx(NtxAssignment::PerNode(ntx_by_node[..n].to_vec()))
+        } else {
+            GlossyConfig::with_uniform_ntx(ntx)
+        };
         let jam;
         let interference: &dyn InterferenceModel = if duty_pct == 0 {
             &NoInterference
