@@ -17,9 +17,9 @@
 //!
 //! Each trial's seed is derived statelessly from
 //! `(base seed, cell index, trial index)` via [`SimRng::derive_seed`](dimmer_sim::SimRng::derive_seed), and
-//! results are written into pre-allocated slots keyed by job index, so the
-//! aggregated report is **bit-identical regardless of the number of worker
-//! threads** or how the OS schedules them. `--threads` only changes
+//! the workspace's one worker pool hands the results back in job order, so
+//! the aggregated report is **bit-identical regardless of the number of
+//! worker threads** or how the OS schedules them. `--threads` only changes
 //! wall-clock time, never results.
 //!
 //! # Examples
@@ -202,24 +202,27 @@ impl ScenarioGrid {
     /// both run grids through here.
     ///
     /// Job `cell * trials + trial` runs with the stateless seed
-    /// `SimRng::derive_seed(seed, &[cell, trial])` on the shared worker pool
-    /// [`run_indexed_jobs`], which returns results in job order; cells are
-    /// then aggregated in grid order, so the report is byte-identical for
-    /// any `threads`.
+    /// `SimRng::derive_seed(seed, &[cell, trial])` on the workspace's one
+    /// worker pool, [`run_indexed_jobs`], which returns results in job
+    /// order; cells are then aggregated in grid order, so the report is
+    /// byte-identical for any `threads`.
     ///
     /// [`run_indexed_jobs`]: dimmer_sim::workqueue::run_indexed_jobs
     ///
     /// # Panics
     ///
     /// Panics if `opts.trials == 0`, if a trial closure panics, or if the
-    /// trials of one cell disagree on their metric names.
+    /// trials of one cell disagree on their metric names. A panicking trial
+    /// stops the pool: no further trial starts, and the trial's own panic
+    /// is re-raised here.
     pub fn run(&self, opts: &RunOptions) -> GridReport {
         assert!(opts.trials > 0, "need at least one trial per cell");
         let jobs = self.cells.len() * opts.trials;
-        let results = workqueue::run_indexed_jobs(jobs, opts.threads, |job| {
+        let run = |_: &mut (), job: usize| {
             let (cell, trial) = (job / opts.trials, job % opts.trials);
             (self.cells[cell].run)(SimRng::derive_seed(opts.seed, &[cell as u64, trial as u64]))
-        });
+        };
+        let results = workqueue::run_indexed_jobs(jobs, opts.threads, || (), run);
         GridReport {
             grid: self.name.clone(),
             seed: opts.seed,

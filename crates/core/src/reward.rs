@@ -64,6 +64,22 @@ mod tests {
         reward(true, 9, 8, 0.3);
     }
 
+    #[test]
+    #[should_panic(expected = "N_max must be positive")]
+    fn zero_n_max_is_rejected() {
+        reward(true, 0, 0, 0.3);
+    }
+
+    #[test]
+    fn the_energy_weight_scales_the_ntx_penalty() {
+        // C = 0 ignores energy; C = 1 at N_TX = N_max leaves nothing.
+        for ntx in 0..=8 {
+            assert_eq!(reward(true, ntx, 8, 0.0), 1.0);
+        }
+        assert_eq!(reward(true, 8, 8, 1.0), 0.0);
+        assert_eq!(reward(true, 4, 8, 1.0), 0.5);
+    }
+
     proptest! {
         #[test]
         fn prop_reward_bounded(no_losses: bool, ntx in 0u8..=8, c in 0.0f64..1.0) {

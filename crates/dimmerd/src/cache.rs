@@ -223,6 +223,68 @@ mod tests {
     }
 
     #[test]
+    fn a_new_cache_reports_only_its_budget() {
+        assert_eq!(
+            MemoCache::new(123).stats(),
+            MemoStats {
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                entries: 0,
+                bytes: 0,
+                budget_bytes: 123,
+            }
+        );
+    }
+
+    #[test]
+    fn a_large_insert_evicts_as_many_old_entries_as_it_needs() {
+        let mut memo = MemoCache::new(30);
+        for hash in 1..=3 {
+            assert!(memo.insert(hash, 0, report(0, 10)));
+        }
+        assert!(memo.insert(4, 0, report(1, 25)));
+        let s = memo.stats();
+        assert_eq!((s.entries, s.bytes, s.evictions), (1, 25, 3));
+        assert!(
+            memo.get(4, 0).is_some(),
+            "the newest entry is never evicted"
+        );
+    }
+
+    #[test]
+    fn a_recheck_refreshes_recency() {
+        let mut memo = MemoCache::new(25);
+        memo.insert(1, 0, report(0, 10));
+        memo.insert(2, 0, report(1, 10));
+        assert!(memo.recheck(1, 0).is_some());
+        memo.insert(3, 0, report(2, 10));
+        assert!(memo.recheck(1, 0).is_some(), "rechecked entry survives");
+        assert!(memo.recheck(2, 0).is_none(), "LRU entry was evicted");
+    }
+
+    #[test]
+    fn a_report_of_exactly_the_budget_is_stored() {
+        let mut memo = MemoCache::new(10);
+        assert!(memo.insert(1, 0, report(0, 10)));
+        assert!(memo.insert(2, 0, report(1, 10)));
+        let s = memo.stats();
+        assert_eq!((s.entries, s.bytes, s.evictions), (1, 10, 1));
+        assert_eq!(memo.get(2, 0).as_deref(), Some("bbbbbbbbbb"));
+    }
+
+    #[test]
+    fn growing_an_entry_in_place_evicts_the_others_first() {
+        let mut memo = MemoCache::new(30);
+        memo.insert(1, 0, report(0, 10));
+        memo.insert(2, 0, report(1, 10));
+        memo.insert(1, 0, report(2, 25));
+        let s = memo.stats();
+        assert_eq!((s.entries, s.bytes, s.evictions), (1, 25, 1));
+        assert_eq!(memo.get(1, 0).map(|r| r.len()), Some(25));
+    }
+
+    #[test]
     fn reinserting_a_key_replaces_its_bytes() {
         let mut memo = MemoCache::new(100);
         memo.insert(1, 0, report(0, 10));

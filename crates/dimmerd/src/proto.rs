@@ -169,6 +169,58 @@ mod tests {
     }
 
     #[test]
+    fn a_request_needs_a_string_cmd() {
+        for bad in ["{}", r#"{"cmd":7}"#, r#"["status"]"#] {
+            let error = parse_request(bad).unwrap_err();
+            assert!(error.contains("\"cmd\""), "{bad}: {error}");
+        }
+        assert_eq!(
+            parse_request(r#"{"cmd":"flood"}"#),
+            Err("unknown cmd 'flood' (commands: submit, status, result, stats, shutdown)".into())
+        );
+    }
+
+    #[test]
+    fn job_ids_are_exact_non_negative_integers() {
+        assert_eq!(
+            parse_request(r#"{"cmd":"status","job":18446744073709551615}"#),
+            Ok(Request::Status { job: u64::MAX })
+        );
+        for bad in [
+            r#"{"cmd":"result","job":1.5}"#,
+            r#"{"cmd":"result","job":"7"}"#,
+            r#"{"cmd":"status","job":null}"#,
+        ] {
+            assert!(parse_request(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn replies_put_ok_first() {
+        assert_eq!(ok_reply(vec![]), r#"{"ok":true}"#);
+        assert_eq!(
+            ok_reply(vec![
+                ("job".to_string(), Json::Int(3)),
+                ("state".to_string(), Json::Str("queued".to_string())),
+            ]),
+            r#"{"ok":true,"job":3,"state":"queued"}"#
+        );
+        assert_eq!(
+            error_reply("bad \"spec\"\n"),
+            r#"{"ok":false,"error":"bad \"spec\"\n"}"#
+        );
+    }
+
+    #[test]
+    fn a_result_reply_parses_back_to_the_report_bytes() {
+        let report = "{\n  \"grid\": \"fig5\",\n  \"rows\": [1, 2]\n}\n";
+        let reply = json::parse(&result_reply(9, report)).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(reply.get("job"), Some(&Json::Int(9)));
+        assert_eq!(reply.get("report").and_then(Json::as_str), Some(report));
+    }
+
+    #[test]
     fn command_list_matches_the_parser() {
         for cmd in COMMANDS {
             let line = match *cmd {

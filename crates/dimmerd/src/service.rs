@@ -471,6 +471,7 @@ impl Daemon {
 mod tests {
     use super::*;
     use crate::json;
+    use dimmer_bench::harness::ScenarioGrid;
 
     fn daemon(queue_limit: usize) -> Daemon {
         daemon_with_budget(queue_limit, 16 * 1024 * 1024)
@@ -755,26 +756,38 @@ mod tests {
         let d = daemon(4);
         let doomed = submit_seed(&d, 13);
         let next = submit_seed(&d, 14);
+        let doomed_trial = submit_seed(&d, 15);
         d.handle_line(r#"{"cmd":"shutdown"}"#);
         // Drain on this thread: if the panic escaped the job, it would
         // escape this call and fail the test.
-        d.run_executor(|spec| {
-            if spec.resolved_seed() == Ok(13) {
-                panic!("grid exploded");
+        d.run_executor(|spec| match spec.resolved_seed() {
+            Ok(13) => panic!("grid exploded"),
+            Ok(15) => {
+                // The panic happens in a trial, on a worker of the pool.
+                let mut grid = ScenarioGrid::new("doomed");
+                grid.push_cell("cell", Vec::new(), |_| panic!("trial exploded"));
+                grid.run(&RunOptions {
+                    trials: 8,
+                    threads: 2,
+                    seed: 15,
+                });
+                Ok((0, 15))
             }
-            d.run_spec(spec)
+            _ => d.run_spec(spec),
         });
-        let status = status_of(&d, doomed);
-        assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
-        assert_eq!(
-            error_of(&result_of(&d, doomed)),
-            Some("job failed: job panicked: grid exploded")
-        );
+        for (job, message) in [(doomed, "grid exploded"), (doomed_trial, "trial exploded")] {
+            let status = status_of(&d, job);
+            assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
+            assert_eq!(
+                error_of(&result_of(&d, job)),
+                Some(format!("job failed: job panicked: {message}").as_str())
+            );
+        }
         assert_eq!(result_of(&d, next).get("ok"), Some(&Json::Bool(true)));
         assert_eq!(d.lock().running, 0);
-        assert!(d.is_stopped(), "the executor drained after the panic");
+        assert!(d.is_stopped(), "the executor drained after the panics");
         let stats = submit_line(&d, r#"{"cmd":"stats"}"#);
         let count = |key: &str| stats.get(key).and_then(Json::as_u64);
-        assert_eq!((count("completed"), count("failed")), (Some(1), Some(1)));
+        assert_eq!((count("completed"), count("failed")), (Some(1), Some(2)));
     }
 }

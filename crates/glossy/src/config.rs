@@ -206,6 +206,18 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_per_node_assignment_has_max_ntx_zero() {
+        assert_eq!(NtxAssignment::PerNode(vec![]).max_ntx(), 0);
+        assert_eq!(NtxAssignment::default(), NtxAssignment::Uniform(3));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_per_node_assignment_has_no_entry_past_its_nodes() {
+        NtxAssignment::PerNode(vec![1, 2, 3]).for_node(NodeId(3));
+    }
+
+    #[test]
     fn builders_compose() {
         let cfg = GlossyConfig::with_uniform_ntx(6)
             .with_channel(Channel::new(15).unwrap())

@@ -72,7 +72,7 @@
 use crate::batch::FloodJob;
 use crate::config::GlossyConfig;
 use crate::outcome::{FloodOutcome, NodeFloodOutcome};
-use dimmer_sim::workqueue::run_indexed_jobs_with;
+use dimmer_sim::workqueue::run_indexed_jobs;
 use dimmer_sim::{
     CompiledTopology, InterferenceModel, NodeId, RadioAccounting, RadioState, SimRng, SimTime,
     SlotInterference, WorldEvent,
@@ -423,10 +423,10 @@ impl<'a> FloodSimulator<'a> {
     ///   observes another flood's scratch mutations (the bank contract —
     ///   `busy_for_slot` is a pure function of the slot arguments — makes a
     ///   clone indistinguishable from the serial path's reused evaluator);
-    /// * every job seeds its own [`SimRng`] stream from `job.seed` and
-    ///   writes its [`FloodOutcome`] into a pre-assigned slot of the shared
-    ///   work queue ([`dimmer_sim::workqueue`]), so neither the OS schedule
-    ///   nor the worker count can leak into the results.
+    /// * every job seeds its own [`SimRng`] stream from `job.seed`, and the
+    ///   workspace's one worker pool ([`dimmer_sim::workqueue`]) returns the
+    ///   [`FloodOutcome`]s in job order, so neither the OS schedule nor the
+    ///   worker count can leak into the results.
     ///
     /// `threads <= 1` (or a single job) falls back to the serial
     /// [`run`](Self::run), reusing the simulator's own workspace.
@@ -455,7 +455,7 @@ impl<'a> FloodSimulator<'a> {
         let interference = self.interference;
         let alive = self.alive.as_deref();
         let bank = self.slot_interference.as_ref();
-        run_indexed_jobs_with(
+        run_indexed_jobs(
             jobs.len(),
             threads,
             // Once per worker: a private workspace and a pristine bank clone.

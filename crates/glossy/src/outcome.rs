@@ -178,6 +178,51 @@ mod tests {
     }
 
     #[test]
+    fn accessors_expose_the_assembled_flood() {
+        let out = outcome_with(&[false, true, false]);
+        assert_eq!(out.initiator(), NodeId(0));
+        assert_eq!(out.per_node().len(), 3);
+        assert_eq!(out.node(NodeId(1)).first_rx_slot, Some(1));
+        assert_eq!(out.duration(), SimDuration::from_millis(20));
+    }
+
+    #[test]
+    fn reach_counts_every_receiver_plus_the_initiator() {
+        let out = outcome_with(&[false, true, true, false]);
+        assert_eq!(out.reach_count(), 3);
+        assert_eq!(out.reliability(), 0.75);
+        assert!(out.received(NodeId(2)));
+        assert!(!out.received(NodeId(3)));
+        // An initiator marked as a receiver is counted once.
+        assert_eq!(outcome_with(&[true, true]).reach_count(), 2);
+    }
+
+    #[test]
+    fn mean_radio_on_is_zero_without_participants() {
+        let per_node = vec![NodeFloodOutcome::not_participating(); 3];
+        let out = FloodOutcome::new(NodeId(1), per_node, SimDuration::from_millis(20));
+        assert_eq!(out.mean_radio_on(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn mean_radio_on_counts_transmit_time_and_truncates() {
+        let mut a = NodeFloodOutcome {
+            participated: true,
+            ..Default::default()
+        };
+        a.radio.record(RadioState::Tx, SimDuration::from_micros(1));
+        let mut b = NodeFloodOutcome {
+            participated: true,
+            ..Default::default()
+        };
+        b.radio.record(RadioState::Rx, SimDuration::from_micros(1));
+        b.radio.record(RadioState::Tx, SimDuration::from_micros(1));
+        let out = FloodOutcome::new(NodeId(0), vec![a, b], SimDuration::from_millis(20));
+        // (1 + 2) µs over two participants.
+        assert_eq!(out.mean_radio_on(), SimDuration::from_micros(1));
+    }
+
+    #[test]
     #[should_panic(expected = "initiator must be covered")]
     fn outcome_rejects_out_of_range_initiator() {
         FloodOutcome::new(

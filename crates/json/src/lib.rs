@@ -482,6 +482,10 @@ mod tests {
         assert_eq!(parse(" true "), Ok(Json::Bool(true)));
         assert_eq!(parse("-1.5e2"), Ok(Json::Num(-150.0)));
         assert_eq!(parse(r#""a\"b\nA""#), Ok(Json::Str("a\"b\nA".into())));
+        assert_eq!(
+            parse(r#""\/\b\f\r\t\\\u00e9\u00C9""#),
+            Ok(Json::Str("/\u{8}\u{c}\r\t\\éÉ".into()))
+        );
         assert_eq!(parse("[]"), Ok(Json::Arr(vec![])));
         assert_eq!(parse("{}"), Ok(Json::Obj(vec![])));
     }
@@ -515,9 +519,128 @@ mod tests {
             "\"\\q\"",
             "01a",
             r#""\ud83d""#,
+            // Numbers outside JSON's grammar.
+            "+1",
+            ".5",
+            "-",
+            "--1",
+            "1.2.3",
+            "1e",
+            "-inf",
+            "NaN",
+            "Infinity",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn only_bare_digits_that_fit_a_u64_stay_integers() {
+        assert_eq!(parse("7"), Ok(Json::Int(7)));
+        assert_eq!(parse("0"), Ok(Json::Int(0)));
+        assert_eq!(parse("7.0"), Ok(Json::Num(7.0)));
+        assert_eq!(parse("1e3"), Ok(Json::Num(1000.0)));
+        assert_eq!(parse("-7"), Ok(Json::Num(-7.0)));
+        // One past u64::MAX no longer fits, so it becomes a float.
+        assert_eq!(
+            parse("18446744073709551616"),
+            Ok(Json::Num(18446744073709551616.0))
+        );
+        let Ok(Json::Num(negative_zero)) = parse("-0") else {
+            panic!("-0 is a float");
+        };
+        assert!(negative_zero == 0.0 && negative_zero.is_sign_negative());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(x).to_string(), "null");
+        }
+        let v = Json::Arr(vec![Json::Num(1.5), Json::Num(f64::NAN)]);
+        assert_eq!(v.to_string(), "[1.5,null]");
+        assert_eq!(
+            parse(&v.to_string()),
+            Ok(Json::Arr(vec![Json::Num(1.5), Json::Null]))
+        );
+    }
+
+    #[test]
+    fn other_control_characters_escape_as_unicode() {
+        let mut out = String::new();
+        escape_into("\u{0}\u{8}\u{c}\u{1f} \u{7f}", &mut out);
+        // Only characters below 0x20 are escaped; DEL passes through.
+        assert_eq!(out, "\\u0000\\u0008\\u000c\\u001f \u{7f}");
+        let v = Json::Str("\u{0}\u{8}\u{c}\u{1f} \u{7f}".to_string());
+        assert_eq!(parse(&v.to_string()), Ok(v));
+    }
+
+    #[test]
+    fn rejects_broken_unicode_escapes() {
+        for (bad, error) in [
+            (r#""\ud83dx""#, "lone high surrogate"),
+            (r#""\ud83d\u0041""#, "invalid low surrogate"),
+            (r#""\ude00""#, "invalid \\u escape"),
+            (r#""\uzzzz""#, "invalid \\u escape"),
+            (r#""\u12""#, "truncated \\u escape"),
+            ("\"\\", "unterminated escape"),
+        ] {
+            assert_eq!(parse(bad), Err(error.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn errors_name_the_offset_where_parsing_stopped() {
+        for (bad, error) in [
+            ("", "unexpected end of input"),
+            ("@", "unexpected '@' at offset 0"),
+            ("nul", "invalid literal at offset 0"),
+            ("[1 2]", "expected ',' or ']' at offset 3"),
+            (r#"{"a" 1}"#, "expected ':' at offset 5"),
+            (r#"{"a":1 "b":2}"#, "expected ',' or '}' at offset 7"),
+            ("[1] x", "trailing bytes at offset 4"),
+        ] {
+            assert_eq!(parse(bad), Err(error.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_text_is_written_unescaped() {
+        let v = Json::Obj(vec![(
+            "ключ \"k\"".to_string(),
+            Json::Str("é – 😀".to_string()),
+        )]);
+        assert_eq!(v.to_string(), "{\"ключ \\\"k\\\"\":\"é – 😀\"}");
+        assert_eq!(parse(&v.to_string()), Ok(v));
+    }
+
+    #[test]
+    fn whitespace_between_tokens_is_ignored() {
+        let v = parse(" \t\r\n{ \"a\" : [ 1 , 2 ] ,\n\"b\" : null } \n").unwrap();
+        assert_eq!(v.to_string(), r#"{"a":[1,2],"b":null}"#);
+        // A form feed is not JSON whitespace.
+        assert!(parse("\u{c}1").is_err());
+    }
+
+    #[test]
+    fn accessors_return_none_for_other_kinds() {
+        assert_eq!(Json::Int(1).as_str(), None);
+        assert_eq!(Json::Num(1.0).as_u64(), None);
+        assert_eq!(Json::Str("1".into()).as_f64(), None);
+        assert_eq!(Json::Null.as_bool(), None);
+        assert_eq!(Json::Bool(false).as_bool(), Some(false));
+        assert_eq!(Json::Obj(vec![]).as_arr(), None);
+        assert_eq!(
+            Json::Arr(vec![Json::Null]).as_arr(),
+            Some(&[Json::Null][..])
+        );
+    }
+
+    #[test]
+    fn duplicate_keys_are_kept_and_get_finds_the_first() {
+        let v = parse(r#"{"a":1,"a":2}"#).unwrap();
+        assert_eq!(v.get("a"), Some(&Json::Int(1)));
+        assert_eq!(v.to_string(), r#"{"a":1,"a":2}"#);
     }
 
     #[test]
@@ -617,6 +740,7 @@ mod tests {
     }
 
     proptest! {
+        #[test]
         fn display_then_parse_is_the_identity(v in AnyJson { depth: 3 }) {
             prop_assert_eq!(parse(&v.to_string()), Ok(v));
         }

@@ -118,6 +118,13 @@ mod tests {
     }
 
     #[test]
+    fn round_duration_counts_the_control_slot_and_every_gap() {
+        let cfg = LwbConfig::testbed_default();
+        assert_eq!(cfg.round_duration(0), SimDuration::from_millis(21));
+        assert_eq!(cfg.round_duration(18), SimDuration::from_millis(19 * 21));
+    }
+
+    #[test]
     fn builders_update_fields() {
         let cfg = LwbConfig::testbed_default()
             .with_channel_hopping(true)

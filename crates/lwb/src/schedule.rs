@@ -93,6 +93,21 @@ mod tests {
         assert_eq!(s.slots(), &[NodeId(0), NodeId(1), NodeId(4)]);
     }
 
+    #[test]
+    fn a_round_without_sources_has_no_data_slots() {
+        let s = Schedule::new(2, vec![], NtxAssignment::Uniform(3));
+        assert_eq!(s.num_data_slots(), 0);
+        assert!(s.slots().is_empty());
+    }
+
+    #[test]
+    fn a_per_node_assignment_travels_unchanged() {
+        let ntx = NtxAssignment::PerNode(vec![0, 3, 1]);
+        let s = Schedule::new(9, vec![NodeId(2), NodeId(0)], ntx.clone());
+        assert_eq!(s.ntx(), &ntx);
+        assert_eq!(s.ntx().for_node(NodeId(1)), 3);
+    }
+
     proptest! {
         #[test]
         fn prop_every_source_gets_exactly_one_slot(ids in proptest::collection::vec(0u16..64, 0..40)) {

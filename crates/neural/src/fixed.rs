@@ -89,6 +89,29 @@ mod tests {
         assert_eq!(fixed_relu(0), 0);
     }
 
+    #[test]
+    fn to_fixed_rounds_halves_away_from_zero() {
+        assert_eq!(to_fixed(0.125), 13);
+        assert_eq!(to_fixed(-0.125), -13);
+        assert_eq!(from_fixed(-250), -2.5);
+        assert_eq!(from_fixed(SCALE), 1.0);
+    }
+
+    #[test]
+    fn fixed_mul_truncates_toward_zero() {
+        // 1.5 · ±0.33 = ±0.495, which keeps 0.49 of either sign.
+        assert_eq!(fixed_mul(150, 33), 49);
+        assert_eq!(fixed_mul(150, -33), -49);
+        assert_eq!(fixed_mul(-150, -33), 49);
+    }
+
+    #[test]
+    fn fixed_mul_does_not_overflow_in_the_product() {
+        // 1000.0 · 1000.0: the raw product 10^10 exceeds i32.
+        assert_eq!(fixed_mul(100_000, 100_000), 100_000_000);
+        assert_eq!(fixed_mul(-100_000, 100_000), -100_000_000);
+    }
+
     proptest! {
         #[test]
         fn prop_roundtrip_error_bounded(x in -300.0f32..300.0) {

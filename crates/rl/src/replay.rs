@@ -148,6 +148,59 @@ mod tests {
     }
 
     #[test]
+    fn a_full_buffer_evicts_the_oldest_transition_first() {
+        let mut buf = ReplayBuffer::new(3);
+        let rewards = |buf: &ReplayBuffer| buf.entries.iter().map(|e| e.reward).collect::<Vec<_>>();
+        for i in 0..7 {
+            buf.push(t(i as f32));
+        }
+        assert_eq!(rewards(&buf), vec![6.0, 4.0, 5.0]);
+        buf.push(t(7.0));
+        assert_eq!(rewards(&buf), vec![6.0, 7.0, 5.0], "4 was the oldest");
+    }
+
+    #[test]
+    fn a_sample_draws_one_index_per_item_taken() {
+        let mut buf = ReplayBuffer::new(8);
+        for i in 0..5 {
+            buf.push(t(i as f32));
+        }
+        let mut lazy = StdRng::seed_from_u64(3);
+        assert_eq!(buf.sample(10, &mut lazy).take(2).count(), 2);
+        let mut manual = StdRng::seed_from_u64(3);
+        for _ in 0..2 {
+            manual.gen_range(0..5usize);
+        }
+        assert_eq!(lazy.gen::<u64>(), manual.gen::<u64>());
+    }
+
+    #[test]
+    fn sampling_is_seeded_and_reaches_every_entry() {
+        let mut buf = ReplayBuffer::new(4);
+        for i in 0..4 {
+            buf.push(t(i as f32));
+        }
+        let draw = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            buf.sample(200, &mut rng)
+                .map(|e| e.reward)
+                .collect::<Vec<_>>()
+        };
+        let rewards = draw(5);
+        assert_eq!(rewards, draw(5));
+        for v in 0..4 {
+            assert!(rewards.contains(&(v as f32)), "entry {v} never drawn");
+        }
+    }
+
+    #[test]
+    fn a_huge_capacity_is_not_allocated_up_front() {
+        let buf = ReplayBuffer::new(10_000_000);
+        assert_eq!(buf.capacity(), 10_000_000);
+        assert!(buf.entries.capacity() <= 4096);
+    }
+
+    #[test]
     #[should_panic(expected = "positive capacity")]
     fn zero_capacity_is_rejected() {
         ReplayBuffer::new(0);

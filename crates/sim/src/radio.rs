@@ -243,6 +243,39 @@ mod tests {
         assert_eq!(a.on_time(), SimDuration::from_millis(3));
     }
 
+    #[test]
+    fn energy_uses_the_cc2420_currents_at_three_volts() {
+        let mut rx = RadioAccounting::new();
+        rx.record(RadioState::Rx, SimDuration::from_secs(1));
+        assert!((rx.energy_joules() - 18.8e-3 * 3.0).abs() < 1e-12);
+        let mut tx = RadioAccounting::new();
+        tx.record(RadioState::Tx, SimDuration::from_secs(1));
+        assert!((tx.energy_joules() - 17.4e-3 * 3.0).abs() < 1e-12);
+        assert_eq!(RadioAccounting::new().energy_joules(), 0.0);
+    }
+
+    #[test]
+    fn channels_list_and_display_in_ascending_order() {
+        let all: Vec<Channel> = Channel::all().collect();
+        assert_eq!(all.first(), Channel::new(11).as_ref());
+        assert_eq!(all.last(), Some(&Channel::CONTROL));
+        assert!(
+            all.windows(2)
+                .all(|w| w[0] < w[1]
+                    && w[1].center_frequency_mhz() - w[0].center_frequency_mhz() == 5)
+        );
+        assert_eq!(Channel::CONTROL.to_string(), "ch26");
+    }
+
+    #[test]
+    fn only_channels_15_20_25_and_26_miss_wifi_1_6_and_11() {
+        let clear: Vec<u8> = Channel::all()
+            .filter(|c| [1, 6, 11].iter().all(|&w| !c.overlaps_wifi(w)))
+            .map(Channel::index)
+            .collect();
+        assert_eq!(clear, vec![15, 20, 25, 26]);
+    }
+
     proptest! {
         #[test]
         fn prop_on_time_never_exceeds_recorded_total(intervals in proptest::collection::vec((0u8..3, 0u64..10_000), 0..50)) {

@@ -252,6 +252,16 @@ mod tests {
             SimDuration::from_micros(1_500)
         );
         assert_eq!(SimDuration::from_millis_f64(0.0), SimDuration::ZERO);
+        // Rounded to the nearest microsecond.
+        assert_eq!(SimDuration::from_millis_f64(0.0004), SimDuration::ZERO);
+        assert_eq!(
+            SimDuration::from_millis_f64(0.0006),
+            SimDuration::from_micros(1)
+        );
+        assert_eq!(
+            SimDuration::from_millis_f64(2.0004),
+            SimDuration::from_micros(2_000)
+        );
     }
 
     #[test]
@@ -266,6 +276,12 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_millis(13)), "13.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(4)), "4.000s");
         assert_eq!(format!("{}", SimTime::from_secs(4)), "4.000s");
+        // The unit switches at whole milliseconds and whole seconds.
+        assert_eq!(SimDuration::from_micros(999).to_string(), "999us");
+        assert_eq!(SimDuration::from_micros(1_000).to_string(), "1.000ms");
+        assert_eq!(SimDuration::from_micros(999_999).to_string(), "999.999ms");
+        assert_eq!(SimDuration::from_micros(1_000_000).to_string(), "1.000s");
+        assert_eq!(SimTime::from_millis(1_250).to_string(), "1.250s");
     }
 
     #[test]
@@ -276,6 +292,47 @@ mod tests {
         assert_eq!(a.max(b), b);
         assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
         assert_eq!(b.saturating_sub(a), SimDuration::from_millis(2));
+    }
+
+    #[test]
+    fn fractional_accessors_convert_microseconds() {
+        assert_eq!(SimTime::from_micros(1_500).as_millis_f64(), 1.5);
+        assert_eq!(SimTime::from_millis(2_500).as_secs_f64(), 2.5);
+        assert_eq!(SimDuration::from_micros(250).as_millis_f64(), 0.25);
+        assert_eq!(SimDuration::from_micros(2_500_000).as_secs_f64(), 2.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn non_finite_duration_panics() {
+        let _ = SimDuration::from_millis_f64(f64::NAN);
+    }
+
+    #[test]
+    fn in_place_and_scalar_operators_agree_with_microseconds() {
+        let mut t = SimTime::ZERO;
+        t += SimDuration::from_millis(3);
+        assert_eq!(
+            t - SimDuration::from_micros(500),
+            SimTime::from_micros(2_500)
+        );
+        let mut d = SimDuration::from_micros(10);
+        d -= SimDuration::from_micros(4);
+        assert_eq!(d, SimDuration::from_micros(6));
+        // Division truncates to whole microseconds.
+        assert_eq!(
+            SimDuration::from_micros(10) / 3,
+            SimDuration::from_micros(3)
+        );
+        assert_eq!(SimDuration::from_micros(2) + d, SimDuration::from_micros(8));
+    }
+
+    #[test]
+    fn defaults_are_zero_and_ordering_follows_microseconds() {
+        assert_eq!(SimTime::default(), SimTime::ZERO);
+        assert_eq!(SimDuration::default(), SimDuration::ZERO);
+        assert!(SimTime::from_micros(999) < SimTime::from_millis(1));
+        assert!(SimDuration::from_secs(1) > SimDuration::from_millis(999));
     }
 
     proptest! {

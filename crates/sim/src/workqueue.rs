@@ -1,145 +1,85 @@
-//! Deterministic scoped worker pool: the atomic-cursor work queue shared
-//! by every parallel layer of the workspace.
+//! Deterministic scoped worker pool: the one pool every parallel layer of
+//! the workspace runs on.
 //!
-//! Every parallel layer calls it directly — flood-level parallelism
-//! ([`FloodSimulator::run_parallel`]) and trial-level parallelism (the
-//! bench harness, and through it every grid `dimmerd` serves) through
-//! [`run_indexed_jobs`], the training farm's episode rollouts
-//! (`dimmer_rl::farm`) through [`stream_indexed_jobs`] — so they share one
-//! implementation with one determinism argument:
+//! Grid trials (the bench harness, and through it every grid `dimmerd`
+//! serves) and batched floods ([`FloodSimulator::run_parallel`]) collect
+//! their results with [`run_indexed_jobs`]; the training farm's episode
+//! rollouts (`dimmer_rl::farm`) take theirs one at a time with
+//! [`stream_indexed_jobs`]. Both run the same ordered stream, with one
+//! determinism argument:
 //!
-//! 1. **Dynamic distribution, static placement** — jobs are handed to
-//!    workers through a shared cursor (long and short jobs share the pool
-//!    efficiently), but every result is written into its pre-assigned slot
-//!    `i`, so the returned vector is in job order no matter how the OS
-//!    schedules the workers.
-//! 2. **No shared mutable job state** — the job closure receives only its
-//!    index (and, in the [`run_indexed_jobs_with`] variant, a private
-//!    per-worker scratch state built by `init`). Anything the jobs read is
-//!    shared by `&`, so a job's output is a pure function of its index.
+//! 1. **Dynamic distribution, ordered delivery.** Workers claim jobs
+//!    `0, 1, 2, …` in order from a shared cursor, so long and short jobs
+//!    share the pool, but claim job `i` only while `i < consumed + window`.
+//!    A finished result waits in slot `i % window` of a ring until the
+//!    consumer on the calling thread takes it, in job order.
+//! 2. **No shared mutable job state.** A job receives only its index and a
+//!    private per-worker scratch state built once by `init`; anything else
+//!    it reads is shared by `&`, so its output is a pure function of its
+//!    index.
+//! 3. **Stopping in job order.** The stopping rule `more` is asked of the
+//!    results in job order.
 //!
-//! Together these make the output byte-identical for every thread count:
-//! parallelism is pure prefetch.
+//! So what is consumed depends neither on the thread count, nor on the
+//! window, nor on the OS schedule. Those only decide how far ahead the
+//! workers run, and how many speculative jobs past the end are dropped
+//! unseen: parallelism is pure prefetch.
 //!
-//! [`stream_indexed_jobs`] is the same pool as an ordered stream: its
-//! results reach a consumer on the calling thread one at a time, in job
-//! order, while the workers run ahead by at most a fixed window of jobs.
-//! The argument carries over unchanged. A result is a pure function of its
-//! index, and both the stopping rule (`more`) and the consumer see the
-//! results in index order, so what is consumed depends neither on the
-//! thread count, nor on the window, nor on the OS schedule. Those only
-//! decide how far ahead the workers run, and how many speculative jobs
-//! past the end are dropped unseen.
+//! One failure contract holds too: the first panic, in `init`, a job,
+//! `more` or the consumer, stops the stream. No worker claims another job,
+//! and the calling thread re-raises the panic with its own payload once
+//! every worker has stopped.
 //!
 //! [`FloodSimulator::run_parallel`]: https://docs.rs/dimmer-glossy
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Fans `jobs` indexed jobs out across `threads` workers and returns the
-/// results **in job order**.
+/// Fans jobs `0..jobs` out across `threads` workers (at least one, at most
+/// `jobs`) and returns the results **in job order**.
 ///
-/// `threads` is clamped to `1..=jobs`; `threads == 0` runs one worker.
-/// With `jobs == 0` the result is empty and no thread is spawned beyond
-/// the (immediately exiting) pool.
+/// Each worker first builds a private scratch state with `init` (`|| ()`
+/// for none) and threads it through its jobs: batched floods build a
+/// `FloodWorkspace` and a clone of the interference bank there, so the
+/// per-job hot path allocates nothing. Results do not depend on which
+/// worker ran which job. The window spans every job, so a slow job never
+/// stalls the others.
 ///
 /// # Panics
 ///
-/// Panics if a job closure panics (the poisoned result store propagates).
+/// If `init` or a job panics, no worker claims another job, and the panic
+/// is re-raised here with its own payload once every worker has stopped.
 ///
 /// # Examples
 ///
 /// ```
 /// use dimmer_sim::workqueue::run_indexed_jobs;
 /// for threads in [1, 2, 8] {
-///     let out = run_indexed_jobs(5, threads, |i| i * i);
+///     // Each worker counts its own jobs; the outputs stay job-ordered.
+///     let out = run_indexed_jobs(5, threads, || 0usize, |count, i| {
+///         *count += 1;
+///         i * i
+///     });
 ///     assert_eq!(out, vec![0, 1, 4, 9, 16]);
 /// }
 /// ```
-pub fn run_indexed_jobs<R, F>(jobs: usize, threads: usize, run: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    run_indexed_jobs_with(jobs, threads, || (), |_, i| run(i))
-}
-
-/// Like [`run_indexed_jobs`], but each worker first builds a private
-/// scratch state with `init` and threads it through its jobs.
-///
-/// This is the variant batched floods use: `init` clones the pristine
-/// interference bank and allocates a private `FloodWorkspace` once per
-/// worker, so the per-job hot path allocates nothing and no worker ever
-/// observes another worker's mutations. Because each job still consumes
-/// only its own index and seed, the per-worker state is scratch only —
-/// results remain independent of which worker ran which job.
-///
-/// # Panics
-///
-/// Panics if `init` or a job closure panics (the poisoned result store
-/// propagates).
-///
-/// # Examples
-///
-/// ```
-/// use dimmer_sim::workqueue::run_indexed_jobs_with;
-/// // Each worker owns a private accumulator; outputs stay job-ordered.
-/// let out = run_indexed_jobs_with(4, 2, || 10usize, |acc, i| { *acc += i; i * 2 });
-/// assert_eq!(out, vec![0, 2, 4, 6]);
-/// ```
-pub fn run_indexed_jobs_with<S, R, I, F>(jobs: usize, threads: usize, init: I, run: F) -> Vec<R>
+pub fn run_indexed_jobs<S, R, I, F>(jobs: usize, threads: usize, init: I, run: F) -> Vec<R>
 where
     R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(jobs, || None);
-    let results = Mutex::new(slots);
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.max(1).min(jobs.max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                // The shared job loop is a hot region: nothing in here may
-                // allocate — per-worker state is built once by `init`.
-                // lint: hot-begin
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs {
-                        break;
-                    }
-                    let result = run(&mut state, i);
-                    // lint: allow(P001) -- poisoned only if a job panicked; propagating is correct
-                    results.lock().expect("result store poisoned")[i] = Some(result);
-                }
-                // lint: hot-end
-            });
-        }
-    });
-
-    // lint: allow(P001) -- poisoned only if a job panicked; propagating is correct
-    let results = results.into_inner().expect("result store poisoned");
+    let mut results = Vec::with_capacity(jobs);
+    let collect = |result| results.push(result);
+    run_stream(jobs, threads, jobs, init, run, |_| true, collect);
     results
-        .into_iter()
-        .map(|slot| {
-            // lint: allow(P001) -- the scope joins every worker, so all slots are filled
-            slot.expect("every job slot is filled after the scope joins")
-        })
-        .collect()
 }
 
 /// Runs indexed jobs on `threads` workers and hands their results, **in
 /// job order**, to `consume` on the calling thread, until `more` says the
 /// stream is over.
 ///
-/// Jobs `0, 1, 2, …` are claimed in order from a shared cursor, but only
-/// while job `i < consumed + window`, where `consumed` counts the results
-/// already handed to `consume`: at most `window` results are ever
-/// running or waiting, so memory is bounded. A finished result waits in
-/// slot `i % window` of a ring allocated once.
+/// At most `window` results are ever running or waiting, so memory is
+/// bounded (see the module docs).
 ///
 /// `more(&result)` is asked of each result in job order, as soon as it and
 /// every earlier job have finished. After the first `false`, no later job
@@ -150,15 +90,13 @@ where
 ///
 /// `threads` and `window` are clamped to at least 1, and the workers to at
 /// most `window`. Neither changes which results `consume` sees or in which
-/// order (see the module docs); they only set how far the workers run
-/// ahead of the consumer.
+/// order; they only set how far the workers run ahead of the consumer.
 ///
 /// # Panics
 ///
 /// A panic in `run` or `more` (on a worker) or in `consume` (on the
 /// calling thread) stops the stream on both sides and is re-raised on the
-/// calling thread with its original payload once every worker has
-/// stopped.
+/// calling thread with its own payload once every worker has stopped.
 ///
 /// # Examples
 ///
@@ -171,15 +109,32 @@ where
 ///     assert_eq!(seen, vec![0, 1, 4, 9, 16, 25]);
 /// }
 /// ```
-pub fn stream_indexed_jobs<R, F, M, C>(
+pub fn stream_indexed_jobs<R, F, M, C>(threads: usize, window: usize, run: F, more: M, consume: C)
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+    M: FnMut(&R) -> bool + Send,
+    C: FnMut(R),
+{
+    let job = |_: &mut (), i| run(i);
+    run_stream(usize::MAX, threads, window, || (), job, more, consume);
+}
+
+/// The pool itself: streams jobs `0..jobs` to `consume` in job order on
+/// `threads` workers, each with its own `init` state, within `window` jobs
+/// of the consumer, until `more` answers `false` or every job is consumed.
+fn run_stream<S, R, I, F, M, C>(
+    jobs: usize,
     threads: usize,
     window: usize,
+    init: I,
     run: F,
     more: M,
     mut consume: C,
 ) where
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
     M: FnMut(&R) -> bool + Send,
     C: FnMut(R),
 {
@@ -194,7 +149,7 @@ pub fn stream_indexed_jobs<R, F, M, C>(
             cursor: 0,
             decided: 0,
             consumed: 0,
-            limit: usize::MAX,
+            limit: jobs,
             stop: false,
         }),
         changed: Condvar::new(),
@@ -203,9 +158,11 @@ pub fn stream_indexed_jobs<R, F, M, C>(
     std::thread::scope(|scope| {
         let worker = || {
             let _halt = StopOnUnwind(&shared);
+            let mut state = init();
             let mut stream = shared.lock();
             // The job loop is a hot region: results go into the ring
-            // allocated above, so nothing in here may allocate.
+            // allocated above and scratch lives in `state`, so nothing in
+            // here may allocate.
             // lint: hot-begin
             loop {
                 if stream.stop || stream.cursor >= stream.limit {
@@ -218,7 +175,7 @@ pub fn stream_indexed_jobs<R, F, M, C>(
                 let i = stream.cursor;
                 stream.cursor += 1;
                 drop(stream);
-                let result = run(i);
+                let result = run(&mut state, i);
                 stream = shared.lock();
                 if i < stream.limit {
                     stream.ring[i % window] = Some(result);
@@ -273,7 +230,8 @@ struct Stream<R, M> {
     decided: usize,
     /// How many results have been handed to the consumer.
     consumed: usize,
-    /// One past the last job to consume: the first `more == false`, plus 1.
+    /// One past the last job to consume: the job count, or the first
+    /// `more == false` plus 1.
     limit: usize,
     /// The consumer is done, or one side panicked.
     stop: bool,
@@ -340,21 +298,21 @@ impl<R, M> Drop for StopOnUnwind<'_, R, M> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn results_are_job_ordered_for_any_worker_count() {
         for threads in [0, 1, 2, 4, 64] {
-            let out = run_indexed_jobs(10, threads, |i| i * 3);
+            let out = run_indexed_jobs(10, threads, || (), |_, i| i * 3);
             assert_eq!(out, (0..10).map(|i| i * 3).collect::<Vec<_>>());
         }
-        assert!(run_indexed_jobs(0, 4, |i| i).is_empty());
+        assert!(run_indexed_jobs(0, 4, || (), |_, i| i).is_empty());
     }
 
     #[test]
     fn init_runs_once_per_worker_not_per_job() {
         let inits = AtomicUsize::new(0);
-        let out = run_indexed_jobs_with(
+        let out = run_indexed_jobs(
             16,
             3,
             || {
@@ -378,7 +336,7 @@ mod tests {
     fn worker_pool_is_clamped_to_job_count() {
         // 64 requested workers over 2 jobs must spawn at most 2 states.
         let inits = AtomicUsize::new(0);
-        run_indexed_jobs_with(
+        run_indexed_jobs(
             2,
             64,
             || {
@@ -391,20 +349,155 @@ mod tests {
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let out = run_indexed_jobs(100, 7, |i| i);
+        // No job past the last index is claimed, not even speculatively.
+        let runs = AtomicUsize::new(0);
+        let out = run_indexed_jobs(
+            100,
+            7,
+            || (),
+            |_, i| {
+                runs.fetch_add(1, Ordering::SeqCst);
+                i
+            },
+        );
         let unique: BTreeSet<usize> = out.iter().copied().collect();
         assert_eq!(unique.len(), 100);
+        assert_eq!(runs.load(Ordering::SeqCst), 100);
     }
 
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
-    fn job_panics_propagate() {
-        run_indexed_jobs(3, 2, |i| {
-            if i == 1 {
-                panic!("boom");
-            }
-            i
+    fn a_worker_threads_its_state_through_every_job_it_runs() {
+        // One worker runs every job in order, so its counter sees them all.
+        let out = run_indexed_jobs(
+            5,
+            1,
+            || 0usize,
+            |count, _| {
+                *count += 1;
+                *count
+            },
+        );
+        assert_eq!(out, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_slow_first_job_does_not_stall_the_others() {
+        const JOBS: usize = 12;
+        let finished = AtomicUsize::new(0);
+        let out = run_indexed_jobs(
+            JOBS,
+            2,
+            || (),
+            |_, i| {
+                if i > 0 {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    return i;
+                }
+                // Job 0 returns once every other job has finished, which
+                // a window narrower than the job count would hold back.
+                for _ in 0..60_000 {
+                    if finished.load(Ordering::SeqCst) == JOBS - 1 {
+                        break;
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                finished.load(Ordering::SeqCst)
+            },
+        );
+        assert_eq!(out[0], JOBS - 1, "the other jobs ran while job 0 waited");
+        assert_eq!(out[1..], (1..JOBS).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_worker_starts_no_job_after_a_panic() {
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        let message = panic_message_of(|| {
+            run_indexed_jobs(
+                50,
+                1,
+                || (),
+                |_, i| {
+                    STARTED.fetch_add(1, Ordering::SeqCst);
+                    if i == 5 {
+                        panic!("job 5 exploded");
+                    }
+                    i
+                },
+            );
         });
+        assert_eq!(message, "job 5 exploded");
+        assert_eq!(STARTED.load(Ordering::SeqCst), 6);
+    }
+
+    #[test]
+    fn a_panic_in_init_reraises_on_the_caller() {
+        for threads in [1, 3] {
+            let message = panic_message_of(move || {
+                run_indexed_jobs(8, threads, || -> usize { panic!("init failed") }, |_, i| i);
+            });
+            assert_eq!(message, "init failed", "{threads} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn job_panics_propagate() {
+        run_indexed_jobs(
+            3,
+            2,
+            || (),
+            |_, i| {
+                if i == 1 {
+                    panic!("boom");
+                }
+                i
+            },
+        );
+    }
+
+    #[test]
+    fn the_first_panic_stops_the_pool_with_its_own_payload() {
+        /// Sets its flag when the thread that owns it exits, after every
+        /// frame of that thread has unwound.
+        struct FlagOnThreadExit(&'static AtomicBool);
+        impl Drop for FlagOnThreadExit {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::Cell<Option<FlagOnThreadExit>> = const { std::cell::Cell::new(None) };
+        }
+        static EXITED: AtomicBool = AtomicBool::new(false);
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        let message = panic_message_of(|| {
+            run_indexed_jobs(
+                200,
+                2,
+                || (),
+                |_, i| {
+                    STARTED.fetch_add(1, Ordering::SeqCst);
+                    if i == 5 {
+                        ON_EXIT.set(Some(FlagOnThreadExit(&EXITED)));
+                        panic!("job 5 exploded");
+                    }
+                    // A later job returns only once job 5's worker has exited,
+                    // so its panic has stopped the pool by then.
+                    for _ in 0..60_000 {
+                        if i < 5 || EXITED.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    i
+                },
+            );
+        });
+        assert_eq!(message, "job 5 exploded");
+        // Jobs 0..=5, plus at most job 6, claimed by the other worker
+        // before job 5's panic stopped the pool.
+        let started = STARTED.load(Ordering::SeqCst);
+        assert!((6..=7).contains(&started), "{started} jobs started");
     }
 
     /// Runs `f` on its own thread and returns how it panicked, failing the
@@ -534,6 +627,36 @@ mod tests {
                 );
             });
             assert_eq!(message, "job 5 failed", "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_first_false_ends_the_stream_after_one_result() {
+        for threads in [1, 4] {
+            let mut seen = Vec::new();
+            stream_indexed_jobs(threads, 8, |i| i + 100, |_| false, |r| seen.push(r));
+            assert_eq!(seen, vec![100], "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_stopping_rule_reraises_on_the_caller() {
+        for threads in [1, 3] {
+            let message = panic_message_of(move || {
+                stream_indexed_jobs(
+                    threads,
+                    4,
+                    |i| i,
+                    |&i| {
+                        if i == 3 {
+                            panic!("stopping rule failed");
+                        }
+                        true
+                    },
+                    |_| {},
+                );
+            });
+            assert_eq!(message, "stopping rule failed", "{threads} threads");
         }
     }
 

@@ -58,7 +58,8 @@ impl<'a> TraceCollector<'a> {
 
     /// Records `rounds` samples. Each sample evaluates all
     /// `N_TX ∈ {0..N_max}` under identical interference conditions and
-    /// identical link randomness.
+    /// identical link randomness. `N_TX = 0` runs as `N_TX = 1`, so that
+    /// round is simulated once and recorded for both.
     pub fn collect(&self, rounds: usize) -> TraceDataset {
         let n = self.topology.num_nodes();
         let sources: Vec<NodeId> = self.topology.node_ids().collect();
@@ -87,12 +88,12 @@ impl<'a> TraceCollector<'a> {
                 let round_seed = master_rng.fork(round_idx as u64);
 
                 let mut outcomes = Vec::with_capacity(N_TX_MAX as usize + 1);
-                for ntx in 0..=N_TX_MAX {
+                for ntx in 1..=N_TX_MAX {
                     let mut rng = round_seed.clone();
                     let schedule = Schedule::new(
                         round_idx as u64,
                         sources.clone(),
-                        NtxAssignment::Uniform(ntx.max(1)),
+                        NtxAssignment::Uniform(ntx),
                     );
                     let round = executor.run_round(&schedule, start, &mut rng);
                     let reliabilities = (0..n)
@@ -107,6 +108,8 @@ impl<'a> TraceCollector<'a> {
                         losses: round.reliability_and_losses(None).1,
                     });
                 }
+                // `N_TX = 0` runs as `N_TX = 1` on the same RNG stream.
+                outcomes.insert(0, outcomes[0].clone());
                 samples.push(TraceSample {
                     outcomes,
                     interference_ratio: duty,
@@ -135,6 +138,31 @@ mod tests {
         assert_eq!(ds.len(), 8);
         assert_eq!(ds.num_nodes(), 18);
         assert_eq!(ds.n_max(), 8);
+        // `N_TX = 0` runs as `N_TX = 1`, so the two outcomes agree.
+        for sample in ds.samples() {
+            assert_eq!(sample.outcome(0), sample.outcome(1));
+        }
+    }
+
+    #[test]
+    fn samples_follow_the_duty_cycle_windows() {
+        let ds = small_dataset(6, 1);
+        let ratios: Vec<f64> = ds.samples().iter().map(|s| s.interference_ratio).collect();
+        assert_eq!(ratios, vec![0.0, 0.0, 0.30, 0.30, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_window_lasts_at_least_one_round() {
+        let topo = Topology::kiel_testbed_18(5);
+        let collector = TraceCollector::new(&topo, 1).with_sweep(vec![0.0, 0.30], 0);
+        assert_eq!(collector.rounds_per_window, 1);
+        let ratios: Vec<f64> = collector
+            .collect(3)
+            .samples()
+            .iter()
+            .map(|s| s.interference_ratio)
+            .collect();
+        assert_eq!(ratios, vec![0.0, 0.30, 0.0]);
     }
 
     #[test]

@@ -177,4 +177,49 @@ mod tests {
     fn wrong_sample_shape_is_rejected() {
         TraceDataset::new(2, 8, vec![tiny_sample(2, 3, 0)]);
     }
+
+    #[test]
+    fn an_empty_outcome_is_reliable_and_losses_make_it_lossy() {
+        let o = NtxOutcome {
+            reliabilities: vec![],
+            radio_on_us: vec![],
+            losses: 3,
+        };
+        assert_eq!(o.worst_reliability(), 1.0);
+        assert!(!o.loss_free());
+    }
+
+    #[test]
+    fn a_sample_reports_its_largest_ntx_and_indexes_by_ntx() {
+        let sample = tiny_sample(2, 5, 0);
+        assert_eq!(sample.n_max(), 5);
+        assert_eq!(sample.outcome(5).radio_on_us, vec![10_000, 10_000]);
+        assert_eq!(sample.outcome(0).radio_on_us, vec![5_000, 5_000]);
+    }
+
+    #[test]
+    fn a_dataset_keeps_its_samples_in_order() {
+        let empty = TraceDataset::new(3, 2, vec![]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
+        let ds = TraceDataset::new(3, 2, vec![tiny_sample(3, 2, 1), tiny_sample(3, 2, 4)]);
+        assert!(!ds.is_empty());
+        let losses: Vec<usize> = ds.samples().iter().map(|s| s.outcome(1).losses).collect();
+        assert_eq!(losses, vec![1, 4]);
+        assert_eq!(ds.sample(1).outcome(2).losses, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "reliability rows must match nodes")]
+    fn a_sample_of_another_node_count_is_rejected() {
+        TraceDataset::new(3, 2, vec![tiny_sample(2, 2, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "radio-on rows must match nodes")]
+    fn a_short_radio_on_row_is_rejected() {
+        let mut sample = tiny_sample(2, 2, 0);
+        sample.outcomes[1].radio_on_us.pop();
+        TraceDataset::new(2, 2, vec![sample]);
+    }
 }

@@ -10,9 +10,9 @@
 //! pristine interference bank (whose `busy_for_slot` is a pure function of
 //! the slot arguments, so a clone is indistinguishable from the serial
 //! path's reused evaluator); and every job seeds its own `SimRng` stream
-//! from `job.seed` and lands in a pre-assigned output slot. Parallelism is
-//! pure prefetch: neither the OS schedule nor the worker count can reach
-//! the bytes.
+//! from `job.seed`, and the worker pool returns the outcomes in job order.
+//! Parallelism is pure prefetch: neither the OS schedule nor the worker
+//! count can reach the bytes.
 
 use dimmer_glossy::{FloodJob, FloodSimulator, GlossyConfig};
 use dimmer_integration::equivalence::random_topology;
