@@ -9,7 +9,7 @@
 //!    traffic), each holding a closure that runs *one* trial from a seed.
 //! 2. Call [`ScenarioGrid::run`] with [`RunOptions`] (`--trials`,
 //!    `--threads`, `--seed`). The engine fans the `cells × trials` jobs out
-//!    across worker threads.
+//!    across `--threads` threads, the calling thread among them.
 //! 3. Get back a [`GridReport`] with per-cell mean / stddev / 95 % CI per
 //!    metric, printable as a table or serializable to JSON.
 //!
@@ -145,7 +145,8 @@ pub struct ScenarioGrid {
 pub struct RunOptions {
     /// Trials per cell (each with its own derived seed).
     pub trials: usize,
-    /// Worker threads; clamped to at least 1. Only affects wall-clock time.
+    /// Threads that run trials, the calling thread among them, so `1`
+    /// spawns none; clamped to at least 1. Only affects wall-clock time.
     pub threads: usize,
     /// Base seed all per-trial seeds are derived from.
     pub seed: u64,
@@ -197,8 +198,8 @@ impl ScenarioGrid {
         });
     }
 
-    /// Runs `trials` trials of every cell across `threads` workers and
-    /// aggregates the metrics. The `exp` binary and the `dimmerd` daemon
+    /// Runs `trials` trials of every cell across `threads` threads, the
+    /// calling thread among them, and aggregates the metrics. The `exp` binary and the `dimmerd` daemon
     /// both run grids through here.
     ///
     /// Job `cell * trials + trial` runs with the stateless seed
@@ -256,8 +257,8 @@ pub struct HarnessCli {
     /// Trials per cell (`--trials`); `None` if the flag was absent so the
     /// grid's default applies.
     pub trials: Option<usize>,
-    /// Worker threads (`--threads`); defaults to the host's available
-    /// parallelism.
+    /// Threads that run trials (`--threads`), the calling thread among
+    /// them; defaults to the host's available parallelism.
     pub threads: usize,
     /// Base seed (`--seed`); `None` if the flag was absent so the grid's
     /// default applies.

@@ -9,6 +9,9 @@
 //! default 1 — the count never changes report bytes), prints
 //! `dimmerd listening on ADDR` (the readiness line scripts wait for) and
 //! serves until a `shutdown` request has drained the queue.
+//! `--threads N` (default 2) is how many threads run one job's trials,
+//! the executor's own thread among them, so `--threads 1` runs them on the
+//! executor; it never changes report bytes either.
 //! `--memo-bytes N` (default 262144, 256 KiB) bounds every report byte
 //! the daemon retains; a report larger than it fails its job.
 

@@ -39,7 +39,8 @@ use crate::scenario::ScenarioSpec;
 pub struct DaemonConfig {
     /// Maximum queued (not yet running) jobs before `submit` sheds load.
     pub queue_limit: usize,
-    /// Worker threads the scheduler fans each grid out to (does not
+    /// Threads each grid's trials run on, the executor's own thread among
+    /// them, so `1` runs them on the executor and spawns none (does not
     /// affect report bytes).
     pub threads: usize,
     /// Executor threads draining the job queue concurrently (does not
@@ -763,7 +764,7 @@ mod tests {
         d.run_executor(|spec| match spec.resolved_seed() {
             Ok(13) => panic!("grid exploded"),
             Ok(15) => {
-                // The panic happens in a trial, on a worker of the pool.
+                // The panic happens in a trial, on a thread of the pool.
                 let mut grid = ScenarioGrid::new("doomed");
                 grid.push_cell("cell", Vec::new(), |_| panic!("trial exploded"));
                 grid.run(&RunOptions {

@@ -409,7 +409,8 @@ impl<'a> FloodSimulator<'a> {
         outcomes
     }
 
-    /// Runs every job across `threads` scoped workers, returning outcomes
+    /// Runs every job across `threads` threads, the calling thread among
+    /// them, returning outcomes
     /// **in job order, byte-identical to [`run`](Self::run) for every
     /// thread count** — parallelism here is pure prefetch.
     ///
@@ -418,7 +419,7 @@ impl<'a> FloodSimulator<'a> {
     ///
     /// * the compiled world and alive mask are read-only during the
     ///   batch and shared by `&`;
-    /// * each worker owns a **private** [`FloodWorkspace`] and a
+    /// * each thread owns a **private** [`FloodWorkspace`] and a
     ///   [`SlotInterference::box_clone`] of the pristine bank, so no flood
     ///   observes another flood's scratch mutations (the bank contract —
     ///   `busy_for_slot` is a pure function of the slot arguments — makes a
@@ -426,7 +427,7 @@ impl<'a> FloodSimulator<'a> {
     /// * every job seeds its own [`SimRng`] stream from `job.seed`, and the
     ///   workspace's one worker pool ([`dimmer_sim::workqueue`]) returns the
     ///   [`FloodOutcome`]s in job order, so neither the OS schedule nor the
-    ///   worker count can leak into the results.
+    ///   thread count can leak into the results.
     ///
     /// `threads <= 1` (or a single job) falls back to the serial
     /// [`run`](Self::run), reusing the simulator's own workspace.
@@ -458,7 +459,7 @@ impl<'a> FloodSimulator<'a> {
         run_indexed_jobs(
             jobs.len(),
             threads,
-            // Once per worker: a private workspace and a pristine bank clone.
+            // Once per thread: a private workspace and a pristine bank clone.
             || (FloodWorkspace::for_nodes(n), bank.map(|b| b.box_clone())),
             |(workspace, bank), i| {
                 let job = &jobs[i];

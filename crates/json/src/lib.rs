@@ -403,22 +403,38 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// Scans one number by JSON's grammar:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        // At least one digit, and no leading zero before another.
+        let mut valid = int_digits == 1 || (int_digits > 1 && self.bytes[int_start] != b'0');
+        let mut bare = !negative;
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            valid &= self.digits() > 0;
+            bare = false;
         }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            valid &= self.digits() > 0;
+            bare = false;
+        }
+        if !valid {
+            return Err(format!("invalid number at offset {start}"));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid number".to_string())?;
         // Exact integers first: seeds and hashes must not round-trip
         // through f64.
-        if !text.starts_with('-') && text.bytes().all(|b| b.is_ascii_digit()) {
+        if bare {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::Int(n));
             }
@@ -426,6 +442,15 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number '{text}'"))
+    }
+
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -550,6 +575,44 @@ mod tests {
             panic!("-0 is a float");
         };
         assert!(negative_zero == 0.0 && negative_zero.is_sign_negative());
+    }
+
+    #[test]
+    fn refuses_numbers_outside_the_json_grammar() {
+        // Leading zeros (also after `-`), a `.` or an exponent without
+        // digits after it.
+        for bad in [
+            "01", "00", "007", "-01", "-00", "1.", "-1.", "0.", "1.e5", "1e", "1E", "1e+", "1E-",
+            "1.5e", "-", "-e5",
+        ] {
+            let error = "invalid number at offset 0".to_string();
+            assert_eq!(parse(bad), Err(error), "{bad:?}");
+            let error = "invalid number at offset 5".to_string();
+            assert_eq!(parse(&format!(r#"{{"a":{bad}}}"#)), Err(error), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn every_valid_number_form_keeps_its_value() {
+        for (text, value) in [
+            ("0", Json::Int(0)),
+            ("10", Json::Int(10)),
+            ("18446744073709551615", Json::Int(u64::MAX)),
+            ("1.5", Json::Num(1.5)),
+            ("0.25", Json::Num(0.25)),
+            ("1e5", Json::Num(1e5)),
+            ("1E+5", Json::Num(1e5)),
+            ("2e-0", Json::Num(2.0)),
+            ("-1.25e-3", Json::Num(-1.25e-3)),
+            ("-10", Json::Num(-10.0)),
+        ] {
+            assert_eq!(parse(text), Ok(value.clone()), "{text}");
+            assert_eq!(
+                parse(&format!("[{text}]")),
+                Ok(Json::Arr(vec![value])),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -13,20 +13,25 @@
 //! one pool of `envs` rollout workers, spawned once per run, streams
 //! episodes to the learner through
 //! [`dimmer_sim::workqueue::stream_indexed_jobs`]. The learner stays on the
-//! calling thread and consumes their transitions in strict episode order
-//! through one shared global transition counter
-//! ([`DqnTrainer::observe_at`]), so it learns on episode `e` while the
-//! workers roll out the episodes after it. The workers run at most
-//! `2 * envs` episodes ahead of the learner (one in flight and one finished
-//! per worker), and stop claiming episodes once the ones already rolled out
-//! cover the run's transition budget.
+//! calling thread, the pool's `envs + 1`-th thread, and consumes their
+//! transitions in strict episode order through one shared global
+//! transition counter ([`DqnTrainer::observe_at`]), so it learns on episode
+//! `e` while the workers roll out the episodes after it; whenever the next
+//! episode is not ready, it rolls one out itself instead of waiting. The
+//! pool runs at most `2 * (envs + 1)` episodes ahead of the learner (one in
+//! flight and one finished per thread). An episode holds at most
+//! `max_episode_steps` transitions, so the first
+//! `ceil(transitions / max_episode_steps)` episodes are certain to be
+//! consumed and roll out freely; each later one is claimed only once the
+//! ones before it leave transitions uncovered. The farm rolls out no
+//! episode it does not consume.
 //!
 //! The result is the same determinism contract the experiment harness
 //! guarantees (`ScenarioGrid::run` in `dimmer-bench`): the trained weights
 //! and the training curve are a pure function of `(factory, DqnConfig,
 //! FarmConfig minus `envs`, seed)` — **independent of the worker count and
 //! of OS scheduling**. `envs` sets the number of rollout workers and the
-//! lookahead, and never changes a result.
+//! lookahead, and never changes a result, nor how many episodes roll out.
 //!
 //! The seed derivation tree:
 //!
@@ -64,9 +69,10 @@ const EVAL_STREAM: u64 = 2;
 /// are byte-identical for any value — see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FarmConfig {
-    /// Number of rollout workers, each with its own environment. The
-    /// workers run at most `2 * envs` episodes ahead of the learner.
-    /// Result-invariant.
+    /// Number of rollout workers besides the learner, each with its own
+    /// environment. The learner rolls out episodes too whenever the next
+    /// one is not ready, and the pool runs at most `2 * (envs + 1)`
+    /// episodes ahead of it. Result-invariant.
     pub envs: usize,
     /// Number of training-curve checkpoints, spread evenly over the run.
     pub curve_points: usize,
@@ -128,8 +134,9 @@ impl FarmRun {
 }
 
 /// Trains a DQN against environments built by `factory`, rolling out
-/// episodes on `farm.envs` workers while the calling thread learns, and
-/// returns the trained agent with its training curve.
+/// episodes on `farm.envs` workers and on the calling thread, which learns
+/// on them in episode order, and returns the trained agent with its
+/// training curve.
 ///
 /// The output is byte-identical for any `farm.envs` and any OS scheduling
 /// of the rollout workers (see the module docs for why).
@@ -181,9 +188,13 @@ where
     // the last one ends the stream.
     let mut uncovered = total;
 
+    // An episode holds at most `max_episode_steps` transitions, so the
+    // learner takes at least this many episodes.
+    let needed = total.div_ceil(farm.max_episode_steps);
     stream_indexed_jobs(
-        farm.envs,
-        2 * farm.envs,
+        farm.envs + 1,
+        2 * (farm.envs + 1),
+        needed,
         |e| rollout_episode(factory, seed, e as u64, farm.max_episode_steps),
         move |episode: &Vec<Transition>| {
             uncovered = uncovered.saturating_sub(episode.len());

@@ -377,6 +377,24 @@ fn a_request_line_that_is_not_utf8_gets_an_error_reply_and_the_connection_keeps_
 }
 
 #[test]
+fn a_number_json_refuses_gets_exactly_one_error_reply_line() {
+    let served = Served::start("127.0.0.1:0");
+    let mut conn = Connection::open(served.addr);
+    conn.send(b"{\"cmd\":\"status\",\"job\":007}\n{\"cmd\":\"stats\"}\n");
+    let refused = conn.reply();
+    assert_eq!(
+        refused.get("error").and_then(Json::as_str),
+        Some("invalid number at offset 22"),
+        "{refused:?}"
+    );
+    // The next line's reply is the stats reply: the refused line got one.
+    let stats = conn.reply();
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats:?}");
+    assert!(stats.get("queue_len").is_some(), "{stats:?}");
+    served.stop();
+}
+
+#[test]
 fn round_trips_on_one_connection_pay_no_nagle_stall() {
     // A reply written in two pieces without TCP_NODELAY waits out the
     // client's delayed ACK, about 40 ms per round trip.

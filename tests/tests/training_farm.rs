@@ -245,15 +245,8 @@ fn the_farm_steps_the_environment_exactly_as_often_as_it_learns_and_evaluates() 
             "envs {envs}: the counting factory must train what train_family trains"
         );
         let (resets, steps) = (resets.into_inner(), steps.into_inner());
-        // Every jammed episode runs its full 60 rounds.
-        assert_eq!(steps, resets * EPISODE, "envs {envs}");
-        if envs == 1 {
-            assert_eq!((steps, resets), (3_960, EXACT_RESETS));
-        } else {
-            // The workers run at most `2 * envs` episodes ahead of the
-            // learner, so at most `2 * envs - 1` of them go unused.
-            let wasted = resets - EXACT_RESETS;
-            assert!(wasted < 2 * envs, "envs {envs}: {wasted} unused episodes");
-        }
+        // Every jammed episode runs its full 60 rounds, and no episode is
+        // rolled out that the learner does not consume, at any `envs`.
+        assert_eq!((steps, resets), (3_960, EXACT_RESETS), "envs {envs}");
     }
 }
