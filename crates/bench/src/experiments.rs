@@ -590,27 +590,26 @@ pub fn grid10k_scale_grid(floods: usize, batch_threads: usize) -> ScenarioGrid {
     grid
 }
 
-/// A prebuilt city-scale world: the compiled CSR topology, its
-/// centroid-parked jammer model and the pristine compiled interference
-/// bank, ready to stamp out per-trial [`dimmer_glossy::FloodSimulator`]s
-/// without recompiling anything.
+/// A prebuilt city-scale world: the compiled CSR topology and its
+/// centroid-parked jammer model, ready to stamp out per-trial
+/// [`dimmer_glossy::FloodSimulator`]s without regenerating the topology.
 ///
-/// This is the unit the `dimmerd` daemon's warm cache stores: building one
-/// of these is the expensive part of a city-scale trial (topology
-/// generation + bank compilation); cloning from it is cheap and
-/// bit-faithful, so warm-served reports are byte-identical to cold runs.
+/// This is the unit the `dimmerd` daemon's warm cache stores: generating
+/// the topology is the expensive part of a city-scale trial, while each
+/// trial's simulator compiles the jammer's interference bank itself (one
+/// strength per node, microseconds against the trial's floods), so
+/// warm-served reports are byte-identical to cold runs.
 #[derive(Debug)]
 pub struct CityWorld {
     /// Preset label (doubles as the grid-cell label).
     pub label: &'static str,
     compiled: dimmer_sim::CompiledTopology,
     interference: CompositeInterference,
-    bank: Option<Box<dyn dimmer_sim::SlotInterference>>,
 }
 
 impl CityWorld {
     /// Builds a world from its deterministic builder and parks the 15 %
-    /// duty-cycle jammer at the world centroid, compiling the bank once.
+    /// duty-cycle jammer at the world centroid.
     fn build(label: &'static str, build: fn() -> dimmer_sim::CompiledTopology) -> Self {
         let compiled = build();
         let n = compiled.num_nodes();
@@ -623,12 +622,10 @@ impl CityWorld {
             });
         let mut interference = CompositeInterference::new();
         interference.push(Box::new(PeriodicJammer::with_duty_cycle(centroid, 0.15)));
-        let bank = interference.compile_for(compiled.positions());
         CityWorld {
             label,
             compiled,
             interference,
-            bank,
         }
     }
 
@@ -639,21 +636,15 @@ impl CityWorld {
 
     /// Resident size of the compiled world (see
     /// [`CompiledTopology::memory_bytes`](dimmer_sim::CompiledTopology::memory_bytes))
-    /// — what a warm cache accounts for this entry. The compiled bank is
-    /// not counted.
+    /// — what a warm cache accounts for this entry.
     pub fn memory_bytes(&self) -> usize {
         self.compiled.memory_bytes()
     }
 
-    /// Stamps out a fresh [`dimmer_glossy::FloodSimulator`] over a clone
-    /// of the world and a pristine clone of the compiled bank — the warm
-    /// equivalent of `FloodSimulator::new`, byte-identical in every outcome.
+    /// A fresh [`dimmer_glossy::FloodSimulator`] over a clone of the
+    /// world and its jammer.
     pub fn batch(&self) -> dimmer_glossy::FloodSimulator<'_> {
-        dimmer_glossy::FloodSimulator::from_parts(
-            self.compiled.clone(),
-            &self.interference,
-            self.bank.as_ref().map(|b| b.box_clone()),
-        )
+        dimmer_glossy::FloodSimulator::new(self.compiled.clone(), &self.interference)
     }
 }
 
@@ -670,7 +661,7 @@ pub fn city_worlds() -> Vec<CityWorld> {
 }
 
 /// The city grid over prebuilt [`CityWorld`]s: trials clone the compiled
-/// world and bank instead of rebuilding them, which is what lets the
+/// world instead of regenerating it, which is what lets the
 /// `dimmerd` daemon serve city sweeps from its warm cache, and run their
 /// flood jobs through [`dimmer_glossy::FloodSimulator::run_parallel`] across
 /// `batch_threads` scoped workers (1 = the serial path). Reports are

@@ -209,27 +209,23 @@ fn link_fade(rounds: usize, topo: &Topology) -> DynamicScenario {
 /// A 30 %-duty jammer that is carried across the floor: next to the
 /// coordinator, then mid-floor, then the far office, then off the floor
 /// entirely. The interference model is a [`MobileJammer`] whose waypoints
-/// are resolved from the script's relocation events.
+/// are the stops; the world itself is static, so the script is empty.
 fn roaming_jammer(rounds: usize) -> DynamicScenario {
     let start = Position::new(5.0, 9.0);
     let mid = (rounds / 4).max(1);
     let far = (rounds / 2).max(mid + 1);
     let gone = (rounds * 3 / 4).max(far + 1);
-    let stops = [
-        (mid, Position::new(16.0, 16.0)),
-        (far, Position::new(21.0, 2.0)),
-        (gone, Position::new(200.0, 200.0)),
+    let waypoints = vec![
+        (SimTime::ZERO, start),
+        (round_time(mid), Position::new(16.0, 16.0)),
+        (round_time(far), Position::new(21.0, 2.0)),
+        (round_time(gone), Position::new(200.0, 200.0)),
     ];
-    let mut script = ScenarioScript::new();
-    for (r, pos) in stops {
-        script = script.relocate_jammer(round_time(r), 0, pos);
-    }
     let base = PeriodicJammer::with_duty_cycle(start, 0.30).on_channels(vec![Channel::CONTROL]);
-    let waypoints = script.jammer_waypoints(0, start);
     DynamicScenario {
         name: "roaming-jammer",
         summary: "a 30% jammer walks across the floor and finally leaves",
-        script,
+        script: ScenarioScript::new(),
         interference: Box::new(MobileJammer::new(base, waypoints)),
         phases: vec![
             ScenarioPhase {

@@ -145,6 +145,7 @@ pub fn train_grid(family: &str, quick: bool, envs: usize) -> ScenarioGrid {
 mod tests {
     use super::*;
     use crate::harness::RunOptions;
+    use dimmer_sim::{Channel, Position, SimTime};
 
     #[test]
     fn every_family_has_a_setup_and_unknowns_do_not() {
@@ -152,14 +153,33 @@ mod tests {
         for family in TRAIN_FAMILIES {
             let setup = family_setup(family, 60, &topo)
                 .unwrap_or_else(|| panic!("{family} must have a training world"));
-            // Static families have empty scripts, dynamic ones do not.
-            match family {
-                "calm" | "jammed" => assert!(setup.script.is_empty(), "{family}"),
-                _ => assert!(!setup.script.is_empty(), "{family}"),
-            }
+            // Only the churn storm changes the world; a roaming jammer
+            // carries its path in its interference model.
+            assert_eq!(setup.script.is_empty(), family != "churn-storm", "{family}");
         }
         assert!(family_setup("volcanic", 60, &topo).is_none());
         assert!(train_family("volcanic", true, 1, 1).is_none());
+    }
+
+    #[test]
+    fn the_roaming_jammer_starts_at_the_host_and_leaves_after_its_last_stop() {
+        let topo = Topology::kiel_testbed_18(1);
+        let setup = family_setup("roaming-jammer", 60, &topo).unwrap();
+        // One period of a 13 ms burst at 30 % duty, heard at the start
+        // position (5, 9) on channel 26.
+        let period_us = 43_333;
+        let heard = |at: SimTime| {
+            setup.interference.busy_fraction(
+                at,
+                period_us,
+                Channel::CONTROL,
+                Position::new(5.0, 9.0),
+            )
+        };
+        assert!((heard(SimTime::ZERO) - 0.30).abs() < 1e-3, "jams at t = 0");
+        // Round 45 of 60 is the last stop, at (200, 200).
+        let last_stop = SimTime::ZERO + LwbConfig::testbed_default().round_period * 45;
+        assert!(heard(last_stop) < 1e-6, "gone after its last stop");
     }
 
     #[test]

@@ -572,9 +572,8 @@ impl<'a, C: Controller> RoundEngine<'a, C> {
     pub fn run_round(&mut self) -> DimmerRoundReport {
         // Advance the dynamic world to the round's start time: scripted
         // events with timestamps <= now fire between rounds and reach the
-        // backend's substrate before anything transmits. Membership and
-        // jammer events leave a compiled world untouched; the alive mask
-        // carries membership.
+        // backend's substrate before anything transmits. Membership events
+        // leave a compiled world untouched; the alive mask carries them.
         let update = self.world.advance_to(self.now);
         for (_, event) in self.world.events_in(update.fired.clone()) {
             match &mut self.backend {

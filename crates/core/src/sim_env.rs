@@ -151,7 +151,7 @@ impl<'a> SimEnvironment<'a> {
     }
 
     /// Installs a dynamic-world scenario script replayed in every episode
-    /// (jamming phases, churn waves, roaming jammers, ...).
+    /// (churn waves, link drift, ...).
     pub fn with_script(mut self, script: ScenarioScript) -> Self {
         self.script = script;
         self

@@ -1,9 +1,10 @@
 //! The daemon's two caches: warm compiled worlds and memoized results.
 //!
 //! Both are deterministic-by-construction: the world cache stores pristine
-//! prototypes (compiled CSR topologies + compiled interference banks) that
-//! are cloned per use, and the memo cache stores the exact report bytes a
-//! scenario produced, so a warm answer is byte-identical to a cold run.
+//! compiled CSR topologies that are cloned per use (each trial compiles
+//! its own interference bank, as a cold run does), and the memo cache
+//! stores the exact report bytes a scenario produced, so a warm answer is
+//! byte-identical to a cold run.
 //! Recency for eviction is tracked with a **logical clock** (a counter
 //! bumped per access) rather than wall-clock time — the daemon's behaviour
 //! is a pure function of the request sequence.
@@ -15,10 +16,9 @@ use dimmer_bench::experiments::{city_worlds, CityWorld};
 
 /// Warm cache of the prebuilt city [`CityWorld`]s.
 ///
-/// City-scale worlds are the expensive part of a city trial (topology
-/// generation plus interference-bank compilation); the daemon builds the
-/// four `city` presets once and stamps out per-trial batches from the
-/// pristine prototypes.
+/// City-scale topologies are the expensive part of a city trial to
+/// generate; the daemon builds the four `city` presets once and stamps out
+/// per-trial batches from the pristine worlds.
 #[derive(Debug, Default)]
 pub struct WorldCache {
     city: Option<Vec<Arc<CityWorld>>>,

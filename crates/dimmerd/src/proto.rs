@@ -16,11 +16,14 @@
 //! A full queue answers `submit` with `{"ok":false,"error":"busy"}` —
 //! explicit load-shedding instead of unbounded buffering. The daemon keeps
 //! a fixed window of finished jobs; an older id is `expired`, and an id
-//! never handed out is an `unknown job`. Reports are multi-line
-//! pretty-printed JSON, so they travel as an *escaped JSON string*;
-//! unescaping yields bytes identical to what the same scenario writes
-//! through `--json` offline.
+//! never handed out is an `unknown job`. A request or spec object that
+//! names a key twice is refused with an error naming the key, since
+//! `dimmer-json` keeps both entries and nothing says which one was meant.
+//! Reports are multi-line pretty-printed JSON, so they travel as an
+//! *escaped JSON string*; unescaping yields bytes identical to what the
+//! same scenario writes through `--json` offline.
 
+use std::collections::BTreeSet;
 use std::fmt::Write;
 
 use crate::json::{self, Json};
@@ -57,6 +60,11 @@ pub enum Request {
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = json::parse(line)?;
+    if let Json::Obj(fields) = &v {
+        if let Some(key) = repeated_key(fields) {
+            return Err(format!("request names \"{key}\" twice"));
+        }
+    }
     let cmd = v
         .get("cmd")
         .and_then(Json::as_str)
@@ -77,6 +85,16 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             COMMANDS.join(", ")
         )),
     }
+}
+
+/// The first key an object's `fields` name a second time, if any. A set,
+/// not a pairwise scan: a 1 MiB line holds some 100 000 keys.
+pub(crate) fn repeated_key(fields: &[(String, Json)]) -> Option<&str> {
+    let mut seen = BTreeSet::new();
+    fields
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .find(|key| !seen.insert(*key))
 }
 
 fn job_id(v: &Json) -> Result<u64, String> {
@@ -148,6 +166,48 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"submit"}"#).is_err());
         assert!(parse_request(r#"{"cmd":"status","job":-1}"#).is_err());
         assert!(parse_request(r#"{"cmd":"status"}"#).is_err());
+    }
+
+    #[test]
+    fn a_request_or_spec_that_names_a_key_twice_is_refused() {
+        for (line, error) in [
+            (
+                r#"{"cmd":"status","job":1,"job":2}"#,
+                r#"request names "job" twice"#,
+            ),
+            (
+                r#"{"cmd":"stats","cmd":"stats"}"#,
+                r#"request names "cmd" twice"#,
+            ),
+            // The key whose second mention comes first.
+            (
+                r#"{"cmd":"stats","a":1,"b":2,"b":3,"a":4}"#,
+                r#"request names "b" twice"#,
+            ),
+            // A spec's own keys are checked when the spec is read.
+            (
+                r#"{"cmd":"submit","spec":{"grid":"fig5","trials":1,"trials":1000}}"#,
+                r#"spec names "trials" twice"#,
+            ),
+        ] {
+            assert_eq!(parse_request(line), Err(error.to_string()), "{line}");
+        }
+        // Among 100 000 distinct keys, a repeat of the first is found.
+        let mut wide = String::from(r#"{"cmd":"stats""#);
+        for k in 0..100_000 {
+            wide.push_str(&format!(r#","k{k}":0"#));
+        }
+        wide.push_str(r#","k0":1}"#);
+        assert_eq!(
+            parse_request(&wide),
+            Err(r#"request names "k0" twice"#.into())
+        );
+        // Keys that differ only in nesting are not repeats.
+        assert!(
+            parse_request(r#"{"cmd":"submit","spec":{"grid":"table1","cmd":1}}"#)
+                .unwrap_err()
+                .contains("unknown spec field 'cmd'")
+        );
     }
 
     #[test]

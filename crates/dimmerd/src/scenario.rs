@@ -43,12 +43,16 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Parses a spec from the request's `"spec"` object. Unknown fields
-    /// are rejected so that typos cannot silently change what runs.
+    /// Parses a spec from the request's `"spec"` object. Unknown and
+    /// repeated fields are rejected so that typos cannot silently change
+    /// what runs.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let Json::Obj(fields) = v else {
             return Err("spec must be an object".to_string());
         };
+        if let Some(key) = crate::proto::repeated_key(fields) {
+            return Err(format!("spec names \"{key}\" twice"));
+        }
         let mut spec = ScenarioSpec {
             grid: String::new(),
             quick: false,
@@ -273,6 +277,19 @@ mod tests {
             .unwrap_err()
             .contains("unknown spec field"));
         assert!(spec(r#"{"quick":true}"#).unwrap_err().contains("grid"));
+    }
+
+    #[test]
+    fn a_field_named_twice_is_rejected_whatever_its_values() {
+        for line in [
+            r#"{"grid":"fig5","trials":1,"trials":1000}"#,
+            r#"{"grid":"fig5","quick":true,"quick":true}"#,
+            r#"{"grid":"fig5","grid":"fig9"}"#,
+        ] {
+            let error = spec(line).unwrap_err();
+            assert!(error.starts_with("spec names \""), "{line}: {error}");
+            assert!(error.ends_with("\" twice"), "{line}: {error}");
+        }
     }
 
     #[test]

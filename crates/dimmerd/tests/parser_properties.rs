@@ -1,6 +1,6 @@
 //! Property tests over the daemon's input boundary: whatever a client
 //! sends, the parsers return a value instead of panicking, and the daemon
-//! answers each line with exactly one reply line.
+//! answers each line with exactly one reply line, the same one every time.
 
 use dimmerd::json::{self, Json};
 use dimmerd::{proto, Daemon, DaemonConfig};
@@ -27,6 +27,16 @@ const VALID_LINES: &[&str] = &[
     r#"{"cmd":"result","job":18446744073709551615}"#,
     r#"{"cmd":"stats"}"#,
     r#"{"cmd":"shutdown"}"#,
+];
+
+/// Hostile lines that name a key twice, with that key: `dimmer-json` keeps
+/// both entries, so the daemon refuses the line instead of picking one.
+const REPEATED_KEY_LINES: &[(&str, &str)] = &[
+    (
+        r#"{"cmd":"submit","spec":{"grid":"fig5","trials":1,"trials":1000}}"#,
+        "trials",
+    ),
+    (r#"{"cmd":"status","job":1,"job":2}"#, "job"),
 ];
 
 /// A line of `picks`: an index below `PIECES.len()` takes that piece, any
@@ -77,6 +87,20 @@ fn assert_one_reply_line(daemon: &Daemon, line: &str) {
     );
 }
 
+/// One random run of request lines: a soup line, then per edit the edited
+/// line, its valid original and a repeated-key line, then `stats`.
+fn request_lines(picks: &[(usize, u32)], edits: &[Edit]) -> Vec<String> {
+    let mut lines = vec![soup(picks)];
+    for &edit in edits {
+        lines.push(mutate(edit));
+        lines.push(VALID_LINES[edit.0].to_string());
+        let (line, _) = REPEATED_KEY_LINES[edit.1 % REPEATED_KEY_LINES.len()];
+        lines.push(line.to_string());
+    }
+    lines.push(r#"{"cmd":"stats"}"#.to_string());
+    lines
+}
+
 fn daemon() -> Daemon {
     Daemon::new(DaemonConfig {
         queue_limit: 2,
@@ -106,10 +130,40 @@ proptest! {
         edits in collection::vec((0usize..VALID_LINES.len(), any::<usize>(), any::<u8>(), 0u8..3), 1..8)
     ) {
         let daemon = daemon();
-        assert_one_reply_line(&daemon, &soup(&picks));
-        for edit in edits {
-            assert_one_reply_line(&daemon, &mutate(edit));
-            assert_one_reply_line(&daemon, VALID_LINES[edit.0]);
+        for line in request_lines(&picks, &edits) {
+            assert_one_reply_line(&daemon, &line);
         }
     }
+
+    #[test]
+    fn two_fresh_daemons_answer_the_same_lines_byte_for_byte_alike(
+        picks in collection::vec((0usize..PIECES.len() + 8, any::<u32>()), 0..48),
+        edits in collection::vec((0usize..VALID_LINES.len(), any::<usize>(), any::<u8>(), 0u8..3), 1..8)
+    ) {
+        let lines = request_lines(&picks, &edits);
+        let replies = |daemon: Daemon| -> Vec<String> {
+            lines.iter().map(|line| daemon.handle_line(line).0).collect()
+        };
+        prop_assert_eq!(replies(daemon()), replies(daemon()));
+    }
+}
+
+#[test]
+fn a_line_that_repeats_a_key_gets_one_error_reply_naming_it() {
+    let daemon = daemon();
+    for &(line, key) in REPEATED_KEY_LINES {
+        let (reply, shutdown) = daemon.handle_line(line);
+        assert!(!shutdown);
+        let reply = json::parse(&reply).expect("replies are JSON");
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{line}");
+        let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(
+            error.contains(&format!("\"{key}\" twice")),
+            "{line}: {error}"
+        );
+    }
+    // Nothing was queued: the daemon still answers, with no job submitted.
+    let (stats, _) = daemon.handle_line(r#"{"cmd":"stats"}"#);
+    let stats = json::parse(&stats).expect("replies are JSON");
+    assert_eq!(stats.get("submitted"), Some(&Json::Int(0)));
 }

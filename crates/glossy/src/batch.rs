@@ -48,8 +48,7 @@ mod tests {
     use super::*;
     use crate::GlossyConfig;
     use dimmer_sim::{
-        topogen, CompiledTopology, InterferenceModel, NoInterference, PeriodicJammer, Position,
-        SimRng, Topology,
+        topogen, CompiledTopology, NoInterference, PeriodicJammer, Position, SimRng, Topology,
     };
 
     fn jobs(n: u16, stride: u16) -> Vec<FloodJob> {
@@ -79,24 +78,6 @@ mod tests {
             );
             assert_eq!(&solo, batch_out, "job {job:?} diverged from solo run");
         }
-    }
-
-    #[test]
-    fn from_parts_with_a_cloned_bank_matches_a_cold_compile() {
-        let jam = PeriodicJammer::with_duty_cycle(Position::new(20.0, 20.0), 0.3);
-        let world = topogen::sparse_grid(8, 8, 8.0, 3);
-        let cfg = GlossyConfig::default();
-        let js = jobs(64, 13);
-        // A pristine prototype bank, as the daemon's warm cache keeps it.
-        let prototype = jam.compile_for(world.positions());
-        let warm = FloodSimulator::from_parts(
-            world.clone(),
-            &jam,
-            prototype.as_ref().map(|b| b.box_clone()),
-        )
-        .run(&cfg, &js);
-        let cold = FloodSimulator::new(world, &jam).run(&cfg, &js);
-        assert_eq!(warm, cold, "warm bank must reproduce the cold compile");
     }
 
     #[test]

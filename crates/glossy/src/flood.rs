@@ -224,26 +224,8 @@ impl<'a> FloodSimulator<'a> {
         world: impl Into<CompiledTopology>,
         interference: &'a dyn InterferenceModel,
     ) -> Self {
-        let compiled = world.into();
+        let compiled: CompiledTopology = world.into();
         let slot_interference = interference.compile_for(compiled.positions());
-        Self::from_parts(compiled, interference, slot_interference)
-    }
-
-    /// Creates a flood simulator over an owned compiled world **reusing**
-    /// an already-compiled interference bank instead of calling
-    /// [`InterferenceModel::compile_for`].
-    ///
-    /// This is the warm-cache entry point: the `dimmerd` daemon compiles a
-    /// scenario's bank once, keeps the pristine evaluator as a prototype
-    /// and hands each trial a [`SlotInterference::box_clone`] of it. The
-    /// caller is responsible for the bank matching
-    /// `interference.compile_for(compiled.positions())` — a mismatched bank
-    /// silently produces wrong busy fractions.
-    pub fn from_parts(
-        compiled: CompiledTopology,
-        interference: &'a dyn InterferenceModel,
-        slot_interference: Option<Box<dyn SlotInterference>>,
-    ) -> Self {
         let workspace = FloodWorkspace::for_nodes(compiled.num_nodes());
         FloodSimulator {
             compiled,

@@ -28,11 +28,11 @@
 //! nodes), so above [`DENSE_NODE_LIMIT`] nodes compilation keeps the CSR
 //! alone. Every query keeps working; the flood kernel scatters each
 //! transmitter's out-links instead of reading rows, which multiplies the
-//! same material factors in the same ascending-transmitter order. Force
-//! the mode explicitly with [`CompiledTopology::compile_sparse`] /
-//! [`CompiledTopology::from_prr_matrix_sparse`], or build city-scale worlds
-//! straight from an edge list with [`CompiledTopology::from_links`] without
-//! ever materializing an `n²` matrix.
+//! same material factors in the same ascending-transmitter order. A small
+//! world drops its rows with [`CompiledTopology::into_sparse`], and
+//! city-scale worlds are built straight from an edge list with
+//! [`CompiledTopology::from_links`] without ever materializing an `n²`
+//! matrix. Every constructor fills the CSR through one private function.
 
 use crate::topology::{NodeId, Position, Topology};
 use crate::world::WorldEvent;
@@ -99,32 +99,17 @@ impl CompiledTopology {
     /// Worlds up to [`DENSE_NODE_LIMIT`] nodes keep the dense miss rows;
     /// larger worlds compile CSR-only (see the module docs).
     pub fn compile(topology: &Topology) -> Self {
-        Self::compile_with_mode(topology, topology.num_nodes() <= DENSE_NODE_LIMIT)
-    }
-
-    /// Compiles a [`Topology`] CSR-only, regardless of its size.
-    ///
-    /// Small sparse worlds are what the equivalence suite pins against the
-    /// dense path; at scale this is the only mode that fits in memory.
-    pub fn compile_sparse(topology: &Topology) -> Self {
-        Self::compile_with_mode(topology, false)
-    }
-
-    fn compile_with_mode(topology: &Topology, want_dense: bool) -> Self {
-        let n = topology.num_nodes();
-        let mut prr = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    prr[i * n + j] = topology.link(NodeId(i as u16), NodeId(j as u16)).prr();
-                }
-            }
-        }
         let positions = topology
             .node_ids()
             .map(|id| topology.position(id))
             .collect();
-        Self::from_parts(positions, topology.coordinator(), &prr, want_dense)
+        let rows = topology.node_ids().map(|a| {
+            topology
+                .node_ids()
+                .filter(move |&b| b != a)
+                .map(move |b| (b.index(), topology.link(a, b).prr()))
+        });
+        Self::from_rows(positions, topology.coordinator(), 0, rows).with_miss_rows()
     }
 
     /// Builds a compiled topology from a raw row-major PRR matrix.
@@ -141,54 +126,29 @@ impl CompiledTopology {
     /// `n < 1`, if the coordinator is out of range, or if any entry is
     /// outside `[0, 1]`.
     pub fn from_prr_matrix(positions: Vec<Position>, coordinator: NodeId, prr: Vec<f64>) -> Self {
-        let want_dense = positions.len() <= DENSE_NODE_LIMIT;
-        Self::from_matrix_checked(positions, coordinator, &prr, want_dense)
-    }
-
-    /// [`from_prr_matrix`](Self::from_prr_matrix), but CSR-only regardless
-    /// of size — the forced-sparse twin the equivalence suite compares
-    /// against the dense path on small worlds.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`from_prr_matrix`](Self::from_prr_matrix).
-    pub fn from_prr_matrix_sparse(
-        positions: Vec<Position>,
-        coordinator: NodeId,
-        prr: Vec<f64>,
-    ) -> Self {
-        Self::from_matrix_checked(positions, coordinator, &prr, false)
-    }
-
-    fn from_matrix_checked(
-        positions: Vec<Position>,
-        coordinator: NodeId,
-        prr: &[f64],
-        want_dense: bool,
-    ) -> Self {
         let n = positions.len();
-        assert!(n >= 1, "a compiled topology needs at least one node");
         assert_eq!(prr.len(), n * n, "PRR matrix must be n x n");
-        assert!(
-            coordinator.index() < n,
-            "coordinator must be one of the nodes"
-        );
         assert!(
             prr.iter().all(|p| (0.0..=1.0).contains(p)),
             "PRR entries must be in [0, 1]"
         );
-        Self::from_parts(positions, coordinator, prr, want_dense)
+        let rows = (0..n).map(|i| {
+            let row = &prr[i * n..(i + 1) * n];
+            (0..n).filter(move |&j| j != i).map(move |j| (j, row[j]))
+        });
+        Self::from_rows(positions, coordinator, 0, rows).with_miss_rows()
     }
 
     /// Builds a **sparse** compiled topology straight from a directional
     /// edge list, without ever materializing an `n²` matrix — the only
     /// constructor that scales to city-sized worlds.
     ///
-    /// Links are `(from, to, prr)` triples; push both directions for a
-    /// symmetric link. Immaterial links (where
+    /// Links are `(from, to, prr)` triples in any order; push both
+    /// directions for a symmetric link. Immaterial links (where
     /// [`link_matters`](Self::link_matters) is `false`) are dropped exactly
     /// like the matrix constructors drop them, so a sparse world built from
-    /// links equals one built from the equivalent matrix, field for field.
+    /// links equals one built from the equivalent matrix and made
+    /// [`into_sparse`](Self::into_sparse), field for field.
     ///
     /// # Panics
     ///
@@ -201,16 +161,6 @@ impl CompiledTopology {
         links: &[(NodeId, NodeId, f64)],
     ) -> Self {
         let n = positions.len();
-        assert!(n >= 1, "a compiled topology needs at least one node");
-        assert!(
-            n <= u16::MAX as usize + 1,
-            "compiled topologies support at most 65536 nodes"
-        );
-        assert!(
-            coordinator.index() < n,
-            "coordinator must be one of the nodes"
-        );
-        // Keep only material links, sorted by (from, to) — the CSR order.
         let mut edges: Vec<(u16, u16, f64)> = Vec::with_capacity(links.len());
         for &(from, to, p) in links {
             assert!(
@@ -218,10 +168,7 @@ impl CompiledTopology {
                 "link endpoint out of range"
             );
             assert!(from != to, "a link needs two distinct endpoints");
-            assert!((0.0..=1.0).contains(&p), "PRR entries must be in [0, 1]");
-            if Self::link_matters(p) {
-                edges.push((from.0, to.0, p));
-            }
+            edges.push((from.0, to.0, p));
         }
         edges.sort_unstable_by_key(|&(f, t, _)| (f, t));
         for w in edges.windows(2) {
@@ -232,20 +179,52 @@ impl CompiledTopology {
                 w[0].1
             );
         }
-        // Out-CSR straight from the sorted edge list.
+        let mut rest = &edges[..];
+        let rows = (0..n).map(|i| {
+            let len = rest.iter().take_while(|e| e.0 as usize == i).count();
+            let (row, tail) = rest.split_at(len);
+            rest = tail;
+            row.iter().map(|&(_, t, p)| (t as usize, p))
+        });
+        Self::from_rows(positions, coordinator, edges.len(), rows)
+    }
+
+    /// Fills the CSR for every constructor. `rows` holds one
+    /// row per node, in node order, of `(to, prr)` pairs ascending by
+    /// `to`, with no self-link and no repeat; immaterial links are
+    /// dropped. `capacity` presizes the link arrays (0 when the count is
+    /// not known). The world comes out CSR-only.
+    fn from_rows<R: Iterator<Item = (usize, f64)>>(
+        positions: Vec<Position>,
+        coordinator: NodeId,
+        capacity: usize,
+        rows: impl Iterator<Item = R>,
+    ) -> Self {
+        let n = positions.len();
+        assert!(n >= 1, "a compiled topology needs at least one node");
+        assert!(
+            n <= u16::MAX as usize + 1,
+            "compiled topologies support at most 65536 nodes"
+        );
+        assert!(
+            coordinator.index() < n,
+            "coordinator must be one of the nodes"
+        );
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(edges.len());
-        let mut link_prr = Vec::with_capacity(edges.len());
+        let mut col_idx = Vec::with_capacity(capacity);
+        let mut link_prr = Vec::with_capacity(capacity);
         row_ptr.push(0u32);
-        let mut k = 0usize;
-        for i in 0..n {
-            while k < edges.len() && edges[k].0 as usize == i {
-                col_idx.push(edges[k].1);
-                link_prr.push(edges[k].2);
-                k += 1;
+        for row in rows {
+            for (to, p) in row {
+                assert!((0.0..=1.0).contains(&p), "PRR entries must be in [0, 1]");
+                if Self::link_matters(p) {
+                    col_idx.push(to as u16);
+                    link_prr.push(p);
+                }
             }
             row_ptr.push(col_idx.len() as u32);
         }
+        assert_eq!(row_ptr.len(), n + 1, "one row per node");
         CompiledTopology {
             num_nodes: n,
             coordinator,
@@ -257,60 +236,31 @@ impl CompiledTopology {
         }
     }
 
-    fn from_parts(
-        positions: Vec<Position>,
-        coordinator: NodeId,
-        prr: &[f64],
-        want_dense: bool,
-    ) -> Self {
-        let n = positions.len();
-        assert!(
-            n <= u16::MAX as usize + 1,
-            "compiled topologies support at most 65536 nodes"
-        );
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut link_prr = Vec::new();
-        row_ptr.push(0u32);
-        for i in 0..n {
-            for j in 0..n {
-                let p = prr[i * n + j];
-                if i != j && Self::link_matters(p) {
-                    col_idx.push(j as u16);
-                    link_prr.push(p);
+    /// Adds the dense miss rows the CSR implies when the world has at most
+    /// [`DENSE_NODE_LIMIT`] nodes: `1.0 - prr(t → r)` at `r * n + t` for
+    /// every stored link and `1.0` everywhere else — the diagonal and
+    /// immaterial links included, whose factors are exactly `1.0` anyway.
+    fn with_miss_rows(mut self) -> Self {
+        let n = self.num_nodes;
+        if n <= DENSE_NODE_LIMIT {
+            let mut miss = vec![1.0; n * n];
+            for t in 0..n {
+                let (dests, prrs) = self.neighbor_slices(t);
+                for (&r, &p) in dests.iter().zip(prrs) {
+                    miss[r as usize * n + t] = 1.0 - p;
                 }
             }
-            row_ptr.push(col_idx.len() as u32);
+            self.miss_rows = Some(miss);
         }
-        let mut topo = CompiledTopology {
-            num_nodes: n,
-            coordinator,
-            positions,
-            row_ptr,
-            col_idx,
-            link_prr,
-            miss_rows: None,
-        };
-        if want_dense {
-            topo.miss_rows = Some(topo.csr_miss_rows());
-        }
-        topo
+        self
     }
 
-    /// The dense miss rows the CSR implies: `1.0 - prr(t → r)` at
-    /// `r * n + t` for every stored link and `1.0` everywhere else — the
-    /// diagonal and immaterial links included, whose factors are exactly
-    /// `1.0` anyway.
-    fn csr_miss_rows(&self) -> Vec<f64> {
-        let n = self.num_nodes;
-        let mut miss = vec![1.0; n * n];
-        for t in 0..n {
-            let (dests, prrs) = self.neighbor_slices(t);
-            for (&r, &p) in dests.iter().zip(prrs) {
-                miss[r as usize * n + t] = 1.0 - p;
-            }
-        }
-        miss
+    /// The same world CSR-only: drops the dense miss rows, so floods
+    /// scatter. `compile(t).into_sparse()` is what the equivalence suite
+    /// pins against `compile(t)` on small worlds.
+    pub fn into_sparse(mut self) -> Self {
+        self.miss_rows = None;
+        self
     }
 
     /// Number of nodes.
@@ -395,8 +345,8 @@ impl CompiledTopology {
     /// gather table, contiguous per receiver.
     ///
     /// `None` for sparse (CSR-only) worlds: those compiled above
-    /// [`DENSE_NODE_LIMIT`], through a `*_sparse` constructor or from
-    /// links.
+    /// [`DENSE_NODE_LIMIT`], built from links or made
+    /// [`into_sparse`](Self::into_sparse).
     #[inline]
     pub fn miss_rows(&self) -> Option<&[f64]> {
         self.miss_rows.as_deref()
@@ -455,8 +405,8 @@ impl CompiledTopology {
     ///
     /// * [`WorldEvent::LinkDrift`] patches both directions incrementally
     ///   via [`set_prr`](Self::set_prr);
-    /// * membership and jammer events are topology no-ops (`false`) —
-    ///   node failures are an *aliveness* concern handled by
+    /// * membership events are topology no-ops (`false`) — node
+    ///   failures are an *aliveness* concern handled by
     ///   [`World`](crate::World), so a later rejoin restores the world
     ///   exactly.
     ///
@@ -474,9 +424,7 @@ impl CompiledTopology {
                 self.set_prr(b, a, prr);
                 true
             }
-            WorldEvent::NodeFail(_)
-            | WorldEvent::NodeRejoin(_)
-            | WorldEvent::JammerRelocate { .. } => false,
+            WorldEvent::NodeFail(_) | WorldEvent::NodeRejoin(_) => false,
         }
         // lint: hot-end
     }
@@ -655,21 +603,66 @@ mod tests {
         // 2 MiB on top of its CSR-only twin, which stores the same links.
         let n = DENSE_NODE_LIMIT;
         let (positions, prr) = chain_matrix(n);
-        let dense = CompiledTopology::from_prr_matrix(positions.clone(), NodeId(0), prr.clone());
-        let sparse = CompiledTopology::from_prr_matrix_sparse(positions, NodeId(0), prr);
+        let dense = CompiledTopology::from_prr_matrix(positions, NodeId(0), prr);
+        let sparse = dense.clone().into_sparse();
         assert_eq!(dense.miss_rows().map(<[f64]>::len), Some(n * n));
         assert!(sparse.miss_rows().is_none());
         assert_eq!(dense.memory_bytes() - sparse.memory_bytes(), 2 << 20);
         assert_eq!(dense.digest(), sparse.digest());
 
-        // One node more and it compiles CSR-only, equal to the forced twin.
+        // One node more and it compiles CSR-only, equal to the same chain
+        // built from its links.
         let (positions, prr) = chain_matrix(n + 1);
-        let above = CompiledTopology::from_prr_matrix(positions.clone(), NodeId(0), prr.clone());
+        let above = CompiledTopology::from_prr_matrix(positions.clone(), NodeId(0), prr);
         assert!(above.miss_rows().is_none());
+        let links: Vec<_> = (1..=n as u16)
+            .flat_map(|i| {
+                [
+                    (NodeId(i), NodeId(i - 1), 0.9),
+                    (NodeId(i - 1), NodeId(i), 0.9),
+                ]
+            })
+            .collect();
         assert_eq!(
             above,
-            CompiledTopology::from_prr_matrix_sparse(positions, NodeId(0), prr)
+            CompiledTopology::from_links(positions, NodeId(0), &links)
         );
+    }
+
+    #[test]
+    fn from_links_equals_the_matrix_world_made_sparse() {
+        // Every pair of a testbed world, one cut to 0 and its reverse to a
+        // sub-ULP PRR, listed backwards: `from_links` sorts them, drops the
+        // two immaterial ones and fills the matrix constructor's CSR.
+        let topo = Topology::kiel_testbed_18(4);
+        let n = topo.num_nodes();
+        let mut prr = vec![0.0; n * n];
+        let mut links = Vec::new();
+        for a in topo.node_ids() {
+            for b in topo.node_ids().filter(|&b| b != a) {
+                let p = match (a.0, b.0) {
+                    (2, 5) => 0.0,
+                    (5, 2) => 1e-18,
+                    _ => topo.link(a, b).prr(),
+                };
+                prr[a.index() * n + b.index()] = p;
+                links.push((a, b, p));
+            }
+        }
+        links.reverse();
+        let positions: Vec<Position> = topo.node_ids().map(|id| topo.position(id)).collect();
+        let built = CompiledTopology::from_links(positions.clone(), topo.coordinator(), &links);
+        assert_eq!(built.num_links(), links.len() - 2);
+        let matrix = CompiledTopology::from_prr_matrix(positions, topo.coordinator(), prr);
+        assert_eq!(built, matrix.into_sparse());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate link (1 -> 0)")]
+    fn from_links_rejects_a_repeated_link() {
+        let positions = vec![Position::new(0.0, 0.0), Position::new(1.0, 0.0)];
+        let links = [(NodeId(1), NodeId(0), 0.5), (NodeId(1), NodeId(0), 0.7)];
+        CompiledTopology::from_links(positions, NodeId(0), &links);
     }
 
     #[test]
@@ -800,10 +793,6 @@ mod tests {
         let before = c.clone();
         assert!(!c.apply_event(&crate::world::WorldEvent::NodeFail(NodeId(3))));
         assert!(!c.apply_event(&crate::world::WorldEvent::NodeRejoin(NodeId(3))));
-        assert!(!c.apply_event(&crate::world::WorldEvent::JammerRelocate {
-            jammer: 0,
-            to: Position::new(1.0, 2.0),
-        }));
         assert_eq!(c, before);
     }
 

@@ -98,10 +98,8 @@ pub trait InterferenceModel: Debug + Send + Sync {
 /// for the positions the evaluator was compiled for.
 ///
 /// Evaluators are `Send + Sync` (they are plain data between calls) and
-/// [cloneable](SlotInterference::box_clone), so a compiled bank can live in
-/// a warm cache — the `dimmerd` daemon keeps one pristine prototype per
-/// scenario and stamps out a private copy per trial, avoiding the
-/// `compile_for` cost on every request.
+/// [cloneable](SlotInterference::box_clone), so a parallel flood batch
+/// hands each worker thread a private copy of its simulator's bank.
 pub trait SlotInterference: Debug + Send + Sync {
     /// Fills `out[i]` with the busy fraction node `i` observes during
     /// `[start, start + duration_us)` on `channel`.
@@ -409,9 +407,10 @@ impl InterferenceModel for PeriodicJammer {
 /// matching the paper's experiments where a jammer is carried to a new spot
 /// between measurement phases.
 ///
-/// Waypoint lists are usually derived from a scenario script's
-/// [`JammerRelocate`](crate::world::WorldEvent::JammerRelocate) events via
-/// [`ScenarioScript::jammer_waypoints`](crate::world::ScenarioScript::jammer_waypoints).
+/// The waypoints are the jammer's whole path: a scenario with a roaming
+/// jammer carries its stops here, not in its
+/// [`ScenarioScript`](crate::world::ScenarioScript), which holds only the
+/// events a [`World`](crate::world::World) applies.
 ///
 /// # Examples
 ///
@@ -1470,6 +1469,26 @@ mod tests {
         let before = jam.busy_fraction(SimTime::from_secs(59), 13_000, Channel::CONTROL, at);
         let after = jam.busy_fraction(t1, 13_000, Channel::CONTROL, at);
         assert!(before > 0.9 && after < 0.05, "{before} vs {after}");
+    }
+
+    #[test]
+    fn mobile_jammer_uses_its_waypoints_in_time_order_and_the_later_equal_one_wins() {
+        let base = PeriodicJammer::with_duty_cycle(Position::new(0.0, 0.0), 1.0);
+        let t = SimTime::from_secs;
+        let jam = MobileJammer::new(
+            base,
+            vec![
+                (t(60), Position::new(10.0, 0.0)),
+                (t(30), Position::new(5.0, 0.0)),
+                (t(60), Position::new(20.0, 0.0)),
+            ],
+        );
+        let times: Vec<SimTime> = jam.waypoints().iter().map(|&(w, _)| w).collect();
+        assert_eq!(times, [t(30), t(60), t(60)]);
+        assert_eq!(jam.position_at(t(29)), Position::new(0.0, 0.0));
+        assert_eq!(jam.position_at(t(30)), Position::new(5.0, 0.0));
+        assert_eq!(jam.position_at(t(59)), Position::new(5.0, 0.0));
+        assert_eq!(jam.position_at(t(60)), Position::new(20.0, 0.0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! controller must track it. This module makes those scenarios expressible:
 //!
 //! * a [`WorldEvent`] is one atomic change (node fail/rejoin, symmetric
-//!   per-link PRR drift, a scripted jammer relocation),
+//!   per-link PRR drift),
 //! * a [`ScenarioScript`] is a time-sorted list of `(SimTime, WorldEvent)`
 //!   pairs built with a fluent API,
 //! * a [`World`] owns a script plus the network's membership state
@@ -27,11 +27,9 @@
 //! engine layers guarantee (and pin with golden tests) that a static-world
 //! run is byte-for-byte identical to the pre-world engine output.
 //!
-//! Jammer relocations are a special case: interference models are immutable
-//! while a simulation runs, so [`WorldEvent::JammerRelocate`] events are not
-//! applied to a live model but *resolved at construction time* into the
-//! waypoint list of a [`MobileJammer`](crate::MobileJammer) via
-//! [`ScenarioScript::jammer_waypoints`].
+//! A script holds only events a world applies. Interference models are
+//! immutable while a simulation runs, so a jammer that moves carries its
+//! whole path as the waypoints of a [`MobileJammer`](crate::MobileJammer).
 //!
 //! # Examples
 //!
@@ -54,7 +52,7 @@
 //! ```
 
 use crate::time::SimTime;
-use crate::topology::{NodeId, Position};
+use crate::topology::NodeId;
 use std::ops::Range;
 
 /// One atomic change to the simulated world, applied between rounds.
@@ -78,21 +76,11 @@ pub enum WorldEvent {
         /// The new packet-reception ratio, in `[0, 1]`.
         prr: f64,
     },
-    /// Scripted relocation of jammer `jammer` to position `to`. Not a
-    /// topology patch: resolved into [`MobileJammer`](crate::MobileJammer)
-    /// waypoints at scenario-construction time via
-    /// [`ScenarioScript::jammer_waypoints`].
-    JammerRelocate {
-        /// Index of the scripted jammer being moved.
-        jammer: usize,
-        /// Where it moves to.
-        to: Position,
-    },
 }
 
 impl WorldEvent {
-    /// Whether the event patches the topology (as opposed to membership or
-    /// interference): exactly the events
+    /// Whether the event patches the topology (as opposed to membership):
+    /// exactly the events
     /// [`CompiledTopology::apply_event`](crate::CompiledTopology::apply_event)
     /// acts on.
     pub fn is_topology_event(&self) -> bool {
@@ -156,26 +144,6 @@ impl ScenarioScript {
     /// Schedules a symmetric link-PRR drift.
     pub fn drift_link(self, at: SimTime, a: NodeId, b: NodeId, prr: f64) -> Self {
         self.at(at, WorldEvent::LinkDrift { a, b, prr })
-    }
-
-    /// Schedules a jammer relocation (see [`WorldEvent::JammerRelocate`]).
-    pub fn relocate_jammer(self, at: SimTime, jammer: usize, to: Position) -> Self {
-        self.at(at, WorldEvent::JammerRelocate { jammer, to })
-    }
-
-    /// Resolves the relocation events of jammer `jammer` into the waypoint
-    /// list a [`MobileJammer`](crate::MobileJammer) takes: the jammer sits
-    /// at `initial` until its first scripted move.
-    pub fn jammer_waypoints(&self, jammer: usize, initial: Position) -> Vec<(SimTime, Position)> {
-        let mut waypoints = vec![(SimTime::ZERO, initial)];
-        for (t, e) in &self.events {
-            if let WorldEvent::JammerRelocate { jammer: j, to } = e {
-                if *j == jammer {
-                    waypoints.push((*t, *to));
-                }
-            }
-        }
-        waypoints
     }
 }
 
@@ -245,7 +213,6 @@ impl World {
                     assert!(a != b, "a link needs two distinct endpoints");
                     assert!((0.0..=1.0).contains(prr), "PRR must be in [0, 1]");
                 }
-                WorldEvent::JammerRelocate { .. } => {}
             }
         }
         World {
@@ -419,19 +386,6 @@ mod tests {
             .is_empty());
         // Exactly on the timestamp: fires.
         assert_eq!(w.advance_to(t(8)).failed, 1);
-    }
-
-    #[test]
-    fn jammer_waypoints_resolve_in_time_order() {
-        let script = ScenarioScript::new()
-            .relocate_jammer(t(60), 0, Position::new(10.0, 0.0))
-            .relocate_jammer(t(30), 0, Position::new(5.0, 0.0))
-            .relocate_jammer(t(45), 1, Position::new(99.0, 0.0));
-        let wp = script.jammer_waypoints(0, Position::new(0.0, 0.0));
-        assert_eq!(wp.len(), 3);
-        assert_eq!(wp[0], (SimTime::ZERO, Position::new(0.0, 0.0)));
-        assert_eq!(wp[1], (t(30), Position::new(5.0, 0.0)));
-        assert_eq!(wp[2], (t(60), Position::new(10.0, 0.0)));
     }
 
     #[test]

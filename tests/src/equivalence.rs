@@ -122,7 +122,7 @@ pub fn assert_flood_equivalent(
 pub fn dense_and_sparse(topo: &Topology) -> (CompiledTopology, CompiledTopology) {
     (
         CompiledTopology::compile(topo),
-        CompiledTopology::compile_sparse(topo),
+        CompiledTopology::compile(topo).into_sparse(),
     )
 }
 
@@ -148,10 +148,8 @@ pub fn one_way_twins(n: usize, seed: u64) -> (CompiledTopology, CompiledTopology
         }
     }
     let positions: Vec<_> = topo.node_ids().map(|id| topo.position(id)).collect();
-    (
-        CompiledTopology::from_prr_matrix(positions.clone(), topo.coordinator(), prr.clone()),
-        CompiledTopology::from_prr_matrix_sparse(positions, topo.coordinator(), prr),
-    )
+    let dense = CompiledTopology::from_prr_matrix(positions, topo.coordinator(), prr);
+    (dense.clone(), dense.into_sparse())
 }
 
 /// Runs the same flood over a dense and a sparse (CSR-only) compilation of

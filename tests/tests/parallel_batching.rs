@@ -139,7 +139,7 @@ proptest! {
     ) {
         let topo = random_topology(n, topo_seed);
         let world = if sparse {
-            CompiledTopology::compile_sparse(&topo)
+            CompiledTopology::compile(&topo).into_sparse()
         } else {
             CompiledTopology::compile(&topo)
         };

@@ -105,7 +105,7 @@ fn link_drift_on_sparse_equals_full_recompile() {
     let topo = Topology::grid(5, 5, 8.0, 3);
     let dense = CompiledTopology::compile(&topo);
     let n = dense.num_nodes();
-    let mut sparse = CompiledTopology::compile_sparse(&topo);
+    let mut sparse = CompiledTopology::compile(&topo).into_sparse();
     // Start from the dense view's exact matrix (canonical zeros included).
     let mut matrix: Vec<f64> = (0..n * n)
         .map(|k| dense.prr(NodeId((k / n) as u16), NodeId((k % n) as u16)))
@@ -121,11 +121,12 @@ fn link_drift_on_sparse_equals_full_recompile() {
         assert!(changed);
         matrix[a.index() * n + b.index()] = prr;
         matrix[b.index() * n + a.index()] = prr;
-        let recompiled = CompiledTopology::from_prr_matrix_sparse(
+        let recompiled = CompiledTopology::from_prr_matrix(
             dense.positions().to_vec(),
             dense.coordinator(),
             matrix.clone(),
-        );
+        )
+        .into_sparse();
         assert_eq!(
             sparse, recompiled,
             "sparse patch diverged from recompile after drift {a:?}->{b:?}={prr}"
@@ -202,11 +203,9 @@ fn mid_script_events_reach_the_flood_layer() {
         matrix[a.index() * n + b.index()] = prr;
         matrix[b.index() * n + a.index()] = prr;
     }
-    let recompiled = CompiledTopology::from_prr_matrix_sparse(
-        base.positions().to_vec(),
-        base.coordinator(),
-        matrix,
-    );
+    let recompiled =
+        CompiledTopology::from_prr_matrix(base.positions().to_vec(), base.coordinator(), matrix)
+            .into_sparse();
     assert_eq!(sim.compiled(), &recompiled);
     let mut cold = FloodSimulator::new(recompiled, &jam);
     cold.set_alive(world.alive());
@@ -346,11 +345,11 @@ proptest! {
             matrix[a * n + b] = prr;
             matrix[b * n + a] = prr;
         }
-        let recompiled = CompiledTopology::from_prr_matrix_sparse(
+        let recompiled = CompiledTopology::from_prr_matrix(
             patched.positions().to_vec(),
             patched.coordinator(),
             matrix,
-        );
+        ).into_sparse();
         prop_assert_eq!(patched, recompiled);
     }
 }
